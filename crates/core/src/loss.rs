@@ -40,8 +40,8 @@ pub fn generator_term_loss(kind: SigmoidKind, arg: f64) -> f64 {
 ///
 /// Splitting the evaluation into these pure scalars and the order-fixed
 /// fold in [`fold_novel_loss`] is what lets the out-of-core engine
-/// compute them per bucket pair and still reproduce the sequential
-/// engine's floating-point result bit for bit.
+/// compute them from gathered rows, in any order, and still reproduce the
+/// sequential engine's floating-point result bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PositiveTerms {
     /// `v_i . v_j`.

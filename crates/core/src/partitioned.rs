@@ -6,8 +6,11 @@
 //! (`session::partitioned::PartitionedEngine`): the embedding matrices
 //! are split into `P` node buckets that swap through a two-slot pool
 //! (one `W_in` bucket and one `W_out` bucket resident at a time, the
-//! rest spilled to disk), sized for graphs whose embeddings do not fit
-//! in RAM.
+//! rest in one spill file per matrix, overwritten in place), sized for
+//! graphs whose embeddings do not fit in RAM. Each step gathers the rows
+//! it reads role by role, visiting every touched bucket once from the
+//! resident one on, so a discriminator update loads at most `4 (P - 1)`
+//! partitions ([`SlotPoolStats::loads`]).
 //!
 //! # Determinism contract
 //!

@@ -15,12 +15,14 @@
 //!    neighbors, noise vectors) runs on the single sequential stream in
 //!    the sequential engine's exact program order. Embedding *reads*
 //!    consume no randomness, so deferring them cannot shift a draw.
-//! 2. **Phase B (compute)** — per-pair work is grouped by the bucket
-//!    pair it touches (a `BTreeMap` keyed by `(bucket(i), bucket(j))`,
-//!    i.e. the row-major bucket-pair schedule with empty pairs skipped);
-//!    each group acquires its two slots once and computes *pure* per-item
-//!    results, stored back at the item's original batch index. The
-//!    results are chunk-invariant, so a thread pool may compute them.
+//! 2. **Phase B (compute)** — the rows a step reads are *gathered* role by
+//!    role: every item's `W_in` row, then every item's `W_out` row, is
+//!    copied into a flat buffer at the item's batch index, visiting each
+//!    touched bucket once in the *resident-first cyclic order* (the
+//!    resident bucket, then the next ones, wrapping at `P`). The *pure*
+//!    per-item results are then computed from those buffers in one pool
+//!    dispatch per step, stored at each item's original batch index; they
+//!    are chunk-invariant, so the thread count cannot change them.
 //! 3. **Phase C (fold)** — the floating-point accumulations (per-row
 //!    gradient sums, the loss fold) run over the per-item results in
 //!    original batch order — exactly the association the sequential
@@ -30,15 +32,23 @@
 //! sequential engine also reads everything before writing anything), and
 //! the final apply updates each touched row exactly once with identical
 //! arithmetic ([`step_row`]), so apply order across distinct rows is
-//! immaterial — grouping the applies by bucket is free.
+//! immaterial — the apply walks the buckets in the same resident-first
+//! cyclic order. A discriminator update thus loads at most `4 (P - 1)`
+//! partitions: `P - 1` per role for the gather, and again for the apply.
+//!
+//! Evicted partitions live in one spill file per role, created and sized
+//! once: the whole matrix as row-major little-endian `f64`, so bucket `b`
+//! sits at its first row's byte offset and a dirty eviction overwrites it
+//! in place.
 //!
 //! The generator tables and the graph's edge list stay RAM-resident: the
 //! embedding matrices dominate the model's footprint (two dense
 //! `n x r` matrices against the generators' two), and the scope of this
 //! engine is bounding *embedding* residency; see DESIGN.md §14.
 
-use std::collections::{BTreeMap, HashMap};
-use std::fs;
+use std::collections::HashMap;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,7 +61,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::error::CoreError;
-use crate::loss::{fold_novel_loss, negative_dot, positive_terms, PositiveTerms};
+use crate::loss::{fold_novel_loss, negative_dot, positive_terms};
 use crate::model::embeddings::step_row;
 use crate::model::generator::FakeNeighbor;
 use crate::model::Embeddings;
@@ -68,21 +78,36 @@ use crate::weighting::WeightMode;
 /// one process (the process id distinguishes across processes).
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Which embedding matrix a slot holds a bucket of.
+/// Values per spill read or write: the reused byte buffer is 64 KiB, never
+/// a whole bucket.
+const IO_CHUNK: usize = 8 * 1024;
+
+/// Which embedding matrix a slot holds a bucket of; indexes the per-role
+/// spill files and slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
     /// A `W_in` (node-vector) bucket.
-    In,
+    In = 0,
     /// A `W_out` (context-vector) bucket.
-    Out,
+    Out = 1,
 }
 
 impl Role {
-    fn file_prefix(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
-            Role::In => "in",
-            Role::Out => "out",
+            Role::In => "w_in",
+            Role::Out => "w_out",
         }
+    }
+}
+
+/// Wraps a spill I/O failure with the role and bucket it hit.
+fn spill_error(role: Role, bucket: usize) -> impl FnOnce(io::Error) -> CoreError {
+    move |e| {
+        CoreError::Io(io::Error::new(
+            e.kind(),
+            format!("spill of {} bucket {bucket}: {e}", role.name()),
+        ))
     }
 }
 
@@ -100,121 +125,117 @@ struct Slot {
 /// The embedding matrices, bucketed by node range, with at most one
 /// resident bucket per role — a two-slot pool by construction.
 ///
-/// Evicted buckets live as raw little-endian `f64` files under a
-/// process-unique temporary directory; the byte round-trip is exact, so
-/// spilling cannot perturb the trajectory.
+/// Each role's spill file holds the whole matrix as raw little-endian
+/// `f64`; the byte round-trip is exact, so spilling cannot perturb the
+/// trajectory.
 struct PartitionedEmbeddings {
     buckets: NodeBuckets,
     dim: usize,
     spill_dir: PathBuf,
-    in_slot: Option<Slot>,
-    out_slot: Option<Slot>,
+    /// One open spill file per role, indexed by [`Role`].
+    files: [File; 2],
+    /// The resident bucket per role, indexed by [`Role`].
+    slots: [Option<Slot>; 2],
+    /// The encode/decode buffer of every spill read and write.
+    io_buf: Vec<u8>,
     stats: Arc<SlotPoolStats>,
 }
 
 impl PartitionedEmbeddings {
-    /// Spills every bucket of `emb` to disk and starts with both slots
+    /// Spills both matrices of `emb` to disk and starts with both slots
     /// empty; `emb` is consumed (the full matrices stop existing in RAM).
     fn new(
         emb: Embeddings,
         buckets: NodeBuckets,
         stats: Arc<SlotPoolStats>,
     ) -> Result<Self, CoreError> {
-        let dim = emb.dim();
         let spill_dir = std::env::temp_dir().join(format!(
             "advsgm-ooc-{}-{}",
             std::process::id(),
             SPILL_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         fs::create_dir_all(&spill_dir)?;
-        let this = Self {
+        // Create + truncate, not create-new: a stale directory left by a
+        // killed process whose pid was reused is simply overwritten.
+        let open = |role: Role| {
+            OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(spill_dir.join(format!("{}.spill", role.name())))
+        };
+        let files = [open(Role::In)?, open(Role::Out)?];
+        let mut this = Self {
             buckets,
-            dim,
+            dim: emb.dim(),
             spill_dir,
-            in_slot: None,
-            out_slot: None,
+            files,
+            slots: [None, None],
+            io_buf: Vec::new(),
             stats,
         };
-        for b in 0..buckets.count() {
-            let range = this.buckets.range(b);
-            this.write_spill(
-                Role::In,
-                b,
-                &emb.w_in().as_slice()[range.start * dim..range.end * dim],
-            )?;
-            this.write_spill(
-                Role::Out,
-                b,
-                &emb.w_out().as_slice()[range.start * dim..range.end * dim],
-            )?;
+        // Writing the whole matrix sizes each file for the engine's life.
+        for (role, m) in [(Role::In, emb.w_in()), (Role::Out, emb.w_out())] {
+            this.write_rows(role, 0, m.as_slice())?;
         }
         Ok(this)
     }
 
-    fn spill_path(&self, role: Role, bucket: usize) -> PathBuf {
-        self.spill_dir
-            .join(format!("{}-{bucket}.part", role.file_prefix()))
-    }
-
-    fn write_spill(&self, role: Role, bucket: usize, rows: &[f64]) -> Result<(), CoreError> {
-        let mut bytes = Vec::with_capacity(rows.len() * 8);
-        for v in rows {
-            bytes.extend_from_slice(&v.to_le_bytes());
+    /// Overwrites `role`'s spill rows from node `first` on with `rows`.
+    fn write_rows(&mut self, role: Role, first: usize, rows: &[f64]) -> io::Result<()> {
+        let mut file = &self.files[role as usize];
+        file.seek(SeekFrom::Start((first * self.dim * 8) as u64))?;
+        for chunk in rows.chunks(IO_CHUNK) {
+            self.io_buf.clear();
+            for v in chunk {
+                self.io_buf.extend_from_slice(&v.to_le_bytes());
+            }
+            file.write_all(&self.io_buf)?;
         }
-        fs::write(self.spill_path(role, bucket), bytes)?;
         Ok(())
     }
 
-    fn read_spill(&self, role: Role, bucket: usize) -> Result<Vec<f64>, CoreError> {
-        let bytes = fs::read(self.spill_path(role, bucket))?;
-        let expected = self.buckets.len_of(bucket) * self.dim * 8;
-        if bytes.len() != expected {
-            return Err(CoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "partition spill file for {}-{bucket} holds {} bytes, expected {expected}",
-                    role.file_prefix(),
-                    bytes.len()
-                ),
-            )));
+    /// Fills `rows` from `role`'s spill rows from node `first` on.
+    fn read_rows(&mut self, role: Role, first: usize, rows: &mut [f64]) -> io::Result<()> {
+        let mut file = &self.files[role as usize];
+        file.seek(SeekFrom::Start((first * self.dim * 8) as u64))?;
+        for chunk in rows.chunks_mut(IO_CHUNK) {
+            self.io_buf.resize(chunk.len() * 8, 0);
+            file.read_exact(&mut self.io_buf)?;
+            for (v, b) in chunk.iter_mut().zip(self.io_buf.chunks_exact(8)) {
+                *v = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+            }
         }
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect())
-    }
-
-    fn slot(&self, role: Role) -> &Option<Slot> {
-        match role {
-            Role::In => &self.in_slot,
-            Role::Out => &self.out_slot,
-        }
-    }
-
-    fn slot_mut(&mut self, role: Role) -> &mut Option<Slot> {
-        match role {
-            Role::In => &mut self.in_slot,
-            Role::Out => &mut self.out_slot,
-        }
+        Ok(())
     }
 
     /// Makes `bucket` resident in the role's slot: a no-op when already
-    /// resident, otherwise evict (writing back only if dirty) and load.
+    /// resident, otherwise evict (writing back in place only if dirty) and
+    /// load into the evicted slot's buffer.
     fn acquire(&mut self, role: Role, bucket: usize) -> Result<(), CoreError> {
-        if let Some(s) = self.slot(role) {
-            if s.bucket == bucket {
-                return Ok(());
-            }
+        let slot = &mut self.slots[role as usize];
+        if slot.as_ref().is_some_and(|s| s.bucket == bucket) {
+            return Ok(());
         }
-        if let Some(s) = self.slot_mut(role).take() {
-            if s.dirty {
-                self.write_spill(role, s.bucket, &s.rows)?;
+        let mut rows = match slot.take() {
+            Some(s) => {
+                if s.dirty {
+                    let first = self.buckets.range(s.bucket).start;
+                    self.write_rows(role, first, &s.rows)
+                        .map_err(spill_error(role, s.bucket))?;
+                }
+                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+                self.stats.resident.fetch_sub(1, Ordering::Relaxed);
+                s.rows
             }
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            self.stats.resident.fetch_sub(1, Ordering::Relaxed);
-        }
-        let rows = self.read_spill(role, bucket)?;
-        *self.slot_mut(role) = Some(Slot {
+            None => Vec::new(),
+        };
+        let range = self.buckets.range(bucket);
+        rows.resize(range.len() * self.dim, 0.0);
+        self.read_rows(role, range.start, &mut rows)
+            .map_err(spill_error(role, bucket))?;
+        self.slots[role as usize] = Some(Slot {
             bucket,
             rows,
             dirty: false,
@@ -225,73 +246,96 @@ impl PartitionedEmbeddings {
         Ok(())
     }
 
-    /// Read access to a row whose bucket is resident (acquire first).
-    fn row(&self, role: Role, node: usize) -> &[f64] {
-        let s = self
-            .slot(role)
-            .as_ref()
-            .expect("slot not resident; acquire first");
-        debug_assert_eq!(
-            s.bucket,
-            self.buckets.bucket_of(node),
-            "wrong bucket resident"
-        );
-        let start = self.buckets.range(s.bucket).start;
-        let off = (node - start) * self.dim;
-        &s.rows[off..off + self.dim]
-    }
-
-    fn in_row(&self, node: usize) -> &[f64] {
-        self.row(Role::In, node)
-    }
-
-    fn out_row(&self, node: usize) -> &[f64] {
-        self.row(Role::Out, node)
-    }
-
-    /// Write access to a row whose bucket is resident; marks the slot
-    /// dirty so eviction writes it back.
-    fn row_mut(&mut self, role: Role, node: usize) -> &mut [f64] {
-        let dim = self.dim;
+    /// Makes `node`'s bucket resident for `role` and returns its slot plus
+    /// the row's offset in it.
+    fn resident(&mut self, role: Role, node: usize) -> Result<(&mut Slot, usize), CoreError> {
         let bucket = self.buckets.bucket_of(node);
-        let start = self.buckets.range(bucket).start;
-        let s = self
-            .slot_mut(role)
-            .as_mut()
-            .expect("slot not resident; acquire first");
-        debug_assert_eq!(s.bucket, bucket, "wrong bucket resident");
-        s.dirty = true;
-        let off = (node - start) * dim;
-        &mut s.rows[off..off + dim]
+        self.acquire(role, bucket)?;
+        let off = (node - self.buckets.range(bucket).start) * self.dim;
+        let slot = self.slots[role as usize].as_mut().expect("just acquired");
+        Ok((slot, off))
+    }
+
+    /// Sort key of the resident-first cyclic order for `role`: buckets from
+    /// the resident one on, wrapping at `P`, nodes ascending within each,
+    /// so a walk in key order loads each touched bucket at most once.
+    fn visit_key(&self, role: Role) -> impl Fn(usize) -> (usize, usize) {
+        let buckets = self.buckets;
+        let start = self.slots[role as usize].as_ref().map_or(0, |s| s.bucket);
+        move |node| {
+            let b = buckets.bucket_of(node);
+            ((b + buckets.count() - start) % buckets.count(), node)
+        }
+    }
+
+    /// Copies each node's `role` row into `out` (reused across steps) in
+    /// `nodes` order, walking the touched buckets in visit order.
+    fn gather(
+        &mut self,
+        role: Role,
+        nodes: impl Iterator<Item = usize>,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CoreError> {
+        let key = self.visit_key(role);
+        let mut order: Vec<((usize, usize), usize)> =
+            nodes.enumerate().map(|(k, node)| (key(node), k)).collect();
+        order.sort_unstable();
+        let dim = self.dim;
+        out.resize(order.len() * dim, 0.0);
+        for ((_, node), k) in order {
+            let (slot, off) = self.resident(role, node)?;
+            out[k * dim..(k + 1) * dim].copy_from_slice(&slot.rows[off..off + dim]);
+        }
+        Ok(())
+    }
+
+    /// Applies each accumulated row's noisy, touch-count-normalised update
+    /// with the sequential arithmetic, walking the buckets in visit order
+    /// (rows ascending within each, DESIGN.md §15). Rows are distinct, so
+    /// the order across them is bitwise-neutral.
+    fn apply(
+        &mut self,
+        role: Role,
+        acc: RowAcc,
+        noise: &[f64],
+        eta: f64,
+        project: bool,
+    ) -> Result<(), CoreError> {
+        let key = self.visit_key(role);
+        let mut rows: Vec<(usize, (Vec<f64>, usize))> = acc.into_iter().collect();
+        rows.sort_unstable_by_key(|&(node, _)| key(node));
+        let dim = self.dim;
+        for (node, (mut g, c)) in rows {
+            backend::fused_axpy_scale(&mut g, c as f64, noise, 1.0 / c as f64);
+            let (slot, off) = self.resident(role, node)?;
+            slot.dirty = true;
+            step_row(&mut slot.rows[off..off + dim], eta, &g, project);
+        }
+        Ok(())
     }
 
     /// Rebuilds the full matrices: resident slots are authoritative,
     /// everything else comes from the spill files. Leaves the pool and
     /// its counters untouched.
-    fn snapshot(&self) -> Result<Embeddings, CoreError> {
+    fn snapshot(&mut self) -> Result<Embeddings, CoreError> {
         let n = self.buckets.num_nodes();
-        let mut w_in = Vec::with_capacity(n * self.dim);
-        let mut w_out = Vec::with_capacity(n * self.dim);
-        for b in 0..self.buckets.count() {
-            self.collect_bucket(Role::In, b, &mut w_in)?;
-            self.collect_bucket(Role::Out, b, &mut w_out)?;
+        let dim = self.dim;
+        let mut mats = [vec![0.0; n * dim], vec![0.0; n * dim]];
+        for role in [Role::In, Role::Out] {
+            let m = &mut mats[role as usize];
+            for b in 0..self.buckets.count() {
+                let range = self.buckets.range(b);
+                let rows = &mut m[range.start * dim..range.end * dim];
+                match &self.slots[role as usize] {
+                    Some(s) if s.bucket == b => rows.copy_from_slice(&s.rows),
+                    _ => self
+                        .read_rows(role, range.start, rows)
+                        .map_err(spill_error(role, b))?,
+                }
+            }
         }
-        let w_in = DenseMatrix::from_vec(n, self.dim, w_in).expect("snapshot shape");
-        let w_out = DenseMatrix::from_vec(n, self.dim, w_out).expect("snapshot shape");
+        let [w_in, w_out] = mats.map(|m| DenseMatrix::from_vec(n, dim, m).expect("snapshot shape"));
         Ok(Embeddings::from_parts(w_in, w_out))
-    }
-
-    fn collect_bucket(
-        &self,
-        role: Role,
-        bucket: usize,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError> {
-        match self.slot(role) {
-            Some(s) if s.bucket == bucket => out.extend_from_slice(&s.rows),
-            _ => out.extend_from_slice(&self.read_spill(role, bucket)?),
-        }
-        Ok(())
     }
 }
 
@@ -305,6 +349,11 @@ impl Drop for PartitionedEmbeddings {
 /// An empty placeholder for `core.emb` while the partitions own the data.
 fn empty_embeddings() -> Embeddings {
     Embeddings::from_parts(DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0))
+}
+
+/// Item `k`'s row in a gather buffer of `r`-wide rows.
+fn row(rows: &[f64], k: usize, r: usize) -> &[f64] {
+    &rows[k * r..(k + 1) * r]
 }
 
 /// Maps `f` over `items`, preserving order; uses the pool when present.
@@ -353,6 +402,9 @@ pub(crate) struct PartitionedEngine {
     pending_neg: Option<DiscBatch>,
     /// The bucketed embeddings behind the two-slot pool.
     parts: PartitionedEmbeddings,
+    /// Phase-B gather buffers per role, indexed by [`Role`] and reused
+    /// across steps: row `k` is item `k`'s row.
+    rows: [Vec<f64>; 2],
     /// Worker pool for Phase-B computation; `None` runs serially.
     pool: Option<ThreadPool>,
     threads: usize,
@@ -378,6 +430,7 @@ impl PartitionedEngine {
             rng,
             pending_neg: None,
             parts,
+            rows: [Vec::new(), Vec::new()],
             pool,
             threads,
         })
@@ -414,8 +467,8 @@ impl Engine for PartitionedEngine {
     }
 
     /// One discriminator update, replayed (module docs): fakes and noise
-    /// in Phase A, clipped per-pair gradients per bucket pair in Phase B,
-    /// pair-order accumulation in Phase C, per-bucket apply.
+    /// in Phase A, role-wise gathers and clipped per-pair gradients in
+    /// Phase B, pair-order accumulation in Phase C, then the apply.
     fn disc_update(&mut self, core: &mut SessionCore, batch: &DiscBatch) -> Result<(), CoreError> {
         Self::reclaim(core);
         let r = core.cfg.dim;
@@ -449,93 +502,56 @@ impl Engine for PartitionedEngine {
             vector::scale(&mut mean_i, 1.0 / count as f64);
         }
 
-        // Phase B: group pairs by the bucket pair they read, acquire the
-        // two slots per group, and compute each pair's clipped gradients
-        // (pure, RNG-free) back into its original index.
-        let buckets = self.parts.buckets;
-        let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for (idx, &(i, j)) in batch.pairs.iter().enumerate() {
-            groups
-                .entry((buckets.bucket_of(i), buckets.bucket_of(j)))
-                .or_default()
-                .push(idx);
-        }
+        // Phase B: gather every pair's W_in row, then its W_out row, and
+        // compute each pair's clipped gradients (pure, RNG-free) at its
+        // original index in one dispatch.
+        let [rows_in, rows_out] = &mut self.rows;
+        let pairs = &batch.pairs;
+        self.parts
+            .gather(Role::In, pairs.iter().map(|p| p.0), rows_in)?;
+        self.parts
+            .gather(Role::Out, pairs.iter().map(|p| p.1), rows_out)?;
         let kind = core.kind;
-        let mut grads: Vec<Option<(Vec<f64>, Vec<f64>)>> = vec![None; count];
-        for (&(bi, bj), idxs) in &groups {
-            self.parts.acquire(Role::In, bi)?;
-            self.parts.acquire(Role::Out, bj)?;
-            let parts = &self.parts;
-            let pairs = &batch.pairs;
-            let (fakes_j, fakes_i) = (&fakes_j, &fakes_i);
-            let (mean_j, mean_i) = (&mean_j, &mean_i);
-            let computed = map_indexed(&mut self.pool, idxs, |_pos, &idx| {
-                let (i, j) = pairs[idx];
-                let pair_fakes = adversarial.then(|| PairFakes {
-                    fake_j: &fakes_j[idx],
-                    fake_i: &fakes_i[idx],
-                    mean_j,
-                    mean_i,
-                });
-                clipped_pair_grads(
-                    kind,
-                    variant,
-                    clip,
-                    PairCtx::of(batch, idx),
-                    parts.in_row(i),
-                    parts.out_row(j),
-                    pair_fakes,
-                )
+        let (rows_in, rows_out) = (&*rows_in, &*rows_out);
+        let (fakes_j, fakes_i) = (&fakes_j, &fakes_i);
+        let (mean_j, mean_i) = (&mean_j, &mean_i);
+        let grads = map_indexed(&mut self.pool, pairs, |idx, _| {
+            let pair_fakes = adversarial.then(|| PairFakes {
+                fake_j: &fakes_j[idx],
+                fake_i: &fakes_i[idx],
+                mean_j,
+                mean_i,
             });
-            for (&idx, g) in idxs.iter().zip(computed) {
-                grads[idx] = Some(g);
-            }
-        }
+            clipped_pair_grads(
+                kind,
+                variant,
+                clip,
+                PairCtx::of(batch, idx),
+                row(rows_in, idx, r),
+                row(rows_out, idx, r),
+                pair_fakes,
+            )
+        });
 
         // Phase C: accumulate per-row sums in original pair order — the
         // sequential engine's exact floating-point association.
         let mut acc_in: RowAcc = HashMap::new();
         let mut acc_out: RowAcc = HashMap::new();
-        for (idx, &(i, j)) in batch.pairs.iter().enumerate() {
-            let (gi, gj) = grads[idx].take().expect("every pair computed");
+        for (&(i, j), (gi, gj)) in pairs.iter().zip(grads) {
             accumulate(&mut acc_in, i, gi);
             accumulate(&mut acc_out, j, gj);
         }
 
-        // Apply, grouped by bucket so each slot is acquired once. Every
-        // touched row is updated exactly once with the sequential
-        // arithmetic, and distinct-row updates commute, so this ordering
-        // is bitwise-equivalent to the sequential apply.
         let eta = core.cfg.eta_d;
         let project = core.cfg.project_rows && variant != ModelVariant::Sgm;
-        type BucketRows = BTreeMap<usize, Vec<(usize, (Vec<f64>, usize))>>;
-        for (role, acc, noise) in [(Role::In, acc_in, &n_in), (Role::Out, acc_out, &n_out)] {
-            let mut by_bucket: BucketRows = BTreeMap::new();
-            for (node, entry) in acc {
-                by_bucket
-                    .entry(buckets.bucket_of(node))
-                    .or_default()
-                    .push((node, entry));
-            }
-            for (b, mut rows) in by_bucket {
-                self.parts.acquire(role, b)?;
-                // Ascending row order within the bucket (DESIGN.md §15):
-                // the resident slot is walked mostly sequentially. Rows
-                // are distinct, so order across them is bitwise-neutral.
-                rows.sort_unstable_by_key(|&(node, _)| node);
-                for (node, (mut g, c)) in rows {
-                    backend::fused_axpy_scale(&mut g, c as f64, noise, 1.0 / c as f64);
-                    step_row(self.parts.row_mut(role, node), eta, &g, project);
-                }
-            }
-        }
-        Ok(())
+        self.parts.apply(Role::In, acc_in, &n_in, eta, project)?;
+        self.parts.apply(Role::Out, acc_out, &n_out, eta, project)
     }
 
     /// One generator iteration, replayed: sampling and fake generation in
     /// Phase A (per sample: edge, orientation, `f1`, `f2` — the
-    /// sequential order, since nothing between them draws), embedding
-    /// gathers per single-role bucket group in Phase B, sample-order
+    /// sequential order, since nothing between them draws), role-wise
+    /// gathers and the per-sample upstreams in Phase B, sample-order
     /// gradient accumulation in Phase C. No embedding is written.
     fn generator_update(&mut self, core: &mut SessionCore, graph: &Graph) -> Result<(), CoreError> {
         Self::reclaim(core);
@@ -561,45 +577,26 @@ impl Engine for PartitionedEngine {
             samples.push((s, t, f1, f2));
         }
 
-        // Phase B: gather the embedding rows each sample reads, one
-        // single-role bucket group at a time (v_i needs W_in[s], v_j
-        // needs W_out[t]; a sample's two reads live in unrelated buckets,
-        // so they are gathered in separate passes).
-        let buckets = self.parts.buckets;
-        let mut vi: Vec<Vec<f64>> = vec![Vec::new(); sample_count];
-        let mut vj: Vec<Vec<f64>> = vec![Vec::new(); sample_count];
-        let mut by_s: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut by_t: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (idx, &(s, t, _, _)) in samples.iter().enumerate() {
-            by_s.entry(buckets.bucket_of(s)).or_default().push(idx);
-            by_t.entry(buckets.bucket_of(t)).or_default().push(idx);
-        }
-        for (&b, idxs) in &by_s {
-            self.parts.acquire(Role::In, b)?;
-            for &idx in idxs {
-                vi[idx] = self.parts.in_row(samples[idx].0).to_vec();
-            }
-        }
-        for (&b, idxs) in &by_t {
-            self.parts.acquire(Role::Out, b)?;
-            for &idx in idxs {
-                vj[idx] = self.parts.out_row(samples[idx].1).to_vec();
-            }
-        }
-
-        // Phase B continued: per-sample upstream gradients (pure).
+        // Phase B: v_i = W_in[s] and v_j = W_out[t], gathered role by
+        // role, then the per-sample upstream gradients (pure).
+        let [vi, vj] = &mut self.rows;
+        self.parts
+            .gather(Role::In, samples.iter().map(|x| x.0), vi)?;
+        self.parts
+            .gather(Role::Out, samples.iter().map(|x| x.1), vj)?;
         let kind = core.kind;
-        let (vi, vj) = (&vi, &vj);
+        let (vi, vj) = (&*vi, &*vj);
         let (ng1, ng2) = (&ng1, &ng2);
         let ups = map_indexed(&mut self.pool, &samples, |idx, (_s, _t, f1, f2)| {
-            let (s1_fake, s1_noise) = backend::dot2(&vi[idx], &f1.v, ng1);
+            let (vi, vj) = (row(vi, idx, r), row(vj, idx, r));
+            let (s1_fake, s1_noise) = backend::dot2(vi, &f1.v, ng1);
             let s1 = s1_fake + s1_noise;
             let c1 = -kind.neg_log_one_minus_grad(s1);
-            let up1 = vector::scaled(c1, &vi[idx]);
-            let (s2_fake, s2_noise) = backend::dot2(&vj[idx], &f2.v, ng2);
+            let up1 = vector::scaled(c1, vi);
+            let (s2_fake, s2_noise) = backend::dot2(vj, &f2.v, ng2);
             let s2 = s2_fake + s2_noise;
             let c2 = -kind.neg_log_one_minus_grad(s2);
-            let up2 = vector::scaled(c2, &vj[idx]);
+            let up2 = vector::scaled(c2, vj);
             (up1, up2)
         });
 
@@ -645,70 +642,33 @@ impl Engine for PartitionedEngine {
             fakes.push((fake_j, fake_i));
         }
 
-        // Phase B: per-pair scalar terms, grouped by bucket pair.
-        let buckets = self.parts.buckets;
-        let mut pos_groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for (idx, e) in pos.iter().enumerate() {
-            pos_groups
-                .entry((
-                    buckets.bucket_of(e.u().index()),
-                    buckets.bucket_of(e.v().index()),
-                ))
-                .or_default()
-                .push(idx);
-        }
-        let mut terms: Vec<Option<PositiveTerms>> = vec![None; pos.len()];
-        for (&(bu, bv), idxs) in &pos_groups {
-            self.parts.acquire(Role::In, bu)?;
-            self.parts.acquire(Role::Out, bv)?;
-            let parts = &self.parts;
-            let (pos, fakes) = (&pos, &fakes);
-            let (n1, n2) = (&n1, &n2);
-            let pos_signs = &pos_signs;
-            let computed = map_indexed(&mut self.pool, idxs, |_pos, &idx| {
-                let e = &pos[idx];
-                positive_terms(
-                    parts.in_row(e.u().index()),
-                    parts.out_row(e.v().index()),
-                    &fakes[idx].0,
-                    &fakes[idx].1,
-                    n1,
-                    n2,
-                    pos_signs.get(idx).copied().unwrap_or(false),
-                )
-            });
-            for (&idx, t) in idxs.iter().zip(computed) {
-                terms[idx] = Some(t);
-            }
-        }
-        let mut neg_groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for (idx, p) in negs.iter().enumerate() {
-            neg_groups
-                .entry((
-                    buckets.bucket_of(p.source.index()),
-                    buckets.bucket_of(p.negative.index()),
-                ))
-                .or_default()
-                .push(idx);
-        }
-        let mut neg_dots: Vec<f64> = vec![0.0; negs.len()];
-        for (&(bs, bn), idxs) in &neg_groups {
-            self.parts.acquire(Role::In, bs)?;
-            self.parts.acquire(Role::Out, bn)?;
-            for &idx in idxs {
-                let p = &negs[idx];
-                neg_dots[idx] = negative_dot(
-                    self.parts.in_row(p.source.index()),
-                    self.parts.out_row(p.negative.index()),
-                );
-            }
-        }
+        // Phase B: one gather per role over the positives followed by the
+        // negatives, then the per-pair scalar terms.
+        let [rows_in, rows_out] = &mut self.rows;
+        let sources = pos.iter().map(|e| e.u().index());
+        let sources = sources.chain(negs.iter().map(|p| p.source.index()));
+        self.parts.gather(Role::In, sources, rows_in)?;
+        let targets = pos.iter().map(|e| e.v().index());
+        let targets = targets.chain(negs.iter().map(|p| p.negative.index()));
+        self.parts.gather(Role::Out, targets, rows_out)?;
+        let (rows_in, rows_out) = (&*rows_in, &*rows_out);
+        let (n1, n2, pos_signs) = (&n1, &n2, &pos_signs);
+        let terms = map_indexed(&mut self.pool, &fakes, |idx, (fake_j, fake_i)| {
+            positive_terms(
+                row(rows_in, idx, r),
+                row(rows_out, idx, r),
+                fake_j,
+                fake_i,
+                n1,
+                n2,
+                pos_signs.get(idx).copied().unwrap_or(false),
+            )
+        });
+        let neg_dots: Vec<f64> = (pos.len()..pos.len() + negs.len())
+            .map(|k| negative_dot(row(rows_in, k, r), row(rows_out, k, r)))
+            .collect();
 
         // Phase C: the order-fixed fold.
-        let terms: Vec<PositiveTerms> = terms
-            .into_iter()
-            .map(|t| t.expect("every positive computed"))
-            .collect();
         Ok(fold_novel_loss(core.kind, mode, &terms, &neg_dots).abs())
     }
 
@@ -726,5 +686,83 @@ impl Engine for PartitionedEngine {
             rngs: vec![rng_state(&self.rng)],
             edge_permutation: self.provider.edge_permutation().to_vec(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::AdvSgmConfig;
+    use advsgm_graph::generators::classic::karate_club;
+
+    /// A live engine over the karate club at `partitions` buckets.
+    fn engine(
+        graph: &Graph,
+        partitions: usize,
+    ) -> (SessionCore, PartitionedEngine, Arc<SlotPoolStats>) {
+        let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm).with_threads(1);
+        let (mut core, provider, rng) = SessionCore::new(graph, cfg).unwrap();
+        let stats = Arc::new(SlotPoolStats::default());
+        let engine =
+            PartitionedEngine::new(&mut core, provider, rng, partitions, Arc::clone(&stats))
+                .unwrap();
+        (core, engine, stats)
+    }
+
+    /// A positive batch over every pair of every third node: it touches
+    /// every bucket of both roles, and every bucket pair, at `P <= 4`.
+    fn grid_batch(n: usize) -> DiscBatch {
+        let nodes = (0..n).step_by(3);
+        DiscBatch {
+            pairs: nodes
+                .clone()
+                .flat_map(|i| nodes.clone().map(move |j| (i, j)))
+                .collect(),
+            positive: true,
+            signs: Vec::new(),
+            weights: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn disc_update_loads_at_most_four_times_p_minus_one_partitions() {
+        let g = karate_club();
+        for p in [2, 3, 4] {
+            let (mut core, mut engine, stats) = engine(&g, p);
+            let warm = engine.next_batch(&g).unwrap();
+            engine.disc_update(&mut core, &warm).unwrap();
+            assert_eq!(stats.resident(), 2, "P={p}: warm pool");
+            let before = stats.loads();
+            engine
+                .disc_update(&mut core, &grid_batch(g.num_nodes()))
+                .unwrap();
+            let loads = stats.loads() - before;
+            assert!(loads <= 4 * (p - 1), "P={p}: {loads} loads");
+        }
+    }
+
+    #[test]
+    fn shrunk_spill_file_is_a_typed_error_naming_role_and_bucket() {
+        let g = karate_club();
+        let (mut core, mut engine, _stats) = engine(&g, 2);
+        let warm = engine.next_batch(&g).unwrap();
+        engine.disc_update(&mut core, &warm).unwrap();
+        // Park W_out on bucket 0, then cut its file where bucket 1 starts.
+        engine.parts.acquire(Role::Out, 0).unwrap();
+        let cut = engine.parts.buckets.range(1).start * engine.parts.dim * 8;
+        engine.parts.files[Role::Out as usize]
+            .set_len(cut as u64)
+            .unwrap();
+        let err = engine
+            .disc_update(&mut core, &grid_batch(g.num_nodes()))
+            .unwrap_err();
+        let CoreError::Io(e) = &err else {
+            panic!("expected CoreError::Io, got {err:?}");
+        };
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            e.to_string().contains("w_out bucket 1"),
+            "the error must name the role and bucket: {e}"
+        );
     }
 }

@@ -3,10 +3,7 @@
 //! The out-of-core path (DESIGN.md §14) partitions `0..|V|` into `P`
 //! contiguous *buckets* so that the embedding matrices can be split into
 //! `P` row blocks, only two of which (one input-role, one output-role)
-//! are resident in memory at a time. An edge `(u, v)` then belongs to the
-//! *bucket pair* `(bucket(u), bucket(v))`; iterating pairs in the fixed
-//! row-major [`NodeBuckets::pair_schedule`] order visits every edge while
-//! swapping at most one resident partition per transition.
+//! are resident in memory at a time.
 //!
 //! Buckets are contiguous index ranges rather than hashed shards so that
 //! the `.agph` on-disk sections (see `advsgm-store`) are defined by the
@@ -30,7 +27,6 @@ use crate::error::GraphError;
 /// assert_eq!(b.bucket_of(0), 0);
 /// assert_eq!(b.bucket_of(9), 3);
 /// assert_eq!(b.range(3), 9..10);
-/// assert_eq!(b.pair_schedule().len(), 16);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeBuckets {
@@ -105,21 +101,6 @@ impl NodeBuckets {
     pub fn len_of(&self, b: usize) -> usize {
         self.range(b).len()
     }
-
-    /// The deterministic `P x P` bucket-pair visitation order: row-major
-    /// `(0,0), (0,1), ..., (0,P-1), (1,0), ...` — each transition within a
-    /// row swaps only the second (output-role) partition, and each row
-    /// change swaps only the first.
-    pub fn pair_schedule(&self) -> Vec<(usize, usize)> {
-        let p = self.buckets;
-        let mut out = Vec::with_capacity(p * p);
-        for a in 0..p {
-            for b in 0..p {
-                out.push((a, b));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -167,30 +148,6 @@ mod tests {
         assert_eq!(b.len_of(2), 1);
         assert_eq!(b.len_of(3), 0);
         assert_eq!(b.len_of(4), 0);
-    }
-
-    #[test]
-    fn single_bucket_holds_everything() {
-        let b = NodeBuckets::new(9, 1).unwrap();
-        assert_eq!(b.range(0), 0..9);
-        assert_eq!(b.bucket_of(8), 0);
-        assert_eq!(b.pair_schedule(), vec![(0, 0)]);
-    }
-
-    #[test]
-    fn pair_schedule_is_row_major_and_complete() {
-        let b = NodeBuckets::new(10, 3).unwrap();
-        let s = b.pair_schedule();
-        assert_eq!(s.len(), 9);
-        assert_eq!(s[0], (0, 0));
-        assert_eq!(s[1], (0, 1));
-        assert_eq!(s[3], (1, 0));
-        assert_eq!(s[8], (2, 2));
-        // Each transition swaps at most one side.
-        for w in s.windows(2) {
-            let swaps = usize::from(w[0].0 != w[1].0) + usize::from(w[0].1 != w[1].1);
-            assert!(swaps >= 1, "{w:?}");
-        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`sampling`] — alias tables, uniform edge batches, the paper's
 //!   Algorithm 2 negative sampling, and DeepWalk/node2vec random walks;
 //! * [`partition`] — the 90/10 link-prediction edge split of Section VI-A;
-//! * [`buckets`] — contiguous node buckets and the `P x P` bucket-pair
-//!   schedule behind out-of-core partitioned training;
+//! * [`buckets`] — the contiguous node buckets behind out-of-core
+//!   partitioned training;
 //! * [`io`] — plain-text edge-list and label readers/writers.
 
 #![forbid(unsafe_code)]
