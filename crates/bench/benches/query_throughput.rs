@@ -39,8 +39,7 @@ use advsgm_linalg::DenseMatrix;
 use advsgm_store::{EmbeddingStore, IndexParams, IvfIndex, Neighbor, PrivacyMeta};
 use rand::Rng;
 
-/// Store scale: the serving-side counterpart of `throughput_scaling`'s
-/// 10k-node training fixture.
+/// Store scale: 10k nodes, a mid-sized release.
 const NODES: usize = 10_000;
 const DIM: usize = 128;
 const TOP_K: usize = 10;

@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use advsgm_core::{AdvSgmConfig, ModelVariant, PartitionedTrainer, ShardedTrainer, Trainer};
+use advsgm_core::{AdvSgmConfig, ModelVariant, PartitionedTrainer, Trainer};
 use advsgm_graph::generators::sbm::{degree_corrected_sbm, SbmConfig};
 use advsgm_linalg::rng::seeded;
 
@@ -80,9 +80,10 @@ fn measure(
     let pairs = pairs_per_run(&cfg) * reps as u64;
     let run = |cfg: AdvSgmConfig| -> u64 {
         match engine {
-            "in_ram" => ShardedTrainer::fit(graph, cfg).unwrap().disc_updates,
+            "in_ram" => Trainer::fit(graph, cfg).unwrap().disc_updates,
             "partitioned" => {
-                PartitionedTrainer::fit(graph, cfg, PARTITIONS)
+                PartitionedTrainer::new(graph, cfg, PARTITIONS)
+                    .and_then(|t| t.train(graph))
                     .unwrap()
                     .disc_updates
             }
@@ -147,7 +148,9 @@ fn main() {
 
     // The contract behind the numbers: same bits, different residency.
     let seq = Trainer::fit(&graph, workload(1, quick)).unwrap();
-    let ooc = PartitionedTrainer::fit(&graph, workload(1, quick), PARTITIONS).unwrap();
+    let ooc = PartitionedTrainer::new(&graph, workload(1, quick), PARTITIONS)
+        .and_then(|t| t.train(&graph))
+        .unwrap();
     assert_eq!(
         seq.node_vectors
             .as_slice()

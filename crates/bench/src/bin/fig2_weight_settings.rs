@@ -62,7 +62,8 @@ fn main() {
                     cfg.epochs = e;
                 }
                 let epochs = cfg.epochs;
-                let mut trainer = Trainer::new(&graph, cfg).expect("trainer");
+                // The Fig. 2 loss evaluation needs the sequential engine.
+                let mut trainer = Trainer::new(&graph, cfg.with_threads(1)).expect("trainer");
                 let mut trace = LossTrace::default();
                 trainer
                     .train_with_hooks(&graph, &mut trace)

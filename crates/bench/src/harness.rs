@@ -80,7 +80,7 @@ pub fn variant_auc(
     let mut cfg = AdvSgmConfig::for_variant(variant);
     cfg.seed = derive_seed(run_seed, 0x7124);
     tweak(&mut cfg);
-    let out = Trainer::fit(&split.train, cfg)?;
+    let out = Trainer::fit(&split.train, cfg.with_threads(1))?;
     Ok(evaluate_split(&out.node_vectors, &split)?)
 }
 
@@ -99,7 +99,7 @@ pub fn variant_mi(
     let mut cfg = AdvSgmConfig::for_variant(variant);
     cfg.seed = derive_seed(run_seed, 0x7125);
     tweak(&mut cfg);
-    let out = Trainer::fit(&graph, cfg)?;
+    let out = Trainer::fit(&graph, cfg.with_threads(1))?;
     clustering_mi(&graph, &out.node_vectors, run_seed)
 }
 

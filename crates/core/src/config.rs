@@ -63,16 +63,17 @@ pub struct AdvSgmConfig {
     /// which is what reproduces their flat ~0.505 rows in Table V.
     /// The privacy accountant follows Theorem 7 verbatim in both modes.
     pub faithful_noise: bool,
-    /// Worker threads for the sharded training engine
-    /// ([`crate::sharded::ShardedTrainer`]).
+    /// Worker threads; picks the in-RAM engine of
+    /// [`crate::trainer::Trainer::new`].
     ///
     /// `0` means *auto*: the `ADVSGM_THREADS` environment variable if set,
-    /// otherwise 1. At 1 the sharded trainer is bitwise-identical to the
-    /// sequential [`crate::trainer::Trainer`]; at `N > 1` results are
-    /// run-to-run deterministic for a fixed `(seed, threads, shard_size)`
-    /// triple but differ from the sequential trajectory (the parallel
-    /// engine derives independent per-shard RNG streams). The sequential
-    /// `Trainer` ignores this field entirely.
+    /// otherwise 1. At 1 the trainer runs the sequential engine; at
+    /// `N > 1` it runs the sharded engine, whose results are run-to-run
+    /// deterministic for a fixed `(seed, threads, shard_size)` triple but
+    /// differ from the sequential trajectory (it derives independent
+    /// per-shard RNG streams). The out-of-core partitioned engine uses
+    /// the threads for Phase-B computation only; its trajectory is the
+    /// sequential one at any count.
     pub num_threads: usize,
     /// Pairs per shard for the parallel engine; `0` means *auto* (divide
     /// each batch evenly over the worker threads). Smaller shards change
@@ -137,7 +138,7 @@ impl AdvSgmConfig {
         }
     }
 
-    /// Sets the worker-thread count for the sharded engine (builder style).
+    /// Sets the worker-thread count (builder style); see [`Self::num_threads`].
     ///
     /// # Examples
     /// ```
@@ -164,7 +165,7 @@ impl AdvSgmConfig {
         self
     }
 
-    /// The thread count the sharded engine will actually use: an explicit
+    /// The thread count training will actually use: an explicit
     /// [`Self::num_threads`], else the `ADVSGM_THREADS` environment
     /// variable, else 1 (see [`advsgm_parallel::resolve_threads`]).
     pub fn effective_threads(&self) -> usize {

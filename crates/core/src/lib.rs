@@ -19,19 +19,19 @@
 //! per-batch privacy accounting through `advsgm-privacy`, and the
 //! stopping rule of lines 9–11. The schedule exists exactly once
 //! (`session::run_schedule`) and executes through one of three engine
-//! strategies: [`trainer::Trainer`] fronts the sequential engine,
-//! [`sharded::ShardedTrainer`] the producer/worker engine (Algorithm 2
-//! batch production on a dedicated thread, per-pair clipped gradients in
-//! thread-local shards, a deterministic shard-order reduction) —
-//! bitwise-identical to the sequential trainer at `threads = 1` and
-//! run-to-run deterministic at any thread count (DESIGN.md §7/§10) —
-//! and [`partitioned::PartitionedTrainer`] the out-of-core engine
+//! strategies, all behind the one training type [`trainer::Trainer`]:
+//! the sequential engine at one thread; the sharded producer/worker
+//! engine above that (Algorithm 2 batch production on a dedicated
+//! thread, per-pair clipped gradients in thread-local shards, a
+//! deterministic shard-order reduction — run-to-run deterministic at any
+//! thread count, DESIGN.md §7/§10); and, through
+//! [`trainer::PartitionedTrainer::new`], the out-of-core engine
 //! (embedding partitions swapped through a two-slot pool with a disk
-//! spill store, bitwise-identical to the sequential trainer at every
-//! partition and thread count; DESIGN.md §14). The
-//! session layer also provides [`session::TrainHooks`] (epoch-boundary
-//! observability) and [`session::CheckpointState`] (bitwise-exact
-//! checkpoint/resume).
+//! spill store, bitwise-identical to the sequential engine at every
+//! partition and thread count; DESIGN.md §14). The session layer also
+//! provides [`session::TrainHooks`] (epoch-boundary observability) and
+//! [`session::CheckpointState`] (bitwise-exact checkpoint/resume on every
+//! engine through [`trainer::Trainer::resume`]).
 //!
 //! Gradients are analytic (the model is two embedding matrices plus two
 //! one-layer generators), so there is no autograd dependency; see [`grad`]
@@ -39,7 +39,7 @@
 //!
 //! Paper coverage: Section III (skip-gram + first-cut DP-ASGM), Section IV
 //! (AdvSGM: Eqs. 13–24, Theorem 6), Algorithm 2 (sampling glue in
-//! [`sampler`]), Algorithm 3 ([`trainer`], [`sharded`]), and the Fig. 2
+//! [`sampler`]), Algorithm 3 ([`session`], [`trainer`]), and the Fig. 2
 //! weight-setting machinery ([`weighting`], [`loss`]).
 
 #![forbid(unsafe_code)]
@@ -50,10 +50,8 @@ pub mod error;
 pub mod grad;
 pub mod loss;
 pub mod model;
-pub mod partitioned;
 pub mod sampler;
 pub mod session;
-pub mod sharded;
 pub mod sigmoid;
 pub mod trainer;
 pub mod variants;
@@ -61,13 +59,11 @@ pub mod weighting;
 
 pub use config::AdvSgmConfig;
 pub use error::CoreError;
-pub use partitioned::{PartitionedTrainer, SlotPoolStats};
 pub use session::{
     CheckpointState, EngineKind, EpochEvent, NoHooks, SessionControl, SpendSnapshot, StopReason,
     TrainHooks,
 };
-pub use sharded::ShardedTrainer;
 pub use sigmoid::SigmoidKind;
-pub use trainer::{TrainOutcome, Trainer};
+pub use trainer::{PartitionedTrainer, SlotPoolStats, TrainOutcome, Trainer};
 pub use variants::ModelVariant;
 pub use weighting::{structure_preference_weight, PairWeighting, WeightMode};

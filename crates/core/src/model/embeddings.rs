@@ -6,7 +6,7 @@
 //! evaluates the node vectors only ("We only employ the node vectors for
 //! our experiments"), which [`Embeddings::into_node_vectors`] returns.
 
-use advsgm_linalg::init::{embedding_uniform, normalize_rows, project_rows_to_ball};
+use advsgm_linalg::init::{embedding_uniform, normalize_rows};
 use advsgm_linalg::DenseMatrix;
 use rand::Rng;
 
@@ -85,12 +85,6 @@ impl Embeddings {
         step_row(self.w_out.row_mut(j), eta, grad, project);
     }
 
-    /// Re-projects every row of both matrices onto the unit ball.
-    pub fn project_all(&mut self) {
-        project_rows_to_ball(&mut self.w_in, 1.0);
-        project_rows_to_ball(&mut self.w_out, 1.0);
-    }
-
     /// Read-only view of `W_in`.
     pub fn w_in(&self) -> &DenseMatrix {
         &self.w_in
@@ -154,8 +148,6 @@ mod tests {
         assert!(norm2(e.input(0)) <= 1.0 + 1e-12);
         e.step_output(1, 10.0, &[-5.0, -5.0], false);
         assert!(norm2(e.output(1)) > 1.0);
-        e.project_all();
-        assert!(norm2(e.output(1)) <= 1.0 + 1e-12);
     }
 
     #[test]

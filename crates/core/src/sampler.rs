@@ -4,14 +4,14 @@
 //! two subsampling probabilities Theorem 7 needs: `gamma_pos = B/|E|` and
 //! `gamma_neg = B k/|V|`.
 //!
-//! Besides the sequential trainer's pull-style methods, the provider can
+//! Besides the sequential engine's pull-style methods, the provider can
 //! *produce* whole discriminator iterations up front
-//! ([`BatchProvider::sample_disc_iteration`], [`BatchProvider::plan_epoch`]).
-//! The sharded engine runs this production on a dedicated thread feeding a
-//! bounded queue, so Algorithm 2 sampling for iteration `t + 1` overlaps
-//! the gradient work of iteration `t` (DESIGN.md §7). Batch *composition*
-//! is independent of thread count: it depends only on the producer's RNG
-//! stream, which is derived from the seed alone.
+//! ([`BatchProvider::sample_disc_iteration`]). The sharded engine runs
+//! this production on a dedicated thread feeding a bounded queue, so
+//! Algorithm 2 sampling for iteration `t + 1` overlaps the gradient work
+//! of iteration `t` (DESIGN.md §7). Batch *composition* is independent of
+//! thread count: it depends only on the producer's RNG stream, which is
+//! derived from the seed alone.
 
 use advsgm_graph::sampling::edge_sampler::EdgeBatchSampler;
 use advsgm_graph::sampling::negative::{NegativeDistribution, NegativePair, NegativeSampler};
@@ -57,22 +57,6 @@ impl DiscBatch {
     pub fn weight(&self, idx: usize) -> f64 {
         self.weights.get(idx).copied().unwrap_or(1.0)
     }
-}
-
-/// All batches one epoch of Algorithm 3 consumes, pre-sampled:
-/// `disc_iters` (positive, negative) update pairs plus the epoch-loss
-/// diagnostic batch.
-#[derive(Debug, Clone)]
-pub struct EpochBatches {
-    /// `2 * disc_iters` update batches in consumption order
-    /// (positive, negative, positive, negative, ...).
-    pub updates: Vec<DiscBatch>,
-    /// Positive edges for the epoch's `|L_Nov|` diagnostic.
-    pub loss_positives: Vec<Edge>,
-    /// Foe flags for the diagnostic positives (empty = all friend).
-    pub loss_signs: Vec<bool>,
-    /// Matching negative pairs for the diagnostic.
-    pub loss_negatives: Vec<NegativePair>,
 }
 
 /// Produces the paper's positive and negative batches.
@@ -253,35 +237,6 @@ impl BatchProvider {
         ))
     }
 
-    /// Pre-samples everything one epoch consumes: `disc_iters` update
-    /// pairs plus the epoch-loss batch, in consumption order. The sharded
-    /// engine's producer thread calls this so sampling overlaps gradient
-    /// work; it is equally usable for ahead-of-time batch planning.
-    ///
-    /// # Errors
-    /// Propagates sampling failures.
-    pub fn plan_epoch(
-        &mut self,
-        graph: &Graph,
-        disc_iters: usize,
-        rng: &mut impl Rng,
-    ) -> Result<EpochBatches, GraphError> {
-        let mut updates = Vec::with_capacity(2 * disc_iters);
-        for _ in 0..disc_iters {
-            let (pos, neg) = self.sample_disc_iteration(graph, rng)?;
-            updates.push(pos);
-            updates.push(neg);
-        }
-        let (loss_positives, loss_signs) = self.positives_with_signs(graph, rng)?;
-        let loss_negatives = self.negatives(&loss_positives, rng);
-        Ok(EpochBatches {
-            updates,
-            loss_positives,
-            loss_signs,
-            loss_negatives,
-        })
-    }
-
     /// The edge sampler's internal index permutation — mutable sampling
     /// state that a bitwise-exact checkpoint must capture (the negative
     /// sampler is stateless, so this is the provider's *only* hidden
@@ -358,27 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_epoch_matches_streaming_production() {
-        // Planning an epoch must draw exactly what per-iteration streaming
-        // draws: same RNG schedule, same batches.
-        let g = karate_club();
-        let mut p1 = BatchProvider::new(&g, 8, 3, NegativeDistribution::Uniform).unwrap();
-        let mut p2 = p1.clone();
-        let mut rng1 = SmallRng::seed_from_u64(77);
-        let mut rng2 = SmallRng::seed_from_u64(77);
-        let plan = p1.plan_epoch(&g, 4, &mut rng1).unwrap();
-        assert_eq!(plan.updates.len(), 8);
-        for it in 0..4 {
-            let (pos, neg) = p2.sample_disc_iteration(&g, &mut rng2).unwrap();
-            assert_eq!(plan.updates[2 * it].pairs, pos.pairs);
-            assert_eq!(plan.updates[2 * it + 1].pairs, neg.pairs);
-        }
-        let loss_pos = p2.positives(&g, &mut rng2).unwrap();
-        assert_eq!(plan.loss_positives, loss_pos);
-        assert_eq!(plan.loss_negatives, p2.negatives(&loss_pos, &mut rng2));
-    }
-
-    #[test]
     fn batches_have_prescribed_sizes() {
         let g = karate_club();
         let mut p = BatchProvider::new(&g, 10, 3, NegativeDistribution::Uniform).unwrap();
@@ -437,23 +371,22 @@ mod tests {
         // consumes no randomness, so batch composition is identical to the
         // legacy provider at the same seed — across a whole epoch plan.
         let g = signed_karate();
-        let legacy_batches = {
-            let mut p = BatchProvider::new(&g, 8, 3, NegativeDistribution::Uniform).unwrap();
-            p.plan_epoch(&g, 4, &mut SmallRng::seed_from_u64(55))
-                .unwrap()
+        // Four iterations then the epoch-loss batch, in consumption order.
+        let epoch = |mut p: BatchProvider| {
+            let mut rng = SmallRng::seed_from_u64(55);
+            let updates: Vec<_> = (0..4)
+                .map(|_| p.sample_disc_iteration(&g, &mut rng).unwrap())
+                .flat_map(|(pos, neg)| [(pos.pairs, pos.positive), (neg.pairs, neg.positive)])
+                .collect();
+            let (loss_pos, _) = p.positives_with_signs(&g, &mut rng).unwrap();
+            let loss_neg = p.negatives(&loss_pos, &mut rng);
+            (updates, loss_pos, loss_neg)
         };
+        let legacy = epoch(BatchProvider::new(&g, 8, 3, NegativeDistribution::Uniform).unwrap());
         for v in [ModelVariant::SignedAdvSgm, ModelVariant::SpAdvSgm] {
-            let mut p =
+            let p =
                 BatchProvider::new_for_variant(&g, 8, 3, NegativeDistribution::Uniform, v).unwrap();
-            let plan = p
-                .plan_epoch(&g, 4, &mut SmallRng::seed_from_u64(55))
-                .unwrap();
-            for (a, b) in plan.updates.iter().zip(&legacy_batches.updates) {
-                assert_eq!(a.pairs, b.pairs, "{v}: identical batch composition");
-                assert_eq!(a.positive, b.positive);
-            }
-            assert_eq!(plan.loss_positives, legacy_batches.loss_positives, "{v}");
-            assert_eq!(plan.loss_negatives, legacy_batches.loss_negatives, "{v}");
+            assert_eq!(epoch(p), legacy, "{v}: identical batch composition");
         }
     }
 

@@ -11,7 +11,7 @@
 //! `Engine` strategy with exactly three implementations:
 //!
 //! * `sequential::SequentialEngine` — single-threaded step execution on
-//!   one interleaved RNG stream (the classic `Trainer` behaviour);
+//!   one interleaved RNG stream (`Trainer` at one thread);
 //! * `sharded::ShardedEngine` — the producer/worker execution of
 //!   DESIGN.md §7 (Algorithm-2 production one iteration ahead, per-shard
 //!   RNG streams, deterministic shard-order reduction);
@@ -22,11 +22,12 @@
 //!   trajectory is bitwise-identical to the sequential engine's at any
 //!   partition count and thread count.
 //!
-//! [`Trainer`](crate::Trainer), [`ShardedTrainer`](crate::ShardedTrainer),
-//! and [`PartitionedTrainer`](crate::PartitionedTrainer) are thin facades
-//! over a session core plus one engine; the engine trait and all three
-//! implementations are deliberately crate-private, so a fourth loop
-//! cannot appear without touching this layer.
+//! [`Trainer`](crate::Trainer) is the one training type: a session core
+//! plus one engine, chosen at construction (or, on resume, by the
+//! checkpoint's [`EngineKind`]), and the only caller of the schedule. The
+//! engine trait and all three implementations are deliberately
+//! crate-private, so a fourth loop cannot appear without touching this
+//! layer.
 //!
 //! # Observability: [`TrainHooks`]
 //!
@@ -398,23 +399,24 @@ impl TrainHooks for NoHooks {
     }
 }
 
-/// Which execution engine a checkpoint was captured from. Resume restores
-/// the *same* engine: trajectories are engine-specific, so resuming a
-/// sharded checkpoint sequentially (or vice versa) can never be bitwise
-///-faithful and is rejected.
+/// Which execution engine a checkpoint was captured from.
+/// [`Trainer::resume`](crate::Trainer::resume) restores the *same*
+/// engine: trajectories and stream layouts are engine-specific, so a
+/// checkpoint never resumes on another engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Single-threaded step execution (`Trainer`).
+    /// Single-threaded step execution ([`Trainer::new`](crate::Trainer::new)
+    /// at one thread).
     Sequential,
-    /// The sharded producer/worker execution (`ShardedTrainer` at
-    /// `threads > 1`); the thread count travels in the checkpoint's
-    /// `config.num_threads`.
+    /// The sharded producer/worker execution
+    /// ([`Trainer::new`](crate::Trainer::new) at `threads > 1`); the
+    /// thread count travels in the checkpoint's `config.num_threads`.
     Sharded,
     /// The out-of-core partition-swapping execution
-    /// (`PartitionedTrainer`). Its trajectory replays the sequential
-    /// engine's, so its checkpoints are interchangeable across partition
-    /// counts — but not across engines, because the stream layout
-    /// differs from the sharded engine's.
+    /// ([`PartitionedTrainer::new`](crate::PartitionedTrainer::new)). Its
+    /// trajectory replays the sequential engine's, so its checkpoints are
+    /// interchangeable across partition counts — but not across engines,
+    /// because the stream layout differs from the sharded engine's.
     Partitioned,
 }
 
@@ -841,8 +843,9 @@ fn capture_checkpoint(core: &SessionCore, engine: &dyn Engine, graph: &Graph) ->
 }
 
 /// The Algorithm-3 schedule — the **only** implementation of the epoch /
-/// discriminator-iteration / budget-stop loop in the workspace. Both
-/// engines execute under it; both facades drive it.
+/// discriminator-iteration / budget-stop loop in the workspace. Every
+/// engine executes under it; [`Trainer`](crate::Trainer) is its only
+/// caller.
 ///
 /// Resume-aware: the loop starts at `core.cursor.epochs_done`, so a
 /// session restored from a [`CheckpointState`] continues exactly where the

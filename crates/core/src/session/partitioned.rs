@@ -65,12 +65,12 @@ use crate::loss::{fold_novel_loss, negative_dot, positive_terms};
 use crate::model::embeddings::step_row;
 use crate::model::generator::FakeNeighbor;
 use crate::model::Embeddings;
-use crate::partitioned::SlotPoolStats;
 use crate::sampler::{BatchProvider, DiscBatch};
 use crate::session::{
     accumulate, clipped_pair_grads, gradient_noise_std, Engine, EngineKind, EngineStreams, PairCtx,
     PairFakes, RowAcc, SessionCore,
 };
+use crate::trainer::SlotPoolStats;
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
 

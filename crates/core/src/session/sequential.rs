@@ -28,10 +28,10 @@ use crate::session::{
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
 
-/// Single-threaded step execution (the classic `Trainer` engine).
+/// Single-threaded step execution (`Trainer` at one thread).
 pub(crate) struct SequentialEngine {
     /// Algorithm-2 batch provisioning; also used by the Fig. 2 harness's
-    /// post-training loss evaluation through the `Trainer` facade.
+    /// post-training loss evaluation through `Trainer`.
     pub(crate) provider: BatchProvider,
     /// The one RNG stream: init-stream continuation, interleaving
     /// sampling, fakes, and noise in program order.

@@ -151,7 +151,7 @@ pub(crate) fn produce_batches(
     }
 }
 
-/// The `threads > 1` execution strategy. Lives inside the facade's thread
+/// The `threads > 1` execution strategy. Lives inside `Trainer`'s thread
 /// scope: it borrows the worker pool and owns the consumer end of the
 /// producer queue.
 pub(crate) struct ShardedEngine<'p> {

@@ -1,8 +1,8 @@
 //! Compressed sparse row adjacency.
 //!
 //! CSR gives O(1) access to a node's neighbor slice and is the layout every
-//! traversal in the workspace (random walks, negative-sample rejection,
-//! baseline message passing) iterates over.
+//! traversal in the workspace (negative-sample rejection, baseline message
+//! passing) iterates over.
 
 use crate::edge::Edge;
 use crate::node::NodeId;

@@ -9,8 +9,8 @@
 //! * [`generators`] — Erdős–Rényi, Barabási–Albert, Watts–Strogatz, planted
 //!   partition / degree-corrected SBM (the synthetic stand-ins for the six
 //!   evaluation datasets), plus small deterministic graphs for tests;
-//! * [`sampling`] — alias tables, uniform edge batches, the paper's
-//!   Algorithm 2 negative sampling, and DeepWalk/node2vec random walks;
+//! * [`sampling`] — alias tables, uniform edge batches, and the paper's
+//!   Algorithm 2 negative sampling;
 //! * [`partition`] — the 90/10 link-prediction edge split of Section VI-A;
 //! * [`buckets`] — the contiguous node buckets behind out-of-core
 //!   partitioned training;

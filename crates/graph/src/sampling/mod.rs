@@ -6,15 +6,12 @@
 //!   privacy amplification in Theorem 7);
 //! * [`negative`] — negative sampling (Algorithm 2, lines 2–8; probability
 //!   `Bk/|V|` in Theorem 7), with both the paper's uniform distribution and
-//!   the standard unigram^0.75 used by LINE/word2vec;
-//! * [`walks`] — DeepWalk/node2vec random walks for walk-based front-ends.
+//!   the standard unigram^0.75 used by LINE/word2vec.
 
 pub mod alias;
 pub mod edge_sampler;
 pub mod negative;
-pub mod walks;
 
 pub use alias::AliasTable;
 pub use edge_sampler::EdgeBatchSampler;
 pub use negative::{NegativeDistribution, NegativeSampler};
-pub use walks::{node2vec_walk, random_walk, WalkCorpus, WalkParams};

@@ -39,16 +39,6 @@ pub fn normalize_rows(m: &mut DenseMatrix) {
     }
 }
 
-/// Projects every row of `m` onto the L2 ball of radius `c` (rows already
-/// inside the ball are untouched). Used to *maintain* `||v|| <= C` during
-/// training if configured.
-pub fn project_rows_to_ball(m: &mut DenseMatrix, c: f64) {
-    assert!(c > 0.0, "ball radius must be positive");
-    for i in 0..m.rows() {
-        vector::clip_l2(m.row_mut(i), c);
-    }
-}
-
 /// Maximum row L2 norm of `m` (0.0 for an empty matrix).
 pub fn max_row_norm(m: &DenseMatrix) -> f64 {
     m.rows_iter().map(vector::norm2).fold(0.0, f64::max)
@@ -92,16 +82,6 @@ mod tests {
         normalize_rows(&mut m);
         assert!((vector::norm2(m.row(0)) - 1.0).abs() < 1e-12);
         assert_eq!(m.row(1), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn project_rows_caps_norms() {
-        let mut m = DenseMatrix::zeros(2, 2);
-        m.row_mut(0).copy_from_slice(&[3.0, 4.0]); // norm 5
-        m.row_mut(1).copy_from_slice(&[0.1, 0.1]); // norm < 1
-        project_rows_to_ball(&mut m, 1.0);
-        assert!((vector::norm2(m.row(0)) - 1.0).abs() < 1e-12);
-        assert_eq!(m.row(1), &[0.1, 0.1]);
     }
 
     #[test]

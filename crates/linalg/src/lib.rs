@@ -14,8 +14,6 @@
 //!   Algorithm 1 *exponential clipping* and the constrained sigmoid `S(x)`;
 //! * [`init`] — Xavier/uniform initialisation and the row normalisation the
 //!   paper uses to pin the clipping constant at `C = 1`;
-//! * [`optim`] — SGD / momentum / Adam with row-sparse updates, matching the
-//!   one-hot structure of skip-gram gradients;
 //! * [`rng`] — seeded RNG construction and Gaussian draws;
 //! * [`stats`] — summary statistics used by the experiment tables;
 //! * [`topk`] — bounded-heap top-k selection over fused row-score scans,
@@ -37,7 +35,6 @@ pub mod backend;
 pub mod error;
 pub mod init;
 pub mod matrix;
-pub mod optim;
 pub mod rng;
 pub mod stats;
 pub mod topk;

@@ -541,7 +541,7 @@ mod tests {
         let mut cap = Capture(None);
         Trainer::new(&g, cfg)
             .unwrap()
-            .run_with_hooks(&g, &mut cap)
+            .train_with_hooks(&g, &mut cap)
             .unwrap();
         cap.0.expect("checkpoint captured")
     }

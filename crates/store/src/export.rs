@@ -1,4 +1,4 @@
-//! Training → store wiring: `export()` on both training engines.
+//! Training → store wiring: `export()` on the one training type.
 //!
 //! The release boundary (Theorem 5) sits exactly here: a trainer runs
 //! Algorithm 3, the accountant's spend is snapshot into the outcome, and
@@ -7,7 +7,7 @@
 //! exported store — saving, loading, serving any number of queries — is
 //! post-processing and spends no additional budget.
 
-use advsgm_core::{PartitionedTrainer, ShardedTrainer, Trainer};
+use advsgm_core::Trainer;
 use advsgm_graph::Graph;
 
 use crate::error::StoreError;
@@ -16,9 +16,8 @@ use crate::store::EmbeddingStore;
 /// Runs a training engine to completion and packages the released vectors
 /// as an [`EmbeddingStore`] with privacy metadata attached.
 ///
-/// Implemented for [`Trainer`], [`ShardedTrainer`], and
-/// [`PartitionedTrainer`]; all consume the engine the way
-/// [`Trainer::run`] / [`ShardedTrainer::train`] do.
+/// Implemented for [`Trainer`] on any engine; it consumes the trainer the
+/// way [`Trainer::train`] does.
 pub trait ExportEmbeddings {
     /// Trains on `graph` and returns the released store.
     ///
@@ -32,22 +31,6 @@ pub trait ExportEmbeddings {
 impl ExportEmbeddings for Trainer {
     fn export(self, graph: &Graph) -> Result<EmbeddingStore, StoreError> {
         let cfg = self.config().clone();
-        let outcome = self.run(graph)?;
-        EmbeddingStore::from_outcome(&outcome, &cfg)
-    }
-}
-
-impl ExportEmbeddings for ShardedTrainer {
-    fn export(self, graph: &Graph) -> Result<EmbeddingStore, StoreError> {
-        let cfg = self.config().clone();
-        let outcome = self.train(graph)?;
-        EmbeddingStore::from_outcome(&outcome, &cfg)
-    }
-}
-
-impl ExportEmbeddings for PartitionedTrainer {
-    fn export(self, graph: &Graph) -> Result<EmbeddingStore, StoreError> {
-        let cfg = self.config().clone();
         let outcome = self.train(graph)?;
         EmbeddingStore::from_outcome(&outcome, &cfg)
     }
@@ -56,7 +39,7 @@ impl ExportEmbeddings for PartitionedTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use advsgm_core::{AdvSgmConfig, ModelVariant};
+    use advsgm_core::{AdvSgmConfig, ModelVariant, PartitionedTrainer};
     use advsgm_graph::generators::classic::karate_club;
 
     #[test]
@@ -79,20 +62,12 @@ mod tests {
     fn non_private_export_carries_no_guarantee() {
         let g = karate_club();
         let cfg = AdvSgmConfig::test_small(ModelVariant::Sgm);
-        let store = ShardedTrainer::new(&g, cfg).unwrap().export(&g).unwrap();
+        let store = Trainer::new(&g, cfg.with_threads(4))
+            .unwrap()
+            .export(&g)
+            .unwrap();
         assert!(!store.meta().is_private());
         assert_eq!(store.meta().variant, ModelVariant::Sgm);
-    }
-
-    #[test]
-    fn sharded_export_matches_sequential_at_one_thread() {
-        // threads = 1 delegates to the sequential engine, so the exported
-        // stores must be bitwise-identical.
-        let g = karate_club();
-        let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm).with_threads(1);
-        let a = Trainer::new(&g, cfg.clone()).unwrap().export(&g).unwrap();
-        let b = ShardedTrainer::new(&g, cfg).unwrap().export(&g).unwrap();
-        assert_eq!(a.to_bytes(), b.to_bytes());
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * [`format`](mod@format) — the versioned, CRC-checksummed `.aemb` on-disk format,
 //!   byte-level spec in `docs/FORMAT.md` (DESIGN.md §9); save → load is
 //!   bitwise-exact and every corruption mode is a typed [`StoreError`];
-//! * [`ExportEmbeddings`] — `export()` on [`advsgm_core::Trainer`] and
-//!   [`advsgm_core::ShardedTrainer`], stamping accounting metadata from
-//!   the RDP accountant's spend snapshot into the released store;
+//! * [`ExportEmbeddings`] — `export()` on [`advsgm_core::Trainer`] (any
+//!   engine), stamping accounting metadata from the RDP accountant's
+//!   spend snapshot into the released store;
 //! * [`checkpoint`] — the versioned, CRC-checksummed `.actk` codec for
 //!   [`advsgm_core::CheckpointState`]: crash-safe persistence of a
 //!   training session's mid-schedule state, enabling bitwise-exact

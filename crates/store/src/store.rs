@@ -15,7 +15,8 @@
 //! lower row index, see [`advsgm_linalg::topk`]). `batch_top_k` computes
 //! each query independently and reassembles results in query order, so its
 //! output is **bitwise-identical at every thread count** — the serving
-//! counterpart of the `ShardedTrainer` contract (DESIGN.md §7/§9).
+//! counterpart of the training engines' determinism contract
+//! (DESIGN.md §7/§9).
 
 use std::path::Path;
 

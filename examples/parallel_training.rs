@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use advsgm::api::{ModelVariant, PipelineBuilder};
-use advsgm::core::{ShardedTrainer, Trainer};
+use advsgm::core::Trainer;
 use advsgm::graph::generators::sbm::{degree_corrected_sbm, SbmConfig};
 use advsgm::linalg::rng::seeded;
 
@@ -46,9 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .gen_iters(2)
         .epsilon(advsgm::api::Epsilon::new(1e9)?); // never stop early
 
-    // Reference: the hand-wired sequential trainer (internals surface).
+    // Reference: the hand-wired sequential engine (internals surface).
     let t0 = Instant::now();
-    let seq = Trainer::fit(&graph, base.config().clone())?;
+    let seq = Trainer::fit(&graph, base.config().clone().with_threads(1))?;
     let seq_time = t0.elapsed();
     println!(
         "hand-wired Trainer        {seq_time:>10.2?}  ({} updates)",
@@ -58,13 +58,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The pipeline at increasing widths. threads = 1 must reproduce the
     // sequential run bit-for-bit; wider runs are deterministic too, each
     // on its own derived-stream trajectory — and every width must match
-    // the hand-wired ShardedTrainer exactly (the facade adds nothing).
+    // the hand-wired Trainer exactly (the facade adds nothing).
     for threads in [1usize, 2, 4] {
         let b = base.clone().threads(threads);
         let t0 = Instant::now();
         let out = b.clone().build(&graph)?.train()?;
         let elapsed = t0.elapsed();
-        let hand_wired = ShardedTrainer::fit(&graph, b.config().clone())?;
+        let hand_wired = Trainer::fit(&graph, b.config().clone())?;
         let bitwise_engine = out
             .embeddings()
             .as_slice()
@@ -109,6 +109,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seq.epsilon_spent.unwrap_or(f64::NAN),
         base.config().delta
     );
-    println!("speedups require free cores; see `cargo bench --bench throughput_scaling`");
+    println!("speedups require free cores; see e2ebench's train-inram workload");
     Ok(())
 }

@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut rows: Vec<Row> = Vec::new();
     for v in ModelVariant::all() {
-        let outcome = Trainer::fit(&split.train, cfg_for(v))?;
+        let outcome = Trainer::fit(&split.train, cfg_for(v).with_threads(1))?;
         let emb = &outcome.node_vectors;
         let pos = score_pairs(emb, &held);
         let neg = score_pairs(emb, &non_edges);

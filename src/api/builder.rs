@@ -10,7 +10,7 @@
 
 use std::path::{Path, PathBuf};
 
-use advsgm_core::{AdvSgmConfig, ModelVariant, PartitionedTrainer, ShardedTrainer};
+use advsgm_core::{AdvSgmConfig, ModelVariant, PartitionedTrainer, Trainer};
 use advsgm_graph::Graph;
 
 use crate::api::error::Result;
@@ -251,13 +251,11 @@ impl PipelineBuilder {
     /// failures (e.g. an empty graph).
     pub fn build(self, graph: &Graph) -> Result<Pipeline<'_>> {
         self.cfg.validate()?;
-        if self.partitions >= 1 {
-            let trainer = PartitionedTrainer::new(graph, self.cfg, self.partitions)?;
-            return Ok(Pipeline::from_partitioned(graph, trainer));
-        }
-        // Engine selection is the trainer facade's existing contract:
-        // `effective_threads() <= 1` delegates to the sequential engine.
-        let trainer = ShardedTrainer::new(graph, self.cfg)?;
+        let trainer = if self.partitions >= 1 {
+            PartitionedTrainer::new(graph, self.cfg, self.partitions)?
+        } else {
+            Trainer::new(graph, self.cfg)?
+        };
         Ok(Pipeline::from_trainer(graph, trainer))
     }
 }

@@ -62,9 +62,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The crate-level types the pipeline wraps (`advsgm::core::Trainer`,
-//! `advsgm::store::EmbeddingStore`, ...) remain public as internals for
-//! callers that need engine-level control; see the crate root docs.
+//! The crate-level types the pipeline wraps (`advsgm::core::Trainer`, the
+//! one training type on every engine, `advsgm::store::EmbeddingStore`,
+//! ...) remain public as internals for callers that need engine-level
+//! control; see the crate root docs.
 
 mod audit;
 mod builder;

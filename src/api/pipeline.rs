@@ -15,8 +15,8 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use advsgm_core::{
-    AdvSgmConfig, CheckpointState, EngineKind, EpochEvent, PartitionedTrainer, SessionControl,
-    ShardedTrainer, SpendSnapshot, TrainHooks, TrainOutcome,
+    AdvSgmConfig, CheckpointState, EpochEvent, SessionControl, SpendSnapshot, TrainHooks,
+    TrainOutcome, Trainer,
 };
 use advsgm_graph::Graph;
 use advsgm_linalg::DenseMatrix;
@@ -187,42 +187,6 @@ struct CheckpointPolicy {
 /// The boxed observer a [`Pipeline`] carries.
 type Observer<'g> = Box<dyn FnMut(PipelineEvent<'_>) + 'g>;
 
-/// The engine a [`Pipeline`] drives: the in-RAM facade (which itself
-/// selects sequential vs sharded by thread count) or the out-of-core
-/// partitioned engine. Every variant runs the same `run_schedule` and
-/// produces the same bitwise trajectory at a fixed seed.
-enum AnyTrainer {
-    InRam(ShardedTrainer),
-    OutOfCore(Box<PartitionedTrainer>),
-}
-
-impl AnyTrainer {
-    fn threads(&self) -> usize {
-        match self {
-            AnyTrainer::InRam(t) => t.threads(),
-            AnyTrainer::OutOfCore(t) => t.threads(),
-        }
-    }
-
-    fn config(&self) -> &AdvSgmConfig {
-        match self {
-            AnyTrainer::InRam(t) => t.config(),
-            AnyTrainer::OutOfCore(t) => t.config(),
-        }
-    }
-
-    fn train_with_hooks(
-        self,
-        graph: &Graph,
-        hooks: &mut dyn TrainHooks,
-    ) -> std::result::Result<TrainOutcome, advsgm_core::CoreError> {
-        match self {
-            AnyTrainer::InRam(t) => t.train_with_hooks(graph, hooks),
-            AnyTrainer::OutOfCore(t) => t.train_with_hooks(graph, hooks),
-        }
-    }
-}
-
 /// One training run, engine-agnostic: built by
 /// [`PipelineBuilder::build`] or [`Pipeline::resume`], consumed by
 /// [`Pipeline::train`].
@@ -231,10 +195,8 @@ impl AnyTrainer {
 /// [`AdvSgmConfig::effective_threads`], or the out-of-core partitioned
 /// engine when the builder asked for node buckets
 /// ([`PipelineBuilder::partitions`]). A `Pipeline` run is
-/// bitwise-identical to the equivalent hand-wired
-/// [`Trainer`](advsgm_core::Trainer) / [`ShardedTrainer`] /
-/// [`PartitionedTrainer`] run (`tests/api_facade.rs`,
-/// `tests/ooc_equivalence.rs`).
+/// bitwise-identical to the equivalent hand-wired [`Trainer`] run
+/// (`tests/api_facade.rs`, `tests/ooc_equivalence.rs`).
 ///
 /// [`PipelineBuilder::partitions`]: crate::api::PipelineBuilder::partitions
 ///
@@ -256,7 +218,7 @@ impl AnyTrainer {
 /// ```
 pub struct Pipeline<'g> {
     graph: &'g Graph,
-    trainer: AnyTrainer,
+    trainer: Trainer,
     checkpoints: Option<CheckpointPolicy>,
     keep_checkpoint: bool,
     observer: Option<Observer<'g>>,
@@ -279,21 +241,9 @@ impl std::fmt::Debug for Pipeline<'_> {
 }
 
 impl<'g> Pipeline<'g> {
-    /// Wraps an already-constructed in-RAM trainer (crate-internal: the
-    /// builder and resume paths are the public constructors).
-    pub(crate) fn from_trainer(graph: &'g Graph, trainer: ShardedTrainer) -> Self {
-        Self::from_any(graph, AnyTrainer::InRam(trainer))
-    }
-
-    /// Wraps an already-constructed out-of-core trainer (crate-internal:
-    /// reached through [`PipelineBuilder::partitions`]).
-    ///
-    /// [`PipelineBuilder::partitions`]: crate::api::PipelineBuilder::partitions
-    pub(crate) fn from_partitioned(graph: &'g Graph, trainer: PartitionedTrainer) -> Self {
-        Self::from_any(graph, AnyTrainer::OutOfCore(Box::new(trainer)))
-    }
-
-    fn from_any(graph: &'g Graph, trainer: AnyTrainer) -> Self {
+    /// Wraps an already-constructed trainer (crate-internal: the builder
+    /// and resume paths are the public constructors).
+    pub(crate) fn from_trainer(graph: &'g Graph, trainer: Trainer) -> Self {
         Self {
             graph,
             trainer,
@@ -324,18 +274,10 @@ impl<'g> Pipeline<'g> {
     /// [`Error::Core`] when the state is inconsistent or does not match
     /// `graph`.
     pub fn resume_from(graph: &'g Graph, checkpoint: Checkpoint) -> Result<Self> {
-        // Dispatch on the engine recorded in the checkpoint: out-of-core
-        // captures resume through the partitioned trainer (with the
-        // caller's bucket-count hint — any count continues the same
-        // bitwise trajectory), everything else through the in-RAM facade.
-        let trainer = match checkpoint.state.engine {
-            EngineKind::Partitioned => AnyTrainer::OutOfCore(Box::new(PartitionedTrainer::resume(
-                graph,
-                &checkpoint.state,
-                checkpoint.partitions.max(1),
-            )?)),
-            _ => AnyTrainer::InRam(ShardedTrainer::resume(graph, &checkpoint.state)?),
-        };
+        // The engine recorded in the checkpoint decides; the bucket-count
+        // hint matters only to out-of-core captures, and any count
+        // continues the same bitwise trajectory.
+        let trainer = Trainer::resume(graph, &checkpoint.state, checkpoint.partitions.max(1))?;
         // Seed the spend from the checkpointed accountant: if every epoch
         // is already done, no epoch event will ever fire to report it.
         let resumed_spend = match &checkpoint.state.accountant {
@@ -345,7 +287,7 @@ impl<'g> Pipeline<'g> {
             }
             None => None,
         };
-        let mut pipeline = Self::from_any(graph, trainer);
+        let mut pipeline = Self::from_trainer(graph, trainer);
         pipeline.resumed_spend = resumed_spend;
         Ok(pipeline)
     }
@@ -405,7 +347,7 @@ impl<'g> Pipeline<'g> {
     pub fn train(self) -> Result<Trained> {
         let Pipeline {
             graph,
-            trainer,
+            mut trainer,
             checkpoints,
             keep_checkpoint,
             mut observer,
@@ -423,7 +365,8 @@ impl<'g> Pipeline<'g> {
             checkpoints_written: 0,
             write_error: None,
         };
-        let outcome = trainer.train_with_hooks(graph, &mut hooks)?;
+        trainer.train_with_hooks(graph, &mut hooks)?;
+        let outcome = trainer.into_outcome()?;
         if let Some((path, source)) = hooks.write_error {
             return Err(Error::CheckpointWrite { path, source });
         }

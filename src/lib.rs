@@ -44,14 +44,15 @@
 //! replacement:
 //!
 //! * [`graph`] — graph storage, synthetic generators, Algorithm-2 sampling,
-//!   random walks, link-prediction splits;
+//!   link-prediction splits;
 //! * [`linalg`] — dense matrices, stable sigmoids, the paper's Algorithm-1
-//!   exponential clipping, SGD/Adam;
+//!   exponential clipping;
 //! * [`privacy`] — Gaussian mechanism, subsampled-RDP accounting
 //!   (Theorem 4), RDP↔(ε,δ) conversion (Theorem 3), budget stopping;
 //! * [`core`] — the AdvSGM trainer (Algorithm 3) plus the SGM / DP-SGM /
-//!   DP-ASGM / AdvSGM-NoDP ablations, sequential ([`core::Trainer`]) and
-//!   sharded-parallel ([`core::ShardedTrainer`]);
+//!   DP-ASGM / AdvSGM-NoDP ablations behind one training type,
+//!   [`core::Trainer`], on a sequential, sharded-parallel, or
+//!   out-of-core engine;
 //! * [`parallel`] — the vendored scoped thread pool + chunked parallel-for
 //!   backing the sharded engine;
 //! * [`baselines`] — DPGGAN, DPGVAE, GAP, DPAR;

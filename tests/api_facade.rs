@@ -1,6 +1,6 @@
 //! The `advsgm::api` facade contract (ISSUE 5): a `Pipeline` run is
-//! **bitwise-identical** to the equivalent hand-wired
-//! `Trainer`/`ShardedTrainer` run at 1 and 4 threads, checkpoint/resume
+//! **bitwise-identical** to the equivalent hand-wired `Trainer` run at 1
+//! and 4 threads, checkpoint/resume
 //! through `Pipeline::resume` stays bitwise-exact, and the whole
 //! train → save → load → top-k lifecycle is expressible against the api
 //! alone — no `advsgm_core`/`advsgm_store` imports, one error type.
@@ -13,7 +13,7 @@ use advsgm::graph::generators::classic::karate_club;
 
 // The hand-wired internals surface, used only as the reference the
 // facade must reproduce bit-for-bit.
-use advsgm::core::{AdvSgmConfig, ShardedTrainer, Trainer};
+use advsgm::core::{AdvSgmConfig, Trainer};
 
 fn bits(m: &advsgm::linalg::DenseMatrix) -> Vec<u64> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
@@ -37,9 +37,9 @@ fn pipeline_is_bitwise_identical_to_hand_wired_engines() {
         let cfg: AdvSgmConfig = builder.config().clone();
         let trained = builder.build(&g).unwrap().train().unwrap();
 
-        // Reference A: the ShardedTrainer facade (auto-selects exactly
+        // The reference: the Trainer itself (selects the engine exactly
         // like the pipeline must).
-        let hand = ShardedTrainer::fit(&g, cfg.clone()).unwrap();
+        let hand = Trainer::fit(&g, cfg.clone()).unwrap();
         assert_eq!(
             bits(trained.embeddings()),
             bits(&hand.node_vectors),
@@ -49,12 +49,6 @@ fn pipeline_is_bitwise_identical_to_hand_wired_engines() {
         assert_eq!(trained.outcome().disc_updates, hand.disc_updates);
         assert_eq!(trained.outcome().epsilon_spent, hand.epsilon_spent);
         assert_eq!(trained.outcome().delta_spent, hand.delta_spent);
-
-        // Reference B at threads=1: the sequential Trainer itself.
-        if threads == 1 {
-            let seq = Trainer::fit(&g, cfg).unwrap();
-            assert_eq!(bits(trained.embeddings()), bits(&seq.node_vectors));
-        }
 
         // The released artifact (embeddings + privacy stamp) must also be
         // byte-identical to one exported by hand.

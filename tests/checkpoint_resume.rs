@@ -5,7 +5,9 @@
 //! serialisation path, including the reported `epsilon`/`delta` spend.
 
 use advsgm::core::session::{CheckpointState, EpochEvent, SessionControl, TrainHooks};
-use advsgm::core::{AdvSgmConfig, CoreError, ModelVariant, ShardedTrainer, Trainer};
+use advsgm::core::{
+    AdvSgmConfig, CoreError, EngineKind, ModelVariant, PartitionedTrainer, TrainOutcome, Trainer,
+};
 use advsgm::graph::generators::classic::karate_club;
 use advsgm::graph::Graph;
 use advsgm::store::{decode_checkpoint, encode_checkpoint, StoreError};
@@ -42,6 +44,12 @@ impl TrainHooks for InterruptAt {
     }
 }
 
+/// Trains `trainer` under `hook` and releases whatever it ran.
+fn train_interrupted(mut trainer: Trainer, g: &Graph, hook: &mut InterruptAt) -> TrainOutcome {
+    trainer.train_with_hooks(g, hook).unwrap();
+    trainer.into_outcome().unwrap()
+}
+
 fn bits(m: &advsgm::linalg::DenseMatrix) -> Vec<u64> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
 }
@@ -65,16 +73,13 @@ fn assert_resume_is_bitwise_exact(threads: usize) {
     let g = karate_club();
     let cfg = test_cfg(threads);
     let epochs = cfg.epochs;
-    let full = ShardedTrainer::fit(&g, cfg.clone()).unwrap();
+    let full = Trainer::fit(&g, cfg.clone()).unwrap();
     assert_eq!(full.epochs_run, epochs, "fixture must run every epoch");
 
     // k = 1 (first), mid, and the last epoch.
     for k in [1usize, epochs / 2 + 1, epochs] {
         let mut hook = InterruptAt::new(k);
-        let partial = ShardedTrainer::new(&g, cfg.clone())
-            .unwrap()
-            .train_with_hooks(&g, &mut hook)
-            .unwrap();
+        let partial = train_interrupted(Trainer::new(&g, cfg.clone()).unwrap(), &g, &mut hook);
         assert_eq!(partial.epochs_run, k, "threads={threads} k={k}: interrupt");
         let state = hook.taken.expect("checkpoint captured");
         assert_eq!(state.epochs_done, k as u64);
@@ -83,7 +88,7 @@ fn assert_resume_is_bitwise_exact(threads: usize) {
         // struct, must carry the full contract.
         let wire = encode_checkpoint(&state).unwrap();
         let restored = decode_checkpoint(&wire).unwrap();
-        let resumed = ShardedTrainer::resume(&g, &restored)
+        let resumed = Trainer::resume(&g, &restored, 1)
             .unwrap()
             .train(&g)
             .unwrap();
@@ -153,10 +158,10 @@ fn resume_reproduces_a_budget_stop_exactly() {
     let mut hook = InterruptAt::new(1);
     Trainer::new(&g, cfg)
         .unwrap()
-        .run_with_hooks(&g, &mut hook)
+        .train_with_hooks(&g, &mut hook)
         .unwrap();
     let state = hook.taken.expect("checkpoint captured");
-    let resumed = Trainer::resume(&g, &state).unwrap().run(&g).unwrap();
+    let resumed = Trainer::resume(&g, &state, 1).unwrap().train(&g).unwrap();
     assert!(resumed.stopped_by_budget);
     assert_eq!(full.disc_updates, resumed.disc_updates);
     assert_eq!(full.epochs_run, resumed.epochs_run);
@@ -169,58 +174,80 @@ fn resume_reproduces_a_budget_stop_exactly() {
 
 #[test]
 fn sequential_and_sharded_checkpoints_resume_on_their_own_engine() {
+    // One checkpoint per engine — sequential, sharded at 4 threads, and
+    // partitioned at P = 2 — each resumes through the one
+    // `Trainer::resume` on the engine that captured it (the partitioned
+    // one under P = 3) and finishes bitwise-equal to that engine's
+    // uninterrupted run.
     let g = karate_club();
-    let mut hook = InterruptAt::new(1);
-    ShardedTrainer::new(&g, test_cfg(4))
-        .unwrap()
-        .train_with_hooks(&g, &mut hook)
-        .unwrap();
-    let sharded_state = hook.taken.unwrap();
-    assert_eq!(sharded_state.config.num_threads, 4, "resolved width pinned");
-    // A sharded checkpoint cannot be resumed by the sequential facade...
-    let err = Trainer::resume(&g, &sharded_state)
-        .err()
-        .expect("must fail");
-    assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
-    // ...but dispatches correctly through ShardedTrainer::resume.
-    assert_eq!(
-        ShardedTrainer::resume(&g, &sharded_state)
-            .unwrap()
-            .threads(),
-        4
-    );
+    let build = |kind: EngineKind| match kind {
+        EngineKind::Sequential => Trainer::new(&g, test_cfg(1)).unwrap(),
+        EngineKind::Sharded => Trainer::new(&g, test_cfg(4)).unwrap(),
+        EngineKind::Partitioned => PartitionedTrainer::new(&g, test_cfg(1), 2).unwrap(),
+    };
+    for (kind, threads) in [
+        (EngineKind::Sequential, 1),
+        (EngineKind::Sharded, 4),
+        (EngineKind::Partitioned, 1),
+    ] {
+        let full = build(kind).train(&g).unwrap();
+        let mut hook = InterruptAt::new(1);
+        train_interrupted(build(kind), &g, &mut hook);
+        let state = hook.taken.unwrap();
+        assert_eq!(state.engine, kind);
+        assert_eq!(state.config.num_threads, threads, "resolved width pinned");
 
+        let resumed = Trainer::resume(&g, &state, 3).unwrap();
+        assert_eq!(resumed.threads(), threads, "{kind:?}: engine pinned");
+        let resumed = resumed.train(&g).unwrap();
+        assert_eq!(
+            bits(&full.node_vectors),
+            bits(&resumed.node_vectors),
+            "{kind:?}: node vectors"
+        );
+        assert_eq!(
+            fbits(&full.epoch_losses),
+            fbits(&resumed.epoch_losses),
+            "{kind:?}: epoch losses"
+        );
+        assert_eq!(
+            full.epsilon_spent.map(f64::to_bits),
+            resumed.epsilon_spent.map(f64::to_bits),
+            "{kind:?}: epsilon_spent"
+        );
+    }
+
+    // A sharded checkpoint must record the width it ran at.
     let mut hook = InterruptAt::new(1);
-    Trainer::new(&g, test_cfg(0))
-        .unwrap()
-        .run_with_hooks(&g, &mut hook)
-        .unwrap();
-    let seq_state = hook.taken.unwrap();
-    // A sequential checkpoint resumes sequentially even through the
-    // sharded facade (the engine is pinned, not re-resolved).
-    assert_eq!(ShardedTrainer::resume(&g, &seq_state).unwrap().threads(), 1);
+    train_interrupted(build(EngineKind::Sharded), &g, &mut hook);
+    let mut state = hook.taken.unwrap();
+    state.config.num_threads = 1;
+    let err = Trainer::resume(&g, &state, 1).err().expect("must fail");
+    assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
 }
 
 #[test]
 fn resume_rejects_the_wrong_graph() {
     let g = karate_club();
     let mut hook = InterruptAt::new(1);
-    Trainer::new(&g, test_cfg(0))
+    Trainer::new(&g, test_cfg(1))
         .unwrap()
-        .run_with_hooks(&g, &mut hook)
+        .train_with_hooks(&g, &mut hook)
         .unwrap();
     let state = hook.taken.unwrap();
 
     // Different size: rejected on the counts.
     let smaller = Graph::from_parts(g.num_nodes(), g.edges()[..g.num_edges() - 1].to_vec(), None);
-    let err = Trainer::resume(&smaller, &state).err().expect("must fail");
+    let err = Trainer::resume(&smaller, &state, 1)
+        .err()
+        .expect("must fail");
     assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
 
     // Same size, different edges: rejected on the fingerprint.
     let mut edges = g.edges().to_vec();
     edges.swap(0, 1);
     let reordered = Graph::from_parts(g.num_nodes(), edges, None);
-    let err = Trainer::resume(&reordered, &state)
+    let err = Trainer::resume(&reordered, &state, 1)
         .err()
         .expect("must fail");
     assert!(
@@ -233,7 +260,7 @@ fn resume_rejects_the_wrong_graph() {
 fn wire_corruption_is_typed_never_a_panic() {
     let g = karate_club();
     let mut hook = InterruptAt::new(2);
-    ShardedTrainer::new(&g, test_cfg(2))
+    Trainer::new(&g, test_cfg(2))
         .unwrap()
         .train_with_hooks(&g, &mut hook)
         .unwrap();
@@ -275,18 +302,15 @@ fn extending_epochs_on_resume_matches_a_longer_run() {
         long_cfg.epochs = 5;
 
         let mut hook = InterruptAt::new(2);
-        ShardedTrainer::new(&g, short_cfg)
+        Trainer::new(&g, short_cfg)
             .unwrap()
             .train_with_hooks(&g, &mut hook)
             .unwrap();
         let mut state = hook.taken.unwrap();
         state.config.epochs = 5;
 
-        let extended = ShardedTrainer::resume(&g, &state)
-            .unwrap()
-            .train(&g)
-            .unwrap();
-        let full = ShardedTrainer::fit(&g, long_cfg).unwrap();
+        let extended = Trainer::resume(&g, &state, 1).unwrap().train(&g).unwrap();
+        let full = Trainer::fit(&g, long_cfg).unwrap();
         assert_eq!(
             bits(&full.node_vectors),
             bits(&extended.node_vectors),

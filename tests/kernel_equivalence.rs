@@ -20,7 +20,7 @@
 //! `advsgm-core`, whose sources this suite scans for any mention of the
 //! opt-in type.
 
-use advsgm::core::{AdvSgmConfig, ModelVariant, ShardedTrainer, Trainer};
+use advsgm::core::{AdvSgmConfig, ModelVariant, Trainer};
 use advsgm::graph::generators::classic::karate_club;
 use advsgm::linalg::backend::{self, Backend, RelaxedKernels};
 use advsgm::linalg::vector;
@@ -236,11 +236,7 @@ fn training_release_is_backend_invariant() {
         cfg.seed = 42;
 
         backend::force(Backend::Scalar);
-        let scalar_run = if threads == 1 {
-            Trainer::fit(&g, cfg.clone()).unwrap()
-        } else {
-            ShardedTrainer::fit(&g, cfg.clone()).unwrap()
-        };
+        let scalar_run = Trainer::fit(&g, cfg.clone()).unwrap();
         let scalar_bytes = advsgm::api::PipelineBuilder::from_config(cfg.clone())
             .build(&g)
             .unwrap()
@@ -249,11 +245,7 @@ fn training_release_is_backend_invariant() {
             .release_bytes();
 
         backend::force(native);
-        let native_run = if threads == 1 {
-            Trainer::fit(&g, cfg.clone()).unwrap()
-        } else {
-            ShardedTrainer::fit(&g, cfg.clone()).unwrap()
-        };
+        let native_run = Trainer::fit(&g, cfg.clone()).unwrap();
         let native_bytes = advsgm::api::PipelineBuilder::from_config(cfg)
             .build(&g)
             .unwrap()

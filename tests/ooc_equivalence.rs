@@ -173,10 +173,9 @@ fn partitioned_checkpoints_resume_bitwise_under_any_partition_count() {
 
         for k in [1usize, epochs / 2 + 1, epochs] {
             let mut hook = InterruptAt { at: k, taken: None };
-            let partial = PartitionedTrainer::new(&g, cfg.clone(), 2)
-                .unwrap()
-                .train_with_hooks(&g, &mut hook)
-                .unwrap();
+            let mut partial = PartitionedTrainer::new(&g, cfg.clone(), 2).unwrap();
+            partial.train_with_hooks(&g, &mut hook).unwrap();
+            let partial = partial.into_outcome().unwrap();
             assert_eq!(partial.epochs_run, k, "threads={threads} k={k}: interrupt");
             let state = hook.taken.expect("checkpoint captured");
             assert_eq!(state.epochs_done, k as u64);
@@ -186,7 +185,7 @@ fn partitioned_checkpoints_resume_bitwise_under_any_partition_count() {
             // part of the trajectory.
             let wire = encode_checkpoint(&state).unwrap();
             let restored = decode_checkpoint(&wire).unwrap();
-            let resumed = PartitionedTrainer::resume(&g, &restored, 3)
+            let resumed = Trainer::resume(&g, &restored, 3)
                 .unwrap()
                 .train(&g)
                 .unwrap();

@@ -8,8 +8,8 @@
 //!    bitwise-identical to the committed `tests/golden/*.aemb` files at 1
 //!    and 4 threads (the seam's uniform path changed *nothing*);
 //! 2. **Engine invariance** — both new variants obey the same trinity as
-//!    the paper variants: sequential == sharded@1 bitwise, sharded@N
-//!    run-to-run deterministic, partitioned == sequential bitwise;
+//!    the paper variants: partitioned == sequential bitwise, sharded@N
+//!    run-to-run deterministic, the same privacy spend on every engine;
 //! 3. **Checkpoint/resume** — interrupt + `.actk` roundtrip + resume is
 //!    bitwise-identical to an uninterrupted run for both new variants;
 //! 4. **Workload signal** — on a planted-polarity graph, `Signed-AdvSGM`
@@ -18,7 +18,7 @@
 
 use advsgm::api::PipelineBuilder;
 use advsgm::core::session::{CheckpointState, EpochEvent, SessionControl, TrainHooks};
-use advsgm::core::{AdvSgmConfig, ModelVariant, PartitionedTrainer, ShardedTrainer, Trainer};
+use advsgm::core::{AdvSgmConfig, ModelVariant, PartitionedTrainer, Trainer};
 use advsgm::eval::evaluate_sign_split;
 use advsgm::graph::generators::classic::karate_club;
 use advsgm::graph::generators::sbm::SbmConfig;
@@ -102,39 +102,39 @@ fn workload_cfg(v: ModelVariant, threads: usize) -> AdvSgmConfig {
     cfg
 }
 
-/// Sequential == sharded@1 == partitioned, bitwise, for both workload
-/// variants on a signed graph; sharded@4 is run-to-run deterministic.
+/// Sequential == partitioned, bitwise, for both workload variants on a
+/// signed graph; sharded@4 is run-to-run deterministic; every engine
+/// reports the same spend.
 #[test]
 fn workload_variants_hold_the_engine_invariance_trinity() {
     let g = planted_polarity();
     for v in [ModelVariant::SignedAdvSgm, ModelVariant::SpAdvSgm] {
-        let seq = Trainer::fit(&g, workload_cfg(v, 0)).unwrap();
-        let sharded1 = ShardedTrainer::fit(&g, workload_cfg(v, 1)).unwrap();
-        assert_eq!(
-            bits(&seq.node_vectors),
-            bits(&sharded1.node_vectors),
-            "{v}: sequential vs sharded@1"
-        );
-        assert_eq!(
-            seq.epsilon_spent.map(f64::to_bits),
-            sharded1.epsilon_spent.map(f64::to_bits),
-            "{v}: spend"
-        );
+        let seq = Trainer::fit(&g, workload_cfg(v, 1)).unwrap();
 
-        let part = PartitionedTrainer::fit(&g, workload_cfg(v, 1), 3).unwrap();
+        let part = PartitionedTrainer::new(&g, workload_cfg(v, 1), 3)
+            .unwrap()
+            .train(&g)
+            .unwrap();
         assert_eq!(
             bits(&seq.node_vectors),
             bits(&part.node_vectors),
             "{v}: sequential vs partitioned"
         );
 
-        let a = ShardedTrainer::fit(&g, workload_cfg(v, 4)).unwrap();
-        let b = ShardedTrainer::fit(&g, workload_cfg(v, 4)).unwrap();
+        let a = Trainer::fit(&g, workload_cfg(v, 4)).unwrap();
+        let b = Trainer::fit(&g, workload_cfg(v, 4)).unwrap();
         assert_eq!(
             bits(&a.node_vectors),
             bits(&b.node_vectors),
             "{v}: sharded@4 run-to-run"
         );
+        for (engine, out) in [("partitioned", &part), ("sharded@4", &a)] {
+            assert_eq!(
+                seq.epsilon_spent.map(f64::to_bits),
+                out.epsilon_spent.map(f64::to_bits),
+                "{v}: {engine} spend"
+            );
+        }
     }
 }
 
@@ -177,10 +177,10 @@ fn workload_variant_resume_is_bitwise_exact() {
     for v in [ModelVariant::SignedAdvSgm, ModelVariant::SpAdvSgm] {
         for threads in [1usize, 4] {
             let cfg = workload_cfg(v, threads);
-            let full = ShardedTrainer::fit(&g, cfg.clone()).unwrap();
+            let full = Trainer::fit(&g, cfg.clone()).unwrap();
 
             let mut hook = InterruptAt { at: 2, taken: None };
-            ShardedTrainer::new(&g, cfg)
+            Trainer::new(&g, cfg)
                 .unwrap()
                 .train_with_hooks(&g, &mut hook)
                 .unwrap();
@@ -188,7 +188,7 @@ fn workload_variant_resume_is_bitwise_exact() {
             let wire = encode_checkpoint(&state).unwrap();
             let restored = decode_checkpoint(&wire).unwrap();
             assert_eq!(restored.config.variant, v, "variant survives the wire");
-            let resumed = ShardedTrainer::resume(&g, &restored)
+            let resumed = Trainer::resume(&g, &restored, 1)
                 .unwrap()
                 .train(&g)
                 .unwrap();
@@ -220,14 +220,14 @@ fn workload_variant_resume_is_bitwise_exact() {
 fn signed_checkpoint_rejects_the_unsigned_twin() {
     let g = planted_polarity();
     let mut hook = InterruptAt { at: 1, taken: None };
-    ShardedTrainer::new(&g, workload_cfg(ModelVariant::SignedAdvSgm, 1))
+    Trainer::new(&g, workload_cfg(ModelVariant::SignedAdvSgm, 1))
         .unwrap()
         .train_with_hooks(&g, &mut hook)
         .unwrap();
     let state = hook.taken.unwrap();
 
     let unsigned = Graph::from_parts(g.num_nodes(), g.edges().to_vec(), None);
-    let err = ShardedTrainer::resume(&unsigned, &state)
+    let err = Trainer::resume(&unsigned, &state, 1)
         .err()
         .expect("must reject the sign-stripped twin");
     assert!(

@@ -2,7 +2,7 @@
 //! exact `.aemb` roundtrips, typed rejection of corrupted files, and the
 //! thread-count invariance of batched serving (DESIGN.md §9).
 
-use advsgm::core::{AdvSgmConfig, ModelVariant, ShardedTrainer, Trainer};
+use advsgm::core::{AdvSgmConfig, ModelVariant, Trainer};
 use advsgm::graph::generators::sbm::{degree_corrected_sbm, SbmConfig};
 use advsgm::linalg::rng::seeded;
 use advsgm::linalg::DenseMatrix;
@@ -55,7 +55,7 @@ fn exported_store_serves_the_training_graph() {
     cfg.epochs = 10;
     cfg.disc_iters = 20;
     cfg.batch_size = 64;
-    let store = ShardedTrainer::new(&g, cfg).unwrap().export(&g).unwrap();
+    let store = Trainer::new(&g, cfg).unwrap().export(&g).unwrap();
     let served = EmbeddingStore::from_bytes(&store.to_bytes()).unwrap();
     let mut pos = 0.0;
     for e in g.edges() {
