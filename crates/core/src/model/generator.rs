@@ -19,7 +19,7 @@
 //! (Theorem 2).
 
 use advsgm_linalg::activations::sigmoid;
-use advsgm_linalg::rng::gaussian_vec;
+use advsgm_linalg::rng::gaussian_fill;
 use advsgm_linalg::DenseMatrix;
 use rand::Rng;
 
@@ -81,15 +81,31 @@ impl Generator {
 
     /// Samples one fake neighbor of `node`.
     pub fn generate(&self, node: usize, rng: &mut impl Rng) -> FakeNeighbor {
-        let z = gaussian_vec(rng, LATENT_STD, self.dim());
-        let v = self
-            .theta
-            .row(node)
-            .iter()
-            .zip(&z)
-            .map(|(&t, &zi)| sigmoid(t + zi))
-            .collect();
+        let mut v = vec![0.0; self.dim()];
+        self.generate_into(node, rng, &mut v);
         FakeNeighbor { node, v }
+    }
+
+    /// Samples one fake neighbor of `node` into `out` (`dim` values): the
+    /// latent draw `z` fills `out`, then each entry becomes
+    /// `phi(theta + z)`. This is the only copy of the fake arithmetic;
+    /// every engine reaches it.
+    pub(crate) fn generate_into(&self, node: usize, rng: &mut impl Rng, out: &mut [f64]) {
+        debug_assert_eq!(out.len(), self.dim());
+        gaussian_fill(rng, LATENT_STD, out);
+        for (o, &t) in out.iter_mut().zip(self.theta.row(node)) {
+            *o = sigmoid(t + *o);
+        }
+    }
+
+    /// Advances `rng` past exactly the draws one [`Generator::generate`]
+    /// consumes — two uniforms per latent coordinate (Box–Muller) —
+    /// without computing the fake. A caller that records the stream
+    /// position first can regenerate the same fake from it later.
+    pub(crate) fn skip_generate(&self, rng: &mut impl Rng) {
+        for _ in 0..2 * self.dim() {
+            rng.gen::<f64>();
+        }
     }
 
     /// The deterministic center `phi(theta_node)` of a node's fakes
@@ -98,29 +114,31 @@ impl Generator {
         self.theta.row(node).iter().map(|&t| sigmoid(t)).collect()
     }
 
-    /// Accumulates `dL/dtheta_node` for one sample into the sparse buffer:
+    /// Accumulates `dL/dtheta_node` for one sample `fake` of `node` into
+    /// the sparse buffer:
     /// `dL/dtheta = upstream .* v'(1 - v')` (the latent draw enters
     /// additively, so the Jacobian w.r.t. `theta` equals the one w.r.t. the
     /// pre-activation).
     pub fn accumulate_grad(
         &self,
-        sample: &FakeNeighbor,
+        node: usize,
+        fake: &[f64],
         upstream: &[f64],
         grads: &mut std::collections::HashMap<usize, (Vec<f64>, usize)>,
     ) {
         debug_assert_eq!(upstream.len(), self.dim());
         let delta: Vec<f64> = upstream
             .iter()
-            .zip(&sample.v)
+            .zip(fake)
             .map(|(&g, &v)| g * v * (1.0 - v))
             .collect();
-        match grads.get_mut(&sample.node) {
+        match grads.get_mut(&node) {
             Some((sum, c)) => {
                 advsgm_linalg::vector::add_assign(sum, &delta);
                 *c += 1;
             }
             None => {
-                grads.insert(sample.node, (delta, 1));
+                grads.insert(node, (delta, 1));
             }
         }
     }
@@ -175,7 +193,7 @@ impl GeneratorPair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use advsgm_linalg::rng::seeded;
+    use advsgm_linalg::rng::{rng_from_state, rng_state, seeded};
     use advsgm_linalg::vector;
     use std::collections::HashMap;
 
@@ -227,7 +245,7 @@ mod tests {
         // sampled v', dL/dtheta = upstream .* v'(1-v') at that draw.
         let f = g.generate(2, &mut rng);
         let mut grads = HashMap::new();
-        g.accumulate_grad(&f, &[1.0; 4], &mut grads);
+        g.accumulate_grad(f.node, &f.v, &[1.0; 4], &mut grads);
         let (gv, c) = &grads[&2];
         assert_eq!(*c, 1);
         for (d, (&g_val, &v_val)) in gv.iter().zip(&f.v).enumerate() {
@@ -255,12 +273,39 @@ mod tests {
             let coeff = -advsgm_linalg::activations::sigmoid(s); // d log(1-F)/ds
             let upstream: Vec<f64> = target.iter().map(|&t| coeff * t).collect();
             let mut grads = HashMap::new();
-            g.accumulate_grad(&f, &upstream, &mut grads);
+            g.accumulate_grad(f.node, &f.v, &upstream, &mut grads);
             g.step(0.5, &grads);
         }
         let after = vector::cosine(&g.center(0), &target);
         assert!(after > before, "cosine {before} -> {after} did not improve");
         assert!(after > 0.8, "alignment too weak: {after}");
+    }
+
+    #[test]
+    fn skip_generate_consumes_exactly_the_draws_of_generate() {
+        for dim in [1, 16, 128] {
+            let mut rng = seeded(dim as u64);
+            let pair = GeneratorPair::new(5, dim, &mut rng);
+            for (name, g) in [("for_i", &pair.for_i), ("for_j", &pair.for_j)] {
+                let at = rng_state(&rng);
+                let fake = g.generate(3, &mut rng);
+                let mut skipped = rng_from_state(at);
+                g.skip_generate(&mut skipped);
+                assert_eq!(
+                    rng_state(&skipped),
+                    rng_state(&rng),
+                    "dim={dim} {name}: stream position after the skip"
+                );
+                let mut again = vec![0.0; dim];
+                g.generate_into(3, &mut rng_from_state(at), &mut again);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&again),
+                    bits(&fake.v),
+                    "dim={dim} {name}: regenerated fake"
+                );
+            }
+        }
     }
 
     #[test]

@@ -184,15 +184,18 @@ pub(crate) fn apply_noisy_updates(acc: RowAcc, noise: &[f64], mut step: impl FnM
     }
 }
 
-/// Adds one pair's gradient into a row accumulator.
-pub(crate) fn accumulate(acc: &mut RowAcc, row: usize, grad: Vec<f64>) {
+/// Adds one pair's gradient into a row accumulator; returns whether this
+/// was the row's first touch.
+pub(crate) fn accumulate(acc: &mut RowAcc, row: usize, grad: Vec<f64>) -> bool {
     match acc.get_mut(&row) {
         Some((sum, c)) => {
             vector::add_assign(sum, &grad);
             *c += 1;
+            false
         }
         None => {
             acc.insert(row, (grad, 1));
+            true
         }
     }
 }

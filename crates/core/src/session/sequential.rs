@@ -179,14 +179,18 @@ impl Engine for SequentialEngine {
             // d/ds [ln(1 - S(s))] = -S'/(1-S).
             let c1 = -core.kind.neg_log_one_minus_grad(s1);
             let up1 = vector::scaled(c1, &vi);
-            core.gens.for_i.accumulate_grad(&f1, &up1, &mut grads_j);
+            core.gens
+                .for_i
+                .accumulate_grad(f1.node, &f1.v, &up1, &mut grads_j);
             // Fake neighbor of the input-side node s, paired with real v_j.
             let f2 = core.gens.for_j.generate(s, &mut self.rng);
             let (s2_fake, s2_noise) = backend::dot2(&vj, &f2.v, &ng2);
             let s2 = s2_fake + s2_noise;
             let c2 = -core.kind.neg_log_one_minus_grad(s2);
             let up2 = vector::scaled(c2, &vj);
-            core.gens.for_j.accumulate_grad(&f2, &up2, &mut grads_i);
+            core.gens
+                .for_j
+                .accumulate_grad(f2.node, &f2.v, &up2, &mut grads_i);
         }
         core.gens.for_i.step(core.cfg.eta_g, &grads_j);
         core.gens.for_j.step(core.cfg.eta_g, &grads_i);

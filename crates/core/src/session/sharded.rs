@@ -387,12 +387,14 @@ impl Engine for ShardedEngine<'_> {
                 let (s1_fake, s1_noise) = backend::dot2(vi, &f1.v, ng1);
                 let c1 = -kind.neg_log_one_minus_grad(s1_fake + s1_noise);
                 let up1 = vector::scaled(c1, vi);
-                gens.for_i.accumulate_grad(&f1, &up1, &mut grads_j);
+                gens.for_i
+                    .accumulate_grad(f1.node, &f1.v, &up1, &mut grads_j);
                 let f2 = gens.for_j.generate(s, &mut rng);
                 let (s2_fake, s2_noise) = backend::dot2(vj, &f2.v, ng2);
                 let c2 = -kind.neg_log_one_minus_grad(s2_fake + s2_noise);
                 let up2 = vector::scaled(c2, vj);
-                gens.for_j.accumulate_grad(&f2, &up2, &mut grads_i);
+                gens.for_j
+                    .accumulate_grad(f2.node, &f2.v, &up2, &mut grads_i);
             }
             (grads_j, grads_i)
         });

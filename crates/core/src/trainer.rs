@@ -111,7 +111,7 @@ impl SlotPoolStats {
         self.loads.load(Ordering::Relaxed)
     }
 
-    /// Partition evictions from the pool (clean or dirty).
+    /// Partition evictions from the pool.
     pub fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
     }

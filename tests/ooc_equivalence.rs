@@ -1,7 +1,7 @@
 //! ISSUE 8 headline contract (DESIGN.md §14): **out-of-core partitioned
 //! training is bitwise-identical to in-RAM sequential training** — the
 //! released `.aemb` bytes, the epoch losses, and the accountant's spend
-//! — for `P ∈ {1, 2, 4}` node buckets at 1 and 4 worker threads, while
+//! — for `P ∈ {1, 2, 4}` node buckets at 1, 3 and 4 worker threads, while
 //! resident embedding memory stays bounded by two bucket partitions
 //! (slot-pool high-water mark ≤ 2). Checkpoints taken by the partitioned
 //! engine resume bitwise-exactly through the `.actk` wire format, under
@@ -37,7 +37,7 @@ fn partitioned_matches_sequential_bitwise_for_every_p_and_thread_count() {
     let full = Trainer::fit(&g, test_cfg(1)).unwrap();
     assert_eq!(full.epochs_run, 5, "fixture must run every epoch");
 
-    for threads in [1usize, 4] {
+    for threads in [1usize, 3, 4] {
         for p in [1usize, 2, 4] {
             let trainer = PartitionedTrainer::new(&g, test_cfg(threads), p).unwrap();
             let stats = trainer.slot_stats();
@@ -101,7 +101,7 @@ fn released_aemb_bytes_are_identical_through_the_api() {
         .train()
         .unwrap();
 
-    for threads in [1usize, 4] {
+    for threads in [1usize, 3, 4] {
         for p in [1usize, 2, 4] {
             let trained = PipelineBuilder::test_small(ApiVariant::AdvSgm)
                 .threads(threads)
