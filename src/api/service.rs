@@ -284,37 +284,6 @@ impl EmbeddingService {
         }
     }
 
-    /// [`EmbeddingService::top_k_approx`] for many query nodes: duplicate
-    /// queries are resolved once and fanned back out in query order, so a
-    /// hot node costs one index probe no matter how often the batch asks
-    /// for it.
-    ///
-    /// # Errors
-    /// [`Error::Store`](crate::api::Error::Store) if *any* query row is
-    /// out of range (checked per query as it is resolved).
-    pub fn batch_top_k_approx(
-        &self,
-        queries: &[usize],
-        k: usize,
-        recall_target: f64,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        let mut resolved: std::collections::HashMap<usize, Vec<Neighbor>> =
-            std::collections::HashMap::new();
-        let mut out = Vec::with_capacity(queries.len());
-        for &u in queries {
-            let neighbors = match resolved.entry(u) {
-                std::collections::hash_map::Entry::Occupied(e) => e.get().clone(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let got = self.top_k_approx_with_stats(u, k, recall_target)?.neighbors;
-                    e.insert(got.clone());
-                    got
-                }
-            };
-            out.push(neighbors);
-        }
-        Ok(out)
-    }
-
     /// Persists the served store as an `.aemb` file (bitwise-exact
     /// roundtrip).
     ///
@@ -400,11 +369,6 @@ mod tests {
             assert_eq!(a.node, b.node);
             assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
-        // Approximate batches dedupe and fan out in query order.
-        let batched = s.batch_top_k_approx(&[3, 7, 3], 5, 0.9).unwrap();
-        assert_eq!(batched.len(), 3);
-        assert_eq!(batched[0], batched[2]);
-        assert_eq!(batched[0], s.top_k_approx(3, 5, 0.9).unwrap());
     }
 
     #[test]

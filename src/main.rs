@@ -21,7 +21,7 @@
 //! advsgm info  --store emb.aemb
 //! advsgm index --store emb.aemb --out emb.aidx [--nlist N]
 //! advsgm serve --store emb.aemb [--index emb.aidx | --build-index]
-//!              [--addr 127.0.0.1:7878] [--threads N]
+//!              [--addr 127.0.0.1:7878] [--cache 1024]
 //! advsgm stop  --addr HOST:PORT
 //! ```
 //!
@@ -87,8 +87,8 @@ const USAGE: &str = "usage:
   advsgm index --store PATH --out PATH [--nlist N] [--kmeans-iters N]
                [--sample-queries N]
   advsgm serve --store PATH [--index PATH | --build-index]
-               [--addr HOST:PORT] [--threads N] [--cache N]
-               [--max-requests N] [--relaxed]
+               [--addr HOST:PORT] [--cache N] [--max-requests N]
+               [--relaxed]
   advsgm stop  --addr HOST:PORT
 
 train flags:
@@ -725,7 +725,7 @@ fn parse_query(tokens: &[String]) -> Result<QueryArgs, String> {
                 return Err("--index is a local-store flag; the server owns its index".into());
             }
             if threads != 0 {
-                return Err("--threads is a local-store flag; the server owns its pool".into());
+                return Err("--threads is a local-store flag; the server owns its threads".into());
             }
             QuerySource::Remote { addr }
         }
@@ -836,7 +836,6 @@ struct ServeArgs {
     index: Option<String>,
     build_index: bool,
     addr: String,
-    threads: usize,
     cache: usize,
     max_requests: Option<u64>,
     relaxed: bool,
@@ -848,7 +847,6 @@ fn parse_serve(tokens: &[String]) -> Result<ServeArgs, String> {
         index: None,
         build_index: false,
         addr: "127.0.0.1:7878".to_string(),
-        threads: 0,
         cache: 1024,
         max_requests: None,
         relaxed: false,
@@ -861,9 +859,6 @@ fn parse_serve(tokens: &[String]) -> Result<ServeArgs, String> {
             "--index" => args.index = Some(take_value(tokens, &mut i, "--index")?),
             "--build-index" => args.build_index = true,
             "--addr" => args.addr = take_value(tokens, &mut i, "--addr")?,
-            "--threads" => {
-                args.threads = parse_num(&take_value(tokens, &mut i, "--threads")?, "--threads")?;
-            }
             "--cache" => {
                 args.cache = parse_num(&take_value(tokens, &mut i, "--cache")?, "--cache")?;
             }
@@ -1183,8 +1178,8 @@ fn cmd_index(args: IndexArgs) -> Result<(), String> {
 }
 
 fn cmd_serve(args: ServeArgs) -> Result<(), String> {
-    let mut service = EmbeddingService::open_with_threads(&args.store, args.threads)
-        .map_err(|e| format!("{}: {e}", args.store))?;
+    let mut service =
+        EmbeddingService::open(&args.store).map_err(|e| format!("{}: {e}", args.store))?;
     if let Some(index_path) = &args.index {
         let idx = IvfIndex::load(index_path).map_err(|e| format!("{index_path}: {e}"))?;
         service.attach_index(idx).map_err(|e| e.to_string())?;
@@ -1218,7 +1213,6 @@ fn cmd_serve(args: ServeArgs) -> Result<(), String> {
     let config = ServeConfig {
         cache_capacity: args.cache,
         max_requests: args.max_requests,
-        ..ServeConfig::default()
     };
     let server = Server::bind(service, args.addr.as_str(), config)
         .map_err(|e| format!("{}: {e}", args.addr))?;
@@ -1235,8 +1229,8 @@ fn cmd_serve(args: ServeArgs) -> Result<(), String> {
     );
     let stats = server.wait();
     println!(
-        "served {} request(s) in {} batch(es): {} cache hit(s), {} error(s)",
-        stats.requests, stats.batches, stats.cache_hits, stats.errors
+        "served {} request(s): {} cache hit(s), {} error(s)",
+        stats.requests, stats.cache_hits, stats.errors
     );
     Ok(())
 }
@@ -1788,14 +1782,13 @@ mod tests {
     #[test]
     fn serve_happy_path_and_defaults() {
         let a = parse_serve(&toks(
-            "--store e.aemb --index e.aidx --addr 0.0.0.0:9000 --threads 4 --cache 99 \
+            "--store e.aemb --index e.aidx --addr 0.0.0.0:9000 --cache 99 \
              --max-requests 1000 --relaxed",
         ))
         .unwrap();
         assert_eq!(a.store, "e.aemb");
         assert_eq!(a.index.as_deref(), Some("e.aidx"));
         assert_eq!(a.addr, "0.0.0.0:9000");
-        assert_eq!(a.threads, 4);
         assert_eq!(a.cache, 99);
         assert_eq!(a.max_requests, Some(1000));
         assert!(a.relaxed);
@@ -1838,6 +1831,13 @@ mod tests {
         assert!(parse_serve(&toks("--store e --max-requests 0"))
             .unwrap_err()
             .contains("must be positive"));
+    }
+
+    #[test]
+    fn serve_has_no_threads_flag() {
+        // Each connection answers on its own thread; there is no pool to size.
+        let err = parse_serve(&toks("--store e.aemb --threads 4")).unwrap_err();
+        assert!(err.contains("unknown flag --threads"), "{err}");
     }
 
     #[test]

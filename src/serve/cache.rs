@@ -1,8 +1,10 @@
 //! A small LRU cache for hot query nodes.
 //!
 //! Serving traffic is typically Zipf-shaped — a few hub nodes absorb most
-//! queries — so the dispatcher keeps recently answered top-k results and
-//! skips the scan entirely on a repeat. Results are pure functions of the
+//! queries — so the server keeps recently answered top-k results, shared
+//! by every connection, and skips the scan entirely on a repeat. The
+//! cache is not thread-safe itself: the server holds it behind a mutex,
+//! locked only for one lookup or insert. Results are pure functions of the
 //! released store (which is immutable for the server's lifetime), so
 //! cached answers can never go stale; capacity is the only eviction
 //! reason.

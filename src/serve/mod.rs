@@ -3,43 +3,40 @@
 //!
 //! Everything served here is post-processing of a released `.aemb`
 //! matrix (the paper's Theorem 5): no matter how many queries run or how
-//! they batch, the privacy stamp on the store is the complete cost.
+//! they interleave, the privacy stamp on the store is the complete cost.
 //! Serving architecture, protocol layout, and the release-boundary
 //! argument are documented in DESIGN.md §12; the byte-level frame format
 //! lives in [`protocol`].
 //!
 //! ## Architecture
 //!
-//! Three kinds of threads cooperate around one [`crossbeam-free
-//! mpsc`](std::sync::mpsc) channel:
+//! * **The acceptor** blocks on `accept` and starts one thread per
+//!   accepted client. At shutdown it joins every connection thread, so
+//!   the counters [`Server::wait`] returns are final.
+//! * **Connection threads** parse length-prefixed frames and answer each
+//!   request themselves, through the same [`EmbeddingService`] calls an
+//!   in-process caller makes, so wire answers are bitwise the local ones.
+//!   Malformed payloads get error responses *without* dropping the
+//!   connection. All connections share one service, one LRU cache of hot
+//!   top-k results ([`cache`]) and the lifetime counters; the cache lock
+//!   is held only to look up or insert, never across a scan.
 //!
-//! * **Connection threads** (one per accepted client) parse
-//!   length-prefixed frames, turn malformed payloads into error
-//!   responses *without* dropping the connection, and forward valid
-//!   requests to the dispatcher with a private reply channel.
-//! * **The dispatcher** (one thread, owns the [`EmbeddingService`])
-//!   drains the channel in small time windows so concurrent top-k
-//!   requests coalesce into one `batch_top_k` call — the store dedupes
-//!   repeated nodes, the pool spreads distinct ones — and keeps an LRU
-//!   cache of hot query results ([`cache`]). Exact and approximate
-//!   requests batch separately; scores and pings answer inline.
-//! * **The acceptor** blocks on `accept` and hands sockets to connection
-//!   threads; shutdown wakes it with a self-connect.
-//!
-//! Shutdown is cooperative: a [`protocol::Request::Shutdown`] frame (or
-//! reaching `max_requests`) makes the dispatcher acknowledge, stop the
-//! world via an atomic flag, and wake the acceptor. Connection threads
-//! poll the flag on a short read timeout, so lingering idle clients
-//! cannot hold the process open.
+//! Shutdown is cooperative: the connection that reads a
+//! [`protocol::Request::Shutdown`] frame (or answers the
+//! `max_requests`-th request) writes its reply, raises an atomic flag,
+//! and wakes the acceptor with a self-connect. Idle connections poll the
+//! flag on a short read timeout, and a frame deadline and the
+//! [`WRITE_DEADLINE`] bound how long a stalled peer can hold its thread,
+//! so lingering clients cannot hold the process open.
 
 pub mod cache;
 pub mod client;
 pub mod protocol;
 
-use std::collections::HashMap;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,23 +46,24 @@ use crate::api::{EmbeddingService, Result};
 use cache::LruCache;
 use protocol::{read_frame, write_frame, Request, Response};
 
-/// Largest number of requests the dispatcher folds into one batch window.
-const BATCH_MAX: usize = 256;
-
-/// How often blocked threads re-check the shutdown flag.
+/// How often an idle connection re-checks the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(250);
 
+/// How long a peer has to finish a frame once its first byte has
+/// arrived. A pause inside a frame is waited out up to this deadline; a
+/// peer that stalls past it is dropped.
+const FRAME_DEADLINE: Duration = Duration::from_secs(2);
+
+/// How long writing a reply may block on a peer that does not read
+/// (the socket's write timeout). A peer that stalls past it is dropped.
+pub const WRITE_DEADLINE: Duration = Duration::from_secs(2);
+
 /// Tuning knobs for [`Server::bind`]. `Default` is sized for a small
-/// serving box: a 1024-entry result cache and a 1 ms batching window
-/// (long enough to coalesce a concurrent burst, short enough to be
-/// invisible in per-query latency).
+/// serving box: a 1024-entry result cache and no request limit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// LRU capacity, in cached top-k results (`0` disables caching).
     pub cache_capacity: usize,
-    /// How long the dispatcher waits for more requests to join a batch
-    /// after the first one arrives.
-    pub batch_window: Duration,
     /// Stop serving after this many requests (`None` = run until a
     /// shutdown frame). Useful for bounded smoke runs.
     pub max_requests: Option<u64>,
@@ -75,41 +73,36 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             cache_capacity: 1024,
-            batch_window: Duration::from_millis(1),
             max_requests: None,
         }
     }
 }
 
-/// Counters the dispatcher accumulates over a server's lifetime,
-/// returned by [`Server::wait`].
+/// Counters the server accumulates over its lifetime, returned by
+/// [`Server::wait`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Requests answered (including error responses).
+    /// Well-formed requests answered, including error responses
+    /// (malformed payloads are answered but not counted).
     pub requests: u64,
     /// Top-k requests answered from the LRU cache.
     pub cache_hits: u64,
-    /// Dispatcher batch windows that processed at least one request.
+    /// Always equal to `requests`: each request is answered on its own.
+    /// Kept only because the end-to-end benchmark (`e2ebench/`) reads
+    /// it; it goes at the next change to that benchmark.
     pub batches: u64,
     /// Requests answered with an error response.
     pub errors: u64,
 }
 
-/// One request in flight from a connection thread to the dispatcher.
-struct Job {
-    request: Request,
-    reply: mpsc::Sender<Response>,
-}
-
-/// A running server: acceptor + dispatcher threads bound to a socket.
+/// A running server: the acceptor thread bound to a socket.
 ///
 /// Dropping the handle does *not* stop the server; send a shutdown frame
 /// (e.g. [`client::ServeClient::shutdown`]) and then [`Server::wait`].
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
-    accept_handle: JoinHandle<()>,
-    dispatch_handle: JoinHandle<ServerStats>,
+    acceptor: JoinHandle<ServerStats>,
 }
 
 impl Server {
@@ -125,21 +118,20 @@ impl Server {
     ) -> Result<Server> {
         let listener = TcpListener::bind(addr).map_err(crate::api::Error::Io)?;
         let local = listener.local_addr().map_err(crate::api::Error::Io)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<Job>();
-
-        let dispatch_handle = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || dispatcher(service, rx, config, shutdown, local))
-        };
-        let accept_handle = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || acceptor(listener, tx, shutdown))
-        };
+        let shared = Arc::new(Shared {
+            service,
+            cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            max_requests: config.max_requests,
+            addr: local,
+            shutdown: AtomicBool::new(false),
+            requests: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+        });
+        let acceptor = std::thread::spawn(move || acceptor(listener, shared));
         Ok(Server {
             addr: local,
-            accept_handle,
-            dispatch_handle,
+            acceptor,
         })
     }
 
@@ -149,83 +141,10 @@ impl Server {
     }
 
     /// Blocks until the server shuts down (shutdown frame or
-    /// `max_requests`), then returns the lifetime counters.
+    /// `max_requests`) and every connection thread has exited, then
+    /// returns the lifetime counters.
     pub fn wait(self) -> ServerStats {
-        let stats = self.dispatch_handle.join().unwrap_or_default();
-        let _ = self.accept_handle.join();
-        stats
-    }
-}
-
-/// Accept loop: hands each connection to its own thread until the
-/// shutdown flag rises (the dispatcher wakes a blocked `accept` with a
-/// self-connect).
-fn acceptor(listener: TcpListener, tx: mpsc::Sender<Job>, shutdown: Arc<AtomicBool>) {
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                let tx = tx.clone();
-                let shutdown = Arc::clone(&shutdown);
-                std::thread::spawn(move || connection(stream, tx, shutdown));
-            }
-            // Transient accept errors (EMFILE, aborted handshake) must
-            // not kill the serve loop.
-            Err(_) => continue,
-        }
-    }
-}
-
-/// Per-connection loop: frames in, frames out. Malformed payloads get an
-/// error response on the open connection; only an unframeable stream
-/// (bad header, EOF, mid-frame timeout) tears it down.
-fn connection(stream: TcpStream, tx: mpsc::Sender<Job>, shutdown: Arc<AtomicBool>) {
-    let _ = stream.set_nodelay(true);
-    // Short read timeout so idle connections notice shutdown promptly.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut write_half = stream;
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let payload = match read_frame(&mut read_half) {
-            Ok(p) => p,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // idle; poll the shutdown flag again
-            }
-            Err(_) => return, // EOF or an unframeable stream
-        };
-        let response = match Request::decode(&payload) {
-            Err(reason) => Response::Error(format!("malformed request: {reason}")),
-            Ok(request) => {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                if tx
-                    .send(Job {
-                        request,
-                        reply: reply_tx,
-                    })
-                    .is_err()
-                {
-                    Response::Error("server is shutting down".into())
-                } else {
-                    reply_rx
-                        .recv()
-                        .unwrap_or_else(|_| Response::Error("server dropped the request".into()))
-                }
-            }
-        };
-        if write_frame(&mut write_half, &response.encode()).is_err() {
-            return;
-        }
+        self.acceptor.join().unwrap_or_default()
     }
 }
 
@@ -235,150 +154,227 @@ fn connection(stream: TcpStream, tx: mpsc::Sender<Job>, shutdown: Arc<AtomicBool
 /// which the protocol rejects, so the sentinel cannot collide).
 type CacheKey = (u64, u32, u64);
 
-/// A cache-missing top-k job awaiting its batched answer: the query node
-/// plus the reply channel of the connection that asked.
-type PendingTopK = (u64, mpsc::Sender<Response>);
-
 const EXACT_MODE: u64 = u64::MAX;
 
-/// Dispatcher: owns the service and the cache, coalesces top-k requests
-/// into batches, answers everything else inline, and drives shutdown.
-fn dispatcher(
+/// What every connection thread shares: the service, the cache, the
+/// counters and the shutdown flag.
+struct Shared {
     service: EmbeddingService,
-    rx: mpsc::Receiver<Job>,
-    config: ServeConfig,
-    shutdown: Arc<AtomicBool>,
-    local: SocketAddr,
-) -> ServerStats {
-    let mut stats = ServerStats::default();
-    let mut cache: LruCache<CacheKey, Vec<Neighbor>> = LruCache::new(config.cache_capacity);
-    let mut stop = false;
-    while !stop {
-        let first = match rx.recv_timeout(POLL_INTERVAL) {
-            Ok(job) => job,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
-        // Coalesce: wait out the batch window for concurrent requests.
-        let mut batch = vec![first];
-        let deadline = Instant::now() + config.batch_window;
-        while batch.len() < BATCH_MAX {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
-            }
-        }
-        stats.batches += 1;
-        stop = process_batch(&service, &mut cache, batch, &mut stats);
-        if let Some(max) = config.max_requests {
-            if stats.requests >= max {
-                stop = true;
-            }
-        }
-    }
-    // Stop the world: raise the flag, then wake the blocked acceptor so
-    // it observes the flag and exits.
-    shutdown.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(local);
-    stats
+    cache: Mutex<LruCache<CacheKey, Vec<Neighbor>>>,
+    max_requests: Option<u64>,
+    /// The bound address, for the self-connect that wakes the acceptor.
+    addr: SocketAddr,
+    shutdown: AtomicBool,
+    // Statistics only: they publish no other data, and `Server::wait`
+    // reads them after joining every thread that writes them.
+    requests: AtomicU64,
+    cache_hits: AtomicU64,
+    errors: AtomicU64,
 }
 
-/// Answers one coalesced batch. Returns `true` when a shutdown request
-/// was part of it.
-fn process_batch(
-    service: &EmbeddingService,
-    cache: &mut LruCache<CacheKey, Vec<Neighbor>>,
-    batch: Vec<Job>,
-    stats: &mut ServerStats,
-) -> bool {
-    let mut shutdown_requested = false;
-    // Cache-missing top-k jobs, grouped by (k, mode) so each group is one
-    // batched store call.
-    let mut groups: HashMap<(u32, u64), Vec<PendingTopK>> = HashMap::new();
-    for job in batch {
-        stats.requests += 1;
-        match job.request {
-            Request::Ping => {
-                let _ = job.reply.send(Response::Ok);
-            }
-            Request::Shutdown => {
-                shutdown_requested = true;
-                let _ = job.reply.send(Response::Ok);
-            }
-            Request::Score { u, v } => {
-                let response = match service.score(u as usize, v as usize) {
-                    Ok(s) => Response::Score(s),
-                    Err(e) => {
-                        stats.errors += 1;
-                        Response::Error(e.to_string())
-                    }
-                };
-                let _ = job.reply.send(response);
-            }
+impl Shared {
+    /// Answers one decoded request and counts it. The flag is `true`
+    /// when the server must stop once this reply is written.
+    fn answer(&self, request: Request) -> (Response, bool) {
+        let n = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
+        let stop = request == Request::Shutdown || self.max_requests == Some(n);
+        let response = match request {
+            Request::Ping | Request::Shutdown => Response::Ok,
+            Request::Score { u, v } => match self.service.score(u as usize, v as usize) {
+                Ok(s) => Response::Score(s),
+                Err(e) => Response::Error(e.to_string()),
+            },
             Request::TopK {
                 node,
                 k,
                 approx,
                 recall_target,
-            } => {
-                if node as usize >= service.len() {
-                    stats.errors += 1;
-                    let _ = job.reply.send(Response::Error(format!(
-                        "node {node} out of range (store holds {} nodes)",
-                        service.len()
-                    )));
-                    continue;
-                }
-                let mode = if approx {
-                    recall_target.to_bits()
-                } else {
-                    EXACT_MODE
-                };
-                if let Some(hit) = cache.get(&(node, k, mode)) {
-                    stats.cache_hits += 1;
-                    let _ = job.reply.send(Response::Neighbors(hit.clone()));
-                    continue;
-                }
-                groups.entry((k, mode)).or_default().push((node, job.reply));
-            }
-        }
-    }
-    for ((k, mode), jobs) in groups {
-        let nodes: Vec<usize> = jobs.iter().map(|(n, _)| *n as usize).collect();
-        let results = if mode == EXACT_MODE {
-            service.batch_top_k(&nodes, k as usize)
-        } else {
-            service.batch_top_k_approx(&nodes, k as usize, f64::from_bits(mode))
+            } => self.top_k(node, k, approx, recall_target),
         };
-        match results {
-            Ok(per_query) => {
-                for ((node, reply), neighbors) in jobs.into_iter().zip(per_query) {
-                    cache.insert((node, k, mode), neighbors.clone());
-                    let _ = reply.send(Response::Neighbors(neighbors));
-                }
+        if matches!(response, Response::Error(_)) {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        (response, stop)
+    }
+
+    /// A top-k answer from the cache, or from an exact scan or an index
+    /// search run on the calling thread.
+    fn top_k(&self, node: u64, k: u32, approx: bool, recall_target: f64) -> Response {
+        if node as usize >= self.service.len() {
+            return Response::Error(format!(
+                "node {node} out of range (store holds {} nodes)",
+                self.service.len()
+            ));
+        }
+        let mode = if approx {
+            recall_target.to_bits()
+        } else {
+            EXACT_MODE
+        };
+        let key = (node, k, mode);
+        let hit = self.cache().get(&key).cloned();
+        if let Some(neighbors) = hit {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Response::Neighbors(neighbors);
+        }
+        let (u, k) = (node as usize, k as usize);
+        let scanned = if approx {
+            self.service.top_k_approx(u, k, recall_target)
+        } else {
+            self.service.top_k(u, k)
+        };
+        match scanned {
+            Ok(neighbors) => {
+                self.cache().insert(key, neighbors.clone());
+                Response::Neighbors(neighbors)
             }
-            Err(e) => {
-                // Range errors were filtered above; anything left (pool
-                // failure, index drift) fails the group loudly but keeps
-                // the server alive.
-                let msg = e.to_string();
-                for (_, reply) in jobs {
-                    stats.errors += 1;
-                    let _ = reply.send(Response::Error(msg.clone()));
+            Err(e) => Response::Error(e.to_string()),
+        }
+    }
+
+    fn cache(&self) -> MutexGuard<'_, LruCache<CacheKey, Vec<Neighbor>>> {
+        self.cache
+            .lock()
+            .expect("no thread panics while holding the cache lock")
+    }
+
+    /// Raises the shutdown flag and wakes the acceptor blocked in
+    /// `accept` so it observes the flag.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+    }
+
+    fn stats(&self) -> ServerStats {
+        let requests = self.requests.load(Ordering::Relaxed);
+        ServerStats {
+            requests,
+            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            batches: requests,
+            errors: self.errors.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Accept loop: hands each connection to its own thread until the
+/// shutdown flag rises, then joins them all and returns the final
+/// counters.
+fn acceptor(listener: TcpListener, shared: Arc<Shared>) -> ServerStats {
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        // Reap finished connections, so a long-lived server holds one
+        // handle per live peer rather than one per peer it ever served.
+        // A panicked connection has already reported on stderr; the
+        // others keep serving.
+        for done in connections.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
+        // Transient accept errors (EMFILE, aborted handshake) must not
+        // kill the serve loop.
+        if let Ok(stream) = stream {
+            let shared = Arc::clone(&shared);
+            connections.push(std::thread::spawn(move || connection(stream, &shared)));
+        }
+    }
+    for handle in connections {
+        let _ = handle.join();
+    }
+    shared.stats()
+}
+
+/// Per-connection loop: frames in, frames out. Malformed payloads get an
+/// error response on the open connection; EOF, an unframeable stream, a
+/// stalled peer or shutdown ends it.
+fn connection(stream: TcpStream, shared: &Shared) {
+    // Idle reads time out so the thread notices shutdown; writes time
+    // out so a peer that stops reading cannot hold the thread forever.
+    let configured = stream
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(Some(POLL_INTERVAL)))
+        .and_then(|()| stream.set_write_timeout(Some(WRITE_DEADLINE)));
+    if configured.is_err() {
+        return;
+    }
+    let mut incoming = Incoming {
+        stream: &stream,
+        shutdown: &shared.shutdown,
+        started: None,
+    };
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let Ok(payload) = incoming.next_frame() else {
+            return;
+        };
+        let (response, stop) = match Request::decode(&payload) {
+            Err(reason) => (
+                Response::Error(format!("malformed request: {reason}")),
+                false,
+            ),
+            Ok(request) => shared.answer(request),
+        };
+        let written = write_frame(&mut &stream, &response.encode());
+        if stop {
+            shared.stop();
+        }
+        if written.is_err() {
+            return;
+        }
+    }
+}
+
+/// A connection's read side, for a socket whose reads time out every
+/// `POLL_INTERVAL`. Between frames a timeout re-checks the shutdown flag
+/// and ends the read once it is raised. Once a frame's first byte has
+/// arrived, timeouts are waited out until [`FRAME_DEADLINE`], so a pause
+/// inside a frame loses no bytes.
+struct Incoming<'a, R> {
+    stream: R,
+    shutdown: &'a AtomicBool,
+    /// When the current frame's first byte arrived.
+    started: Option<Instant>,
+}
+
+impl<R: Read> Incoming<'_, R> {
+    /// Reads the next request frame.
+    ///
+    /// # Errors
+    /// EOF, shutdown raised between frames, an unframeable stream, or a
+    /// frame left unfinished at the deadline.
+    fn next_frame(&mut self) -> io::Result<Vec<u8>> {
+        self.started = None;
+        read_frame(self)
+    }
+}
+
+impl<R: Read> Read for Incoming<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    let give_up = match self.started {
+                        None => self.shutdown.load(Ordering::SeqCst),
+                        Some(t) => t.elapsed() >= FRAME_DEADLINE,
+                    };
+                    if give_up {
+                        return Err(e);
+                    }
+                }
+                read => {
+                    if matches!(read, Ok(n) if n > 0) {
+                        self.started.get_or_insert_with(Instant::now);
+                    }
+                    return read;
                 }
             }
         }
     }
-    shutdown_requested
 }
 
 #[cfg(test)]
@@ -472,18 +468,14 @@ mod tests {
         let mut client = ServeClient::connect(addr).unwrap();
         client.shutdown().unwrap();
         let stats = server.wait();
-        // The unknown opcode is answered connection-side (it never
-        // reaches the dispatcher); only the out-of-range node counts.
+        // The unknown opcode is answered but not counted; only the
+        // out-of-range node counts.
         assert!(stats.errors >= 1, "stats: {stats:?}");
     }
 
     #[test]
-    fn concurrent_clients_batch_and_cache() {
-        let config = ServeConfig {
-            batch_window: Duration::from_millis(5),
-            ..ServeConfig::default()
-        };
-        let (server, addr) = start(false, config);
+    fn concurrent_clients_share_the_cache() {
+        let (server, addr) = start(false, ServeConfig::default());
         let reference = test_service(false);
         let expected = reference.top_k(5, 8).unwrap();
         let mut handles = Vec::new();
@@ -508,11 +500,13 @@ mod tests {
         }
         ServeClient::connect(addr).unwrap().shutdown().unwrap();
         let stats = server.wait();
-        // 24 identical queries: all but the very first resolve from the
-        // LRU (or dedupe inside one batch window, which the store makes
-        // a single scan anyway — either way the cache must have fired).
+        // 24 identical queries plus the shutdown, each answered on its
+        // own. Connections that miss at the same instant both scan, but
+        // every later repeat must come from the shared LRU.
+        assert_eq!(stats.requests, 4 * 6 + 1, "stats: {stats:?}");
+        assert_eq!(stats.batches, stats.requests);
+        assert_eq!(stats.errors, 0);
         assert!(stats.cache_hits > 0, "stats: {stats:?}");
-        assert!(stats.requests >= 25);
     }
 
     #[test]
@@ -528,5 +522,60 @@ mod tests {
         }
         let stats = server.wait();
         assert_eq!(stats.requests, 3);
+    }
+
+    /// A scripted peer: each step yields bytes or one read timeout.
+    struct Scripted(Vec<Option<Vec<u8>>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.0.is_empty() {
+                return Ok(0);
+            }
+            match self.0.remove(0) {
+                None => Err(io::ErrorKind::WouldBlock.into()),
+                Some(mut bytes) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.0.insert(0, Some(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incoming_keeps_frame_bytes_across_timeouts() {
+        let incoming = |script: Vec<Option<Vec<u8>>>, shutdown| Incoming {
+            stream: Scripted(script),
+            shutdown,
+            started: None,
+        };
+        let (raised, idle) = (AtomicBool::new(true), AtomicBool::new(false));
+        let ping = Request::Ping.encode();
+        let mut peer = incoming(
+            vec![
+                None, // idle before the frame: polls the flag, keeps waiting
+                Some(vec![1, 0]),
+                None, // pauses inside the header and before the payload
+                Some(vec![0, 0]),
+                None,
+                Some(ping.clone()),
+            ],
+            &idle,
+        );
+        assert_eq!(peer.next_frame().unwrap(), ping);
+        // Mid-frame, a raised flag does not abandon the frame...
+        let mut peer = incoming(vec![Some(vec![0, 0]), None, Some(vec![0, 0])], &raised);
+        assert_eq!(peer.next_frame().unwrap(), Vec::<u8>::new());
+        // ...but between frames it ends the read.
+        let mut peer = incoming(vec![None, Some(vec![0, 0, 0, 0])], &raised);
+        assert!(peer.next_frame().is_err());
+        // Oversized lengths and EOF are errors.
+        let oversized = Some(u32::MAX.to_le_bytes().to_vec());
+        assert!(incoming(vec![oversized], &idle).next_frame().is_err());
+        assert!(incoming(vec![], &idle).next_frame().is_err());
     }
 }

@@ -5,13 +5,14 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 use advsgm::api::EmbeddingService;
 use advsgm::core::ModelVariant;
 use advsgm::linalg::rng::seeded;
 use advsgm::linalg::DenseMatrix;
 use advsgm::serve::client::ServeClient;
-use advsgm::serve::{ServeConfig, Server};
+use advsgm::serve::{ServeConfig, Server, WRITE_DEADLINE};
 use advsgm::store::{EmbeddingStore, IndexParams, PrivacyMeta};
 use rand::Rng;
 
@@ -110,9 +111,78 @@ fn garbage_frames_do_not_kill_the_server() {
     assert!(stats.requests >= 1);
 }
 
+#[test]
+fn a_frame_split_by_a_pause_is_still_answered() {
+    let service = EmbeddingService::from_store(fixture_store(100, 6));
+    let server = Server::bind(service, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    // A 1-byte ping whose header and payload are split by a pause longer
+    // than the server's idle poll: the bytes read before the pause must
+    // not be lost, or the payload is taken for the next header.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    raw.write_all(&1u32.to_le_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    raw.write_all(&[OP_PING]).unwrap();
+    let mut reply = [0u8; 5];
+    raw.read_exact(&mut reply).unwrap();
+    assert_eq!(reply, [1, 0, 0, 0, STATUS_OK]);
+
+    ServeClient::connect(addr).unwrap().shutdown().unwrap();
+    assert_eq!(server.wait().requests, 2);
+}
+
+#[test]
+fn a_peer_that_never_reads_cannot_block_shutdown() {
+    let service = EmbeddingService::from_store(fixture_store(3_000, 8));
+    let server = Server::bind(service, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    // About 200 exact top-2048 requests, ~48 KiB of answer each: far
+    // more than the loopback buffers hold, and this peer never reads.
+    let frame = |node: u64| {
+        let req = Request::TopK {
+            node,
+            k: MAX_K as u32,
+            approx: false,
+            recall_target: 1.0,
+        }
+        .encode();
+        let mut out = (req.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&req);
+        out
+    };
+    let mut hog = TcpStream::connect(addr).unwrap();
+    let burst: Vec<u8> = (0..200).flat_map(frame).collect();
+    hog.write_all(&burst).unwrap();
+    // Keep sending until our own writes stall: the server has stopped
+    // reading, so its connection thread is blocked writing an answer.
+    hog.set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let more: Vec<u8> = (0..2_000).flat_map(|n| frame(n % 3_000)).collect();
+    let stalled = (0..1_000).any(|_| hog.write_all(&more).is_err());
+    assert!(stalled, "the server kept reading a peer that never reads");
+
+    // Shutdown must not wait on that thread for longer than the write
+    // deadline.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || tx.send(server.wait()).unwrap());
+    ServeClient::connect(addr).unwrap().shutdown().unwrap();
+    let stats = rx
+        .recv_timeout(WRITE_DEADLINE + Duration::from_secs(3))
+        .expect("a peer that never reads held shutdown past the write deadline");
+    waiter.join().unwrap();
+    assert_eq!(stats.errors, 0, "stats: {stats:?}");
+    drop(hog);
+}
+
 // ---- protocol fuzz: arbitrary bytes must never panic the decoders ----
 
-use advsgm::serve::protocol::{Request, Response, MAX_K, OP_PING, OP_SCORE, OP_SHUTDOWN, OP_TOP_K};
+use advsgm::serve::protocol::{
+    Request, Response, MAX_K, OP_PING, OP_SCORE, OP_SHUTDOWN, OP_TOP_K, STATUS_OK,
+};
 use proptest::prelude::*;
 
 proptest! {
