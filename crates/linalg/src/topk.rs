@@ -115,6 +115,54 @@ impl TopK {
         }
     }
 
+    /// Scores `query` against each listed row of `matrix` except `skip`
+    /// and offers it: four rows per pass through the dispatched
+    /// [`backend::dot4`], the rest through [`backend::dot`], so every
+    /// score is bit for bit the one [`top_k_rows`] computes for that row.
+    ///
+    /// # Panics
+    /// Panics if `query.len() != matrix.cols()` or a listed row is out of
+    /// range.
+    pub fn push_rows<I>(
+        &mut self,
+        matrix: &DenseMatrix,
+        query: &[f64],
+        rows: I,
+        skip: Option<usize>,
+    ) where
+        I: IntoIterator<Item = usize>,
+    {
+        let mut rows = rows.into_iter();
+        loop {
+            let mut quad = [0usize; 4];
+            let mut held = 0;
+            for row in rows.by_ref().take(4) {
+                quad[held] = row;
+                held += 1;
+            }
+            if held < 4 {
+                for &row in &quad[..held] {
+                    if Some(row) != skip {
+                        self.push(row, backend::dot(query, matrix.row(row)));
+                    }
+                }
+                return;
+            }
+            let scores = backend::dot4(
+                query,
+                matrix.row(quad[0]),
+                matrix.row(quad[1]),
+                matrix.row(quad[2]),
+                matrix.row(quad[3]),
+            );
+            for (&row, score) in quad.iter().zip(scores) {
+                if Some(row) != skip {
+                    self.push(row, score);
+                }
+            }
+        }
+    }
+
     /// Number of entries currently kept.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -123,6 +171,18 @@ impl TopK {
     /// Whether nothing has been kept.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+
+    /// The k-th best entry kept so far — the weakest, which a new
+    /// candidate must beat under the `(score desc, index asc)` order —
+    /// once `k` entries are held; `None` before that, and always for
+    /// `k = 0`.
+    pub fn kth(&self) -> Option<ScoredIndex> {
+        if self.k > 0 && self.heap.len() == self.k {
+            self.heap.peek().map(|e| e.0)
+        } else {
+            None
+        }
     }
 
     /// Consumes the accumulator, returning entries sorted by
@@ -210,13 +270,12 @@ pub fn top_k_rows(
 ///
 /// This is the scan kernel of cluster-pruned (IVF-style) approximate
 /// retrieval: an index nominates a subset of rows and this function ranks
-/// them. Each row is scored with the dispatched [`backend::dot`] (scalar
-/// on every backend — its single sequential accumulator is the pinned FP
-/// association), which is bitwise-identical to the fused
-/// [`crate::vector::dot4`] path `top_k_rows` uses (see `dot4`'s docs), so
-/// a candidate set covering **every** row yields a result
-/// bitwise-identical to `top_k_rows` — top-k selection under the total
-/// `(score desc, index asc)` order does not depend on scan order.
+/// them. Rows are scored through [`TopK::push_rows`], four listed rows
+/// per [`backend::dot4`] pass, which gives each row bit for bit the score
+/// the full scan gives it (see `dot4`'s docs), so a candidate set
+/// covering **every** row yields a result bitwise-identical to
+/// `top_k_rows` — top-k selection under the total `(score desc, index
+/// asc)` order does not depend on scan order.
 ///
 /// The candidate set is expected to list each row at most once (an IVF
 /// index's clusters partition the rows, so this holds by construction); a
@@ -256,11 +315,7 @@ where
         matrix.cols()
     );
     let mut top = TopK::new(k);
-    for row in rows {
-        if Some(row) != exclude {
-            top.push(row, backend::dot(query, matrix.row(row)));
-        }
-    }
+    top.push_rows(matrix, query, rows, exclude);
     top.into_sorted()
 }
 
@@ -431,6 +486,46 @@ mod tests {
     }
 
     #[test]
+    fn kth_is_the_weakest_kept_entry_once_full() {
+        let mut top = TopK::new(3);
+        assert_eq!(top.kth(), None);
+        for (i, s) in [2.0, 5.0].into_iter().enumerate() {
+            top.push(i, s);
+        }
+        assert_eq!(top.kth(), None, "two of three kept");
+        top.push(2, 2.0);
+        // Tied at 2.0, the higher index is the weaker entry.
+        assert_eq!(
+            top.kth(),
+            Some(ScoredIndex {
+                index: 2,
+                score: 2.0
+            })
+        );
+        top.push(3, 4.0);
+        assert_eq!(
+            top.kth(),
+            Some(ScoredIndex {
+                index: 0,
+                score: 2.0
+            })
+        );
+        // A tie at the k-th score with a higher index is not admitted.
+        top.push(9, 2.0);
+        assert_eq!(
+            top.kth(),
+            Some(ScoredIndex {
+                index: 0,
+                score: 2.0
+            })
+        );
+
+        let mut none = TopK::new(0);
+        none.push(0, 1.0);
+        assert_eq!(none.kth(), None);
+    }
+
+    #[test]
     fn exclude_removes_self_row() {
         let m = matrix_from_rows(&[&[5.0], &[1.0], &[3.0]]);
         let top = top_k_rows(&m, &[1.0], 3, Some(0));
@@ -488,6 +583,31 @@ mod tests {
                     assert_eq!(b.index, c.index, "scan order must not matter");
                     assert_eq!(b.score.to_bits(), c.score.to_bits());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn push_rows_in_uneven_lists_matches_the_full_scan() {
+        // Lists of 0 to 5 rows, so quads and remainders alternate, in a
+        // shuffled row order, as exact mode visits cluster lists.
+        let m = DenseMatrix::from_fn(23, 7, |i, j| ((i * 5 + j * 11) as f64 * 0.43).sin());
+        let q: Vec<f64> = (0..7).map(|j| (j as f64 * 0.37).cos()).collect();
+        let order: Vec<usize> = (0..23).map(|i| i * 7 % 23).collect();
+        for k in [1usize, 6, 23] {
+            let mut top = TopK::new(k);
+            let mut at = 0;
+            for len in [3usize, 0, 5, 4, 1, 2, 5, 3] {
+                top.push_rows(&m, &q, order[at..at + len].iter().copied(), Some(9));
+                at += len;
+            }
+            assert_eq!(at, 23);
+            let got = top.into_sorted();
+            let want = top_k_rows(&m, &q, k, Some(9));
+            assert_eq!(got.len(), want.len());
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.index, b.index, "k={k}");
+                assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
         }
     }

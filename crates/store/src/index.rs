@@ -17,12 +17,20 @@
 //! **Exactness-vs-recall toggle:** `nprobe` ranges from 1 (fastest,
 //! lowest recall) to `nlist` (every cluster probed). At `nprobe >=
 //! nlist` the search is *exact* and **bitwise-identical** to
-//! [`advsgm_linalg::topk::top_k_rows`]: top-k selection under the total
-//! `(score desc, index asc)` order is scan-order-invariant, and the
-//! subset kernel scores with the dispatched
-//! [`advsgm_linalg::backend::dot`] (bitwise tier: scalar on every
-//! backend), which is bitwise-equal to the fused `dot4` path
-//! (property-tested in `tests/index_serving.rs`). An explicit
+//! [`advsgm_linalg::topk::top_k_rows`]. Exact mode visits clusters in
+//! descending order of an upper bound on any member's score,
+//! `q·c + ‖q‖·R_c` plus a proven rounding margin (`R_c` is the
+//! cluster's radius), and stops once no unvisited cluster can reach the
+//! k-th kept score. When the clusters the bound still admits hold more
+//! than a quarter of the store, it takes the contiguous full scan
+//! instead. Either way every score comes from the dispatched bitwise
+//! kernels ([`advsgm_linalg::backend::dot`] and `dot4`, which agree bit
+//! for bit), and top-k selection under the total `(score desc, index
+//! asc)` order does not depend on scan order, so the answer is the full
+//! scan's (property-tested in `tests/index_serving.rs`). The radii are
+//! derived from the store when the index is built and when
+//! [`IvfIndex::validate_for`] accepts a store, and are never serialised;
+//! until then exact mode is the full scan. An explicit
 //! [`IvfIndex::search_relaxed`] entry point moves *only* the
 //! approximate candidate scan to the reassociated-FMA relaxed tier —
 //! Theorem-5 post-processing of released embeddings, never reachable
@@ -44,10 +52,14 @@
 //! [`StoreError::IndexStoreMismatch`].
 
 use std::path::Path;
+use std::sync::OnceLock;
 
 use advsgm_linalg::backend::{self, RelaxedKernels};
-use advsgm_linalg::topk::{top_k_rows, top_k_rows_among, top_k_rows_among_relaxed};
+use advsgm_linalg::topk::{
+    top_k_rows, top_k_rows_among, top_k_rows_among_relaxed, ScoredIndex, TopK,
+};
 use advsgm_linalg::{vector, DenseMatrix};
+use advsgm_parallel::ThreadPool;
 
 use crate::error::StoreError;
 use crate::format::crc32;
@@ -69,6 +81,15 @@ const ALWAYS_SCAN: u32 = u32::MAX;
 
 /// Recall targets the build calibrates probe counts for.
 const CALIBRATION_TARGETS: [f64; 5] = [0.50, 0.80, 0.90, 0.95, 0.99];
+
+/// Exact mode takes the contiguous full scan when the clusters its bound
+/// still admits hold more than `1 / FULL_SCAN_SHARE` of the store. A row
+/// reached through a cluster list costs about 3× a row of the contiguous
+/// scan (2.6–2.9× measured on a 2-core AVX2 host, 100k × 32 store):
+/// list order jumps around the matrix while the full scan streams it.
+/// Past about a quarter of the rows the pruned visit saves little or
+/// loses.
+const FULL_SCAN_SHARE: usize = 4;
 
 /// Build-time knobs for [`IvfIndex::build`].
 ///
@@ -109,7 +130,9 @@ pub struct SearchResult {
     /// like [`EmbeddingStore::top_k`].
     pub neighbors: Vec<Neighbor>,
     /// Rows whose scores were computed (including the query's own row
-    /// when it had to be visited and skipped).
+    /// when it had to be visited and skipped). In exact mode these are
+    /// the rows the bound-pruned visit scored, plus the `nodes − 1` of
+    /// the full scan when it fell back to it.
     pub rows_scanned: usize,
 }
 
@@ -140,7 +163,7 @@ pub struct SearchResult {
 /// let approx = index.search(&store, 3, 5, nprobe).unwrap();
 /// assert!(approx.rows_scanned <= store.len());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct IvfIndex {
     dim: usize,
     nodes: usize,
@@ -155,12 +178,30 @@ pub struct IvfIndex {
     clusters: Vec<Vec<usize>>,
     /// Derived: rows scanned on every query (non-finite embeddings).
     always: Vec<usize>,
+    /// Derived from the store, never serialised: the per-cluster bounds
+    /// exact mode prunes with. Set by the build and by
+    /// [`IvfIndex::validate_for`]; while unset, exact mode is the full
+    /// scan.
+    geometry: OnceLock<Geometry>,
+}
+
+/// Equality over the serialised fields: the cluster lists derive from
+/// them, and the geometry from the store they are paired with.
+impl PartialEq for IvfIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.nodes == other.nodes
+            && self.store_fingerprint == other.store_fingerprint
+            && self.centroids == other.centroids
+            && self.assignments == other.assignments
+            && self.calibration == other.calibration
+    }
 }
 
 impl IvfIndex {
     /// Builds an index over `store` — k-means clustering with
     /// deterministic seeding (evenly spaced rows), then a recall
-    /// calibration pass over sampled queries.
+    /// calibration pass over sampled queries — on the calling thread.
     ///
     /// Cost is `O(iters · n · nlist · r)` for clustering plus
     /// `O(samples · n · r)` for calibration; this is the one-time price of
@@ -172,6 +213,22 @@ impl IvfIndex {
     /// format's u32 field (unreachable for any store that fits in memory,
     /// guarded anyway per the FORMAT.md no-truncation policy).
     pub fn build(store: &EmbeddingStore, params: IndexParams) -> Result<Self, StoreError> {
+        Self::build_in(store, params, &mut ThreadPool::new(1))
+    }
+
+    /// [`IvfIndex::build`] on a caller-owned pool. The work is split by
+    /// output: each row's assignment, each centroid's sum (walking its
+    /// rows in ascending order) and each calibration query is computed
+    /// whole on one thread, and calibration hits are summed as integers,
+    /// so the index is byte-identical at every pool width.
+    ///
+    /// # Errors
+    /// See [`IvfIndex::build`].
+    pub fn build_in(
+        store: &EmbeddingStore,
+        params: IndexParams,
+        pool: &mut ThreadPool,
+    ) -> Result<Self, StoreError> {
         let n = store.len();
         let dim = store.dim();
         let matrix = store.matrix();
@@ -213,36 +270,16 @@ impl IvfIndex {
             let row = finite[c * finite.len() / nlist];
             centroids.row_mut(c).copy_from_slice(matrix.row(row));
         }
-        let mut finite_assign = vec![0usize; finite.len()];
         for _ in 0..params.kmeans_iters.max(1) {
-            for (slot, &row) in finite.iter().enumerate() {
-                finite_assign[slot] = nearest_centroid(&centroids, matrix.row(row));
-            }
-            let mut sums = DenseMatrix::zeros(nlist, dim);
-            let mut counts = vec![0usize; nlist];
-            for (slot, &row) in finite.iter().enumerate() {
-                let c = finite_assign[slot];
-                vector::add_assign(sums.row_mut(c), matrix.row(row));
-                counts[c] += 1;
-            }
-            for (c, &count) in counts.iter().enumerate() {
-                if count > 0 {
-                    let inv = 1.0 / count as f64;
-                    let dst = centroids.row_mut(c);
-                    for (d, &s) in dst.iter_mut().zip(sums.row(c)) {
-                        *d = s * inv;
-                    }
-                }
-            }
+            let finite_assign = assign_nearest(pool, &centroids, matrix, &finite);
+            update_centroids(pool, &mut centroids, matrix, &finite, &finite_assign);
         }
         // Final assignment against the final centroids.
-        for (slot, &row) in finite.iter().enumerate() {
-            finite_assign[slot] = nearest_centroid(&centroids, matrix.row(row));
-        }
+        let finite_assign = assign_nearest(pool, &centroids, matrix, &finite);
 
         let mut assignments = vec![ALWAYS_SCAN; n];
-        for (slot, &row) in finite.iter().enumerate() {
-            assignments[row] = finite_assign[slot] as u32;
+        for (&row, &c) in finite.iter().zip(&finite_assign) {
+            assignments[row] = c as u32;
         }
 
         let mut index = Self {
@@ -254,10 +291,20 @@ impl IvfIndex {
             calibration: Vec::new(),
             clusters: Vec::new(),
             always: Vec::new(),
+            geometry: OnceLock::new(),
         };
         index.rebuild_derived();
-        index.calibration = index.calibrate(store, &finite, params);
+        index.calibration = index.calibrate(store, &finite, params, pool);
+        index.derive_geometry(store);
         Ok(index)
+    }
+
+    /// Derives the per-cluster geometry from `store` unless it is
+    /// already set (an `O(n·r)` pass). The caller vouches that `store`
+    /// is the release the index belongs to.
+    fn derive_geometry(&self, store: &EmbeddingStore) {
+        self.geometry
+            .get_or_init(|| Geometry::derive(store.matrix(), &self.centroids, &self.clusters));
     }
 
     /// Recomputes the derived cluster membership lists from the
@@ -287,6 +334,7 @@ impl IvfIndex {
         store: &EmbeddingStore,
         finite: &[usize],
         params: IndexParams,
+        pool: &mut ThreadPool,
     ) -> Vec<(f64, u32)> {
         let nlist = self.nlist();
         if nlist == 0 || finite.is_empty() {
@@ -294,31 +342,42 @@ impl IvfIndex {
         }
         let samples = params.sample_queries.clamp(1, finite.len());
         let k = params.calibration_k.max(1);
+        let queries: Vec<usize> = (0..samples)
+            .map(|s| finite[s * finite.len() / samples])
+            .collect();
         // hits_at[p] = exact-top-k rows found with p+1 probes, summed over
-        // all sampled queries; always-scanned hits count at every p.
-        let mut hits_at = vec![0usize; nlist];
-        let mut total_hits = 0usize;
-        for s in 0..samples {
-            let u = finite[s * finite.len() / samples];
-            let query = store.matrix().row(u);
-            let order = self.probe_order(query);
-            // rank_of[c] = position of cluster c in this query's probe order.
-            let mut rank_of = vec![0usize; nlist];
-            for (rank, &c) in order.iter().enumerate() {
-                rank_of[c] = rank;
+        // all sampled queries; always-scanned hits count at every p. Each
+        // query is measured whole on one thread, and integer sums do not
+        // depend on how the queries were split.
+        let parts = pool.map_chunks(&queries, samples.div_ceil(pool.threads()), |_, _, part| {
+            let mut hits_at = vec![0usize; nlist];
+            for &u in part {
+                let query = store.matrix().row(u);
+                // rank_of[c] = position of cluster c in this query's
+                // probe order.
+                let mut rank_of = vec![0usize; nlist];
+                for (rank, c) in self.probe_order(query).into_iter().enumerate() {
+                    rank_of[c] = rank;
+                }
+                for hit in top_k_rows(store.matrix(), query, k, Some(u)) {
+                    let a = self.assignments[hit.index];
+                    let first_found = if a == ALWAYS_SCAN {
+                        0
+                    } else {
+                        rank_of[a as usize]
+                    };
+                    hits_at[first_found] += 1;
+                }
             }
-            let exact = top_k_rows(store.matrix(), query, k, Some(u));
-            for hit in &exact {
-                total_hits += 1;
-                let a = self.assignments[hit.index];
-                let first_found = if a == ALWAYS_SCAN {
-                    0
-                } else {
-                    rank_of[a as usize]
-                };
-                hits_at[first_found] += 1;
+            hits_at
+        });
+        let mut hits_at = vec![0usize; nlist];
+        for part in parts {
+            for (total, h) in hits_at.iter_mut().zip(part) {
+                *total += h;
             }
         }
+        let total_hits: usize = hits_at.iter().sum();
         if total_hits == 0 {
             // Degenerate store (k = 0 effective, single node): every
             // target is satisfied by a single probe.
@@ -413,6 +472,8 @@ impl IvfIndex {
     /// fingerprint must all match the presented store. Call once when
     /// pairing an index with a store (the fingerprint pass is `O(n·r)`);
     /// [`IvfIndex::search`] then only re-checks the cheap shape fields.
+    /// Accepting a store also derives, once, the per-cluster geometry
+    /// exact mode prunes with (one more `O(n·r)` pass).
     ///
     /// # Errors
     /// [`StoreError::IndexStoreMismatch`] naming the first field that
@@ -429,6 +490,7 @@ impl IvfIndex {
                 ),
             });
         }
+        self.derive_geometry(store);
         Ok(())
     }
 
@@ -458,10 +520,17 @@ impl IvfIndex {
     /// The `k` highest-scoring neighbors of row `u` (self excluded),
     /// probing the top `nprobe` clusters plus the always-scanned list.
     ///
-    /// `nprobe >= nlist` is **exact mode**: the scan covers every row via
-    /// the fused full-scan kernel and the result is bitwise-identical to
-    /// [`EmbeddingStore::top_k`]. Smaller `nprobe` trades recall for a
+    /// `nprobe >= nlist` is **exact mode**: the result is
+    /// bitwise-identical to [`EmbeddingStore::top_k`]. It visits clusters
+    /// by descending score bound and stops once none left can reach the
+    /// k-th kept score, or takes the full scan where the bound cannot
+    /// prune (see the module docs). Smaller `nprobe` trades recall for a
     /// smaller [`SearchResult::rows_scanned`].
+    ///
+    /// Exact mode relies on `store` being the release the geometry was
+    /// derived from (the build's store, or the one
+    /// [`IvfIndex::validate_for`] accepted); pairing is the caller's
+    /// contract, as for approximate answers.
     ///
     /// # Errors
     /// [`StoreError::IndexStoreMismatch`] if the store's shape disagrees
@@ -522,12 +591,10 @@ impl IvfIndex {
         let query = matrix.row(u);
         let nlist = self.nlist();
         if nprobe >= nlist {
-            // Exact mode: the full fused scan, bitwise-identical by
-            // construction (and property-tested against the probing path).
-            let neighbors = scored_to_neighbors(store, top_k_rows(matrix, query, k, Some(u)));
+            let (scored, rows_scanned) = self.exact(matrix, u, k);
             return Ok(SearchResult {
-                neighbors,
-                rows_scanned: self.nodes.saturating_sub(1),
+                neighbors: scored_to_neighbors(store, scored),
+                rows_scanned,
             });
         }
         let order = self.probe_order(query);
@@ -552,6 +619,79 @@ impl IvfIndex {
             neighbors,
             rows_scanned,
         })
+    }
+
+    /// Exact mode: the top `k` of row `u` and the rows scored, through
+    /// the bound-pruned visit where it applies, else the full scan.
+    fn exact(&self, matrix: &DenseMatrix, u: usize, k: usize) -> (Vec<ScoredIndex>, usize) {
+        let eligible = self.nodes - 1;
+        // A `k` the heap can never reach leaves the bound nothing to prune.
+        let pruned = match self.geometry.get() {
+            Some(geometry) if k < eligible => self.pruned_top_k(geometry, matrix, u, k),
+            _ => Err(0),
+        };
+        pruned.unwrap_or_else(|scored| {
+            let top = top_k_rows(matrix, matrix.row(u), k, Some(u));
+            (top, scored + eligible)
+        })
+    }
+
+    /// The bound-pruned exact top-k of row `u`: `Ok((top, rows scored))`,
+    /// or `Err(rows scored)` when the full scan must answer instead —
+    /// the bound cannot be trusted (a non-finite query row, radius,
+    /// bound or margin), or the clusters it admits hold more than
+    /// `1 / FULL_SCAN_SHARE` of the store.
+    fn pruned_top_k(
+        &self,
+        geometry: &Geometry,
+        matrix: &DenseMatrix,
+        u: usize,
+        k: usize,
+    ) -> Result<(Vec<ScoredIndex>, usize), usize> {
+        if k == 0 {
+            return Ok((Vec::new(), 0));
+        }
+        let query = matrix.row(u);
+        let q_norm = floored_sqrt(vector::norm2_sq(query));
+        if !q_norm.is_finite() {
+            return Err(0);
+        }
+        let mut order = Vec::with_capacity(self.nlist());
+        for c in 0..self.nlist() {
+            let q_dot_c = backend::dot(query, self.centroids.row(c));
+            order.push((geometry.bound(c, q_dot_c, q_norm).ok_or(0usize)?, c));
+        }
+        // Descending bound, the lower cluster index first on ties.
+        order.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+
+        let mut top = TopK::new(k);
+        top.push_rows(matrix, query, self.always.iter().copied(), Some(u));
+        let mut scored = self.always.len();
+        let mut share_checked = false;
+        for (at, &(bound, c)) in order.iter().enumerate() {
+            if let Some(kth) = top.kth() {
+                // Only a bound strictly below the k-th score, under the
+                // heap's own order, ends the visit: a member that ties the
+                // k-th score with a lower index still enters the heap.
+                if bound.total_cmp(&kth.score).is_lt() {
+                    break;
+                }
+                if !share_checked {
+                    share_checked = true;
+                    let admitted: usize = order[at..]
+                        .iter()
+                        .take_while(|(b, _)| b.total_cmp(&kth.score).is_ge())
+                        .map(|&(_, c)| self.clusters[c].len())
+                        .sum();
+                    if admitted * FULL_SCAN_SHARE > self.nodes {
+                        return Err(scored);
+                    }
+                }
+            }
+            top.push_rows(matrix, query, self.clusters[c].iter().copied(), Some(u));
+            scored += self.clusters[c].len();
+        }
+        Ok((top.into_sorted(), scored))
     }
 
     /// Serialises the index to the `.aidx` wire format (`docs/FORMAT.md`).
@@ -602,6 +742,157 @@ fn nearest_centroid(centroids: &DenseMatrix, row: &[f64]) -> usize {
         }
     }
     best
+}
+
+/// Each of `rows`' nearest centroid, the rows split across the pool.
+fn assign_nearest(
+    pool: &mut ThreadPool,
+    centroids: &DenseMatrix,
+    matrix: &DenseMatrix,
+    rows: &[usize],
+) -> Vec<usize> {
+    let chunk = rows.len().div_ceil(pool.threads());
+    pool.map_chunks(rows, chunk, |_, _, part| {
+        part.iter()
+            .map(|&row| nearest_centroid(centroids, matrix.row(row)))
+            .collect::<Vec<_>>()
+    })
+    .concat()
+}
+
+/// One Lloyd update: each centroid becomes the mean of the rows
+/// assigned to it (`assign[i]` for `rows[i]`); empty clusters keep
+/// theirs. Each centroid is summed whole on the thread that owns it,
+/// walking its rows in ascending order, so the sums are bitwise the
+/// one-thread ones.
+fn update_centroids(
+    pool: &mut ThreadPool,
+    centroids: &mut DenseMatrix,
+    matrix: &DenseMatrix,
+    rows: &[usize],
+    assign: &[usize],
+) {
+    let (nlist, dim) = centroids.shape();
+    let mut members = vec![Vec::new(); nlist];
+    for (&row, &c) in rows.iter().zip(assign) {
+        members[c].push(row);
+    }
+    let owned = nlist.div_ceil(pool.threads()).max(1);
+    pool.for_each_chunk_mut(centroids.as_mut_slice(), owned * dim, |_, offset, part| {
+        for (i, centroid) in part.chunks_mut(dim).enumerate() {
+            let members = &members[offset / dim + i];
+            if members.is_empty() {
+                continue;
+            }
+            let mut sum = vec![0.0; dim];
+            for &row in members {
+                vector::add_assign(&mut sum, matrix.row(row));
+            }
+            let inv = 1.0 / members.len() as f64;
+            for (d, &s) in centroid.iter_mut().zip(&sum) {
+                *d = s * inv;
+            }
+        }
+    });
+}
+
+/// Per-cluster geometry behind exact mode's bound, derived from the
+/// store (never serialised). For cluster `c` with centroid `c` and radius
+/// `R_c = max ‖x − c‖` over its members `x`, [`Geometry::bound`] gives
+/// an upper bound on the *computed* score `dot(q, x)` of every member.
+///
+/// Why the bound holds. Let `u = ε/2` be the unit roundoff, `r < 2^50`
+/// the dimension, `γ_r = r·u / (1 − r·u)` and `A = ‖q‖·(‖c‖ + R_c)`,
+/// with true norms. A product that lands below the normal range is off
+/// by up to `2^-1075` (half the least subnormal) rather than by a
+/// relative `u`, and a sum that lands there is exact.
+///
+/// 1. Exactly, `q·x = q·c + q·(x − c) ≤ q·c + ‖q‖·R_c` (Cauchy–Schwarz).
+/// 2. A length-`r` dot product summed in any order is within
+///    `γ_r·Σ|q_i·x_i| + (1 + γ_r)·r·2^-1075` of the exact value (Higham,
+///    *Accuracy and Stability of Numerical Algorithms*, §3.1, with the
+///    underflow terms carried along), where `Σ|q_i·x_i| ≤ ‖q‖·‖x‖ ≤ A`
+///    and the underflow part is below `2^-1024`. So is `dot(q, c)`, with
+///    `‖q‖·‖c‖ ≤ A`.
+/// 3. Hence `dot(q, x) ≤ dot(q, c) + ‖q‖·R_c + 2γ_r·A + 2^-1023`.
+/// 4. A computed sum of squares falls short of the true one by a
+///    relative `γ_r` and, by step 2's argument, by less than `2^-1024`
+///    of underflow. Adding `MIN_POSITIVE = 2^-1022` before the square
+///    root ([`floored_sqrt`]) cancels the underflow, so the computed
+///    `‖q‖`, `‖c‖` and `R_c` are short of the true values by a relative
+///    `(r/2 + 3)·u` at most (the root halves `γ_r`; the differences
+///    `x − c`, the addition and the root round once each), however small
+///    the coordinates. The floor also keeps each of them at or above
+///    `2^-511`, so the bound's products of two of them stay in the
+///    normal range and round relatively; its sums round by a few `u·A`
+///    more, and the margin's own product `s·A` may underflow by up to
+///    `2^-1075`.
+/// 5. With `s = (4r + 16)·ε = (8r + 32)·u`, the stored radius is
+///    `R_c·(1 + s)`, which more than covers the shortfall of the
+///    computed `‖q‖·R_c` term, and the margin `s·A + MIN_POSITIVE`
+///    supplies more than three times the `(2r + 4)·u·A` that the rest of
+///    step 3 and the bound's own rounding need, plus the
+///    `2^-1023 + 2^-1075` of underflow.
+///
+/// Overflow voids step 2. Every partial sum of a member's dot is at
+/// most `(1 + γ_r)·A` in magnitude, below `reach + margin`, so requiring
+/// that finite rules overflow out; a non-finite centroid, radius or
+/// query norm fails the same test, and the caller takes the full scan.
+#[derive(Debug, Clone)]
+struct Geometry {
+    /// `R_c·(1 + s)` per cluster.
+    radius: Vec<f64>,
+    /// `‖c‖ + R_c·(1 + s)` per cluster.
+    span: Vec<f64>,
+    /// The relative allowance `s = (4r + 16)·ε`.
+    slack: f64,
+}
+
+impl Geometry {
+    fn derive(matrix: &DenseMatrix, centroids: &DenseMatrix, clusters: &[Vec<usize>]) -> Self {
+        let slack = (4 * centroids.cols() + 16) as f64 * f64::EPSILON;
+        let mut radius = Vec::with_capacity(clusters.len());
+        let mut span = Vec::with_capacity(clusters.len());
+        for (c, members) in clusters.iter().enumerate() {
+            let centroid = centroids.row(c);
+            // NaN-propagating max: a non-finite member (only a hand-made
+            // `.aidx` can cluster one) must make the bound unusable,
+            // never small.
+            let far = members.iter().fold(0.0_f64, |far, &row| {
+                let d = vector::dist_sq(matrix.row(row), centroid);
+                if d > far || d.is_nan() {
+                    d
+                } else {
+                    far
+                }
+            });
+            let r = floored_sqrt(far) * (1.0 + slack);
+            radius.push(r);
+            span.push(floored_sqrt(vector::norm2_sq(centroid)) + r);
+        }
+        Self {
+            radius,
+            span,
+            slack,
+        }
+    }
+
+    /// An upper bound on the computed `dot(q, x)` of every member `x` of
+    /// cluster `c`, from the computed `dot(q, c)` and `‖q‖`; `None` when
+    /// it cannot be trusted (see the type docs).
+    fn bound(&self, c: usize, q_dot_c: f64, q_norm: f64) -> Option<f64> {
+        let reach = q_norm * self.span[c];
+        let margin = self.slack * reach + f64::MIN_POSITIVE;
+        let bound = q_dot_c + q_norm * self.radius[c] + margin;
+        ((reach + margin).is_finite() && bound.is_finite()).then_some(bound)
+    }
+}
+
+/// A norm from its computed sum of squares, never short of the true norm
+/// by more than a relative `(r/2 + 3)·u` however far the squares
+/// underflow (step 4 of [`Geometry`]'s argument). At least `2^-511`.
+fn floored_sqrt(sum_sq: f64) -> f64 {
+    (sum_sq + f64::MIN_POSITIVE).sqrt()
 }
 
 /// Maps kernel-level scored rows to the serving [`Neighbor`] type.
@@ -783,6 +1074,7 @@ fn decode_index(bytes: &[u8]) -> Result<IvfIndex, StoreError> {
         calibration,
         clusters: Vec::new(),
         always: Vec::new(),
+        geometry: OnceLock::new(),
     };
     index.rebuild_derived();
     Ok(index)
@@ -889,11 +1181,143 @@ mod tests {
     }
 
     #[test]
+    fn a_crafted_index_clustering_a_nan_row_stays_exact() {
+        // The decoder accepts any in-range assignment, so a hand-made
+        // `.aidx` can file a NaN row under a cluster. That cluster's
+        // radius must then void the bound, not shrink it: the NaN row
+        // tops every full-scan answer.
+        let mut m = clustered_store(240, 6, 12).matrix().clone();
+        m.set(7, 2, f64::NAN);
+        let store = EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap();
+        let index = IvfIndex::build(&store, small_params()).unwrap();
+        let mut bytes = index.to_bytes();
+        let at = INDEX_HEADER_LEN + 8 * index.nlist() * index.dim() + 4 * 7;
+        bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        let end = bytes.len() - 4;
+        let sum = crc32(&bytes[..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        let crafted = IvfIndex::from_bytes(&bytes).unwrap();
+        assert_eq!(crafted.always_scanned(), 0);
+        crafted.validate_for(&store).unwrap();
+        for u in 0..240 {
+            let got = crafted.search(&store, u, 5, crafted.nlist()).unwrap();
+            let want = store.top_k(u, 5).unwrap();
+            assert_eq!(got.neighbors.len(), want.len());
+            for (a, b) in got.neighbors.iter().zip(&want) {
+                assert_eq!(a.node, b.node, "u={u}");
+                assert_eq!(a.score.to_bits(), b.score.to_bits(), "u={u}");
+            }
+        }
+    }
+
+    #[test]
     fn build_is_deterministic() {
         let store = clustered_store(300, 6, 10);
         let a = IvfIndex::build(&store, small_params()).unwrap();
         let b = IvfIndex::build(&store, small_params()).unwrap();
         assert_eq!(a.to_bytes(), b.to_bytes());
+        for threads in 1..=4 {
+            let mut pool = ThreadPool::new(threads);
+            let c = IvfIndex::build_in(&store, small_params(), &mut pool).unwrap();
+            assert_eq!(c.to_bytes(), a.to_bytes(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn build_bytes_are_pinned() {
+        // Only correctly rounded +, −, ×, ÷ make these inputs and the
+        // build, so the bytes are the same on every IEEE-754 platform, and
+        // the sums round: a change to their order changes the bytes. The
+        // checksum was taken from the sequential build this parallel one
+        // replaced.
+        let m = DenseMatrix::from_fn(500, 6, |i, j| {
+            ((i * 7 + j * 13) % 23) as f64 * 0.1 + ((i % 5) * 3) as f64 - 2.0
+        });
+        let store = EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap();
+        let params = IndexParams {
+            nlist: 12,
+            sample_queries: 16,
+            ..small_params()
+        };
+        for threads in [1, 3] {
+            let index = IvfIndex::build_in(&store, params, &mut ThreadPool::new(threads)).unwrap();
+            let bytes = index.to_bytes();
+            let body = &bytes[..bytes.len() - 4];
+            assert_eq!((crc32(body), bytes.len()), (0x7f96_95ea, 2676));
+        }
+    }
+
+    #[test]
+    fn bound_covers_a_member_at_the_radius() {
+        // The only cluster holds c ± v, so its centroid is c up to
+        // rounding and the farther member defines the radius. A query
+        // along v scores that member at q·c + ‖q‖·R in real arithmetic,
+        // so the bound has only its margin to absorb the rounding of
+        // dot(q, x).
+        let dim = 7;
+        let c: Vec<f64> = (0..dim)
+            .map(|j| (j as f64 * 0.9 + 0.3).sin() * 3.0)
+            .collect();
+        let v: Vec<f64> = (0..dim)
+            .map(|j| (j as f64 * 1.7 + 0.1).cos() * 0.11)
+            .collect();
+        // The second cluster sits 1e-150 from the origin with members
+        // 1e-162 off its centre: the squares behind its radius underflow.
+        for (c_scale, v_scale) in [(1.0, 1.0), (1e-150, 1e-162)] {
+            let member = |sign: f64| -> Vec<f64> {
+                c.iter()
+                    .zip(&v)
+                    .map(|(a, b)| c_scale * a + sign * v_scale * b)
+                    .collect()
+            };
+            let m = DenseMatrix::from_vec(2, dim, [member(1.0), member(-1.0)].concat()).unwrap();
+            let store =
+                EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap();
+            let index = IvfIndex::build(
+                &store,
+                IndexParams {
+                    nlist: 1,
+                    ..small_params()
+                },
+            )
+            .unwrap();
+            let geometry = index.geometry.get().expect("the build derives it");
+            // 1e-310 is subnormal: its products underflow. At 1e-163 and
+            // 1e-160 the query's squares underflow while its dots do not.
+            for scale in [1e-310, 1e-163, 1e-160, 1e-3, 1.0, 7.5, 1e150] {
+                for tilt in [0.0, 1e-9, 0.3] {
+                    let q: Vec<f64> = v
+                        .iter()
+                        .zip(&c)
+                        .map(|(a, b)| scale * (a + tilt * b))
+                        .collect();
+                    let bound = geometry
+                        .bound(
+                            0,
+                            backend::dot(&q, index.centroids.row(0)),
+                            floored_sqrt(vector::norm2_sq(&q)),
+                        )
+                        .expect("finite");
+                    for row in 0..2 {
+                        let score = backend::dot(&q, store.matrix().row(row));
+                        assert!(
+                            score <= bound,
+                            "c_scale={c_scale} scale={scale} tilt={tilt}: {score} > {bound}"
+                        );
+                    }
+                }
+            }
+            // Magnitudes at which a member's dot could overflow void the
+            // bound.
+            let huge: Vec<f64> = v.iter().map(|a| a * 1e308 / c_scale).collect();
+            let q_dot_c = backend::dot(&huge, index.centroids.row(0));
+            let q_norm = floored_sqrt(vector::norm2_sq(&huge));
+            assert_eq!(
+                geometry.bound(0, q_dot_c, q_norm),
+                None,
+                "c_scale={c_scale}"
+            );
+        }
     }
 
     #[test]

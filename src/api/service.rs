@@ -48,14 +48,16 @@ use crate::api::error::Result;
 pub struct EmbeddingService {
     store: EmbeddingStore,
     /// Resolved worker width; the pool itself is built on the first
-    /// batched query, so single-query and metadata-only consumers (e.g.
-    /// `advsgm info`) never spawn threads. Interior-mutable so the whole
-    /// query surface takes `&self` (a shared service handle can serve).
+    /// batched query or index build, so single-query and metadata-only
+    /// consumers (e.g. `advsgm info`) never spawn threads.
+    /// Interior-mutable so the whole query surface takes `&self` (a
+    /// shared service handle can serve).
     threads: usize,
     pool: Mutex<Option<ThreadPool>>,
-    /// Optional ANN index for sublinear approximate queries; validated
-    /// against the store's fingerprint when attached. Exact paths never
-    /// consult it.
+    /// Optional ANN index for sublinear approximate queries and pruned
+    /// exact ones at the dial's exact point; validated against the
+    /// store's fingerprint when attached. `top_k` and `batch_top_k`
+    /// never consult it.
     index: Option<IvfIndex>,
     /// Relaxed-tier kernel opt-in (DESIGN.md §15). `None` (the default)
     /// keeps every scan on the bitwise tier; `Some` routes *only* the
@@ -106,7 +108,8 @@ impl EmbeddingService {
     /// Wraps an in-memory store with an explicit worker width
     /// (`0` = auto, resolved here so `ADVSGM_THREADS` is read once at
     /// construction). Worker threads spawn lazily on the first
-    /// [`EmbeddingService::batch_top_k`] call.
+    /// [`EmbeddingService::batch_top_k`] or
+    /// [`EmbeddingService::build_index`] call.
     pub fn with_threads(store: EmbeddingStore, threads: usize) -> Self {
         Self {
             threads: resolve_threads(threads),
@@ -136,8 +139,9 @@ impl EmbeddingService {
 
     /// [`EmbeddingService::open_with_threads`] plus an `.aidx` ANN index
     /// loaded alongside and validated against the store (fingerprint,
-    /// shape). The result serves approximate queries sublinearly; every
-    /// exact path is untouched.
+    /// shape). The result serves approximate queries sublinearly, and
+    /// [`EmbeddingService::top_k_approx`]'s exact point through the
+    /// index's pruned exact mode; `top_k` stays the full scan.
     ///
     /// # Errors
     /// Everything [`EmbeddingService::open`] reports, the index format's
@@ -155,8 +159,9 @@ impl EmbeddingService {
     }
 
     /// Attaches a prebuilt ANN index after validating it belongs to the
-    /// served store (the `O(n·r)` fingerprint pass runs once, here — not
-    /// per query).
+    /// served store (the `O(n·r)` fingerprint pass, and the derivation of
+    /// the geometry exact mode prunes with, run once, here — not per
+    /// query).
     ///
     /// # Errors
     /// [`StoreError::IndexStoreMismatch`](advsgm_store::StoreError::IndexStoreMismatch)
@@ -168,12 +173,18 @@ impl EmbeddingService {
     }
 
     /// Builds an ANN index from the served store (Theorem-5
-    /// post-processing; no privacy cost) and attaches it.
+    /// post-processing; no privacy cost) on the service's pool and
+    /// attaches it. The index bytes do not depend on the pool width.
     ///
     /// # Errors
     /// See [`IvfIndex::build`].
     pub fn build_index(&mut self, params: IndexParams) -> Result<&IvfIndex> {
-        let index = IvfIndex::build(&self.store, params)?;
+        let pool = self
+            .pool
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .get_or_insert_with(|| ThreadPool::new(self.threads));
+        let index = IvfIndex::build_in(&self.store, params, pool)?;
         self.index = Some(index);
         Ok(self.index.as_ref().expect("just attached"))
     }
@@ -214,7 +225,9 @@ impl EmbeddingService {
     }
 
     /// The `k` highest-scoring neighbors of `u` (self excluded), sorted
-    /// by `(score desc, row asc)`.
+    /// by `(score desc, row asc)`. Always the full scan, the reference
+    /// exact answers are tested against; `top_k_approx(u, k, 1.0)` gives
+    /// the same bits through an attached index.
     ///
     /// # Errors
     /// [`Error::Store`](crate::api::Error::Store) for rows the store
@@ -246,9 +259,12 @@ impl EmbeddingService {
     /// clusters the build-time calibration says reach `recall_target`,
     /// scanning a fraction of the store instead of all of it.
     ///
-    /// `recall_target >= 1.0` — or no attached index — falls back to the
-    /// exact scan, so the call is always answerable and exactness is an
-    /// explicit point on the same dial.
+    /// `recall_target >= 1.0` is the dial's exact point: the answer is
+    /// bitwise [`EmbeddingService::top_k`]'s. With an index attached it
+    /// comes from the index's bound-pruned exact mode, which scores only
+    /// the clusters that can hold a top-`k` row and takes the full scan
+    /// where that bound cannot prune; with no index, every target gets
+    /// the full scan. So the call is always answerable.
     ///
     /// # Errors
     /// [`Error::Store`](crate::api::Error::Store) for rows the store does
@@ -270,14 +286,15 @@ impl EmbeddingService {
         recall_target: f64,
     ) -> Result<SearchResult> {
         match &self.index {
-            Some(index) if recall_target < 1.0 => {
+            Some(index) => {
+                // At or past 1.0, `nprobe_for` gives `nlist`: exact mode.
                 let nprobe = index.nprobe_for(recall_target);
                 Ok(match &self.relaxed {
                     Some(kernels) => index.search_relaxed(&self.store, u, k, nprobe, kernels)?,
                     None => index.search(&self.store, u, k, nprobe)?,
                 })
             }
-            _ => Ok(SearchResult {
+            None => Ok(SearchResult {
                 neighbors: self.store.top_k(u, k)?,
                 rows_scanned: self.store.len().saturating_sub(1),
             }),
@@ -361,7 +378,7 @@ mod tests {
         })
         .unwrap();
         assert!(s.index().is_some());
-        // recall_target >= 1.0 must take the untouched exact path.
+        // recall_target >= 1.0 is exact mode: bitwise the full scan.
         let exact = s.top_k_approx(3, 5, 1.0).unwrap();
         let reference = s.top_k(3, 5).unwrap();
         assert_eq!(exact.len(), reference.len());

@@ -197,8 +197,10 @@ impl Shared {
         (response, stop)
     }
 
-    /// A top-k answer from the cache, or from an exact scan or an index
-    /// search run on the calling thread.
+    /// A top-k answer from the cache, or from a search run on the calling
+    /// thread. Exact requests ask for the dial's exact point, recall 1.0:
+    /// the index's pruned exact mode when one is attached, else the full
+    /// scan — bitwise the same answer either way.
     fn top_k(&self, node: u64, k: u32, approx: bool, recall_target: f64) -> Response {
         if node as usize >= self.service.len() {
             return Response::Error(format!(
@@ -206,10 +208,10 @@ impl Shared {
                 self.service.len()
             ));
         }
-        let mode = if approx {
-            recall_target.to_bits()
+        let (mode, recall) = if approx {
+            (recall_target.to_bits(), recall_target)
         } else {
-            EXACT_MODE
+            (EXACT_MODE, 1.0)
         };
         let key = (node, k, mode);
         let hit = self.cache().get(&key).cloned();
@@ -217,13 +219,7 @@ impl Shared {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Response::Neighbors(neighbors);
         }
-        let (u, k) = (node as usize, k as usize);
-        let scanned = if approx {
-            self.service.top_k_approx(u, k, recall_target)
-        } else {
-            self.service.top_k(u, k)
-        };
-        match scanned {
+        match self.service.top_k_approx(node as usize, k as usize, recall) {
             Ok(neighbors) => {
                 self.cache().insert(key, neighbors.clone());
                 Response::Neighbors(neighbors)

@@ -56,8 +56,8 @@ pub enum Request {
         node: u64,
         /// Number of neighbors requested (at most [`MAX_K`]).
         k: u32,
-        /// `false` = exact full scan, `true` = ANN index at
-        /// `recall_target`.
+        /// `false` = the exact top-k (bitwise the full scan's), `true` =
+        /// ANN index at `recall_target`.
         approx: bool,
         /// Recall target for approximate mode (ignored when exact).
         recall_target: f64,

@@ -35,13 +35,26 @@ fn wire_answers_match_local_service_bitwise() {
     let local = EmbeddingService::from_store(store.clone());
     let mut service = EmbeddingService::from_store(store);
     service.build_index(IndexParams::default()).unwrap();
+    // The exact answers below come mostly from the bound-pruned visit.
+    let pruned = (0..600)
+        .filter(|&u| {
+            service
+                .top_k_approx_with_stats(u, 9, 1.0)
+                .unwrap()
+                .rows_scanned
+                < 599
+        })
+        .count();
+    assert!(pruned > 300, "only {pruned} of 600 exact queries pruned");
 
     let server = Server::bind(service, "127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.local_addr();
     let mut client = ServeClient::connect(addr).unwrap();
     client.ping().unwrap();
 
-    for u in [0u64, 7, 300, 599] {
+    // Every node: the server answers exact requests through the index's
+    // pruned exact mode, the local service with the full scan.
+    for u in 0..600u64 {
         // Exact top-k over the wire vs the local scan.
         let wire = client.top_k(u, 9).unwrap();
         let here = local.top_k(u as usize, 9).unwrap();
