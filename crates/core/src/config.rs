@@ -72,8 +72,11 @@ pub struct AdvSgmConfig {
     /// deterministic for a fixed `(seed, threads, shard_size)` triple but
     /// differ from the sequential trajectory (it derives independent
     /// per-shard RNG streams). The out-of-core partitioned engine uses
-    /// the threads for Phase-B computation only; its trajectory is the
-    /// sequential one at any count.
+    /// the threads for Phase-B computation and, above one thread, to
+    /// regenerate the next update's fake neighbors while the current one
+    /// computes. The calling thread also fills fakes once its own part of
+    /// a step is done, so `N + 1` threads can be busy while fakes are
+    /// regenerated. Its trajectory is the sequential one at any count.
     pub num_threads: usize,
     /// Pairs per shard for the parallel engine; `0` means *auto* (divide
     /// each batch evenly over the worker threads). Smaller shards change

@@ -75,9 +75,9 @@ pub(crate) mod partitioned;
 pub(crate) mod sequential;
 pub(crate) mod sharded;
 
-/// Stream tag for the init RNG. Both engines initialise parameters from
-/// this stream so they start from identical matrices; the sequential
-/// engine then *continues* the stream through training.
+/// Stream tag for the init RNG. Every engine initialises parameters from
+/// this stream so they all start from identical matrices; the sequential
+/// and partitioned engines then *continue* the stream through training.
 pub(crate) const STREAM_INIT: u64 = 0xAD5;
 /// Stream tag for the sharded producer thread's Algorithm 2 sampling.
 pub(crate) const STREAM_SAMPLER: u64 = 0x5A11;
@@ -101,7 +101,7 @@ pub(crate) const DPASGM_LAMBDA: f64 = 1.0;
 /// (noise-vector norm ~ `C*sigma/sqrt(r)`), unless `faithful_noise`
 /// requests the strict calibration (the ablation setting).
 ///
-/// Shared by both engines so the two paths can never drift apart on
+/// Shared by all three engines so their paths can never drift apart on
 /// calibration (DESIGN.md §6).
 pub(crate) fn gradient_noise_std(cfg: &AdvSgmConfig) -> f64 {
     let base = cfg.clip * cfg.sigma;
@@ -142,7 +142,7 @@ pub(crate) fn record_and_check(
 }
 
 /// A sparse per-row gradient accumulator: `row -> (grad sum, touch
-/// count)`. Shared by both engines; the insertion order of summands
+/// count)`. Shared by all three engines; the insertion order of summands
 /// (pair order within a batch/shard) is the load-bearing floating-point
 /// association.
 pub(crate) type RowAcc = HashMap<usize, (Vec<f64>, usize)>;
@@ -249,8 +249,8 @@ impl PairCtx {
 /// non-unit pair weight scales the gradient *after* the clip, so each
 /// summand's sensitivity stays `<= C` and the accountant is unchanged.
 /// Lives here — once — so the gradient math can never drift between the
-/// sequential and sharded engines. `fakes` is `None` exactly for the
-/// non-adversarial variants.
+/// three engines. `fakes` is `None` exactly for the non-adversarial
+/// variants.
 pub(crate) fn clipped_pair_grads(
     kind: SigmoidKind,
     variant: ModelVariant,
@@ -521,10 +521,15 @@ pub(crate) struct EngineStreams {
 /// [`sequential::SequentialEngine`], [`sharded::ShardedEngine`], and
 /// [`partitioned::PartitionedEngine`] — and [`run_schedule`] is their
 /// only driver. An engine executes *steps*; it never sees the epoch
-/// structure, iteration counts, accounting, or stopping rule.
+/// structure, iteration counts, accounting, or stopping rule. The one
+/// thing it learns of the schedule is the flag [`Engine::disc_update`]
+/// receives: whether another discriminator update of the same phase
+/// follows (the partitioned engine then runs that update's draws one
+/// update early; DESIGN.md §14).
 ///
 /// Step methods are fallible because the out-of-core engine performs
-/// spill I/O inside a step; the in-RAM engines always return `Ok`.
+/// spill I/O inside a step, and may sample the next iteration's batches
+/// inside a discriminator update; the in-RAM engines always return `Ok`.
 pub(crate) trait Engine {
     /// Which engine this is (persisted in checkpoints).
     fn kind(&self) -> EngineKind;
@@ -534,7 +539,17 @@ pub(crate) trait Engine {
     /// (positive, negative, positive, negative, ...).
     fn next_batch(&mut self, graph: &Graph) -> Result<DiscBatch, CoreError>;
     /// One discriminator update (Algorithm 3 line 8) over `batch`.
-    fn disc_update(&mut self, core: &mut SessionCore, batch: &DiscBatch) -> Result<(), CoreError>;
+    /// `next_in_phase` is `true` when another discriminator update of this
+    /// phase follows, so its batch comes from the next
+    /// [`Engine::next_batch`] call before any generator step, epoch loss
+    /// or epoch boundary; `graph` is what that batch is sampled from.
+    fn disc_update(
+        &mut self,
+        core: &mut SessionCore,
+        graph: &Graph,
+        batch: &DiscBatch,
+        next_in_phase: bool,
+    ) -> Result<(), CoreError>;
     /// One generator iteration (Algorithm 3 lines 14–18).
     fn generator_update(&mut self, core: &mut SessionCore, graph: &Graph) -> Result<(), CoreError>;
     /// The epoch's `|L_Nov|` diagnostic on one fresh batch.
@@ -862,13 +877,16 @@ pub(crate) fn run_schedule(
     let epochs = core.cfg.epochs;
     let may_checkpoint = hooks.may_checkpoint();
     'training: for epoch in core.cursor.epochs_done..epochs {
-        for _ in 0..core.cfg.disc_iters {
+        for iter in 0..core.cfg.disc_iters {
             // One Algorithm 2 iteration: the positive batch EB, then the
             // negative batch EBk — two *separate* mechanism invocations so
             // their amplification rates compose cleanly (Theorem 7).
-            for gamma in [core.gamma_pos, core.gamma_neg] {
+            for (half, gamma) in [core.gamma_pos, core.gamma_neg].into_iter().enumerate() {
                 let batch = engine.next_batch(graph)?;
-                engine.disc_update(core, &batch)?;
+                // Only the phase's last update (the final negative batch)
+                // has no discriminator update after it.
+                let next_in_phase = half == 0 || iter + 1 < core.cfg.disc_iters;
+                engine.disc_update(core, graph, &batch, next_in_phase)?;
                 core.cursor.disc_updates += 1;
                 if record_and_check(&mut core.accountant, &core.cfg, gamma)? {
                     core.cursor.stopped_by_budget = true;

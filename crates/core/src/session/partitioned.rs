@@ -21,18 +21,20 @@
 //!    the sequential step leaves it. Embedding reads consume no
 //!    randomness, so deferring them cannot shift a draw.
 //! 2. **Phase B (compute)** — the fakes are regenerated from their
-//!    recorded positions in one pool dispatch, into a flat buffer the
-//!    engine reuses across steps. A fake is a pure function of its stream
-//!    position, its node and `theta`, and `theta` does not change inside a
-//!    step, so the pool's chunking cannot change a fake. AdvSGM's batch
-//!    means are then folded serially in pair order. The rows a step reads
-//!    are *gathered* role by role: every item's `W_in` row, then every
-//!    item's `W_out` row, is copied into a flat buffer at the item's batch
-//!    index, visiting each touched bucket once in the *resident-first
-//!    cyclic order* (the resident bucket, then the next ones, wrapping at
-//!    `P`). The *pure* per-item results are then computed from those
-//!    buffers in a second pool dispatch, stored at each item's original
-//!    batch index; they are chunk-invariant too.
+//!    recorded positions into a flat buffer the engine reuses across
+//!    steps, by the pool's workers in small pieces taken from one shared
+//!    iterator. A fake is a pure function of its stream position, its node
+//!    and `theta`, and nothing writes `theta` between a fake's record and
+//!    its use, so which thread fills a piece cannot change a fake.
+//!    Meanwhile the calling thread *gathers* the rows the step reads,
+//!    role by role: every item's `W_in` row, then every item's `W_out`
+//!    row, is copied into a flat buffer at the item's batch index,
+//!    visiting each touched bucket once in the *resident-first cyclic
+//!    order* (the resident bucket, then the next ones, wrapping at `P`),
+//!    and then helps with the fakes. AdvSGM's batch means are folded
+//!    serially in pair order. The *pure* per-item results are then
+//!    computed from those buffers, stored at each item's original batch
+//!    index; they are chunk-invariant too.
 //! 3. **Phase C (fold)** — the floating-point accumulations (per-row
 //!    gradient sums, the loss fold) run over the per-item results in
 //!    original batch order — exactly the association the sequential
@@ -48,6 +50,42 @@
 //! The apply therefore loads nothing, and a discriminator update loads at
 //! most `2 (P - 1)` partitions: `P - 1` per role for the gathers.
 //!
+//! # The lookahead
+//!
+//! Algorithm 3 runs a phase's `2 n_D` discriminator updates against a
+//! fixed generator, and no draw reads the parameters, so update `u + 1`'s
+//! Phase A and the regeneration of its fakes can run during update `u`
+//! without moving a draw or a bit. When [`Engine::disc_update`] is told
+//! that another update of the phase follows, the variant has fakes and a
+//! pool exists, update `u`:
+//!
+//! 1. runs its own Phase A, unless `u - 1` already did, and then
+//!    `u + 1`'s: it takes `u + 1`'s batch (the pending negative half, or
+//!    else the positive half of the next iteration, sampled now and handed
+//!    to the next `next_batch`), draws its two noise vectors and records
+//!    its fake stream positions. Nothing draws between `u`'s draws and
+//!    `u + 1`'s, so the stream order is the sequential engine's;
+//! 2. **stage 1**, when its own fakes are not regenerated yet (the first
+//!    update of a phase): the workers regenerate them while this thread
+//!    gathers;
+//! 3. **stage 2**, one pool scope: the workers regenerate `u + 1`'s fakes
+//!    into a second buffer while this thread runs the rest of `u` — the
+//!    gathers if not yet done, the batch means, the per-pair gradients
+//!    (serially), Phase C and the apply — and then helps with the fakes.
+//!    The two buffers swap.
+//!
+//! The discriminator never writes the generator tables, so `u + 1`'s
+//! fakes read the tables `u + 1` itself would. Generator iterations,
+//! epoch losses and the first update of a phase run stage 1; at one
+//! thread there is no pool and the fakes come before the gathers. The
+//! last update of a phase never looks ahead, so at every epoch boundary,
+//! the only place a checkpoint is captured, nothing has been drawn ahead.
+//! A budget stop after update `u` leaves `u + 1`'s draws unused, and
+//! nothing reads the stream after a budget stop. Across steps the
+//! lookahead holds `u + 1`'s noise vectors, a second set of fake records,
+//! a second fake buffer and the positive batch sampled ahead. DESIGN.md
+//! §14 has the measured gain.
+//!
 //! Each role's spill file is created and sized once: the whole matrix as
 //! row-major little-endian `f64`, so row `i` sits at byte `i * r * 8` and
 //! is the authoritative copy. Slots are clean read copies of it: an
@@ -62,7 +100,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use advsgm_graph::{Graph, NodeBuckets};
 use advsgm_linalg::rng::{gaussian_vec, rng_from_state, rng_state};
@@ -330,6 +368,18 @@ impl PartitionedEmbeddings {
         Ok(())
     }
 
+    /// Gathers each pair's first node's `W_in` row and second node's
+    /// `W_out` row into `rows` (indexed by [`Role`]), role by role, in
+    /// pair order.
+    fn gather_pairs(
+        &mut self,
+        pairs: &[(usize, usize)],
+        [rows_in, rows_out]: &mut [Vec<f64>; 2],
+    ) -> Result<(), CoreError> {
+        self.gather(Role::In, pairs.iter().map(|p| p.0), rows_in)?;
+        self.gather(Role::Out, pairs.iter().map(|p| p.1), rows_out)
+    }
+
     /// Applies one role's noisy, touch-count-normalised updates without
     /// loading a partition. Each touched row's pre-update value is its
     /// copy in `gathered` (the role's gather buffer) at its first batch
@@ -452,36 +502,114 @@ struct FakeDraw {
     for_j: usize,
 }
 
-/// Phase B's fake generation: regenerates every recorded item's two fakes
-/// from its stream position into `fakes` (`2r` values per item, as
-/// [`fake_pair`] reads them), in one pool dispatch. Each fake is a pure
-/// function of its record and the generator tables, which do not change
-/// inside a step, so thread count cannot change a bit.
-fn regenerate_fakes(
+/// Phase A for one item: records in `draws` where its fakes start on the
+/// stream — `for_i`'s fake of node `for_i`, then `for_j`'s of node `for_j`
+/// — and skips both, leaving `rng` where generating them would.
+fn record_fakes(
+    rng: &mut SmallRng,
+    draws: &mut Vec<FakeDraw>,
+    gens: &GeneratorPair,
+    for_i: usize,
+    for_j: usize,
+) {
+    draws.push(FakeDraw {
+        state: rng_state(rng),
+        for_i,
+        for_j,
+    });
+    gens.for_i.skip_generate(rng);
+    gens.for_j.skip_generate(rng);
+}
+
+/// Phase A of one discriminator update over `pairs`: the two per-batch
+/// noise vectors (Theorem 6's `N_{D,1}`, `N_{D,2}`), then, for the
+/// adversarial variants, each pair's fake stream position in pair order,
+/// recorded into `draws` — the sequential engine's draw sequence.
+fn draw_disc_update(
+    rng: &mut SmallRng,
+    core: &SessionCore,
+    pairs: &[(usize, usize)],
+    draws: &mut Vec<FakeDraw>,
+) -> [Vec<f64>; 2] {
+    let r = core.cfg.dim;
+    let noise_std = gradient_noise_std(&core.cfg);
+    let noise = [
+        gaussian_vec(rng, noise_std, r),
+        gaussian_vec(rng, noise_std, r),
+    ];
+    draws.clear();
+    if core.cfg.variant.is_adversarial() {
+        for &(i, j) in pairs {
+            record_fakes(rng, draws, &core.gens, j, i);
+        }
+    }
+    noise
+}
+
+/// Regenerates each record's two fakes from its stream position into
+/// `out`, `2r` values per record as [`fake_pair`] reads them: the one
+/// copy of the fake-fill loop.
+fn fill_fakes(gens: &GeneratorPair, draws: &[FakeDraw], out: &mut [f64]) {
+    let r = gens.for_i.dim();
+    for (d, pair) in draws.iter().zip(out.chunks_exact_mut(2 * r)) {
+        let (by_i, by_j) = pair.split_at_mut(r);
+        let mut rng = rng_from_state(d.state);
+        gens.for_i.generate_into(d.for_i, &mut rng, by_i);
+        gens.for_j.generate_into(d.for_j, &mut rng, by_j);
+    }
+}
+
+/// Fake records per piece of [`regenerate_fakes`]'s work: small enough
+/// that the threads sharing a regeneration finish together, large enough
+/// (about 0.1 ms of work at `r = 128`) that claiming a piece costs under
+/// 1 %.
+const FAKE_PIECE: usize = 16;
+
+/// Phase B's fake generation: regenerates every recorded item's fakes
+/// into `fakes` on the pool's workers while `work` runs on the calling
+/// thread, and returns `work`'s result once both are done. The records
+/// are split into pieces of [`FAKE_PIECE`], taken in turn from one shared
+/// iterator by every worker and, once `work` is done, by the calling
+/// thread too, so no thread idles while a piece is left. Without a pool
+/// the fakes come first, then `work`. Each fake is a pure function of its
+/// record and the generator tables, which `work` can only read, so
+/// neither the thread count, nor which thread fills a piece, nor `work`
+/// can change a bit.
+fn regenerate_fakes<R>(
     pool: &mut Option<ThreadPool>,
     gens: &GeneratorPair,
     draws: &[FakeDraw],
     fakes: &mut Vec<f64>,
-) {
-    let r = gens.for_i.dim();
-    fakes.resize(draws.len() * 2 * r, 0.0);
-    let fill = |first: usize, out: &mut [f64]| {
-        for (d, pair) in draws[first..].iter().zip(out.chunks_exact_mut(2 * r)) {
-            let (by_i, by_j) = pair.split_at_mut(r);
-            let mut rng = rng_from_state(d.state);
-            gens.for_i.generate_into(d.for_i, &mut rng, by_i);
-            gens.for_j.generate_into(d.for_j, &mut rng, by_j);
-        }
+    work: impl FnOnce() -> R,
+) -> R {
+    let per_draw = 2 * gens.for_i.dim();
+    fakes.resize(draws.len() * per_draw, 0.0);
+    let Some(p) = pool else {
+        fill_fakes(gens, draws, fakes);
+        return work();
     };
-    match pool {
-        Some(p) => {
-            let chunk_len = draws.len().div_ceil(p.threads()).max(1) * 2 * r;
-            p.for_each_chunk_mut(fakes.as_mut_slice(), chunk_len, |_k, offset, out| {
-                fill(offset / (2 * r), out)
-            });
+    let pieces = Mutex::new(
+        draws
+            .chunks(FAKE_PIECE)
+            .zip(fakes.chunks_mut(FAKE_PIECE * per_draw)),
+    );
+    let fill = || loop {
+        let next = pieces
+            .lock()
+            .expect("no thread panics holding the pieces")
+            .next();
+        let Some((draws, out)) = next else { break };
+        fill_fakes(gens, draws, out);
+    };
+    let workers = p.threads();
+    p.scope(|s| {
+        for _ in 0..workers {
+            s.spawn(fill);
         }
-        None => fill(0, fakes),
-    }
+        let done = work();
+        fill();
+        done
+    })
 }
 
 /// Maps `f` over `items`, preserving order; uses the pool when present.
@@ -528,6 +656,13 @@ pub(crate) struct PartitionedEngine {
     /// The negative half of a sampled iteration, buffered between the two
     /// `next_batch` calls of one discriminator iteration.
     pending_neg: Option<DiscBatch>,
+    /// The positive half of an iteration a lookahead sampled one update
+    /// early; the next `next_batch` hands it out.
+    sampled_ahead: Option<DiscBatch>,
+    /// The next discriminator update's noise vectors, drawn by a
+    /// lookahead; `Some` exactly when that update's Phase A is done and
+    /// its fakes are in `fakes`.
+    next_noise: Option<[Vec<f64>; 2]>,
     /// The bucketed embeddings behind the two-slot pool.
     parts: PartitionedEmbeddings,
     /// Phase-B gather buffers per role, indexed by [`Role`] and reused
@@ -535,9 +670,15 @@ pub(crate) struct PartitionedEngine {
     rows: [Vec<f64>; 2],
     /// Phase A's fake records, reused across steps: entry `k` is item `k`'s.
     draws: Vec<FakeDraw>,
+    /// A lookahead's fake records for the next update, reused likewise.
+    next_draws: Vec<FakeDraw>,
     /// Phase B's regenerated fakes, reused across steps (see [`fake_pair`]).
     fakes: Vec<f64>,
-    /// Worker pool for Phase-B computation; `None` runs serially.
+    /// The buffer a lookahead regenerates the next update's fakes into;
+    /// swapped with `fakes` when the update ends.
+    next_fakes: Vec<f64>,
+    /// Worker pool for Phase B and the lookahead's fakes; `None` runs
+    /// serially and never looks ahead.
     pool: Option<ThreadPool>,
     threads: usize,
 }
@@ -561,10 +702,14 @@ impl PartitionedEngine {
             provider,
             rng,
             pending_neg: None,
+            sampled_ahead: None,
+            next_noise: None,
             parts,
             rows: [Vec::new(), Vec::new()],
             draws: Vec::new(),
+            next_draws: Vec::new(),
             fakes: Vec::new(),
+            next_fakes: Vec::new(),
             pool,
             threads,
         })
@@ -579,17 +724,26 @@ impl PartitionedEngine {
         }
     }
 
-    /// Phase A for one item: records where its fakes start on the stream
-    /// — `for_i`'s fake of node `for_i`, then `for_j`'s of node `for_j` —
-    /// and skips both, leaving the stream where generating them would.
-    fn record_fakes(&mut self, gens: &GeneratorPair, for_i: usize, for_j: usize) {
-        self.draws.push(FakeDraw {
-            state: rng_state(&self.rng),
-            for_i,
-            for_j,
-        });
-        gens.for_i.skip_generate(&mut self.rng);
-        gens.for_j.skip_generate(&mut self.rng);
+    /// The lookahead's Phase A: takes the next update's batch — the
+    /// pending negative half, or else (this update is a negative half) the
+    /// positive half of an iteration sampled now — and draws its noise and
+    /// records its fake stream positions. Called right after this update's
+    /// own Phase A, so the stream order is the sequential engine's.
+    fn draw_next_update(&mut self, core: &SessionCore, graph: &Graph) -> Result<(), CoreError> {
+        if self.pending_neg.is_none() {
+            let (pos, neg) = self.provider.sample_disc_iteration(graph, &mut self.rng)?;
+            self.sampled_ahead = Some(pos);
+            self.pending_neg = Some(neg);
+        }
+        let next = self.sampled_ahead.as_ref().or(self.pending_neg.as_ref());
+        let next = &next.expect("sampled above").pairs;
+        self.next_noise = Some(draw_disc_update(
+            &mut self.rng,
+            core,
+            next,
+            &mut self.next_draws,
+        ));
+        Ok(())
     }
 }
 
@@ -603,6 +757,9 @@ impl Engine for PartitionedEngine {
     }
 
     fn next_batch(&mut self, graph: &Graph) -> Result<DiscBatch, CoreError> {
+        if let Some(pos) = self.sampled_ahead.take() {
+            return Ok(pos);
+        }
         match self.pending_neg.take() {
             Some(neg) => Ok(neg),
             None => {
@@ -614,94 +771,135 @@ impl Engine for PartitionedEngine {
     }
 
     /// One discriminator update, replayed (module docs): noise and fake
-    /// stream positions in Phase A; the fakes, batch means, role-wise
-    /// gathers and clipped per-pair gradients in Phase B; pair-order
-    /// accumulation in Phase C; then the apply.
-    fn disc_update(&mut self, core: &mut SessionCore, batch: &DiscBatch) -> Result<(), CoreError> {
+    /// stream positions in Phase A, unless the previous update ran it
+    /// ahead; the fakes, batch means, role-wise gathers and clipped
+    /// per-pair gradients in Phase B; pair-order accumulation in Phase C;
+    /// then the apply. When `next_in_phase`, the variant has fakes and a
+    /// pool exists, it also runs the next update's Phase A and has the
+    /// workers regenerate that update's fakes while this thread computes.
+    fn disc_update(
+        &mut self,
+        core: &mut SessionCore,
+        graph: &Graph,
+        batch: &DiscBatch,
+        next_in_phase: bool,
+    ) -> Result<(), CoreError> {
         Self::reclaim(core);
+        let core = &*core;
         let r = core.cfg.dim;
         let variant = core.cfg.variant;
         let clip = core.cfg.clip;
-        // Per-batch shared noise vectors (Theorem 6's N_{D,1}, N_{D,2}).
-        let noise_std = gradient_noise_std(&core.cfg);
-        let n_in = gaussian_vec(&mut self.rng, noise_std, r);
-        let n_out = gaussian_vec(&mut self.rng, noise_std, r);
-
+        let adversarial = variant.is_adversarial();
         let count = batch.pairs.len();
         debug_assert!(count > 0, "empty batch");
 
-        // Phase A: each pair's fake stream position, in pair order on the
-        // one stream — the sequential engine's draw sequence.
-        let adversarial = variant.is_adversarial();
-        self.draws.clear();
-        if adversarial {
-            for &(i, j) in &batch.pairs {
-                self.record_fakes(&core.gens, j, i);
+        // Phase A, unless the previous update ran it: its fakes are then
+        // already in `fakes`. The lookahead's Phase A follows this one's
+        // before anything else draws.
+        let (noise, fakes_ready) = match self.next_noise.take() {
+            Some(noise) => (noise, true),
+            None => {
+                let noise = draw_disc_update(&mut self.rng, core, &batch.pairs, &mut self.draws);
+                (noise, false)
             }
+        };
+        let lookahead = next_in_phase && adversarial && self.pool.is_some();
+        if lookahead {
+            self.draw_next_update(core, graph)?;
         }
 
-        // Phase B: the fakes (one dispatch) and their batch means, folded
-        // in pair order; then gather every pair's W_in row and W_out row
-        // and compute each pair's clipped gradients (pure, RNG-free) at
-        // its original index in a second dispatch.
-        let mut mean_j = vec![0.0; r];
-        let mut mean_i = vec![0.0; r];
-        if adversarial {
-            regenerate_fakes(&mut self.pool, &core.gens, &self.draws, &mut self.fakes);
-            for k in 0..count {
-                let (fj, fi) = fake_pair(&self.fakes, k, r);
-                vector::add_assign(&mut mean_j, fj);
-                vector::add_assign(&mut mean_i, fi);
-            }
-            vector::scale(&mut mean_j, 1.0 / count as f64);
-            vector::scale(&mut mean_i, 1.0 / count as f64);
-        }
-        let [rows_in, rows_out] = &mut self.rows;
+        let Self {
+            parts,
+            rows,
+            draws,
+            next_draws,
+            fakes,
+            next_fakes,
+            pool,
+            ..
+        } = self;
         let pairs = &batch.pairs;
-        self.parts
-            .gather(Role::In, pairs.iter().map(|p| p.0), rows_in)?;
-        self.parts
-            .gather(Role::Out, pairs.iter().map(|p| p.1), rows_out)?;
-        let kind = core.kind;
-        let (gathered_in, gathered_out) = (&*rows_in, &*rows_out);
-        let fakes = &self.fakes;
-        let (mean_j, mean_i) = (&mean_j, &mean_i);
-        let grads = map_indexed(&mut self.pool, pairs, |idx, _| {
-            let pair_fakes = adversarial.then(|| {
-                let (fake_j, fake_i) = fake_pair(fakes, idx, r);
-                PairFakes {
-                    fake_j,
-                    fake_i,
-                    mean_j,
-                    mean_i,
-                }
-            });
-            clipped_pair_grads(
-                kind,
-                variant,
-                clip,
-                PairCtx::of(batch, idx),
-                row(gathered_in, idx, r),
-                row(gathered_out, idx, r),
-                pair_fakes,
-            )
-        });
-
-        // Phase C: accumulate per-row sums in original pair order — the
-        // sequential engine's exact floating-point association.
-        let mut upd_in = RowUpdates::default();
-        let mut upd_out = RowUpdates::default();
-        for (k, (&(i, j), (gi, gj))) in pairs.iter().zip(grads).enumerate() {
-            upd_in.add(i, k, gi);
-            upd_out.add(j, k, gj);
+        // Stage 1, for fakes not yet regenerated: the workers regenerate
+        // them while this thread gathers every pair's W_in and W_out rows.
+        let gathered = adversarial && !fakes_ready;
+        if gathered {
+            regenerate_fakes(pool, &core.gens, draws, fakes, || {
+                parts.gather_pairs(pairs, rows)
+            })?;
         }
+        debug_assert!(!adversarial || fakes.len() == count * 2 * r);
 
-        let eta = core.cfg.eta_d;
-        let project = core.cfg.project_rows && variant != ModelVariant::Sgm;
-        self.parts
-            .apply(Role::In, upd_in, rows_in, &n_in, eta, project)?;
-        self.parts
-            .apply(Role::Out, upd_out, rows_out, &n_out, eta, project)
+        // The rest of Phase B — the batch means, folded in pair order, and
+        // each pair's clipped gradients (pure, RNG-free) at its original
+        // index, computed on `grads_pool` or else serially — then Phase C
+        // and the apply.
+        let [n_in, n_out] = noise;
+        let cur_fakes = &*fakes;
+        let mut finish = |grads_pool: &mut Option<ThreadPool>| -> Result<(), CoreError> {
+            if !gathered {
+                parts.gather_pairs(pairs, rows)?;
+            }
+            let mut mean_j = vec![0.0; r];
+            let mut mean_i = vec![0.0; r];
+            if adversarial {
+                for k in 0..count {
+                    let (fj, fi) = fake_pair(cur_fakes, k, r);
+                    vector::add_assign(&mut mean_j, fj);
+                    vector::add_assign(&mut mean_i, fi);
+                }
+                vector::scale(&mut mean_j, 1.0 / count as f64);
+                vector::scale(&mut mean_i, 1.0 / count as f64);
+            }
+            let kind = core.kind;
+            let [gathered_in, gathered_out] = &*rows;
+            let (mean_j, mean_i) = (&mean_j, &mean_i);
+            let grads = map_indexed(grads_pool, pairs, |idx, _| {
+                let pair_fakes = adversarial.then(|| {
+                    let (fake_j, fake_i) = fake_pair(cur_fakes, idx, r);
+                    PairFakes {
+                        fake_j,
+                        fake_i,
+                        mean_j,
+                        mean_i,
+                    }
+                });
+                clipped_pair_grads(
+                    kind,
+                    variant,
+                    clip,
+                    PairCtx::of(batch, idx),
+                    row(gathered_in, idx, r),
+                    row(gathered_out, idx, r),
+                    pair_fakes,
+                )
+            });
+
+            // Phase C: accumulate per-row sums in original pair order — the
+            // sequential engine's exact floating-point association.
+            let mut upd_in = RowUpdates::default();
+            let mut upd_out = RowUpdates::default();
+            for (k, (&(i, j), (gi, gj))) in pairs.iter().zip(grads).enumerate() {
+                upd_in.add(i, k, gi);
+                upd_out.add(j, k, gj);
+            }
+
+            let eta = core.cfg.eta_d;
+            let project = core.cfg.project_rows && variant != ModelVariant::Sgm;
+            let [rows_in, rows_out] = rows;
+            parts.apply(Role::In, upd_in, rows_in, &n_in, eta, project)?;
+            parts.apply(Role::Out, upd_out, rows_out, &n_out, eta, project)
+        };
+        if !lookahead {
+            return finish(pool);
+        }
+        // Stage 2: the workers regenerate the next update's fakes while
+        // this thread finishes this one, its gradients serially, and then
+        // helps them.
+        regenerate_fakes(pool, &core.gens, next_draws, next_fakes, || {
+            finish(&mut None)
+        })?;
+        std::mem::swap(fakes, next_fakes);
+        Ok(())
     }
 
     /// One generator iteration, replayed: per sample the edge and
@@ -729,23 +927,29 @@ impl Engine for PartitionedEngine {
             } else {
                 (e.v().index(), e.u().index())
             };
-            self.record_fakes(&core.gens, t, s);
+            record_fakes(&mut self.rng, &mut self.draws, &core.gens, t, s);
             samples.push((s, t));
         }
 
-        // Phase B: the fakes; v_i = W_in[s] and v_j = W_out[t], gathered
-        // role by role; then the per-sample upstream gradients (pure).
-        regenerate_fakes(&mut self.pool, &core.gens, &self.draws, &mut self.fakes);
-        let [vi, vj] = &mut self.rows;
-        self.parts
-            .gather(Role::In, samples.iter().map(|x| x.0), vi)?;
-        self.parts
-            .gather(Role::Out, samples.iter().map(|x| x.1), vj)?;
+        // Phase B: the workers regenerate the fakes while this thread
+        // gathers v_i = W_in[s] and v_j = W_out[t] role by role; then the
+        // per-sample upstream gradients (pure).
+        let Self {
+            parts,
+            rows,
+            draws,
+            fakes,
+            pool,
+            ..
+        } = self;
+        regenerate_fakes(pool, &core.gens, draws, fakes, || {
+            parts.gather_pairs(&samples, rows)
+        })?;
         let kind = core.kind;
-        let (vi, vj) = (&*vi, &*vj);
-        let fakes = &self.fakes;
+        let [vi, vj] = &*rows;
+        let fakes = &*fakes;
         let (ng1, ng2) = (&ng1, &ng2);
-        let ups = map_indexed(&mut self.pool, &samples, |idx, _| {
+        let ups = map_indexed(pool, &samples, |idx, _| {
             let (vi, vj) = (row(vi, idx, r), row(vj, idx, r));
             let (f1, f2) = fake_pair(fakes, idx, r);
             let (s1_fake, s1_noise) = backend::dot2(vi, f1, ng1);
@@ -793,23 +997,38 @@ impl Engine for PartitionedEngine {
         // Phase A: each positive's fake stream position, in batch order.
         self.draws.clear();
         for e in &pos {
-            self.record_fakes(&core.gens, e.v().index(), e.u().index());
+            record_fakes(
+                &mut self.rng,
+                &mut self.draws,
+                &core.gens,
+                e.v().index(),
+                e.u().index(),
+            );
         }
 
-        // Phase B: the fakes; one gather per role over the positives
-        // followed by the negatives; then the per-pair scalar terms.
-        regenerate_fakes(&mut self.pool, &core.gens, &self.draws, &mut self.fakes);
-        let [rows_in, rows_out] = &mut self.rows;
-        let sources = pos.iter().map(|e| e.u().index());
-        let sources = sources.chain(negs.iter().map(|p| p.source.index()));
-        self.parts.gather(Role::In, sources, rows_in)?;
-        let targets = pos.iter().map(|e| e.v().index());
-        let targets = targets.chain(negs.iter().map(|p| p.negative.index()));
-        self.parts.gather(Role::Out, targets, rows_out)?;
+        // Phase B: the workers regenerate the fakes while this thread runs
+        // one gather per role over the positives followed by the
+        // negatives; then the per-pair scalar terms.
+        let Self {
+            parts,
+            rows: [rows_in, rows_out],
+            draws,
+            fakes,
+            pool,
+            ..
+        } = self;
+        regenerate_fakes(pool, &core.gens, draws, fakes, || {
+            let sources = pos.iter().map(|e| e.u().index());
+            let sources = sources.chain(negs.iter().map(|p| p.source.index()));
+            parts.gather(Role::In, sources, rows_in)?;
+            let targets = pos.iter().map(|e| e.v().index());
+            let targets = targets.chain(negs.iter().map(|p| p.negative.index()));
+            parts.gather(Role::Out, targets, rows_out)
+        })?;
         let (rows_in, rows_out) = (&*rows_in, &*rows_out);
-        let fakes = &self.fakes;
+        let fakes = &*fakes;
         let (n1, n2, pos_signs) = (&n1, &n2, &pos_signs);
-        let terms = map_indexed(&mut self.pool, &pos, |idx, _| {
+        let terms = map_indexed(pool, &pos, |idx, _| {
             let (fake_j, fake_i) = fake_pair(fakes, idx, r);
             positive_terms(
                 row(rows_in, idx, r),
@@ -839,6 +1058,12 @@ impl Engine for PartitionedEngine {
             self.pending_neg.is_none(),
             "checkpoint capture mid-iteration"
         );
+        // The last update of a phase never looks ahead, so at an epoch
+        // boundary nothing has been drawn ahead of the schedule.
+        debug_assert!(
+            self.sampled_ahead.is_none() && self.next_noise.is_none(),
+            "checkpoint capture with a lookahead in flight"
+        );
         EngineStreams {
             rngs: vec![rng_state(&self.rng)],
             edge_permutation: self.provider.edge_permutation().to_vec(),
@@ -857,7 +1082,16 @@ mod tests {
         graph: &Graph,
         partitions: usize,
     ) -> (SessionCore, PartitionedEngine, Arc<SlotPoolStats>) {
-        let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm).with_threads(1);
+        engine_at(graph, partitions, 1)
+    }
+
+    /// [`engine`] with `threads` workers (a pool above one).
+    fn engine_at(
+        graph: &Graph,
+        partitions: usize,
+        threads: usize,
+    ) -> (SessionCore, PartitionedEngine, Arc<SlotPoolStats>) {
+        let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm).with_threads(threads);
         let (mut core, provider, rng) = SessionCore::new(graph, cfg).unwrap();
         let stats = Arc::new(SlotPoolStats::default());
         let engine =
@@ -887,11 +1121,11 @@ mod tests {
         for p in [2, 3, 4] {
             let (mut core, mut engine, stats) = engine(&g, p);
             let warm = engine.next_batch(&g).unwrap();
-            engine.disc_update(&mut core, &warm).unwrap();
+            engine.disc_update(&mut core, &g, &warm, false).unwrap();
             assert_eq!(stats.resident(), 2, "P={p}: warm pool");
             let before = stats.loads();
             engine
-                .disc_update(&mut core, &grid_batch(g.num_nodes()))
+                .disc_update(&mut core, &g, &grid_batch(g.num_nodes()), false)
                 .unwrap();
             let loads = stats.loads() - before;
             assert!(loads <= 2 * (p - 1), "P={p}: {loads} loads");
@@ -904,9 +1138,9 @@ mod tests {
         let (mut core, mut engine, _stats) = engine(&g, 3);
         for _ in 0..4 {
             let batch = engine.next_batch(&g).unwrap();
-            engine.disc_update(&mut core, &batch).unwrap();
+            engine.disc_update(&mut core, &g, &batch, false).unwrap();
             engine
-                .disc_update(&mut core, &grid_batch(g.num_nodes()))
+                .disc_update(&mut core, &g, &grid_batch(g.num_nodes()), false)
                 .unwrap();
             for role in [Role::In, Role::Out] {
                 let parts = &mut engine.parts;
@@ -925,13 +1159,13 @@ mod tests {
         let g = karate_club();
         let (mut core, mut engine, _stats) = engine(&g, 2);
         let warm = engine.next_batch(&g).unwrap();
-        engine.disc_update(&mut core, &warm).unwrap();
+        engine.disc_update(&mut core, &g, &warm, false).unwrap();
         // Swap W_in's handle for a read-only one: gathers still succeed,
         // the apply's first write (bucket 0 holds node 0) fails.
         let path = engine.parts.spill_dir.join("w_in.spill");
         engine.parts.files[Role::In as usize] = File::open(path).unwrap();
         let err = engine
-            .disc_update(&mut core, &grid_batch(g.num_nodes()))
+            .disc_update(&mut core, &g, &grid_batch(g.num_nodes()), false)
             .unwrap_err();
         let CoreError::Io(e) = &err else {
             panic!("expected CoreError::Io, got {err:?}");
@@ -969,7 +1203,7 @@ mod tests {
         let g = karate_club();
         let (mut core, mut engine, _stats) = engine(&g, 2);
         let warm = engine.next_batch(&g).unwrap();
-        engine.disc_update(&mut core, &warm).unwrap();
+        engine.disc_update(&mut core, &g, &warm, false).unwrap();
         // Park W_out on bucket 0, then cut its file where bucket 1 starts.
         engine.parts.acquire(Role::Out, 0).unwrap();
         let cut = engine.parts.buckets.range(1).start * engine.parts.dim * 8;
@@ -977,7 +1211,7 @@ mod tests {
             .set_len(cut as u64)
             .unwrap();
         let err = engine
-            .disc_update(&mut core, &grid_batch(g.num_nodes()))
+            .disc_update(&mut core, &g, &grid_batch(g.num_nodes()), false)
             .unwrap_err();
         let CoreError::Io(e) = &err else {
             panic!("expected CoreError::Io, got {err:?}");
@@ -987,5 +1221,21 @@ mod tests {
             e.to_string().contains("w_out bucket 1"),
             "the error must name the role and bucket: {e}"
         );
+    }
+
+    #[test]
+    fn sampling_error_while_looking_ahead_is_typed() {
+        let g = karate_club();
+        let (mut core, mut engine, _stats) = engine_at(&g, 2, 2);
+        let pos = engine.next_batch(&g).unwrap();
+        engine.disc_update(&mut core, &g, &pos, true).unwrap();
+        let neg = engine.next_batch(&g).unwrap();
+        // After a negative batch the lookahead samples the next iteration;
+        // from a graph the sampler was not sized for, that must fail.
+        let fewer = Graph::from_parts(g.num_nodes(), g.edges()[1..].to_vec(), None);
+        let err = engine
+            .disc_update(&mut core, &fewer, &neg, true)
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Graph(_)), "{err:?}");
     }
 }

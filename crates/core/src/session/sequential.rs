@@ -74,7 +74,13 @@ impl Engine for SequentialEngine {
     }
 
     /// One discriminator update (Algorithm 3 line 8) over a batch.
-    fn disc_update(&mut self, core: &mut SessionCore, batch: &DiscBatch) -> Result<(), CoreError> {
+    fn disc_update(
+        &mut self,
+        core: &mut SessionCore,
+        _graph: &Graph,
+        batch: &DiscBatch,
+        _next_in_phase: bool,
+    ) -> Result<(), CoreError> {
         let r = core.cfg.dim;
         let variant = core.cfg.variant;
         let clip = core.cfg.clip;

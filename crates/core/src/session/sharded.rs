@@ -232,7 +232,13 @@ impl Engine for ShardedEngine<'_> {
     /// update's stream index is the schedule cursor's `disc_updates`
     /// counter, which also makes resumed runs derive the same streams as
     /// uninterrupted ones.
-    fn disc_update(&mut self, core: &mut SessionCore, batch: &DiscBatch) -> Result<(), CoreError> {
+    fn disc_update(
+        &mut self,
+        core: &mut SessionCore,
+        _graph: &Graph,
+        batch: &DiscBatch,
+        _next_in_phase: bool,
+    ) -> Result<(), CoreError> {
         let r = core.cfg.dim;
         let count = batch.pairs.len();
         if count == 0 {

@@ -303,8 +303,9 @@ impl Trainer {
     }
 
     /// The resolved worker-thread count: 1 for the sequential engine; for
-    /// the partitioned engine, Phase-B workers only (its trajectory is
-    /// thread-invariant).
+    /// the partitioned engine, the workers that run Phase B and regenerate
+    /// the next update's fakes, not counting the calling thread, which
+    /// joins in on the fakes (its trajectory is thread-invariant).
     pub fn threads(&self) -> usize {
         match &self.engine {
             ChosenEngine::Sequential(engine) => engine.threads(),
@@ -566,24 +567,63 @@ mod tests {
     #[test]
     fn tight_budget_stops_every_engine_at_the_same_update() {
         // Budget spend and schedule-derived counters must not depend on
-        // the engine or its thread count.
+        // the engine or its thread count. `budget_limited` stops after the
+        // first update; `later` after one whole epoch and part of the next
+        // phase, so the partitioned engine's lookahead has handed over
+        // many times before it stops.
         let g = karate_club();
-        let seq = fit(EngineKind::Sequential, &g, budget_limited());
-        assert!(seq.stopped_by_budget, "expected early stop");
-        assert!(seq.epochs_run < 50);
-        // Spent delta must have crossed the target.
-        assert!(seq.delta_spent.unwrap() >= 1e-5);
-        for engine in [EngineKind::Sharded, EngineKind::Partitioned] {
-            let out = fit(engine, &g, budget_limited());
-            assert!(out.stopped_by_budget, "{engine:?}");
-            assert_eq!(seq.disc_updates, out.disc_updates, "{engine:?}");
-            assert_eq!(seq.epochs_run, out.epochs_run, "{engine:?}");
-            assert_eq!(seq.epsilon_spent, out.epsilon_spent, "{engine:?}");
-            assert_eq!(seq.delta_spent, out.delta_spent, "{engine:?}");
+        let mut later = budget_limited();
+        later.sigma = 5.0;
+        later.epsilon = 5.0;
+        for cfg in [budget_limited(), later] {
+            let at = format!("epsilon {}", cfg.epsilon);
+            let seq = fit(EngineKind::Sequential, &g, cfg.clone());
+            assert!(seq.stopped_by_budget, "{at}: expected early stop");
+            assert!(seq.epochs_run < 50, "{at}");
+            // Spent delta must have crossed the target.
+            assert!(seq.delta_spent.unwrap() >= 1e-5, "{at}");
+            // The stop falls mid-phase, so above one thread the partitioned
+            // engine stops with the next update's draws already taken.
+            let phase = 2 * cfg.disc_iters as u64;
+            assert_ne!(
+                seq.disc_updates % phase,
+                0,
+                "{at}: the stop must fall mid-phase"
+            );
+            let partitioned = |threads| {
+                PartitionedTrainer::new(&g, cfg.clone().with_threads(threads), 3)
+                    .unwrap()
+                    .train(&g)
+                    .unwrap()
+            };
+            let (part1, part4) = (partitioned(1), partitioned(4));
+            for (engine, out) in [
+                ("sharded@4", &fit(EngineKind::Sharded, &g, cfg.clone())),
+                (
+                    "sharded@2",
+                    &Trainer::fit(&g, cfg.clone().with_threads(2)).unwrap(),
+                ),
+                ("partitioned@1", &part1),
+                ("partitioned@4", &part4),
+            ] {
+                assert!(out.stopped_by_budget, "{at}: {engine}");
+                assert_eq!(seq.disc_updates, out.disc_updates, "{at}: {engine}");
+                assert_eq!(seq.epochs_run, out.epochs_run, "{at}: {engine}");
+                assert_eq!(seq.epsilon_spent, out.epsilon_spent, "{at}: {engine}");
+                assert_eq!(seq.delta_spent, out.delta_spent, "{at}: {engine}");
+            }
+            // Up to the stop, the partitioned engine replays the sequential
+            // one.
+            for (engine, out) in [("partitioned@1", &part1), ("partitioned@4", &part4)] {
+                let what = format!("{at}: {engine}");
+                assert_eq!(bits(&seq.node_vectors), bits(&out.node_vectors), "{what}");
+                assert_eq!(
+                    bits(&seq.context_vectors),
+                    bits(&out.context_vectors),
+                    "{what}"
+                );
+            }
         }
-        let sharded2 = Trainer::fit(&g, budget_limited().with_threads(2)).unwrap();
-        assert_eq!(seq.disc_updates, sharded2.disc_updates);
-        assert_eq!(seq.delta_spent, sharded2.delta_spent);
     }
 
     #[test]
@@ -622,28 +662,31 @@ mod tests {
         for v in ModelVariant::all() {
             let cfg = AdvSgmConfig::test_small(v);
             let seq = fit(EngineKind::Sequential, &g, cfg.clone());
-            let ooc = fit(EngineKind::Partitioned, &g, cfg.clone());
-            assert_eq!(
-                bits(&seq.node_vectors),
-                bits(&ooc.node_vectors),
-                "{v}: partitioned must reproduce the sequential engine bit-for-bit"
-            );
-            assert_eq!(bits(&seq.context_vectors), bits(&ooc.context_vectors));
-            assert_eq!(seq.epoch_losses, ooc.epoch_losses);
-            assert_eq!(seq.disc_updates, ooc.disc_updates);
-            assert_eq!(seq.epsilon_spent, ooc.epsilon_spent);
-            assert_eq!(seq.delta_spent, ooc.delta_spent);
+            // Phase-B results are chunk-invariant and the lookahead (which
+            // needs the pool) moves no draw, so four worker threads
+            // reproduce the sequential engine too.
+            for (threads, p) in [(1, 3), (4, 2)] {
+                let ooc = PartitionedTrainer::new(&g, cfg.clone().with_threads(threads), p)
+                    .unwrap()
+                    .train(&g)
+                    .unwrap();
+                let at = format!("{v} at {threads} thread(s)");
+                assert_eq!(
+                    bits(&seq.node_vectors),
+                    bits(&ooc.node_vectors),
+                    "{at}: partitioned must reproduce the sequential engine bit-for-bit"
+                );
+                assert_eq!(
+                    bits(&seq.context_vectors),
+                    bits(&ooc.context_vectors),
+                    "{at}"
+                );
+                assert_eq!(seq.epoch_losses, ooc.epoch_losses, "{at}");
+                assert_eq!(seq.disc_updates, ooc.disc_updates, "{at}");
+                assert_eq!(seq.epsilon_spent, ooc.epsilon_spent, "{at}");
+                assert_eq!(seq.delta_spent, ooc.delta_spent, "{at}");
+            }
         }
-        // Phase-B results are chunk-invariant, so the pool is invisible:
-        // four worker threads reproduce the sequential engine too.
-        let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
-        let seq = fit(EngineKind::Sequential, &g, cfg.clone());
-        let ooc = PartitionedTrainer::new(&g, cfg.with_threads(4), 2)
-            .unwrap()
-            .train(&g)
-            .unwrap();
-        assert_eq!(bits(&seq.node_vectors), bits(&ooc.node_vectors));
-        assert_eq!(seq.epoch_losses, ooc.epoch_losses);
     }
 
     #[test]

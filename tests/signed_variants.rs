@@ -103,23 +103,30 @@ fn workload_cfg(v: ModelVariant, threads: usize) -> AdvSgmConfig {
 }
 
 /// Sequential == partitioned, bitwise, for both workload variants on a
-/// signed graph; sharded@4 is run-to-run deterministic; every engine
-/// reports the same spend.
+/// signed graph, at 1 and 4 threads (above one thread the partitioned
+/// engine samples a batch one update early, so its sign and weight
+/// channels travel through the lookahead); sharded@4 is run-to-run
+/// deterministic; every engine reports the same spend.
 #[test]
 fn workload_variants_hold_the_engine_invariance_trinity() {
     let g = planted_polarity();
     for v in [ModelVariant::SignedAdvSgm, ModelVariant::SpAdvSgm] {
         let seq = Trainer::fit(&g, workload_cfg(v, 1)).unwrap();
 
-        let part = PartitionedTrainer::new(&g, workload_cfg(v, 1), 3)
-            .unwrap()
-            .train(&g)
-            .unwrap();
-        assert_eq!(
-            bits(&seq.node_vectors),
-            bits(&part.node_vectors),
-            "{v}: sequential vs partitioned"
-        );
+        let partitioned = |threads| {
+            PartitionedTrainer::new(&g, workload_cfg(v, threads), 3)
+                .unwrap()
+                .train(&g)
+                .unwrap()
+        };
+        let (part1, part4) = (partitioned(1), partitioned(4));
+        for (engine, part) in [("partitioned@1", &part1), ("partitioned@4", &part4)] {
+            assert_eq!(
+                bits(&seq.node_vectors),
+                bits(&part.node_vectors),
+                "{v}: sequential vs {engine}"
+            );
+        }
 
         let a = Trainer::fit(&g, workload_cfg(v, 4)).unwrap();
         let b = Trainer::fit(&g, workload_cfg(v, 4)).unwrap();
@@ -128,7 +135,11 @@ fn workload_variants_hold_the_engine_invariance_trinity() {
             bits(&b.node_vectors),
             "{v}: sharded@4 run-to-run"
         );
-        for (engine, out) in [("partitioned", &part), ("sharded@4", &a)] {
+        for (engine, out) in [
+            ("partitioned@1", &part1),
+            ("partitioned@4", &part4),
+            ("sharded@4", &a),
+        ] {
             assert_eq!(
                 seq.epsilon_spent.map(f64::to_bits),
                 out.epsilon_spent.map(f64::to_bits),
