@@ -1,6 +1,6 @@
 //! Minimal CLI argument parsing for the experiment binaries.
 //!
-//! Hand-rolled on purpose: the binaries need four flags, which does not
+//! Hand-rolled on purpose: the binaries need five flags, which does not
 //! justify a CLI dependency outside the sanctioned crate set.
 
 /// Common experiment options.
@@ -41,8 +41,9 @@ impl BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `--scale`, `--runs`, `--seed`, `--epochs` from an iterator of
-    /// argument tokens (typically `std::env::args().skip(1)`).
+    /// Parses `--scale`, `--runs`, `--seed`, `--epochs` and `--datasets`
+    /// from an iterator of argument tokens (typically
+    /// `std::env::args().skip(1)`).
     ///
     /// # Errors
     /// Returns a human-readable message on unknown flags or bad values.

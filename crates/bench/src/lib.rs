@@ -26,4 +26,4 @@ pub mod report;
 
 pub use args::BenchArgs;
 pub use harness::{baseline_auc, baseline_mi, variant_auc, variant_mi, Method};
-pub use report::{append_jsonl, append_jsonl_at, print_table, Record};
+pub use report::{append_jsonl, print_table, Record};

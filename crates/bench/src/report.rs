@@ -1,7 +1,7 @@
 //! Table formatting and JSON result records.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::Path;
 
 use serde::Serialize;
 
@@ -33,26 +33,16 @@ pub struct Record {
 /// Appends records to `results/<experiment>.jsonl` relative to the
 /// current directory (directory created on demand) — the paper-artifact
 /// binaries run from the workspace root, so records land in the
-/// top-level `results/`. Criterion benches, whose working directory is
-/// the *package* root, should use [`append_jsonl_at`] with an anchored
-/// path instead.
+/// top-level `results/`.
 ///
 /// # Errors
-/// Any directory-creation, open, or write failure. Callers must surface
-/// the error — a bench whose records silently vanish leaves no perf
-/// trajectory on disk, which is worse than a loud failure after the
-/// numbers were printed.
+/// Any directory-creation, open, serialisation, or write failure. Callers
+/// must surface the error — a bench whose records silently vanish leaves
+/// no perf trajectory on disk, which is worse than a loud failure after
+/// the numbers were printed.
 pub fn append_jsonl(experiment: &str, records: &[Record]) -> std::io::Result<()> {
-    append_jsonl_at(PathBuf::from("results"), experiment, records)
-}
-
-/// [`append_jsonl`] with an explicit results directory, for callers whose
-/// working directory is not the workspace root.
-///
-/// # Errors
-/// Any directory-creation, open, serialisation, or write failure.
-pub fn append_jsonl_at(dir: PathBuf, experiment: &str, records: &[Record]) -> std::io::Result<()> {
-    std::fs::create_dir_all(&dir)?;
+    let dir = Path::new("results");
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{experiment}.jsonl"));
     let mut file = std::fs::OpenOptions::new()
         .create(true)

@@ -8,7 +8,7 @@
 //! so an invalid config is unrepresentable past the builder, and no
 //! caller ever threads a raw `AdvSgmConfig` between crates by hand.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use advsgm_core::{AdvSgmConfig, ModelVariant, PartitionedTrainer, Trainer};
 use advsgm_graph::Graph;
@@ -44,21 +44,13 @@ pub struct PipelineBuilder {
     /// bucket count is an execution-resource choice, never pinned into
     /// checkpoints or release metadata.
     partitions: usize,
-    /// An optional graph file recorded by
-    /// [`PipelineBuilder::graph_path`], consumed by
-    /// [`PipelineBuilder::load_graph`].
-    graph_path: Option<PathBuf>,
 }
 
 impl PipelineBuilder {
     /// A builder with the paper's full experimental defaults
     /// (`dim = 128`, `epochs = 50`, `sigma = 5`, ...) for `variant`.
     pub fn new(variant: ModelVariant) -> Self {
-        Self {
-            cfg: AdvSgmConfig::for_variant(variant),
-            partitions: 0,
-            graph_path: None,
-        }
+        Self::from_config(AdvSgmConfig::for_variant(variant))
     }
 
     /// A builder with the scaled-down test configuration
@@ -66,11 +58,7 @@ impl PipelineBuilder {
     /// fast but exercising every code path. The right starting point for
     /// examples, doctests, and smoke tests.
     pub fn test_small(variant: ModelVariant) -> Self {
-        Self {
-            cfg: AdvSgmConfig::test_small(variant),
-            partitions: 0,
-            graph_path: None,
-        }
+        Self::from_config(AdvSgmConfig::test_small(variant))
     }
 
     /// Wraps an existing configuration — the bridge for callers that
@@ -78,11 +66,7 @@ impl PipelineBuilder {
     /// harness). [`PipelineBuilder::build`] still validates it exactly
     /// once, so this cannot smuggle an invalid config past the builder.
     pub fn from_config(cfg: AdvSgmConfig) -> Self {
-        Self {
-            cfg,
-            partitions: 0,
-            graph_path: None,
-        }
+        Self { cfg, partitions: 0 }
     }
 
     /// The configuration as assembled so far (not yet validated).
@@ -210,35 +194,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Records a graph file for [`PipelineBuilder::load_graph`]: a
-    /// disk-resident `.agph` partitioned graph (`docs/FORMAT.md`) or a
-    /// whitespace edge-list (any other extension).
-    #[must_use]
-    pub fn graph_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.graph_path = Some(path.into());
-        self
-    }
-
-    /// Loads the graph recorded by [`PipelineBuilder::graph_path`],
-    /// dispatching on the extension: `.agph` goes through the verified
-    /// streaming codec ([`advsgm_store::load_agph`]), anything else is
-    /// parsed as a whitespace edge-list.
-    ///
-    /// # Errors
-    /// [`Error::InvalidParameter`](crate::api::Error::InvalidParameter)
-    /// when no path was recorded; [`Error::Store`](crate::api::Error::Store)
-    /// / [`Error::Graph`](crate::api::Error::Graph) on decode failures
-    /// (including every `.agph` corruption mode).
-    pub fn load_graph(&self) -> Result<Graph> {
-        let path = self.graph_path.as_deref().ok_or_else(|| {
-            crate::api::Error::invalid(
-                "graph_path",
-                "no graph file recorded; call PipelineBuilder::graph_path first",
-            )
-        })?;
-        load_graph_file(path)
-    }
-
     /// Validates the assembled configuration — the builder's single
     /// [`AdvSgmConfig::validate`] call — and stands up a [`Pipeline`]
     /// with the engine auto-selected: the out-of-core partitioned engine
@@ -260,9 +215,17 @@ impl PipelineBuilder {
     }
 }
 
-/// Loads a training graph from disk by extension: `.agph` through the
-/// verified streaming codec, anything else as a whitespace edge-list.
-pub(crate) fn load_graph_file(path: &Path) -> Result<Graph> {
+/// Loads a training graph from disk, dispatching on the extension:
+/// `.agph` goes through the verified streaming codec
+/// ([`advsgm_store::load_agph`], `docs/FORMAT.md`), anything else is
+/// parsed as a whitespace edge-list.
+///
+/// # Errors
+/// [`Error::Store`](crate::api::Error::Store) /
+/// [`Error::Graph`](crate::api::Error::Graph) on read or decode failures
+/// (including every `.agph` corruption mode).
+pub fn load_graph(path: impl AsRef<Path>) -> Result<Graph> {
+    let path = path.as_ref();
     if path.extension().is_some_and(|e| e == "agph") {
         Ok(advsgm_store::load_agph(path)?)
     } else {
@@ -364,22 +327,11 @@ mod tests {
         }
         std::fs::write(&edges, text).unwrap();
 
-        let from_agph = PipelineBuilder::test_small(ModelVariant::Sgm)
-            .graph_path(&agph)
-            .load_graph()
-            .unwrap();
-        let from_list = PipelineBuilder::test_small(ModelVariant::Sgm)
-            .graph_path(&edges)
-            .load_graph()
-            .unwrap();
+        let from_agph = load_graph(&agph).unwrap();
+        let from_list = load_graph(&edges).unwrap();
         assert_eq!(from_agph.num_nodes(), g.num_nodes());
         assert_eq!(from_agph.num_edges(), g.num_edges());
         assert_eq!(from_list.num_edges(), g.num_edges());
-
-        let err = PipelineBuilder::test_small(ModelVariant::Sgm)
-            .load_graph()
-            .unwrap_err();
-        assert!(err.to_string().contains("graph_path"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -75,7 +75,7 @@ mod service;
 mod types;
 
 pub use audit::{audit_membership, audit_outcome};
-pub use builder::PipelineBuilder;
+pub use builder::{load_graph, PipelineBuilder};
 pub use error::{Error, Result};
 pub use pipeline::{Checkpoint, Pipeline, PipelineEvent, Trained};
 pub use service::EmbeddingService;

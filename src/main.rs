@@ -43,22 +43,24 @@
 //! partitioned engine, which keeps at most two embedding partitions in
 //! memory while producing bitwise-identical releases (DESIGN.md §14).
 //!
-//! Argument parsing is hand-rolled like `advsgm-bench`'s: a handful of
-//! subcommands and a score of flags do not justify a CLI dependency
-//! outside the vendored crate set. Parsing is pure (`parse_train` /
-//! `parse_convert` / `parse_audit` / `parse_query` / `parse_info` /
-//! `parse_index` / `parse_serve` / `parse_stop` return argument structs)
-//! so it is unit-tested without touching the filesystem.
+//! Argument parsing is hand-rolled: a handful of subcommands and a score
+//! of flags do not justify a CLI dependency outside the vendored crate
+//! set. Each subcommand declares its flags once, as a table of names and
+//! value counts built from shared groups (`GRAPH_FLAGS`, `MODEL_FLAGS`).
+//! `parse_flags` splits the tokens by that table, and each `parse_*`
+//! function converts the values into its argument struct. Parsing is
+//! pure, so it is unit-tested without touching the filesystem.
 
+use std::fmt::Display;
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use advsgm::api::{
-    audit_membership, AuditConfig, Checkpoint, Delta, Dim, EmbeddingService, Epsilon, ModelVariant,
-    NoiseSigma, Pipeline, PipelineBuilder, PipelineEvent, StopReason,
+    audit_membership, load_graph, AuditConfig, Checkpoint, Delta, Dim, EmbeddingService, Epsilon,
+    ModelVariant, NoiseSigma, Pipeline, PipelineBuilder, PipelineEvent, StopReason,
 };
 use advsgm::datasets::{dataset_by_name, synthesize};
-use advsgm::graph::io::read_edge_list_file;
 use advsgm::graph::Graph;
 use advsgm::serve::{client::ServeClient, ServeConfig, Server};
 use advsgm::store::{IndexParams, IvfIndex};
@@ -196,20 +198,234 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls the value following a flag out of the token list.
-fn take_value(tokens: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
-    *i += 1;
-    tokens
-        .get(*i)
-        .cloned()
-        .ok_or_else(|| format!("{flag} needs a value"))
+/// A flag a subcommand accepts, with the number of values that follow it.
+type Flag = (&'static str, usize);
+
+/// The graph source, shared by `train`, `convert` and `audit`.
+const GRAPH_FLAGS: &[Flag] = &[("--dataset", 1), ("--scale", 1), ("--edges", 1)];
+
+/// The model configuration, shared by `train` and `audit`.
+const MODEL_FLAGS: &[Flag] = &[
+    ("--variant", 1),
+    ("--epsilon", 1),
+    ("--delta", 1),
+    ("--sigma", 1),
+    ("--epochs", 1),
+    ("--dim", 1),
+    ("--batch-size", 1),
+    ("--lr", 1),
+    ("--seed", 1),
+];
+
+/// `train`'s engine flags. `--resume` pins them, and every model flag
+/// but `--epochs`, to the checkpoint's values.
+const ENGINE_FLAGS: &[Flag] = &[("--threads", 1), ("--shard-size", 1)];
+
+const TRAIN_FLAGS: &[&[Flag]] = &[
+    GRAPH_FLAGS,
+    MODEL_FLAGS,
+    ENGINE_FLAGS,
+    &[
+        ("--out", 1),
+        ("--graph", 1),
+        ("--partitions", 1),
+        ("--checkpoint-every", 1),
+        ("--checkpoint", 1),
+        ("--resume", 1),
+    ],
+];
+const CONVERT_FLAGS: &[&[Flag]] = &[
+    GRAPH_FLAGS,
+    &[("--out", 1), ("--seed", 1), ("--buckets", 1)],
+];
+const AUDIT_FLAGS: &[&[Flag]] = &[
+    GRAPH_FLAGS,
+    MODEL_FLAGS,
+    &[
+        ("--out", 1),
+        ("--threads", 1),
+        ("--targets", 1),
+        ("--runs", 1),
+        ("--test-fraction", 1),
+        ("--confidence", 1),
+        ("--no-ablation", 0),
+    ],
+];
+const QUERY_FLAGS: &[&[Flag]] = &[&[
+    ("--store", 1),
+    ("--index", 1),
+    ("--remote", 1),
+    ("--node", 1),
+    ("--pair", 2),
+    ("--top-k", 1),
+    ("--threads", 1),
+    ("--approx", 1),
+]];
+const INFO_FLAGS: &[&[Flag]] = &[&[("--store", 1), ("--host", 0)]];
+const INDEX_FLAGS: &[&[Flag]] = &[&[
+    ("--store", 1),
+    ("--out", 1),
+    ("--nlist", 1),
+    ("--kmeans-iters", 1),
+    ("--sample-queries", 1),
+]];
+const SERVE_FLAGS: &[&[Flag]] = &[&[
+    ("--store", 1),
+    ("--index", 1),
+    ("--build-index", 0),
+    ("--addr", 1),
+    ("--cache", 1),
+    ("--max-requests", 1),
+    ("--relaxed", 0),
+]];
+const STOP_FLAGS: &[&[Flag]] = &[&[("--addr", 1)]];
+
+/// The entry for `name` in `table`.
+fn lookup(table: &[&[Flag]], name: &str) -> Option<Flag> {
+    table.concat().into_iter().find(|flag| flag.0 == name)
 }
 
-fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    value.parse().map_err(|e| format!("{flag}: {e}"))
+/// The flags one command line passed, in command-line order, each with
+/// the values that followed it.
+struct Flags(Vec<(&'static str, Vec<String>)>);
+
+/// Splits `tokens` into the flags of `table` that were passed: the one
+/// place that rejects an unknown flag or a missing value.
+fn parse_flags(tokens: &[String], table: &[&[Flag]]) -> Result<Flags, String> {
+    let mut flags = Vec::new();
+    let mut rest = tokens;
+    while let Some((token, tail)) = rest.split_first() {
+        let (name, count) =
+            lookup(table, token).ok_or_else(|| format!("unknown flag {token}\n{USAGE}"))?;
+        if tail.len() < count {
+            return Err(format!("{name} needs a value"));
+        }
+        let (values, next) = tail.split_at(count);
+        flags.push((name, values.to_vec()));
+        rest = next;
+    }
+    Ok(Flags(flags))
+}
+
+impl Flags {
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|(n, _)| *n == name)
+    }
+
+    /// Every value passed for `name`, parsed as `T` and then passed
+    /// through `check`. A bad value is an error even when a later
+    /// occurrence of the flag replaces it.
+    fn all<T: FromStr<Err: Display>, U>(
+        &self,
+        name: &str,
+        check: impl Fn(T) -> Result<U, String>,
+    ) -> Result<Vec<U>, String> {
+        self.0
+            .iter()
+            .filter(|(n, _)| *n == name)
+            .flat_map(|(_, values)| values)
+            .map(|v| check(v.parse().map_err(|e| format!("{name}: {e}"))?))
+            .collect()
+    }
+
+    /// The last value passed for `name`, checked as by [`Flags::all`].
+    fn get<T: FromStr<Err: Display>, U>(
+        &self,
+        name: &str,
+        check: impl Fn(T) -> Result<U, String>,
+    ) -> Result<Option<U>, String> {
+        Ok(self.all(name, check)?.pop())
+    }
+
+    fn value<T: FromStr<Err: Display>>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name, Ok)
+    }
+
+    fn required(&self, name: &str) -> Result<String, String> {
+        self.value(name)?
+            .ok_or_else(|| format!("{name} is required\n{USAGE}"))
+    }
+
+    /// The last value passed for `name`; a value `ok` rejects is an
+    /// error saying that `name` must be `what`.
+    fn checked<T: FromStr<Err: Display> + Display>(
+        &self,
+        name: &str,
+        what: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        self.get(name, |v: T| {
+            if ok(&v) {
+                Ok(v)
+            } else {
+                Err(format!("{name} must be {what}, got {v}"))
+            }
+        })
+    }
+
+    /// The last value passed for a count that must not be 0.
+    fn positive<T: FromStr<Err: Display> + Display + Default + PartialEq>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, String> {
+        self.checked(name, "positive", |n| *n != T::default())
+    }
+}
+
+/// Reads the graph flags: the dataset (default `ppi`), its scale, which
+/// must lie in (0,1], and an optional graph file.
+fn graph_flags(flags: &Flags, default_scale: f64) -> Result<(String, f64, Option<String>), String> {
+    let scale = flags.checked("--scale", "in (0,1]", |s: &f64| *s > 0.0 && *s <= 1.0)?;
+    Ok((
+        flags.value("--dataset")?.unwrap_or_else(|| "ppi".into()),
+        scale.unwrap_or(default_scale),
+        flags.value("--edges")?,
+    ))
+}
+
+/// Applies the model flags to `builder`.
+fn apply_model_flags(
+    flags: &Flags,
+    mut builder: PipelineBuilder,
+) -> Result<PipelineBuilder, String> {
+    if let Some(v) = flags.get("--variant", |name: String| parse_variant(&name))? {
+        builder = builder.variant(v);
+    }
+    if let Some(eps) = flags.get("--epsilon", |raw| {
+        Epsilon::new(raw).map_err(|e| format!("--epsilon: {e}"))
+    })? {
+        builder = builder.epsilon(eps);
+    }
+    if let Some(delta) = flags.get("--delta", |raw| {
+        Delta::new(raw).map_err(|e| format!("--delta: {e}"))
+    })? {
+        builder = builder.delta(delta);
+    }
+    if let Some(sigma) = flags.get("--sigma", |raw| {
+        NoiseSigma::new(raw).map_err(|e| format!("--sigma: {e}"))
+    })? {
+        builder = builder.sigma(sigma);
+    }
+    if let Some(epochs) = flags.value("--epochs")? {
+        builder = builder.epochs(epochs);
+    }
+    if let Some(dim) = flags.get("--dim", |raw| {
+        Dim::new(raw).map_err(|e| format!("--dim: {e}"))
+    })? {
+        builder = builder.dim(dim);
+    }
+    if let Some(batch) = flags.positive("--batch-size")? {
+        builder = builder.batch_size(batch);
+    }
+    // The paper sets eta_d = eta_g (Section VI-A); one flag drives both.
+    let lr_ok = |lr: &f64| *lr > 0.0 && lr.is_finite();
+    if let Some(lr) = flags.checked("--lr", "positive and finite", lr_ok)? {
+        builder = builder.learning_rate(lr);
+    }
+    if let Some(seed) = flags.value("--seed")? {
+        builder = builder.seed(seed);
+    }
+    Ok(builder)
 }
 
 fn parse_variant(name: &str) -> Result<ModelVariant, String> {
@@ -253,148 +469,59 @@ struct TrainArgs {
     checkpoint_every: Option<NonZeroUsize>,
     checkpoint_path: Option<String>,
     resume: Option<String>,
-    /// Model-configuration flags seen on the command line; `--resume`
-    /// rejects them (the checkpoint pins the configuration).
-    model_flags_seen: Vec<&'static str>,
 }
 
 fn parse_train(tokens: &[String]) -> Result<TrainArgs, String> {
-    let mut args = TrainArgs {
-        out: String::new(),
-        dataset: "ppi".to_string(),
-        scale: 0.1,
-        edges: None,
-        graph: None,
-        partitions: 0,
-        // A CLI run should finish in seconds by default; paper-scale epochs
-        // remain one `--epochs 50` away.
-        builder: PipelineBuilder::new(ModelVariant::AdvSgm).epochs(5),
-        epochs_explicit: None,
-        checkpoint_every: None,
-        checkpoint_path: None,
-        resume: None,
-        model_flags_seen: Vec::new(),
-    };
-    let mut out: Option<String> = None;
-
-    let mut i = 0;
-    while i < tokens.len() {
-        match tokens[i].as_str() {
-            "--out" => out = Some(take_value(tokens, &mut i, "--out")?),
-            "--dataset" => args.dataset = take_value(tokens, &mut i, "--dataset")?,
-            "--scale" => {
-                args.scale = parse_num(&take_value(tokens, &mut i, "--scale")?, "--scale")?;
-                if !(args.scale > 0.0 && args.scale <= 1.0) {
-                    return Err(format!("--scale must be in (0,1], got {}", args.scale));
-                }
-            }
-            "--edges" => args.edges = Some(take_value(tokens, &mut i, "--edges")?),
-            "--graph" => args.graph = Some(take_value(tokens, &mut i, "--graph")?),
-            "--partitions" => {
-                args.partitions =
-                    parse_num(&take_value(tokens, &mut i, "--partitions")?, "--partitions")?;
-            }
-            "--variant" => {
-                let v = parse_variant(&take_value(tokens, &mut i, "--variant")?)?;
-                args.builder = args.builder.variant(v);
-                args.model_flags_seen.push("--variant");
-            }
-            "--epsilon" => {
-                let raw: f64 = parse_num(&take_value(tokens, &mut i, "--epsilon")?, "--epsilon")?;
-                let eps = Epsilon::new(raw).map_err(|e| format!("--epsilon: {e}"))?;
-                args.builder = args.builder.epsilon(eps);
-                args.model_flags_seen.push("--epsilon");
-            }
-            "--delta" => {
-                let raw: f64 = parse_num(&take_value(tokens, &mut i, "--delta")?, "--delta")?;
-                let delta = Delta::new(raw).map_err(|e| format!("--delta: {e}"))?;
-                args.builder = args.builder.delta(delta);
-                args.model_flags_seen.push("--delta");
-            }
-            "--sigma" => {
-                let raw: f64 = parse_num(&take_value(tokens, &mut i, "--sigma")?, "--sigma")?;
-                let sigma = NoiseSigma::new(raw).map_err(|e| format!("--sigma: {e}"))?;
-                args.builder = args.builder.sigma(sigma);
-                args.model_flags_seen.push("--sigma");
-            }
-            "--epochs" => {
-                let e: usize = parse_num(&take_value(tokens, &mut i, "--epochs")?, "--epochs")?;
-                args.builder = args.builder.epochs(e);
-                args.epochs_explicit = Some(e);
-            }
-            "--dim" => {
-                let raw: usize = parse_num(&take_value(tokens, &mut i, "--dim")?, "--dim")?;
-                let dim = Dim::new(raw).map_err(|e| format!("--dim: {e}"))?;
-                args.builder = args.builder.dim(dim);
-                args.model_flags_seen.push("--dim");
-            }
-            "--batch-size" => {
-                let b: usize =
-                    parse_num(&take_value(tokens, &mut i, "--batch-size")?, "--batch-size")?;
-                if b == 0 {
-                    return Err("--batch-size must be positive, got 0".into());
-                }
-                args.builder = args.builder.batch_size(b);
-                args.model_flags_seen.push("--batch-size");
-            }
-            "--lr" => {
-                let lr: f64 = parse_num(&take_value(tokens, &mut i, "--lr")?, "--lr")?;
-                if !(lr > 0.0 && lr.is_finite()) {
-                    return Err(format!("--lr must be positive and finite, got {lr}"));
-                }
-                // The paper sets eta_d = eta_g (Section VI-A); one flag
-                // drives both.
-                args.builder = args.builder.learning_rate(lr);
-                args.model_flags_seen.push("--lr");
-            }
-            "--threads" => {
-                // Maps to `AdvSgmConfig::with_threads` via the builder.
-                // Precedence: an explicit N > 0 overrides ADVSGM_THREADS;
-                // 0 (the default) defers to the environment, else 1.
-                let n: usize = parse_num(&take_value(tokens, &mut i, "--threads")?, "--threads")?;
-                args.builder = args.builder.threads(n);
-                args.model_flags_seen.push("--threads");
-            }
-            "--shard-size" => {
-                // 0 is meaningful (auto: divide the batch over threads).
-                let n: usize =
-                    parse_num(&take_value(tokens, &mut i, "--shard-size")?, "--shard-size")?;
-                args.builder = args.builder.shard_size(n);
-                args.model_flags_seen.push("--shard-size");
-            }
-            "--seed" => {
-                let s: u64 = parse_num(&take_value(tokens, &mut i, "--seed")?, "--seed")?;
-                args.builder = args.builder.seed(s);
-                args.model_flags_seen.push("--seed");
-            }
-            "--checkpoint-every" => {
-                let n: usize = parse_num(
-                    &take_value(tokens, &mut i, "--checkpoint-every")?,
-                    "--checkpoint-every",
-                )?;
-                args.checkpoint_every = Some(
-                    NonZeroUsize::new(n)
-                        .ok_or_else(|| "--checkpoint-every must be positive, got 0".to_string())?,
-                );
-            }
-            "--checkpoint" => {
-                args.checkpoint_path = Some(take_value(tokens, &mut i, "--checkpoint")?);
-            }
-            "--resume" => args.resume = Some(take_value(tokens, &mut i, "--resume")?),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-        i += 1;
+    let flags = parse_flags(tokens, TRAIN_FLAGS)?;
+    let (dataset, scale, edges) = graph_flags(&flags, 0.1)?;
+    // A CLI run should finish in seconds by default; paper-scale epochs
+    // remain one `--epochs 50` away.
+    let mut builder =
+        apply_model_flags(&flags, PipelineBuilder::new(ModelVariant::AdvSgm).epochs(5))?;
+    // Maps to `AdvSgmConfig::with_threads` via the builder. Precedence:
+    // an explicit N > 0 overrides ADVSGM_THREADS; 0 (the default) defers
+    // to the environment, else 1.
+    if let Some(n) = flags.value("--threads")? {
+        builder = builder.threads(n);
     }
-    args.out = out.ok_or_else(|| format!("--out is required\n{USAGE}"))?;
-    if args.resume.is_some() && !args.model_flags_seen.is_empty() {
+    // 0 is meaningful (auto: divide the batch over threads).
+    if let Some(n) = flags.value("--shard-size")? {
+        builder = builder.shard_size(n);
+    }
+    let partitions = flags.value("--partitions")?.unwrap_or(0);
+    let epochs_explicit = flags.value("--epochs")?;
+    let checkpoint_every = flags
+        .positive("--checkpoint-every")?
+        .and_then(NonZeroUsize::new);
+    let out = flags.required("--out")?;
+    let resume = flags.value("--resume")?;
+    let pinned: Vec<&str> = flags
+        .0
+        .iter()
+        .map(|flag| flag.0)
+        .filter(|&name| name != "--epochs" && lookup(&[MODEL_FLAGS, ENGINE_FLAGS], name).is_some())
+        .collect();
+    if resume.is_some() && !pinned.is_empty() {
         return Err(format!(
             "--resume pins the model configuration from the checkpoint; \
              remove {} (only --out/--dataset/--scale/--edges/--epochs and \
              the checkpoint flags may accompany --resume)",
-            args.model_flags_seen.join(", ")
+            pinned.join(", ")
         ));
     }
-    Ok(args)
+    Ok(TrainArgs {
+        out,
+        dataset,
+        scale,
+        edges,
+        graph: flags.value("--graph")?,
+        partitions,
+        builder,
+        epochs_explicit,
+        checkpoint_every,
+        checkpoint_path: flags.value("--checkpoint")?,
+        resume,
+    })
 }
 
 /// Parsed `advsgm convert` arguments: a graph source (as for `train`)
@@ -410,41 +537,16 @@ struct ConvertArgs {
 }
 
 fn parse_convert(tokens: &[String]) -> Result<ConvertArgs, String> {
-    let mut args = ConvertArgs {
-        out: String::new(),
-        dataset: "ppi".to_string(),
-        scale: 0.1,
-        edges: None,
-        seed: 0,
-        buckets: 1,
-    };
-    let mut out: Option<String> = None;
-
-    let mut i = 0;
-    while i < tokens.len() {
-        match tokens[i].as_str() {
-            "--out" => out = Some(take_value(tokens, &mut i, "--out")?),
-            "--dataset" => args.dataset = take_value(tokens, &mut i, "--dataset")?,
-            "--scale" => {
-                args.scale = parse_num(&take_value(tokens, &mut i, "--scale")?, "--scale")?;
-                if !(args.scale > 0.0 && args.scale <= 1.0) {
-                    return Err(format!("--scale must be in (0,1], got {}", args.scale));
-                }
-            }
-            "--edges" => args.edges = Some(take_value(tokens, &mut i, "--edges")?),
-            "--seed" => args.seed = parse_num(&take_value(tokens, &mut i, "--seed")?, "--seed")?,
-            "--buckets" => {
-                args.buckets = parse_num(&take_value(tokens, &mut i, "--buckets")?, "--buckets")?;
-                if args.buckets == 0 {
-                    return Err("--buckets must be positive, got 0".into());
-                }
-            }
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    args.out = out.ok_or_else(|| format!("--out is required\n{USAGE}"))?;
-    Ok(args)
+    let flags = parse_flags(tokens, CONVERT_FLAGS)?;
+    let (dataset, scale, edges) = graph_flags(&flags, 0.1)?;
+    Ok(ConvertArgs {
+        seed: flags.value("--seed")?.unwrap_or(0),
+        buckets: flags.positive("--buckets")?.unwrap_or(1),
+        out: flags.required("--out")?,
+        dataset,
+        scale,
+        edges,
+    })
 }
 
 fn cmd_convert(args: ConvertArgs) -> Result<(), String> {
@@ -478,118 +580,43 @@ struct AuditArgs {
 }
 
 fn parse_audit(tokens: &[String]) -> Result<AuditArgs, String> {
-    let mut args = AuditArgs {
-        out: "results/AUDIT_membership.json".to_string(),
-        dataset: "ppi".to_string(),
-        scale: 0.05,
-        edges: None,
-        // The audit trains 2 * targets * runs releases, so the default
-        // model is the quick CLI shape (small dim, few epochs); paper
-        // scale stays one `--dim 128 --epochs 50` away.
-        builder: PipelineBuilder::new(ModelVariant::AdvSgm)
-            .epochs(5)
-            .dim(Dim::new(32).expect("32 is a valid dimension")),
-        cfg: AuditConfig::new(0),
-        ablation: true,
-    };
-
-    let mut i = 0;
-    while i < tokens.len() {
-        match tokens[i].as_str() {
-            "--out" => args.out = take_value(tokens, &mut i, "--out")?,
-            "--dataset" => args.dataset = take_value(tokens, &mut i, "--dataset")?,
-            "--scale" => {
-                args.scale = parse_num(&take_value(tokens, &mut i, "--scale")?, "--scale")?;
-                if !(args.scale > 0.0 && args.scale <= 1.0) {
-                    return Err(format!("--scale must be in (0,1], got {}", args.scale));
-                }
-            }
-            "--edges" => args.edges = Some(take_value(tokens, &mut i, "--edges")?),
-            "--variant" => {
-                let v = parse_variant(&take_value(tokens, &mut i, "--variant")?)?;
-                args.builder = args.builder.variant(v);
-            }
-            "--epsilon" => {
-                let raw: f64 = parse_num(&take_value(tokens, &mut i, "--epsilon")?, "--epsilon")?;
-                let eps = Epsilon::new(raw).map_err(|e| format!("--epsilon: {e}"))?;
-                args.builder = args.builder.epsilon(eps);
-            }
-            "--delta" => {
-                let raw: f64 = parse_num(&take_value(tokens, &mut i, "--delta")?, "--delta")?;
-                let delta = Delta::new(raw).map_err(|e| format!("--delta: {e}"))?;
-                args.builder = args.builder.delta(delta);
-                // The empirical bound is stated at the training delta.
-                args.cfg.delta = raw;
-            }
-            "--sigma" => {
-                let raw: f64 = parse_num(&take_value(tokens, &mut i, "--sigma")?, "--sigma")?;
-                let sigma = NoiseSigma::new(raw).map_err(|e| format!("--sigma: {e}"))?;
-                args.builder = args.builder.sigma(sigma);
-            }
-            "--epochs" => {
-                let e: usize = parse_num(&take_value(tokens, &mut i, "--epochs")?, "--epochs")?;
-                args.builder = args.builder.epochs(e);
-            }
-            "--dim" => {
-                let raw: usize = parse_num(&take_value(tokens, &mut i, "--dim")?, "--dim")?;
-                let dim = Dim::new(raw).map_err(|e| format!("--dim: {e}"))?;
-                args.builder = args.builder.dim(dim);
-            }
-            "--batch-size" => {
-                let b: usize =
-                    parse_num(&take_value(tokens, &mut i, "--batch-size")?, "--batch-size")?;
-                if b == 0 {
-                    return Err("--batch-size must be positive, got 0".into());
-                }
-                args.builder = args.builder.batch_size(b);
-            }
-            "--lr" => {
-                let lr: f64 = parse_num(&take_value(tokens, &mut i, "--lr")?, "--lr")?;
-                if !(lr > 0.0 && lr.is_finite()) {
-                    return Err(format!("--lr must be positive and finite, got {lr}"));
-                }
-                args.builder = args.builder.learning_rate(lr);
-            }
-            "--seed" => {
-                let s: u64 = parse_num(&take_value(tokens, &mut i, "--seed")?, "--seed")?;
-                // One seed drives both the graph synthesis/panel draw and
-                // (through the harness's derivation chain) every run.
-                args.builder = args.builder.seed(s);
-                args.cfg.seed = s;
-            }
-            "--threads" => {
-                // Unlike train, this is the *fan-out* width over paired
-                // runs; each individual run trains sequentially.
-                args.cfg.threads =
-                    parse_num(&take_value(tokens, &mut i, "--threads")?, "--threads")?;
-            }
-            "--targets" => {
-                args.cfg.targets =
-                    parse_num(&take_value(tokens, &mut i, "--targets")?, "--targets")?;
-            }
-            "--runs" => {
-                args.cfg.runs_per_world =
-                    parse_num(&take_value(tokens, &mut i, "--runs")?, "--runs")?;
-            }
-            "--test-fraction" => {
-                args.cfg.test_fraction = parse_num(
-                    &take_value(tokens, &mut i, "--test-fraction")?,
-                    "--test-fraction",
-                )?;
-            }
-            "--confidence" => {
-                args.cfg.confidence =
-                    parse_num(&take_value(tokens, &mut i, "--confidence")?, "--confidence")?;
-            }
-            "--no-ablation" => args.ablation = false,
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-        i += 1;
+    let flags = parse_flags(tokens, AUDIT_FLAGS)?;
+    let (dataset, scale, edges) = graph_flags(&flags, 0.05)?;
+    // The audit trains 2 * targets * runs releases, so the default
+    // model is the quick CLI shape (small dim, few epochs); paper
+    // scale stays one `--dim 128 --epochs 50` away.
+    let quick = PipelineBuilder::new(ModelVariant::AdvSgm)
+        .epochs(5)
+        .dim(Dim::new(32).expect("32 is a valid dimension"));
+    let builder = apply_model_flags(&flags, quick)?;
+    // One seed drives both the graph synthesis/panel draw and (through
+    // the harness's derivation chain) every run.
+    let mut cfg = AuditConfig::new(flags.value("--seed")?.unwrap_or(0));
+    if flags.has("--delta") {
+        // The empirical bound is stated at the training delta.
+        cfg.delta = builder.config().delta;
     }
+    // Unlike train, this is the *fan-out* width over paired runs; each
+    // individual run trains sequentially.
+    cfg.threads = flags.value("--threads")?.unwrap_or(cfg.threads);
+    cfg.targets = flags.value("--targets")?.unwrap_or(cfg.targets);
+    cfg.runs_per_world = flags.value("--runs")?.unwrap_or(cfg.runs_per_world);
+    cfg.test_fraction = flags.value("--test-fraction")?.unwrap_or(cfg.test_fraction);
+    cfg.confidence = flags.value("--confidence")?.unwrap_or(cfg.confidence);
     // Geometry/statistics violations get the harness's typed messages at
     // parse time rather than after graph synthesis.
-    args.cfg.validate().map_err(|e| e.to_string())?;
-    Ok(args)
+    cfg.validate().map_err(|e| e.to_string())?;
+    Ok(AuditArgs {
+        out: flags
+            .value("--out")?
+            .unwrap_or_else(|| "results/AUDIT_membership.json".to_string()),
+        dataset,
+        scale,
+        edges,
+        builder,
+        cfg,
+        ablation: !flags.has("--no-ablation"),
+    })
 }
 
 fn cmd_audit(args: AuditArgs) -> Result<(), String> {
@@ -678,45 +705,18 @@ struct QueryArgs {
 }
 
 fn parse_query(tokens: &[String]) -> Result<QueryArgs, String> {
-    let mut path: Option<String> = None;
-    let mut index: Option<String> = None;
-    let mut remote: Option<String> = None;
-    let mut node: Option<usize> = None;
-    let mut pair: Option<(usize, usize)> = None;
-    let mut top_k = 10usize;
-    let mut threads = 0usize;
-    let mut approx: Option<f64> = None;
-
-    let mut i = 0;
-    while i < tokens.len() {
-        match tokens[i].as_str() {
-            "--store" => path = Some(take_value(tokens, &mut i, "--store")?),
-            "--index" => index = Some(take_value(tokens, &mut i, "--index")?),
-            "--remote" => remote = Some(take_value(tokens, &mut i, "--remote")?),
-            "--node" => node = Some(parse_num(&take_value(tokens, &mut i, "--node")?, "--node")?),
-            "--pair" => {
-                let u: usize = parse_num(&take_value(tokens, &mut i, "--pair")?, "--pair")?;
-                let v: usize = parse_num(&take_value(tokens, &mut i, "--pair")?, "--pair")?;
-                pair = Some((u, v));
-            }
-            "--top-k" => {
-                top_k = parse_num(&take_value(tokens, &mut i, "--top-k")?, "--top-k")?;
-            }
-            "--threads" => {
-                threads = parse_num(&take_value(tokens, &mut i, "--threads")?, "--threads")?;
-            }
-            "--approx" => {
-                let r: f64 = parse_num(&take_value(tokens, &mut i, "--approx")?, "--approx")?;
-                if !(0.0..=1.0).contains(&r) {
-                    return Err(format!("--approx must be in [0,1], got {r}"));
-                }
-                approx = Some(r);
-            }
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    let source = match (remote, path) {
+    let flags = parse_flags(tokens, QUERY_FLAGS)?;
+    let node: Option<usize> = flags.value("--node")?;
+    let pair = flags
+        .all("--pair", Ok::<usize, String>)?
+        .chunks_exact(2)
+        .next_back()
+        .map(|p| (p[0], p[1]));
+    let top_k: usize = flags.value("--top-k")?.unwrap_or(10);
+    let threads: usize = flags.value("--threads")?.unwrap_or(0);
+    let approx = flags.checked("--approx", "in [0,1]", |r: &f64| (0.0..=1.0).contains(r))?;
+    let index = flags.value("--index")?;
+    let source = match (flags.value("--remote")?, flags.value("--store")?) {
         (Some(_), Some(_)) => {
             return Err("pass either --store PATH or --remote HOST:PORT, not both".into())
         }
@@ -761,21 +761,15 @@ struct InfoArgs {
 }
 
 fn parse_info(tokens: &[String]) -> Result<InfoArgs, String> {
-    let mut path: Option<String> = None;
-    let mut host = false;
-    let mut i = 0;
-    while i < tokens.len() {
-        match tokens[i].as_str() {
-            "--store" => path = Some(take_value(tokens, &mut i, "--store")?),
-            "--host" => host = true,
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    if path.is_none() && !host {
+    let flags = parse_flags(tokens, INFO_FLAGS)?;
+    let args = InfoArgs {
+        store: flags.value("--store")?,
+        host: flags.has("--host"),
+    };
+    if args.store.is_none() && !args.host {
         return Err(format!("pass --store PATH and/or --host\n{USAGE}"));
     }
-    Ok(InfoArgs { store: path, host })
+    Ok(args)
 }
 
 /// Parsed `advsgm index` arguments.
@@ -787,44 +781,21 @@ struct IndexArgs {
 }
 
 fn parse_index(tokens: &[String]) -> Result<IndexArgs, String> {
-    let mut store: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut params = IndexParams::default();
-    let mut i = 0;
-    while i < tokens.len() {
-        match tokens[i].as_str() {
-            "--store" => store = Some(take_value(tokens, &mut i, "--store")?),
-            "--out" => out = Some(take_value(tokens, &mut i, "--out")?),
-            "--nlist" => {
-                params.nlist = parse_num(&take_value(tokens, &mut i, "--nlist")?, "--nlist")?;
-            }
-            "--kmeans-iters" => {
-                let n: usize = parse_num(
-                    &take_value(tokens, &mut i, "--kmeans-iters")?,
-                    "--kmeans-iters",
-                )?;
-                if n == 0 {
-                    return Err("--kmeans-iters must be positive, got 0".into());
-                }
-                params.kmeans_iters = n;
-            }
-            "--sample-queries" => {
-                let n: usize = parse_num(
-                    &take_value(tokens, &mut i, "--sample-queries")?,
-                    "--sample-queries",
-                )?;
-                if n == 0 {
-                    return Err("--sample-queries must be positive, got 0".into());
-                }
-                params.sample_queries = n;
-            }
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-        i += 1;
-    }
+    let flags = parse_flags(tokens, INDEX_FLAGS)?;
+    let defaults = IndexParams::default();
+    let params = IndexParams {
+        nlist: flags.value("--nlist")?.unwrap_or(defaults.nlist),
+        kmeans_iters: flags
+            .positive("--kmeans-iters")?
+            .unwrap_or(defaults.kmeans_iters),
+        sample_queries: flags
+            .positive("--sample-queries")?
+            .unwrap_or(defaults.sample_queries),
+        ..defaults
+    };
     Ok(IndexArgs {
-        store: store.ok_or_else(|| format!("--store is required\n{USAGE}"))?,
-        out: out.ok_or_else(|| format!("--out is required\n{USAGE}"))?,
+        store: flags.required("--store")?,
+        out: flags.required("--out")?,
         params,
     })
 }
@@ -842,46 +813,25 @@ struct ServeArgs {
 }
 
 fn parse_serve(tokens: &[String]) -> Result<ServeArgs, String> {
-    let mut args = ServeArgs {
-        store: String::new(),
-        index: None,
-        build_index: false,
-        addr: "127.0.0.1:7878".to_string(),
-        cache: 1024,
-        max_requests: None,
-        relaxed: false,
-    };
-    let mut store: Option<String> = None;
-    let mut i = 0;
-    while i < tokens.len() {
-        match tokens[i].as_str() {
-            "--store" => store = Some(take_value(tokens, &mut i, "--store")?),
-            "--index" => args.index = Some(take_value(tokens, &mut i, "--index")?),
-            "--build-index" => args.build_index = true,
-            "--addr" => args.addr = take_value(tokens, &mut i, "--addr")?,
-            "--cache" => {
-                args.cache = parse_num(&take_value(tokens, &mut i, "--cache")?, "--cache")?;
-            }
-            "--max-requests" => {
-                let n: u64 = parse_num(
-                    &take_value(tokens, &mut i, "--max-requests")?,
-                    "--max-requests",
-                )?;
-                if n == 0 {
-                    return Err("--max-requests must be positive, got 0".into());
-                }
-                args.max_requests = Some(n);
-            }
-            "--relaxed" => args.relaxed = true,
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    if args.index.is_some() && args.build_index {
+    let flags = parse_flags(tokens, SERVE_FLAGS)?;
+    let cache = flags.value("--cache")?.unwrap_or(1024);
+    let max_requests = flags.positive("--max-requests")?;
+    let index = flags.value("--index")?;
+    let build_index = flags.has("--build-index");
+    if index.is_some() && build_index {
         return Err("pass either --index PATH or --build-index, not both".into());
     }
-    args.store = store.ok_or_else(|| format!("--store is required\n{USAGE}"))?;
-    Ok(args)
+    Ok(ServeArgs {
+        store: flags.required("--store")?,
+        index,
+        build_index,
+        addr: flags
+            .value("--addr")?
+            .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
+        cache,
+        max_requests,
+        relaxed: flags.has("--relaxed"),
+    })
 }
 
 /// Parsed `advsgm stop` arguments.
@@ -891,35 +841,19 @@ struct StopArgs {
 }
 
 fn parse_stop(tokens: &[String]) -> Result<StopArgs, String> {
-    let mut addr: Option<String> = None;
-    let mut i = 0;
-    while i < tokens.len() {
-        match tokens[i].as_str() {
-            "--addr" => addr = Some(take_value(tokens, &mut i, "--addr")?),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-        i += 1;
-    }
+    let flags = parse_flags(tokens, STOP_FLAGS)?;
     Ok(StopArgs {
-        addr: addr.ok_or_else(|| format!("--addr is required\n{USAGE}"))?,
+        addr: flags.required("--addr")?,
     })
 }
 
-/// Builds a graph from `--edges` or the named synthetic dataset
-/// (scaled), announcing what was loaded. Shared by `train` and `audit`.
+/// Builds a graph from a graph file ([`load_graph`]) or the named
+/// synthetic dataset (scaled), announcing what was loaded. Shared by
+/// `train`, `convert` and `audit`.
 fn build_graph(edges: Option<&str>, dataset: &str, scale: f64, seed: u64) -> Result<Graph, String> {
     match edges {
         Some(path) => {
-            // Dispatch on the extension: `.agph` goes through the
-            // verified partitioned codec, anything else is an edge-list.
-            let g = if std::path::Path::new(path)
-                .extension()
-                .is_some_and(|e| e == "agph")
-            {
-                advsgm::store::load_agph(path).map_err(|e| format!("--graph {path}: {e}"))?
-            } else {
-                read_edge_list_file(path, None).map_err(|e| format!("--edges {path}: {e}"))?
-            };
+            let g = load_graph(path).map_err(|e| format!("{path}: {e}"))?;
             println!(
                 "loaded {path}: {} nodes, {} edges",
                 g.num_nodes(),
@@ -1852,5 +1786,60 @@ mod tests {
         assert!(parse_stop(&toks("--wat"))
             .unwrap_err()
             .contains("unknown flag"));
+    }
+
+    // ---- flag tables ----
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_accepts() {
+        use std::collections::BTreeSet;
+        let synopsis = USAGE.split("\n\n").next().unwrap();
+        for (cmd, table) in [
+            ("train", TRAIN_FLAGS),
+            ("convert", CONVERT_FLAGS),
+            ("audit", AUDIT_FLAGS),
+            ("query", QUERY_FLAGS),
+            ("info", INFO_FLAGS),
+            ("index", INDEX_FLAGS),
+            ("serve", SERVE_FLAGS),
+            ("stop", STOP_FLAGS),
+        ] {
+            // A synopsis runs from its `advsgm <cmd>` line up to the next
+            // command's line; `query` has three.
+            let mut listed = BTreeSet::new();
+            let mut in_cmd = false;
+            for line in synopsis.lines() {
+                if let Some(rest) = line.trim_start().strip_prefix("advsgm ") {
+                    in_cmd = rest.split_whitespace().next() == Some(cmd);
+                }
+                if in_cmd {
+                    listed.extend(
+                        line.split_whitespace()
+                            .map(|word| word.trim_matches(|c| c == '[' || c == ']'))
+                            .filter(|word| word.starts_with("--")),
+                    );
+                }
+            }
+            let accepted: BTreeSet<&str> = table.concat().iter().map(|flag| flag.0).collect();
+            assert_eq!(listed, accepted, "advsgm {cmd}");
+        }
+    }
+
+    // ---- graph files ----
+
+    #[test]
+    fn graph_file_errors_name_the_path_not_a_flag() {
+        let dir = std::env::temp_dir().join("advsgm_cli_no_such_dir");
+        let _ = std::fs::remove_dir_all(&dir);
+        for name in ["g.agph", "g.txt"] {
+            let path = dir.join(name);
+            let path = path.to_str().unwrap();
+            let err = build_graph(Some(path), "ppi", 0.1, 0).unwrap_err();
+            assert!(err.starts_with(path), "{err}");
+            assert!(
+                !err.contains("--graph") && !err.contains("--edges"),
+                "{err}"
+            );
+        }
     }
 }
