@@ -7,7 +7,7 @@
 //! pointer dereference carries its own justification.
 //!
 //! Bitwise-tier functions (`dot2`, `dot4`, `axpy`, `scale`,
-//! `fused_axpy_scale`) enable **only** `avx2`: with no FMA in the
+//! `fused_axpy_scale`, `dist_sq_2x16`) enable **only** `avx2`: with no FMA in the
 //! feature set and no fast-math flags, each lane performs the exact
 //! scalar operation sequence (separate `vmulpd`/`vaddpd`, IEEE-754
 //! exactly-rounded per op), so results are bitwise-identical to
@@ -24,9 +24,9 @@
 use core::arch::x86_64::{
     __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,
     _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_set_pd,
-    _mm256_setzero_pd, _mm256_storeu_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd, _mm_add_pd,
-    _mm_add_sd, _mm_cvtsd_f64, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_set_pd, _mm_setzero_pd,
-    _mm_storeu_pd, _mm_unpackhi_pd, _mm_unpacklo_pd,
+    _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
+    _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_set_pd,
+    _mm_setzero_pd, _mm_storeu_pd, _mm_unpackhi_pd, _mm_unpacklo_pd,
 };
 
 /// Two independent dot-product accumulators packed into one 128-bit
@@ -120,6 +120,47 @@ unsafe fn dot4(x: &[f64], a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> [f64; 4
     let mut out = [0.0f64; 4];
     // SAFETY: `out` is a properly aligned, writable 32-byte buffer.
     unsafe { _mm256_storeu_pd(out.as_mut_ptr(), acc) };
+    out
+}
+
+/// Squared distances from two rows to the 16 centroids of one packed
+/// block (`super::CentroidPanels`): `out[i][4p + l]` is
+/// `‖x_i − c‖²` for centroid `l` of panel `p`, bitwise-identical to
+/// [`crate::vector::dist_sq`].
+///
+/// Per coordinate `k` it broadcasts `x0[k]` and `x1[k]`, loads the four
+/// panels' coordinate `k` (one centroid per lane, no transpose), and
+/// updates eight independent accumulators by `acc + (x − c)·(x − c)` —
+/// each lane the scalar chain in the scalar order.
+///
+/// # Safety
+/// The caller must ensure AVX2 is available, `x1.len() == x0.len()` and
+/// `block.len() == 16 * x0.len()`.
+#[target_feature(enable = "avx2")]
+unsafe fn dist_sq_2x16(block: &[f64], x0: &[f64], x1: &[f64]) -> [[f64; 16]; 2] {
+    let dim = x0.len();
+    let mut acc0 = [_mm256_setzero_pd(); 4];
+    let mut acc1 = [_mm256_setzero_pd(); 4];
+    for (k, (&a, &b)) in x0.iter().zip(x1).enumerate() {
+        let (xa, xb) = (_mm256_set1_pd(a), _mm256_set1_pd(b));
+        for p in 0..4 {
+            // SAFETY: p <= 3 and k < dim, so the load ends at
+            // (p·dim + k)·4 + 4 <= 16·dim == block.len().
+            let c = unsafe { _mm256_loadu_pd(block.as_ptr().add((p * dim + k) * 4)) };
+            let da = _mm256_sub_pd(xa, c);
+            acc0[p] = _mm256_add_pd(acc0[p], _mm256_mul_pd(da, da));
+            let db = _mm256_sub_pd(xb, c);
+            acc1[p] = _mm256_add_pd(acc1[p], _mm256_mul_pd(db, db));
+        }
+    }
+    let mut out = [[0.0f64; 16]; 2];
+    for p in 0..4 {
+        // SAFETY: each store writes lanes 4p..4p + 4 of a 16-lane array.
+        unsafe {
+            _mm256_storeu_pd(out[0].as_mut_ptr().add(4 * p), acc0[p]);
+            _mm256_storeu_pd(out[1].as_mut_ptr().add(4 * p), acc1[p]);
+        }
+    }
     out
 }
 
@@ -275,6 +316,19 @@ pub(super) fn dot4_checked(x: &[f64], a: &[f64], b: &[f64], c: &[f64], d: &[f64]
     );
     // SAFETY: AVX2 verified and lengths asserted equal just above.
     unsafe { dot4(x, a, b, c, d) }
+}
+
+/// Safe [`dist_sq_2x16`]: checks feature and lengths, then runs the
+/// kernel.
+#[inline]
+pub(super) fn dist_sq_2x16_checked(block: &[f64], x0: &[f64], x1: &[f64]) -> [[f64; 16]; 2] {
+    require_avx2();
+    assert!(
+        x1.len() == x0.len() && block.len() == 16 * x0.len(),
+        "dist_sq_2x16: length mismatch"
+    );
+    // SAFETY: AVX2 verified and lengths asserted just above.
+    unsafe { dist_sq_2x16(block, x0, x1) }
 }
 
 /// Safe [`axpy`]: checks feature and lengths, then runs the kernel.

@@ -11,9 +11,10 @@
 //! # The two arithmetic tiers
 //!
 //! **Bitwise tier** — [`dot`], [`dot2`], [`dot4`], [`axpy`], [`scale`],
-//! [`fused_axpy_scale`], [`norm2_sq`]. Every backend executes the *same
-//! floating-point operation sequence* as the scalar reference in
-//! [`crate::vector`], so results are bitwise-identical across backends:
+//! [`fused_axpy_scale`], [`norm2_sq`], [`dist_sq_2x16`]. Every backend
+//! executes the *same floating-point operation sequence* as the scalar
+//! reference in [`crate::vector`], so results are bitwise-identical across
+//! backends:
 //!
 //! * Element-wise kernels (`axpy`, `scale`, `fused_axpy_scale`)
 //!   vectorize trivially: SIMD lanes are independent elements and each
@@ -23,6 +24,11 @@
 //!   per output — so the SIMD form packs those accumulators into lanes
 //!   and feeds each lane its operands in the scalar order. No sum is
 //!   reassociated.
+//! * `dist_sq_2x16` scores two rows against a block of 16 centroids that
+//!   [`CentroidPanels`] packed lane-interleaved, four centroids per
+//!   panel. Each of its 32 accumulators is one [`vector::dist_sq`]: it
+//!   starts at `+0.0` and adds `(x_k − c_k)·(x_k − c_k)` in ascending
+//!   `k`, so the SIMD form needs no transposes and reassociates nothing.
 //! * `dot` and `norm2_sq` reduce into a **single** sequential
 //!   accumulator; that association is the contract, so they stay on the
 //!   scalar loop under every backend. (The serving scan gets its SIMD
@@ -68,7 +74,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::vector;
+use crate::{vector, DenseMatrix};
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
@@ -431,6 +437,115 @@ pub fn fused_axpy_scale_with(backend: Backend, y: &mut [f64], alpha: f64, x: &[f
         Backend::Neon => neon::fused_axpy_scale_checked(y, alpha, x, beta),
         _ => vector::fused_axpy_scale(y, alpha, x, beta),
     }
+}
+
+/// Centroids packed for [`dist_sq_2x16`]: lane-interleaved panels of
+/// four, so that one 256-bit load gives coordinate `k` of four centroids.
+///
+/// Panel `p` holds centroids `4p..4p + 4`, and
+/// `data[(p·r + k)·4 + l]` is coordinate `k` of centroid `4p + l`
+/// (`r` is the dimension). Only whole blocks of [`CentroidPanels::BLOCK`]
+/// centroids are packed, the first `16·⌊rows/16⌋`; the caller scores the
+/// rest with [`vector::dist_sq`]. Block `b` is panels `4b..4b + 4`, one
+/// contiguous run of `16·r` values.
+#[derive(Debug, Clone)]
+pub struct CentroidPanels {
+    dim: usize,
+    blocks: usize,
+    data: Vec<f64>,
+}
+
+impl CentroidPanels {
+    /// Centroids per block, the unit [`dist_sq_2x16`] scores.
+    pub const BLOCK: usize = 16;
+
+    /// Packs the whole blocks of `centroids`' rows.
+    pub fn pack(centroids: &DenseMatrix) -> Self {
+        let (rows, dim) = centroids.shape();
+        let blocks = rows / Self::BLOCK;
+        let mut data = vec![0.0; blocks * Self::BLOCK * dim];
+        for c in 0..blocks * Self::BLOCK {
+            let (panel, lane) = (c / 4, c % 4);
+            for (k, &v) in centroids.row(c).iter().enumerate() {
+                data[(panel * dim + k) * 4 + lane] = v;
+            }
+        }
+        Self { dim, blocks, data }
+    }
+
+    /// Number of packed blocks: centroid `c` is packed exactly when
+    /// `c < 16·blocks()`.
+    pub fn blocks(&self) -> usize {
+        self.blocks
+    }
+
+    /// Block `b`'s four panels.
+    fn block(&self, b: usize) -> &[f64] {
+        assert!(
+            b < self.blocks,
+            "dist_sq_2x16: block {b} of {}",
+            self.blocks
+        );
+        let len = Self::BLOCK * self.dim;
+        &self.data[b * len..(b + 1) * len]
+    }
+}
+
+/// Dispatched squared distances from two rows to one block of 16 packed
+/// centroids: `out[i][j]` is `‖x_i − c‖²` for centroid
+/// `16·block + j`, bitwise-identical to [`vector::dist_sq`] on every
+/// backend — the index build's assignment kernel.
+///
+/// # Panics
+/// Panics if `block >= panels.blocks()` or a row's length is not the
+/// centroids' dimension.
+#[inline]
+pub fn dist_sq_2x16(
+    panels: &CentroidPanels,
+    block: usize,
+    x0: &[f64],
+    x1: &[f64],
+) -> [[f64; 16]; 2] {
+    dist_sq_2x16_with(active(), panels, block, x0, x1)
+}
+
+/// [`dist_sq_2x16`] on an explicit backend.
+#[inline]
+pub fn dist_sq_2x16_with(
+    backend: Backend,
+    panels: &CentroidPanels,
+    block: usize,
+    x0: &[f64],
+    x1: &[f64],
+) -> [[f64; 16]; 2] {
+    assert_eq!(x0.len(), panels.dim, "dist_sq_2x16: length mismatch (x0)");
+    assert_eq!(x1.len(), panels.dim, "dist_sq_2x16: length mismatch (x1)");
+    let block = panels.block(block);
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 if Backend::Avx2.is_supported() => avx2::dist_sq_2x16_checked(block, x0, x1),
+        _ => dist_sq_2x16_scalar(block, x0, x1),
+    }
+}
+
+/// The scalar form of [`dist_sq_2x16`], for every backend without its
+/// own: coordinate by coordinate, each of the 32 accumulators takes
+/// `vector::dist_sq`'s next term. `block` is one block of
+/// [`CentroidPanels`]; both rows have its dimension.
+fn dist_sq_2x16_scalar(block: &[f64], x0: &[f64], x1: &[f64]) -> [[f64; 16]; 2] {
+    let dim = x0.len();
+    let mut out = [[0.0; 16]; 2];
+    for (k, (&a, &b)) in x0.iter().zip(x1).enumerate() {
+        for panel in 0..4 {
+            let c = &block[(panel * dim + k) * 4..][..4];
+            for (lane, &c) in c.iter().enumerate() {
+                let (da, db) = (a - c, b - c);
+                out[0][4 * panel + lane] += da * da;
+                out[1][4 * panel + lane] += db * db;
+            }
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------

@@ -4,6 +4,12 @@
 //! negative pair costs a handful of dot products and axpy updates over
 //! `r`-dimensional rows. All functions assert matching lengths in debug
 //! builds and rely on iterator zips so the compiler can elide bounds checks.
+//!
+//! Every reduction here folds from `+0.0`, in ascending index order, like
+//! the independent accumulators of [`dot2`]/[`dot4`] and every SIMD lane in
+//! [`crate::backend`]. (`Iterator::sum` starts from `-0.0`, so a sum of
+//! negative zeros, or of nothing, would come out `-0.0` and disagree with
+//! those kernels on the sign of zero.)
 
 /// Dot product `x . y`.
 ///
@@ -12,7 +18,7 @@
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    x.iter().zip(y).map(|(a, b)| a * b).sum()
+    x.iter().zip(y).fold(0.0, |acc, (a, b)| acc + a * b)
 }
 
 /// `y += alpha * x` (the classic axpy update).
@@ -49,7 +55,7 @@ pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
 /// Squared Euclidean norm `||x||^2`.
 #[inline]
 pub fn norm2_sq(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum()
+    x.iter().fold(0.0, |acc, v| acc + v * v)
 }
 
 /// Euclidean norm `||x||`.
@@ -62,7 +68,9 @@ pub fn norm2(x: &[f64]) -> f64 {
 #[inline]
 pub fn dist_sq(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dist_sq: length mismatch");
-    x.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum()
+    x.iter()
+        .zip(y)
+        .fold(0.0, |acc, (a, b)| acc + (a - b) * (a - b))
 }
 
 /// DPSGD gradient clipping (Abadi et al. 2016, Eq. (5) of the AdvSGM paper):
@@ -138,7 +146,7 @@ pub fn add_assign(y: &mut [f64], x: &[f64]) {
 /// Sum of all elements.
 #[inline]
 pub fn sum(x: &[f64]) -> f64 {
-    x.iter().sum()
+    x.iter().fold(0.0, |acc, v| acc + v)
 }
 
 /// Fused `y = (y + alpha * x) * beta` in one pass.
@@ -227,6 +235,24 @@ mod tests {
     #[test]
     fn dot_empty_is_zero() {
         assert_eq!(dot(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn reductions_of_nothing_or_negative_zeros_are_positive_zero() {
+        let zeros: [f64; 0] = [];
+        for got in [
+            dot(&zeros, &zeros),
+            dot(&[-1.0, -2.0], &[0.0, 0.0]),
+            norm2_sq(&zeros),
+            dist_sq(&zeros, &zeros),
+            sum(&zeros),
+            sum(&[-0.0, -0.0]),
+        ] {
+            assert_eq!(got.to_bits(), 0.0f64.to_bits());
+        }
+        let (da, db) = dot2(&[-1.0], &[0.0], &[-0.0]);
+        assert_eq!(da.to_bits(), dot(&[-1.0], &[0.0]).to_bits());
+        assert_eq!(db.to_bits(), dot(&[-1.0], &[-0.0]).to_bits());
     }
 
     #[test]

@@ -54,7 +54,7 @@
 use std::path::Path;
 use std::sync::OnceLock;
 
-use advsgm_linalg::backend::{self, RelaxedKernels};
+use advsgm_linalg::backend::{self, CentroidPanels, RelaxedKernels};
 use advsgm_linalg::topk::{
     top_k_rows, top_k_rows_among, top_k_rows_among_relaxed, ScoredIndex, TopK,
 };
@@ -729,33 +729,51 @@ impl IvfIndex {
     }
 }
 
-/// Index of the centroid nearest to `row` in squared Euclidean distance
-/// (ties toward the lower centroid index).
-fn nearest_centroid(centroids: &DenseMatrix, row: &[f64]) -> usize {
-    let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
-    for c in 0..centroids.rows() {
-        let d = vector::dist_sq(row, centroids.row(c));
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    best
-}
-
-/// Each of `rows`' nearest centroid, the rows split across the pool.
+/// Each of `rows`' nearest centroid in squared Euclidean distance (ties
+/// toward the lower centroid index), the rows split across the pool.
+///
+/// The centroids are packed once per call, and each worker scores its
+/// rows two at a time (an odd last row is paired with itself): whole
+/// blocks of 16 centroids through [`backend::dist_sq_2x16`], the rest
+/// through [`vector::dist_sq`]. Both give `dist_sq`'s bits, and the scan
+/// visits centroids in ascending order keeping only a strictly smaller
+/// distance, so every row gets the one-centroid-at-a-time answer.
 fn assign_nearest(
     pool: &mut ThreadPool,
     centroids: &DenseMatrix,
     matrix: &DenseMatrix,
     rows: &[usize],
 ) -> Vec<usize> {
+    let panels = CentroidPanels::pack(centroids);
     let chunk = rows.len().div_ceil(pool.threads());
     pool.map_chunks(rows, chunk, |_, _, part| {
-        part.iter()
-            .map(|&row| nearest_centroid(centroids, matrix.row(row)))
-            .collect::<Vec<_>>()
+        let mut nearest = Vec::with_capacity(part.len());
+        for pair in part.chunks(2) {
+            let x = [matrix.row(pair[0]), matrix.row(pair[pair.len() - 1])];
+            let mut best = [0usize; 2];
+            let mut best_d = [f64::INFINITY; 2];
+            let mut consider = |i: usize, c: usize, d: f64| {
+                if d < best_d[i] {
+                    best_d[i] = d;
+                    best[i] = c;
+                }
+            };
+            for block in 0..panels.blocks() {
+                let dists = backend::dist_sq_2x16(&panels, block, x[0], x[1]);
+                for (i, row_dists) in dists.iter().enumerate() {
+                    for (j, &d) in row_dists.iter().enumerate() {
+                        consider(i, block * CentroidPanels::BLOCK + j, d);
+                    }
+                }
+            }
+            for c in panels.blocks() * CentroidPanels::BLOCK..centroids.rows() {
+                for (i, x) in x.iter().enumerate() {
+                    consider(i, c, vector::dist_sq(x, centroids.row(c)));
+                }
+            }
+            nearest.extend_from_slice(&best[..pair.len()]);
+        }
+        nearest
     })
     .concat()
 }
@@ -1220,6 +1238,34 @@ mod tests {
             let mut pool = ThreadPool::new(threads);
             let c = IvfIndex::build_in(&store, small_params(), &mut pool).unwrap();
             assert_eq!(c.to_bytes(), a.to_bytes(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn tied_centroids_take_the_lower_index() {
+        // 21 centroids: one packed block of 16 and five scored one by one.
+        // Centroid 9 repeats 3 inside the block, and 18 repeats 5 across
+        // its edge. Rows at or near a repeated centroid are equally far
+        // from both copies and must go to the lower index, on every odd
+        // or even split of the seven rows.
+        let dim = 5;
+        let mut centroids = DenseMatrix::from_fn(21, dim, |c, j| (c * 10 + j) as f64);
+        let (c3, c5) = (centroids.row(3).to_vec(), centroids.row(5).to_vec());
+        centroids.row_mut(9).copy_from_slice(&c3);
+        centroids.row_mut(18).copy_from_slice(&c5);
+        let matrix = DenseMatrix::from_fn(7, dim, |i, j| match i {
+            0 | 4 => c3[j],
+            1 => c5[j],
+            2 => c3[j] + 0.25,
+            3 => c5[j] - 0.25,
+            5 => (20 * 10 + j) as f64,
+            _ => c5[j],
+        });
+        let rows: Vec<usize> = (0..7).collect();
+        for threads in 1..=3 {
+            let mut pool = ThreadPool::new(threads);
+            let got = assign_nearest(&mut pool, &centroids, &matrix, &rows);
+            assert_eq!(got, vec![3, 5, 3, 5, 3, 20, 5], "threads={threads}");
         }
     }
 

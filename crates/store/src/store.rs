@@ -410,6 +410,22 @@ mod tests {
     }
 
     #[test]
+    fn zero_scores_keep_the_sign_score_gives_them() {
+        // Every product against row 0 is a negative zero. The scan scores
+        // some rows in fused groups of four and the rest one by one; all
+        // must carry `score`'s bits, or the rank of a zero row would
+        // depend on how the scan grouped it.
+        let zero: &[f64] = &[0.0, 0.0];
+        let s = store_of(&[&[-1.0, -2.0], zero, zero, zero, zero, zero]);
+        let top = s.top_k(0, 5).unwrap();
+        assert_eq!(top.len(), 5);
+        for n in &top {
+            let want = s.score(0, n.node).unwrap();
+            assert_eq!(n.score.to_bits(), want.to_bits(), "node {}", n.node);
+        }
+    }
+
+    #[test]
     fn top_k_on_single_node_store_is_empty() {
         let s = store_of(&[&[1.0]]);
         assert!(s.top_k(0, 5).unwrap().is_empty());

@@ -146,7 +146,9 @@ serving flags:
   --remote HOST:PORT    query a running `advsgm serve` over the wire
                         instead of opening a store file
   --build-index         serve: build the index in memory at startup
-                        instead of loading an .aidx file
+                        instead of loading an .aidx file. `index` and
+                        --build-index build on ADVSGM_THREADS threads
+                        (else 1); the index is the same at every width
   --cache N             serve: LRU capacity in cached top-k results
                         (default 1024; 0 disables)
   --max-requests N      serve: exit after answering N requests
@@ -1091,7 +1093,12 @@ fn cmd_index(args: IndexArgs) -> Result<(), String> {
         store.dim()
     );
     let start = std::time::Instant::now();
-    let index = IvfIndex::build(&store, args.params).map_err(|e| e.to_string())?;
+    // The service's pool has the auto width (ADVSGM_THREADS, else 1),
+    // as for `serve --build-index`; the bytes do not depend on it.
+    let mut service = EmbeddingService::from_store(store);
+    let index = service
+        .build_index(args.params)
+        .map_err(|e| e.to_string())?;
     let bytes = index.to_bytes();
     std::fs::write(&args.out, &bytes).map_err(|e| format!("{}: {e}", args.out))?;
     println!(

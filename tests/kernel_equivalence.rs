@@ -1,9 +1,9 @@
 //! The kernel backend's two-tier arithmetic contract (DESIGN.md §15).
 //!
 //! **Bitwise tier:** every dispatched kernel (`dot`, `dot2`, `dot4`,
-//! `norm2_sq`, `axpy`, `scale`, `fused_axpy_scale`) must be
-//! bit-for-bit equal to the scalar reference in `linalg::vector` on
-//! every backend the host supports — over hostile values (NaN
+//! `norm2_sq`, `axpy`, `scale`, `fused_axpy_scale`, `dist_sq_2x16`)
+//! must be bit-for-bit equal to the scalar reference in `linalg::vector`
+//! on every backend the host supports — over hostile values (NaN
 //! payloads, ±inf, subnormals, signed zeros, huge/tiny magnitudes) and
 //! every SIMD remainder length 0..=17. NaN *results* are compared as
 //! "both NaN" rather than payload-exact: Rust's scalar semantics leave
@@ -11,7 +11,8 @@
 //! payload-exactness is unimplementable even scalar-vs-scalar — see the
 //! caveat in `linalg::backend`'s docs. On top of the per-kernel
 //! property, full training must release bitwise-identical `.aemb`
-//! bytes whichever backend is active, at 1 and 4 threads.
+//! bytes whichever backend is active, at 1 and 4 threads, and the
+//! index build identical `.aidx` bytes.
 //!
 //! **Relaxed tier:** `RelaxedKernels::dot` may reassociate (FMA lanes)
 //! but must be deterministic per backend and within the documented
@@ -22,8 +23,12 @@
 
 use advsgm::core::{AdvSgmConfig, ModelVariant, Trainer};
 use advsgm::graph::generators::classic::karate_club;
-use advsgm::linalg::backend::{self, Backend, RelaxedKernels};
-use advsgm::linalg::vector;
+use std::sync::{Mutex, MutexGuard};
+
+use advsgm::linalg::backend::{self, Backend, CentroidPanels, RelaxedKernels};
+use advsgm::linalg::{vector, DenseMatrix};
+use advsgm::parallel::ThreadPool;
+use advsgm::store::{EmbeddingStore, IndexParams, IvfIndex, PrivacyMeta};
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use proptest::TestRng;
@@ -74,6 +79,15 @@ fn supported_backends() -> Vec<Backend> {
         .collect()
 }
 
+/// Held by every test that calls `backend::force`, so that a scalar leg
+/// really runs on the scalar backend while tests run in parallel.
+fn forcing_backends() -> MutexGuard<'static, ()> {
+    static FORCE: Mutex<()> = Mutex::new(());
+    FORCE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 proptest! {
     /// Per-kernel bitwise equality: scalar reference vs every supported
     /// backend, across all remainder lengths 0..=17 (prefixes of one
@@ -118,6 +132,21 @@ proptest! {
                     );
                 }
 
+                // Every fused lane is the single `dot` of its operand,
+                // the sign of a zero sum included.
+                for (got, y) in [(da, a), (db, b)] {
+                    prop_assert!(
+                        same_bits_mod_nan(got, vector::dot(x, y)),
+                        "dot2 vs dot: backend {} n {}", backend, n
+                    );
+                }
+                for (got, y) in quad.iter().zip([a, b, c, d]) {
+                    prop_assert!(
+                        same_bits_mod_nan(*got, vector::dot(x, y)),
+                        "dot4 vs dot: backend {} n {}", backend, n
+                    );
+                }
+
                 let mut y_fast = a.to_vec();
                 let mut y_ref = a.to_vec();
                 backend::axpy_with(backend, alpha, x, &mut y_fast);
@@ -144,6 +173,40 @@ proptest! {
                     all_same_bits_mod_nan(&f_fast, &f_ref),
                     "fused_axpy_scale: backend {} n {}", backend, n
                 );
+            }
+        }
+    }
+
+    /// `dist_sq_2x16` scores each packed centroid bitwise like
+    /// `vector::dist_sq`, at every dimension 0..=17 and for 1–33
+    /// centroids: up to two whole blocks, and a partial block left for
+    /// the caller.
+    #[test]
+    fn dist_sq_2x16_matches_dist_sq_on_awkward_values(
+        rows in proptest::collection::vec(Awkward, 2 * 17),
+        cells in proptest::collection::vec(Awkward, 33 * 17),
+    ) {
+        for n in 0..=17usize {
+            let (x0, x1) = (&rows[..n], &rows[17..17 + n]);
+            for count in 1..=33usize {
+                let centroids = DenseMatrix::from_fn(count, n, |c, k| cells[c * 17 + k]);
+                let panels = CentroidPanels::pack(&centroids);
+                prop_assert_eq!(panels.blocks(), count / 16);
+                for backend in supported_backends() {
+                    for block in 0..panels.blocks() {
+                        let got = backend::dist_sq_2x16_with(backend, &panels, block, x0, x1);
+                        for (x, lanes) in [x0, x1].into_iter().zip(&got) {
+                            for (j, &d) in lanes.iter().enumerate() {
+                                let c = 16 * block + j;
+                                prop_assert!(
+                                    same_bits_mod_nan(d, vector::dist_sq(x, centroids.row(c))),
+                                    "dist_sq_2x16 centroid {}: backend {} n {} count {}",
+                                    c, backend, n, count
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }
@@ -228,6 +291,7 @@ fn relaxed_kernels_unreachable_from_training() {
 /// (still exercised — `force` is always valid for supported backends).
 #[test]
 fn training_release_is_backend_invariant() {
+    let _forcing = forcing_backends();
     let g = karate_club();
     let native = Backend::detect();
 
@@ -271,13 +335,13 @@ fn training_release_is_backend_invariant() {
 #[test]
 fn exact_topk_is_backend_invariant() {
     use advsgm::linalg::topk::top_k_rows;
-    use advsgm::linalg::DenseMatrix;
 
     let n = 4 * 6 + 1; // remainder row exercised
     let dim = 24;
     let m = DenseMatrix::from_fn(n, dim, |i, j| ((i * 37 + j * 11) as f64 * 0.173).sin());
     let q: Vec<f64> = (0..dim).map(|j| (j as f64 * 0.71).cos()).collect();
 
+    let _forcing = forcing_backends();
     backend::force(Backend::Scalar);
     let scalar = top_k_rows(&m, &q, n, None);
     backend::force(Backend::detect());
@@ -287,5 +351,55 @@ fn exact_topk_is_backend_invariant() {
     for (s, f) in scalar.iter().zip(&native) {
         assert_eq!(s.index, f.index);
         assert_eq!(s.score.to_bits(), f.score.to_bits());
+    }
+}
+
+/// The index build is backend-invariant down to the `.aidx` bytes: its
+/// assignment kernel, `dist_sq_2x16`, must score every centroid like
+/// `vector::dist_sq`. Two stores: a clustered one whose `nlist` of 37
+/// leaves five centroids after two whole blocks of 16, and a trained
+/// release at r = 128 indexed with `nlist` 17 (one block and one
+/// centroid, like the CI smoke release).
+#[test]
+fn index_build_is_backend_invariant() {
+    let clustered = EmbeddingStore::new(
+        DenseMatrix::from_fn(1_500, 12, |i, j| {
+            let center = 3.0 * (((i % 40) * 12 + j) as f64 * 0.7129).sin();
+            center + ((i * 13 + j * 5) as f64 * 0.37).sin() * 0.3
+        }),
+        PrivacyMeta::non_private(ModelVariant::Sgm),
+    )
+    .unwrap();
+    let mut cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm).with_threads(1);
+    cfg.dim = 128;
+    cfg.seed = 7;
+    let trained = advsgm::api::PipelineBuilder::from_config(cfg)
+        .build(&karate_club())
+        .unwrap()
+        .train()
+        .unwrap()
+        .store()
+        .clone();
+    assert_eq!(trained.dim(), 128);
+
+    let native = Backend::detect();
+    let _forcing = forcing_backends();
+    for (name, store, nlist) in [("clustered", &clustered, 37), ("trained", &trained, 17)] {
+        let params = IndexParams {
+            nlist,
+            ..IndexParams::default()
+        };
+        backend::force(Backend::Scalar);
+        let scalar = IvfIndex::build(store, params).unwrap();
+        backend::force(native);
+        let native_bytes = IvfIndex::build_in(store, params, &mut ThreadPool::new(3))
+            .unwrap()
+            .to_bytes();
+        assert_eq!(scalar.nlist(), nlist, "{name}");
+        assert_eq!(
+            scalar.to_bytes(),
+            native_bytes,
+            "{name}: .aidx bytes differ between scalar and {native}"
+        );
     }
 }
