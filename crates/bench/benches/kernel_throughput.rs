@@ -1,8 +1,8 @@
 //! Kernel-backend throughput: the committed perf trajectory for the
 //! dispatched SIMD surface (DESIGN.md §15).
 //!
-//! Times the hot shapes per backend — the fused `dot4` quad-row score,
-//! the `top_k_rows` row scan it powers (on a cache-resident store and,
+//! Times the hot shapes per backend — the 16-row `dot16` score, the
+//! `top_k_rows` row scan it powers (on a cache-resident store and,
 //! in full mode, a DRAM-streaming one: the large scan is memory-bound,
 //! so its ratio isolates what kernel speed buys once the matrix stops
 //! fitting in cache), and the relaxed-tier FMA `dot` — and writes
@@ -77,7 +77,7 @@ struct FeatureFacts {
 struct KernelFacts {
     kernel: &'static str,
     backend: &'static str,
-    /// Nanoseconds per kernel call (dot4 / relaxed_dot) or per full scan
+    /// Nanoseconds per kernel call (dot16 / relaxed_dot) or per full scan
     /// (row_scan), median over the repetitions.
     ns_per_op: f64,
     /// This backend's throughput relative to scalar for the same kernel.
@@ -87,18 +87,17 @@ struct KernelFacts {
 fn main() {
     let quick = std::env::args().any(|a| a.contains("quick"));
     let (reps, inner) = if quick { (5, 2_000) } else { (15, 20_000) };
-    // 4k+1 rows both times: the scans exercise the dispatched remainder
-    // row. Hot: ~1 MiB, cache-resident — measures the kernel. Stream:
-    // ~10 MiB, spills cache — measures what a large store actually sees.
-    let scan_rows_hot = 4 * 256 + 1;
-    let scan_rows_stream = 4 * 2_500 + 1;
+    // 16k+1 rows both times: each scan ends on a padded group. Hot:
+    // ~1 MiB, cache-resident — measures the kernel. Stream: ~10 MiB,
+    // spills cache — measures what a large store actually sees.
+    let scan_rows_hot = 16 * 64 + 1;
+    let scan_rows_stream = 16 * 625 + 1;
 
     let mut rng = seeded(34);
     let x = gaussian_vec(&mut rng, 1.0, DIM);
     let a = gaussian_vec(&mut rng, 1.0, DIM);
-    let b = gaussian_vec(&mut rng, 1.0, DIM);
-    let c = gaussian_vec(&mut rng, 1.0, DIM);
-    let d = gaussian_vec(&mut rng, 1.0, DIM);
+    let lane_rows: Vec<Vec<f64>> = (0..16).map(|_| gaussian_vec(&mut rng, 1.0, DIM)).collect();
+    let lanes: [&[f64]; 16] = std::array::from_fn(|l| lane_rows[l].as_slice());
     let row_fill = |i: usize, j: usize| ((i * 31 + j * 17) as f64 * 0.113).sin();
     let matrix_hot = DenseMatrix::from_fn(scan_rows_hot, DIM, row_fill);
     let matrix_stream = (!quick).then(|| DenseMatrix::from_fn(scan_rows_stream, DIM, row_fill));
@@ -131,10 +130,10 @@ fn main() {
     let mut ordered = backends.clone();
     ordered.sort_by_key(|bk| *bk != Backend::Scalar);
     for bk in ordered {
-        // dot4: the quad-row score at the heart of the serving scan.
-        let dot4_secs = time_secs(reps, || {
+        // dot16: the 16-row score at the heart of the serving scan.
+        let dot16_secs = time_secs(reps, || {
             for _ in 0..inner {
-                black_box(backend::dot4_with(bk, black_box(&x), &a, &b, &c, &d));
+                black_box(backend::dot16_with(bk, black_box(&x), &lanes));
             }
         });
         // row_scan: the full fused top-k pass, forced onto `bk`.
@@ -173,7 +172,7 @@ fn main() {
         });
 
         let mut rows = vec![
-            ("dot4", dot4_secs, inner),
+            ("dot16", dot16_secs, inner),
             ("row_scan_hot", scan_secs, scan_iters),
             ("relaxed_dot", relaxed_secs, inner),
         ];

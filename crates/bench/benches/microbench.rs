@@ -142,12 +142,12 @@ fn bench_kernel_backends(c: &mut Criterion) {
     let x = gaussian_vec(&mut rng, 1.0, 128);
     let a = gaussian_vec(&mut rng, 1.0, 128);
     let bb = gaussian_vec(&mut rng, 1.0, 128);
-    let cc = gaussian_vec(&mut rng, 1.0, 128);
-    let d = gaussian_vec(&mut rng, 1.0, 128);
+    let rows: Vec<Vec<f64>> = (0..16).map(|_| gaussian_vec(&mut rng, 1.0, 128)).collect();
+    let lanes: [&[f64]; 16] = std::array::from_fn(|l| rows[l].as_slice());
     let mut group = c.benchmark_group("kernel_backends");
     for be in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
-        group.bench_function(format!("dot4_r128_{be}"), |bch| {
-            bch.iter(|| black_box(backend::dot4_with(be, &x, &a, &bb, &cc, &d)))
+        group.bench_function(format!("dot16_r128_{be}"), |bch| {
+            bch.iter(|| black_box(backend::dot16_with(be, &x, &lanes)))
         });
         group.bench_function(format!("dot2_r128_{be}"), |bch| {
             bch.iter(|| black_box(backend::dot2_with(be, &x, &a, &bb)))

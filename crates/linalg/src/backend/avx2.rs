@@ -6,7 +6,7 @@
 //! before calling — and `unsafe_op_in_unsafe_fn` is denied, so each
 //! pointer dereference carries its own justification.
 //!
-//! Bitwise-tier functions (`dot2`, `dot4`, `axpy`, `scale`,
+//! Bitwise-tier functions (`dot2`, `dot16`, `axpy`, `scale`,
 //! `fused_axpy_scale`, `dist_sq_2x16`) enable **only** `avx2`: with no FMA in the
 //! feature set and no fast-math flags, each lane performs the exact
 //! scalar operation sequence (separate `vmulpd`/`vaddpd`, IEEE-754
@@ -70,56 +70,73 @@ unsafe fn dot2(x: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
     (out[0], out[1])
 }
 
-/// Four independent dot-product accumulators packed into one `__m256d`:
-/// `[x.a, x.b, x.c, x.d]`, bitwise-identical to [`crate::vector::dot4`].
+/// Sixteen independent dot-product accumulators in four `__m256d`s:
+/// `out[l] = x . rows[l]`, bitwise-identical to
+/// [`crate::vector::dot16`].
 ///
-/// Elements are consumed four at a time: one 4x4 transpose turns four
-/// contiguous row loads into per-`i` columns `[a[i], b[i], c[i], d[i]]`,
-/// then the accumulator takes them in strict `i` order — each lane sees
-/// exactly the scalar operation sequence.
+/// Accumulator `g` holds rows `4g..4g + 4`. Elements are consumed four at
+/// a time: per group, a 4x4 transpose turns four contiguous row loads into
+/// per-`i` columns `[r0[i], r1[i], r2[i], r3[i]]`, and the accumulator
+/// takes them in strict `i` order — each lane sees exactly the scalar
+/// operation sequence. The four groups' add chains are independent, so
+/// they overlap in the pipeline instead of each waiting on the last add.
 ///
 /// # Safety
-/// The caller must ensure AVX2 is available and all five slices have
-/// equal length.
+/// The caller must ensure AVX2 is available and every row has
+/// `x.len()` elements.
 #[target_feature(enable = "avx2")]
-unsafe fn dot4(x: &[f64], a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> [f64; 4] {
+unsafe fn dot16(x: &[f64], rows: &[&[f64]; 16]) -> [f64; 16] {
     let n = x.len();
-    let mut acc = _mm256_setzero_pd();
+    let mut acc = [_mm256_setzero_pd(); 4];
     let mut i = 0;
     while i + 4 <= n {
-        // SAFETY: i + 4 <= n bounds all four 32-byte row loads.
-        let (ra, rb, rc, rd) = unsafe {
-            (
-                _mm256_loadu_pd(a.as_ptr().add(i)),
-                _mm256_loadu_pd(b.as_ptr().add(i)),
-                _mm256_loadu_pd(c.as_ptr().add(i)),
-                _mm256_loadu_pd(d.as_ptr().add(i)),
-            )
-        };
-        // 4x4 transpose to columns ct = [a[i+t], b[i+t], c[i+t], d[i+t]].
-        let t0 = _mm256_unpacklo_pd(ra, rb); // [a0, b0, a2, b2]
-        let t1 = _mm256_unpackhi_pd(ra, rb); // [a1, b1, a3, b3]
-        let t2 = _mm256_unpacklo_pd(rc, rd); // [c0, d0, c2, d2]
-        let t3 = _mm256_unpackhi_pd(rc, rd); // [c1, d1, c3, d3]
-        let c0 = _mm256_permute2f128_pd::<0x20>(t0, t2);
-        let c1 = _mm256_permute2f128_pd::<0x20>(t1, t3);
-        let c2 = _mm256_permute2f128_pd::<0x31>(t0, t2);
-        let c3 = _mm256_permute2f128_pd::<0x31>(t1, t3);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(x[i]), c0));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(x[i + 1]), c1));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(x[i + 2]), c2));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(x[i + 3]), c3));
+        let xs = [
+            _mm256_set1_pd(x[i]),
+            _mm256_set1_pd(x[i + 1]),
+            _mm256_set1_pd(x[i + 2]),
+            _mm256_set1_pd(x[i + 3]),
+        ];
+        for (acc, group) in acc.iter_mut().zip(rows.chunks_exact(4)) {
+            // SAFETY: i + 4 <= n == every row's length bounds all four
+            // 32-byte row loads.
+            let (ra, rb, rc, rd) = unsafe {
+                (
+                    _mm256_loadu_pd(group[0].as_ptr().add(i)),
+                    _mm256_loadu_pd(group[1].as_ptr().add(i)),
+                    _mm256_loadu_pd(group[2].as_ptr().add(i)),
+                    _mm256_loadu_pd(group[3].as_ptr().add(i)),
+                )
+            };
+            // 4x4 transpose to columns ct = [a[i+t], b[i+t], c[i+t], d[i+t]].
+            let t0 = _mm256_unpacklo_pd(ra, rb); // [a0, b0, a2, b2]
+            let t1 = _mm256_unpackhi_pd(ra, rb); // [a1, b1, a3, b3]
+            let t2 = _mm256_unpacklo_pd(rc, rd); // [c0, d0, c2, d2]
+            let t3 = _mm256_unpackhi_pd(rc, rd); // [c1, d1, c3, d3]
+            let c0 = _mm256_permute2f128_pd::<0x20>(t0, t2);
+            let c1 = _mm256_permute2f128_pd::<0x20>(t1, t3);
+            let c2 = _mm256_permute2f128_pd::<0x31>(t0, t2);
+            let c3 = _mm256_permute2f128_pd::<0x31>(t1, t3);
+            *acc = _mm256_add_pd(*acc, _mm256_mul_pd(xs[0], c0));
+            *acc = _mm256_add_pd(*acc, _mm256_mul_pd(xs[1], c1));
+            *acc = _mm256_add_pd(*acc, _mm256_mul_pd(xs[2], c2));
+            *acc = _mm256_add_pd(*acc, _mm256_mul_pd(xs[3], c3));
+        }
         i += 4;
     }
     while i < n {
-        // _mm256_set_pd lists lanes high-to-low: [a[i], b[i], c[i], d[i]].
-        let col = _mm256_set_pd(d[i], c[i], b[i], a[i]);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(x[i]), col));
+        let xv = _mm256_set1_pd(x[i]);
+        for (acc, group) in acc.iter_mut().zip(rows.chunks_exact(4)) {
+            // _mm256_set_pd lists lanes high-to-low: [a[i], b[i], c[i], d[i]].
+            let col = _mm256_set_pd(group[3][i], group[2][i], group[1][i], group[0][i]);
+            *acc = _mm256_add_pd(*acc, _mm256_mul_pd(xv, col));
+        }
         i += 1;
     }
-    let mut out = [0.0f64; 4];
-    // SAFETY: `out` is a properly aligned, writable 32-byte buffer.
-    unsafe { _mm256_storeu_pd(out.as_mut_ptr(), acc) };
+    let mut out = [0.0f64; 16];
+    for (g, &acc) in acc.iter().enumerate() {
+        // SAFETY: each store writes lanes 4g..4g + 4 of a 16-lane array.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr().add(4 * g), acc) };
+    }
     out
 }
 
@@ -306,16 +323,16 @@ pub(super) fn dot2_checked(x: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
     unsafe { dot2(x, a, b) }
 }
 
-/// Safe [`dot4`]: checks feature and lengths, then runs the kernel.
+/// Safe [`dot16`]: checks feature and lengths, then runs the kernel.
 #[inline]
-pub(super) fn dot4_checked(x: &[f64], a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> [f64; 4] {
+pub(super) fn dot16_checked(x: &[f64], rows: &[&[f64]; 16]) -> [f64; 16] {
     require_avx2();
     assert!(
-        x.len() == a.len() && x.len() == b.len() && x.len() == c.len() && x.len() == d.len(),
-        "dot4: length mismatch"
+        rows.iter().all(|row| row.len() == x.len()),
+        "dot16: length mismatch"
     );
     // SAFETY: AVX2 verified and lengths asserted equal just above.
-    unsafe { dot4(x, a, b, c, d) }
+    unsafe { dot16(x, rows) }
 }
 
 /// Safe [`dist_sq_2x16`]: checks feature and lengths, then runs the

@@ -10,7 +10,7 @@
 //!
 //! # The two arithmetic tiers
 //!
-//! **Bitwise tier** — [`dot`], [`dot2`], [`dot4`], [`axpy`], [`scale`],
+//! **Bitwise tier** — [`dot`], [`dot2`], [`dot16`], [`axpy`], [`scale`],
 //! [`fused_axpy_scale`], [`norm2_sq`], [`dist_sq_2x16`]. Every backend
 //! executes the *same floating-point operation sequence* as the scalar
 //! reference in [`crate::vector`], so results are bitwise-identical across
@@ -20,10 +20,12 @@
 //!   vectorize trivially: SIMD lanes are independent elements and each
 //!   lane performs exactly the scalar op chain (separate multiply and
 //!   add — never FMA, whose single rounding differs from mul-then-add).
-//! * `dot2`/`dot4` already use independent scalar accumulators — one
+//! * `dot2`/`dot16` already use independent scalar accumulators — one
 //!   per output — so the SIMD form packs those accumulators into lanes
 //!   and feeds each lane its operands in the scalar order. No sum is
-//!   reassociated.
+//!   reassociated. `dot16` keeps four such 4-lane accumulators in
+//!   flight: one add chain per call is bound by the add's latency, and
+//!   independent chains overlap without changing a bit.
 //! * `dist_sq_2x16` scores two rows against a block of 16 centroids that
 //!   [`CentroidPanels`] packed lane-interleaved, four centroids per
 //!   panel. Each of its 32 accumulators is one [`vector::dist_sq`]: it
@@ -32,7 +34,7 @@
 //! * `dot` and `norm2_sq` reduce into a **single** sequential
 //!   accumulator; that association is the contract, so they stay on the
 //!   scalar loop under every backend. (The serving scan gets its SIMD
-//!   win from `dot4`, which is why `top_k_rows` fuses four rows.)
+//!   win from `dot16`, which is why `top_k_rows` scores 16 rows a call.)
 //!
 //! Training and exact serving use only this tier; the exhaustive
 //! cross-backend equality proof lives in `tests/kernel_equivalence.rs`.
@@ -346,34 +348,27 @@ pub fn dot2_with(backend: Backend, x: &[f64], a: &[f64], b: &[f64]) -> (f64, f64
     }
 }
 
-/// Dispatched [`vector::dot4`]: `[x.a, x.b, x.c, x.d]`,
-/// bitwise-identical to four scalar [`vector::dot`]s on every backend —
-/// the serving scan's workhorse.
+/// Dispatched [`vector::dot16`]: `x`'s dot products with 16 rows,
+/// lane `l` bitwise-identical to `vector::dot(x, rows[l])` on every
+/// backend — the serving scan's kernel.
+///
+/// # Panics
+/// Panics if a row's length differs from `x`'s.
 #[inline]
-pub fn dot4(x: &[f64], a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> [f64; 4] {
-    dot4_with(active(), x, a, b, c, d)
+pub fn dot16(x: &[f64], rows: &[&[f64]; 16]) -> [f64; 16] {
+    dot16_with(active(), x, rows)
 }
 
-/// [`dot4`] on an explicit backend.
+/// [`dot16`] on an explicit backend.
 #[inline]
-pub fn dot4_with(
-    backend: Backend,
-    x: &[f64],
-    a: &[f64],
-    b: &[f64],
-    c: &[f64],
-    d: &[f64],
-) -> [f64; 4] {
-    assert_eq!(x.len(), a.len(), "dot4: length mismatch (a)");
-    assert_eq!(x.len(), b.len(), "dot4: length mismatch (b)");
-    assert_eq!(x.len(), c.len(), "dot4: length mismatch (c)");
-    assert_eq!(x.len(), d.len(), "dot4: length mismatch (d)");
+pub fn dot16_with(backend: Backend, x: &[f64], rows: &[&[f64]; 16]) -> [f64; 16] {
+    for row in rows {
+        assert_eq!(row.len(), x.len(), "dot16: length mismatch");
+    }
     match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if Backend::Avx2.is_supported() => avx2::dot4_checked(x, a, b, c, d),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::dot4_checked(x, a, b, c, d),
-        _ => vector::dot4(x, a, b, c, d),
+        Backend::Avx2 if Backend::Avx2.is_supported() => avx2::dot16_checked(x, rows),
+        _ => vector::dot16(x, rows),
     }
 }
 
@@ -694,10 +689,12 @@ mod tests {
             assert_eq!(da.to_bits(), ra.to_bits(), "{backend} dot2.a");
             assert_eq!(db.to_bits(), rb.to_bits(), "{backend} dot2.b");
 
-            let got = dot4_with(backend, &x, &a, &b, &c, &d);
-            let want = vector::dot4(&x, &a, &b, &c, &d);
+            let rows = [&a, &b, &c, &d];
+            let lanes: [&[f64]; 16] = std::array::from_fn(|l| rows[l % 4].as_slice());
+            let got = dot16_with(backend, &x, &lanes);
+            let want = vector::dot16(&x, &lanes);
             for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.to_bits(), w.to_bits(), "{backend} dot4");
+                assert_eq!(g.to_bits(), w.to_bits(), "{backend} dot16");
             }
 
             let mut y1 = a.clone();

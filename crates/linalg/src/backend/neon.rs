@@ -9,8 +9,9 @@
 //! `vfmaq_f64`, whose single rounding would break bit-equality with
 //! the scalar multiply-then-add — and keep the scalar operand order so
 //! NaN payload propagation matches. Lanes are independent elements
-//! (element-wise kernels) or independent scalar accumulators
-//! (`dot2`/`dot4`), exactly as in `crate::vector`.
+//! (element-wise kernels) or independent scalar accumulators (`dot2`),
+//! exactly as in `crate::vector`. `dot16` and `dist_sq_2x16` run the
+//! scalar loops on aarch64.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use core::arch::aarch64::{
@@ -48,52 +49,6 @@ unsafe fn dot2(x: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
         acc = vaddq_f64(acc, vmulq_f64(vdupq_n_f64(x[i]), cv));
     }
     (vgetq_lane_f64::<0>(acc), vgetq_lane_f64::<1>(acc))
-}
-
-/// Four independent dot-product accumulators in two 128-bit registers:
-/// `[x.a, x.b, x.c, x.d]`, bitwise-identical to [`crate::vector::dot4`].
-///
-/// # Safety
-/// The caller must ensure all five slices have equal length.
-#[target_feature(enable = "neon")]
-unsafe fn dot4(x: &[f64], a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> [f64; 4] {
-    let n = x.len();
-    let mut acc01 = vdupq_n_f64(0.0); // lanes [da, db]
-    let mut acc23 = vdupq_n_f64(0.0); // lanes [dc, dd]
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: i + 2 <= n bounds all four 16-byte row loads.
-        let (ra, rb, rc, rd) = unsafe {
-            (
-                vld1q_f64(a.as_ptr().add(i)),
-                vld1q_f64(b.as_ptr().add(i)),
-                vld1q_f64(c.as_ptr().add(i)),
-                vld1q_f64(d.as_ptr().add(i)),
-            )
-        };
-        let x0 = vdupq_n_f64(x[i]);
-        let x1 = vdupq_n_f64(x[i + 1]);
-        acc01 = vaddq_f64(acc01, vmulq_f64(x0, vtrn1q_f64(ra, rb)));
-        acc01 = vaddq_f64(acc01, vmulq_f64(x1, vtrn2q_f64(ra, rb)));
-        acc23 = vaddq_f64(acc23, vmulq_f64(x0, vtrn1q_f64(rc, rd)));
-        acc23 = vaddq_f64(acc23, vmulq_f64(x1, vtrn2q_f64(rc, rd)));
-        i += 2;
-    }
-    if i < n {
-        let xv = vdupq_n_f64(x[i]);
-        let col01 = [a[i], b[i]];
-        let col23 = [c[i], d[i]];
-        // SAFETY: both are live 16-byte stack buffers.
-        let (cv01, cv23) = unsafe { (vld1q_f64(col01.as_ptr()), vld1q_f64(col23.as_ptr())) };
-        acc01 = vaddq_f64(acc01, vmulq_f64(xv, cv01));
-        acc23 = vaddq_f64(acc23, vmulq_f64(xv, cv23));
-    }
-    [
-        vgetq_lane_f64::<0>(acc01),
-        vgetq_lane_f64::<1>(acc01),
-        vgetq_lane_f64::<0>(acc23),
-        vgetq_lane_f64::<1>(acc23),
-    ]
 }
 
 /// `y += alpha * x`, two lanes per step; bitwise-identical to
@@ -216,17 +171,6 @@ pub(super) fn dot2_checked(x: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
     );
     // SAFETY: NEON is architectural on aarch64; lengths asserted equal.
     unsafe { dot2(x, a, b) }
-}
-
-/// Safe [`dot4`]: checks lengths, then runs the kernel.
-#[inline]
-pub(super) fn dot4_checked(x: &[f64], a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> [f64; 4] {
-    assert!(
-        x.len() == a.len() && x.len() == b.len() && x.len() == c.len() && x.len() == d.len(),
-        "dot4: length mismatch"
-    );
-    // SAFETY: NEON is architectural on aarch64; lengths asserted equal.
-    unsafe { dot4(x, a, b, c, d) }
 }
 
 /// Safe [`axpy`]: checks lengths, then runs the kernel.

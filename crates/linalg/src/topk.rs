@@ -4,10 +4,11 @@
 //! embedding matrix answers "which `k` nodes score highest against this
 //! query?" (link prediction and neighbor serving — the paper's Fig. 3 /
 //! Table 5 workload, run online). Scoring is a dense scan — one inner
-//! product per row, fused four rows at a time through
-//! [`crate::vector::dot4`] — and selection keeps a bounded binary min-heap
-//! of size `k`, so a query over `n` rows costs `O(n r)` multiplies and
-//! `O(n log k)` comparisons with no `O(n)` score buffer.
+//! product per row, 16 rows per call of the dispatched
+//! [`crate::backend::dot16`] ([`score_rows`]) — and selection keeps a
+//! bounded binary min-heap of size `k`, so a query over `n` rows costs
+//! `O(n r)` multiplies and `O(n log k)` comparisons with no `O(n)` score
+//! buffer.
 //!
 //! Determinism contract: results depend only on the scores. Ties break
 //! toward the **lower row index**, and the returned list is sorted by
@@ -116,9 +117,8 @@ impl TopK {
     }
 
     /// Scores `query` against each listed row of `matrix` except `skip`
-    /// and offers it: four rows per pass through the dispatched
-    /// [`backend::dot4`], the rest through [`backend::dot`], so every
-    /// score is bit for bit the one [`top_k_rows`] computes for that row.
+    /// and offers it, through [`score_rows`], so every score is bit for
+    /// bit the one [`top_k_rows`] computes for that row.
     ///
     /// # Panics
     /// Panics if `query.len() != matrix.cols()` or a listed row is out of
@@ -132,35 +132,11 @@ impl TopK {
     ) where
         I: IntoIterator<Item = usize>,
     {
-        let mut rows = rows.into_iter();
-        loop {
-            let mut quad = [0usize; 4];
-            let mut held = 0;
-            for row in rows.by_ref().take(4) {
-                quad[held] = row;
-                held += 1;
+        score_rows(matrix, query, rows, |row, score| {
+            if Some(row) != skip {
+                self.push(row, score);
             }
-            if held < 4 {
-                for &row in &quad[..held] {
-                    if Some(row) != skip {
-                        self.push(row, backend::dot(query, matrix.row(row)));
-                    }
-                }
-                return;
-            }
-            let scores = backend::dot4(
-                query,
-                matrix.row(quad[0]),
-                matrix.row(quad[1]),
-                matrix.row(quad[2]),
-                matrix.row(quad[3]),
-            );
-            for (&row, score) in quad.iter().zip(scores) {
-                if Some(row) != skip {
-                    self.push(row, score);
-                }
-            }
-        }
+        });
     }
 
     /// Number of entries currently kept.
@@ -198,10 +174,51 @@ impl TopK {
     }
 }
 
-/// Scores `query` against every row of `matrix` (inner product, fused four
-/// rows per pass via the dispatched [`backend::dot4`]) and returns the top
-/// `k` rows,
-/// excluding `exclude` when given (the self-row of a neighbor query).
+/// Scores `query` against each listed row of `matrix`, in list order,
+/// and hands `visit` each `(row, score)`.
+///
+/// Rows go through the dispatched [`backend::dot16`] 16 at a time. A
+/// short last group repeats its last row to fill the kernel's lanes, and
+/// the extra lanes' scores are dropped. Every lane of `dot16` is bitwise
+/// [`backend::dot`]`(query, row)`, so a row's score does not depend on
+/// the list it came in or on its place in a group.
+///
+/// # Panics
+/// Panics if `query.len() != matrix.cols()` or a listed row is out of
+/// range.
+pub fn score_rows<I, F>(matrix: &DenseMatrix, query: &[f64], rows: I, mut visit: F)
+where
+    I: IntoIterator<Item = usize>,
+    F: FnMut(usize, f64),
+{
+    let mut rows = rows.into_iter();
+    let mut group = [0usize; 16];
+    loop {
+        let mut held = 0;
+        for row in rows.by_ref().take(16) {
+            group[held] = row;
+            held += 1;
+        }
+        if held == 0 {
+            return;
+        }
+        let last = group[held - 1];
+        group[held..].fill(last);
+        let lanes: [&[f64]; 16] = std::array::from_fn(|l| matrix.row(group[l]));
+        let scores = backend::dot16(query, &lanes);
+        for (&row, score) in group[..held].iter().zip(scores) {
+            visit(row, score);
+        }
+        if held < 16 {
+            return;
+        }
+    }
+}
+
+/// Scores `query` against every row of `matrix` (inner product, 16 rows
+/// per call of the dispatched [`backend::dot16`], see [`score_rows`]) and
+/// returns the top `k` rows, excluding `exclude` when given (the self-row
+/// of a neighbor query).
 ///
 /// Returned entries are sorted by `(score desc, index asc)`; fewer than `k`
 /// entries come back when the matrix has fewer eligible rows.
@@ -232,35 +249,8 @@ pub fn top_k_rows(
         query.len(),
         matrix.cols()
     );
-    let n = matrix.rows();
     let mut top = TopK::new(k);
-    let mut row = 0usize;
-    // Fused path: four rows per traversal of the query, through the
-    // runtime-dispatched kernel backend.
-    while row + 4 <= n {
-        let scores = backend::dot4(
-            query,
-            matrix.row(row),
-            matrix.row(row + 1),
-            matrix.row(row + 2),
-            matrix.row(row + 3),
-        );
-        for (off, &s) in scores.iter().enumerate() {
-            if Some(row + off) != exclude {
-                top.push(row + off, s);
-            }
-        }
-        row += 4;
-    }
-    // Remainder rows (n % 4 != 0) go through the same dispatched entry
-    // point as the fused path, so backend choice is uniform across the
-    // scan — and bitwise-identical scores either way (see `dot4` docs).
-    while row < n {
-        if Some(row) != exclude {
-            top.push(row, backend::dot(query, matrix.row(row)));
-        }
-        row += 1;
-    }
+    top.push_rows(matrix, query, 0..matrix.rows(), exclude);
     top.into_sorted()
 }
 
@@ -270,9 +260,9 @@ pub fn top_k_rows(
 ///
 /// This is the scan kernel of cluster-pruned (IVF-style) approximate
 /// retrieval: an index nominates a subset of rows and this function ranks
-/// them. Rows are scored through [`TopK::push_rows`], four listed rows
-/// per [`backend::dot4`] pass, which gives each row bit for bit the score
-/// the full scan gives it (see `dot4`'s docs), so a candidate set
+/// them. Rows are scored through [`TopK::push_rows`], 16 listed rows per
+/// [`backend::dot16`] call, which gives each row bit for bit the score
+/// the full scan gives it (see [`score_rows`]), so a candidate set
 /// covering **every** row yields a result bitwise-identical to
 /// `top_k_rows` — top-k selection under the total `(score desc, index
 /// asc)` order does not depend on scan order.
@@ -396,8 +386,8 @@ mod tests {
 
     #[test]
     fn matches_brute_force_on_awkward_sizes() {
-        // Sizes straddling the 4-row fused boundary.
-        for n in [1usize, 3, 4, 5, 7, 8, 9, 17] {
+        // Sizes straddling the 16-row group boundary.
+        for n in [1usize, 3, 4, 5, 15, 16, 17, 31, 32, 33] {
             let m = DenseMatrix::from_fn(n, 6, |i, j| ((i * 7 + j * 3) as f64 * 0.37).sin());
             let q: Vec<f64> = (0..6).map(|j| (j as f64 + 0.5).cos()).collect();
             for k in [0usize, 1, 2, n, n + 3] {
@@ -414,13 +404,13 @@ mod tests {
         }
     }
 
-    /// Satellite regression: with n = 4k+1 rows the tail row must go
-    /// through the same dispatched entry point as the fused body — its
-    /// score (and the resulting neighbor list) must be bitwise-identical
-    /// to scanning the 4k-row prefix plus scoring the tail row alone.
+    /// With n = 16k+1 rows the tail row is scored in a group padded with
+    /// copies of itself — its score (and the resulting neighbor list)
+    /// must be bitwise-identical to scanning the 16k-row prefix plus
+    /// scoring the tail row alone.
     #[test]
     fn remainder_row_matches_prefix_plus_tail() {
-        let n = 4 * 5 + 1; // 21 rows: 5 fused quads + 1 remainder row
+        let n = 16 * 2 + 1; // 33 rows: 2 full groups + 1 padded group
         let dim = 9;
         let m = DenseMatrix::from_fn(n, dim, |i, j| ((i * 13 + j * 5) as f64 * 0.29).sin());
         let q: Vec<f64> = (0..dim).map(|j| (j as f64 * 0.61).cos()).collect();
@@ -428,7 +418,7 @@ mod tests {
 
         let full = top_k_rows(&m, &q, k, None);
 
-        // 4k-row prefix scanned on its own...
+        // 16k-row prefix scanned on its own...
         let prefix = DenseMatrix::from_fn(n - 1, dim, |i, j| m.row(i)[j]);
         let mut expected = top_k_rows(&prefix, &q, k, None);
         // ...plus the tail row scored alone through the dispatched dot.
@@ -589,19 +579,21 @@ mod tests {
 
     #[test]
     fn push_rows_in_uneven_lists_matches_the_full_scan() {
-        // Lists of 0 to 5 rows, so quads and remainders alternate, in a
-        // shuffled row order, as exact mode visits cluster lists.
-        let m = DenseMatrix::from_fn(23, 7, |i, j| ((i * 5 + j * 11) as f64 * 0.43).sin());
+        // Lists short of, at and across the 16-row group (so full groups
+        // and padded ones alternate), in a shuffled row order, as exact
+        // mode visits cluster lists.
+        let n = 105;
+        let m = DenseMatrix::from_fn(n, 7, |i, j| ((i * 5 + j * 11) as f64 * 0.43).sin());
         let q: Vec<f64> = (0..7).map(|j| (j as f64 * 0.37).cos()).collect();
-        let order: Vec<usize> = (0..23).map(|i| i * 7 % 23).collect();
-        for k in [1usize, 6, 23] {
+        let order: Vec<usize> = (0..n).map(|i| i * 11 % n).collect();
+        for k in [1usize, 6, 23, n] {
             let mut top = TopK::new(k);
             let mut at = 0;
-            for len in [3usize, 0, 5, 4, 1, 2, 5, 3] {
+            for len in [3usize, 0, 5, 4, 1, 2, 5, 3, 15, 16, 0, 17, 1, 33] {
                 top.push_rows(&m, &q, order[at..at + len].iter().copied(), Some(9));
                 at += len;
             }
-            assert_eq!(at, 23);
+            assert_eq!(at, n);
             let got = top.into_sorted();
             let want = top_k_rows(&m, &q, k, Some(9));
             assert_eq!(got.len(), want.len());

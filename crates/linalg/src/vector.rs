@@ -6,7 +6,7 @@
 //! builds and rely on iterator zips so the compiler can elide bounds checks.
 //!
 //! Every reduction here folds from `+0.0`, in ascending index order, like
-//! the independent accumulators of [`dot2`]/[`dot4`] and every SIMD lane in
+//! the independent accumulators of [`dot2`]/[`dot16`] and every SIMD lane in
 //! [`crate::backend`]. (`Iterator::sum` starts from `-0.0`, so a sum of
 //! negative zeros, or of nothing, would come out `-0.0` and disagree with
 //! those kernels on the sign of zero.)
@@ -36,13 +36,6 @@ pub fn scale(x: &mut [f64], alpha: f64) {
     for v in x.iter_mut() {
         *v *= alpha;
     }
-}
-
-/// Element-wise `out = x + y` into a fresh vector.
-#[inline]
-pub fn add(x: &[f64], y: &[f64]) -> Vec<f64> {
-    assert_eq!(x.len(), y.len(), "add: length mismatch");
-    x.iter().zip(y).map(|(a, b)| a + b).collect()
 }
 
 /// Element-wise `out = x - y` into a fresh vector.
@@ -91,14 +84,6 @@ pub fn clip_l2(x: &mut [f64], c: f64) -> f64 {
     }
 }
 
-/// Returns a clipped copy of `x` (see [`clip_l2`]).
-#[inline]
-pub fn clipped(x: &[f64], c: f64) -> Vec<f64> {
-    let mut out = x.to_vec();
-    clip_l2(&mut out, c);
-    out
-}
-
 /// Normalises `x` to unit L2 norm in place. Zero vectors are left unchanged.
 /// Returns the original norm.
 #[inline]
@@ -122,14 +107,6 @@ pub fn cosine(x: &[f64], y: &[f64]) -> f64 {
     }
 }
 
-/// Sets every element of `x` to zero.
-#[inline]
-pub fn zero(x: &mut [f64]) {
-    for v in x.iter_mut() {
-        *v = 0.0;
-    }
-}
-
 /// Element-wise Hadamard product `out = x (.) y`.
 #[inline]
 pub fn hadamard(x: &[f64], y: &[f64]) -> Vec<f64> {
@@ -141,12 +118,6 @@ pub fn hadamard(x: &[f64], y: &[f64]) -> Vec<f64> {
 #[inline]
 pub fn add_assign(y: &mut [f64], x: &[f64]) {
     axpy(1.0, x, y);
-}
-
-/// Sum of all elements.
-#[inline]
-pub fn sum(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |acc, v| acc + v)
 }
 
 /// Fused `y = (y + alpha * x) * beta` in one pass.
@@ -193,34 +164,31 @@ pub fn scaled(alpha: f64, x: &[f64]) -> Vec<f64> {
     x.iter().map(|&v| alpha * v).collect()
 }
 
-/// Four dot products against a shared left operand in one pass:
-/// returns `[x . a, x . b, x . c, x . d]`.
+/// Sixteen dot products against a shared left operand in one pass:
+/// `out[l] = x . rows[l]`.
 ///
-/// The batched form of [`dot2`], sized for the query-serving scan: scoring
-/// one query vector against an embedding matrix touches every row once, and
-/// processing four rows per traversal of `x` quarters the loads of the
-/// query. Each accumulator is independent, so every result is
-/// bitwise-identical to the corresponding [`dot`] — the top-k path can swap
-/// between the fused and scalar kernels without changing a single returned
-/// neighbor.
+/// The serving scan's kernel shape: scoring one query against many rows,
+/// sixteen rows per traversal of `x`. Each of the sixteen accumulators
+/// starts at `+0.0` and adds `x[k] * rows[l][k]` in ascending `k`, with
+/// the multiply and the add rounded separately, so lane `l` is bitwise
+/// [`dot`]`(x, rows[l])` and the top-k paths can mix the two kernels
+/// without changing a returned neighbor. This is the scalar reference of
+/// [`crate::backend::dot16`].
+///
+/// # Panics
+/// Panics if a row's length differs from `x`'s.
 #[inline]
-pub fn dot4(x: &[f64], a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> [f64; 4] {
-    assert_eq!(x.len(), a.len(), "dot4: length mismatch (a)");
-    assert_eq!(x.len(), b.len(), "dot4: length mismatch (b)");
-    assert_eq!(x.len(), c.len(), "dot4: length mismatch (c)");
-    assert_eq!(x.len(), d.len(), "dot4: length mismatch (d)");
-    let mut da = 0.0;
-    let mut db = 0.0;
-    let mut dc = 0.0;
-    let mut dd = 0.0;
-    for i in 0..x.len() {
-        let xi = x[i];
-        da += xi * a[i];
-        db += xi * b[i];
-        dc += xi * c[i];
-        dd += xi * d[i];
+pub fn dot16(x: &[f64], rows: &[&[f64]; 16]) -> [f64; 16] {
+    for row in rows {
+        assert_eq!(x.len(), row.len(), "dot16: length mismatch");
     }
-    [da, db, dc, dd]
+    let mut out = [0.0; 16];
+    for (k, &xk) in x.iter().enumerate() {
+        for (acc, row) in out.iter_mut().zip(rows) {
+            *acc += xk * row[k];
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -245,8 +213,6 @@ mod tests {
             dot(&[-1.0, -2.0], &[0.0, 0.0]),
             norm2_sq(&zeros),
             dist_sq(&zeros, &zeros),
-            sum(&zeros),
-            sum(&[-0.0, -0.0]),
         ] {
             assert_eq!(got.to_bits(), 0.0f64.to_bits());
         }
@@ -356,17 +322,8 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_roundtrip() {
-        let x = [1.0, 2.0];
-        let y = [0.5, -0.5];
-        assert_eq!(sub(&add(&x, &y), &y), x.to_vec());
-    }
-
-    #[test]
-    fn zero_clears() {
-        let mut x = vec![1.0, 2.0];
-        zero(&mut x);
-        assert_eq!(x, vec![0.0, 0.0]);
+    fn sub_is_elementwise() {
+        assert_eq!(sub(&[1.0, 2.0], &[0.5, -0.5]), vec![0.5, 2.5]);
     }
 
     #[test]
@@ -408,20 +365,28 @@ mod tests {
     }
 
     #[test]
-    fn dot4_bitwise_matches_four_dots() {
+    fn dot16_bitwise_matches_sixteen_dots() {
         let x: Vec<f64> = (0..96).map(|i| (i as f64 * 0.7).sin() * 3.0).collect();
-        let rows: Vec<Vec<f64>> = (0..4)
+        let rows: Vec<Vec<f64>> = (0..16)
             .map(|r| (0..96).map(|i| ((i + r * 31) as f64).cos() / 7.0).collect())
             .collect();
-        let got = dot4(&x, &rows[0], &rows[1], &rows[2], &rows[3]);
+        let lanes: [&[f64]; 16] = std::array::from_fn(|l| rows[l].as_slice());
+        let got = dot16(&x, &lanes);
         for (g, row) in got.iter().zip(&rows) {
             assert_eq!(g.to_bits(), dot(&x, row).to_bits());
+        }
+        // Negative zeros sum to +0.0 in every lane, as in `dot`.
+        let zero_lanes = [&[0.0][..]; 16];
+        for g in dot16(&[-1.0], &zero_lanes) {
+            assert_eq!(g.to_bits(), 0.0f64.to_bits());
         }
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn dot4_mismatch_panics() {
-        dot4(&[1.0], &[1.0], &[1.0], &[1.0], &[1.0, 2.0]);
+    fn dot16_mismatch_panics() {
+        let mut lanes = [&[1.0][..]; 16];
+        lanes[15] = &[1.0, 2.0];
+        dot16(&[1.0], &lanes);
     }
 }

@@ -24,10 +24,11 @@
 //! k-th kept score. When the clusters the bound still admits hold more
 //! than a quarter of the store, it takes the contiguous full scan
 //! instead. Either way every score comes from the dispatched bitwise
-//! kernels ([`advsgm_linalg::backend::dot`] and `dot4`, which agree bit
-//! for bit), and top-k selection under the total `(score desc, index
-//! asc)` order does not depend on scan order, so the answer is the full
-//! scan's (property-tested in `tests/index_serving.rs`). The radii are
+//! kernel [`advsgm_linalg::backend::dot16`], each lane of which is
+//! [`advsgm_linalg::backend::dot`] bit for bit, and top-k selection
+//! under the total `(score desc, index asc)` order does not depend on
+//! scan order, so the answer is the full scan's (property-tested in
+//! `tests/index_serving.rs`). The radii are
 //! derived from the store when the index is built and when
 //! [`IvfIndex::validate_for`] accepts a store, and are never serialised;
 //! until then exact mode is the full scan. An explicit
@@ -56,7 +57,7 @@ use std::sync::OnceLock;
 
 use advsgm_linalg::backend::{self, CentroidPanels, RelaxedKernels};
 use advsgm_linalg::topk::{
-    top_k_rows, top_k_rows_among, top_k_rows_among_relaxed, ScoredIndex, TopK,
+    score_rows, top_k_rows, top_k_rows_among, top_k_rows_among_relaxed, ScoredIndex, TopK,
 };
 use advsgm_linalg::{vector, DenseMatrix};
 use advsgm_parallel::ThreadPool;
@@ -356,7 +357,7 @@ impl IvfIndex {
                 // rank_of[c] = position of cluster c in this query's
                 // probe order.
                 let mut rank_of = vec![0usize; nlist];
-                for (rank, c) in self.probe_order(query).into_iter().enumerate() {
+                for (rank, c) in self.probe_order(query, nlist).into_iter().enumerate() {
                     rank_of[c] = rank;
                 }
                 for hit in top_k_rows(store.matrix(), query, k, Some(u)) {
@@ -406,14 +407,34 @@ impl IvfIndex {
             .collect()
     }
 
-    /// Clusters ranked by centroid score against `query` (inner product,
-    /// descending; ties toward the lower cluster index) — the order probes
-    /// open clusters in.
-    fn probe_order(&self, query: &[f64]) -> Vec<usize> {
-        let mut scored: Vec<(usize, f64)> = (0..self.nlist())
-            .map(|c| (c, backend::dot(query, self.centroids.row(c))))
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    /// Each cluster's centroid score `q·c` against `query`, as
+    /// `(cluster, score)` in cluster order: 16 centroids per
+    /// [`backend::dot16`] call through [`score_rows`], bitwise
+    /// [`backend::dot`] each.
+    fn centroid_scores(&self, query: &[f64]) -> Vec<(usize, f64)> {
+        let mut scored = Vec::with_capacity(self.nlist());
+        score_rows(&self.centroids, query, 0..self.nlist(), |c, s| {
+            scored.push((c, s))
+        });
+        scored
+    }
+
+    /// The first `count` clusters (all of them when `count >= nlist`) of
+    /// the probe order: centroid score against `query` descending, ties
+    /// toward the lower cluster index — the order probes open clusters in.
+    ///
+    /// The order is total over distinct cluster indices, so selecting the
+    /// first `count` and sorting only those gives the same clusters in the
+    /// same order as sorting them all.
+    fn probe_order(&self, query: &[f64], count: usize) -> Vec<usize> {
+        let by_probe =
+            |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0));
+        let mut scored = self.centroid_scores(query);
+        if count < scored.len() {
+            scored.select_nth_unstable_by(count, by_probe);
+            scored.truncate(count);
+        }
+        scored.sort_unstable_by(by_probe);
         scored.into_iter().map(|(c, _)| c).collect()
     }
 
@@ -597,8 +618,7 @@ impl IvfIndex {
                 rows_scanned,
             });
         }
-        let order = self.probe_order(query);
-        let probed = &order[..nprobe.max(1).min(order.len())];
+        let probed = self.probe_order(query, nprobe.max(1));
         let candidates = probed
             .iter()
             .flat_map(|&c| self.clusters[c].iter().copied())
@@ -656,13 +676,14 @@ impl IvfIndex {
         if !q_norm.is_finite() {
             return Err(0);
         }
-        let mut order = Vec::with_capacity(self.nlist());
-        for c in 0..self.nlist() {
-            let q_dot_c = backend::dot(query, self.centroids.row(c));
-            order.push((geometry.bound(c, q_dot_c, q_norm).ok_or(0usize)?, c));
-        }
-        // Descending bound, the lower cluster index first on ties.
-        order.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        let mut order = self
+            .centroid_scores(query)
+            .into_iter()
+            .map(|(c, q_dot_c)| Ok((geometry.bound(c, q_dot_c, q_norm).ok_or(0usize)?, c)))
+            .collect::<Result<Vec<_>, usize>>()?;
+        // Descending bound, the lower cluster index first on ties: a total
+        // order over distinct indices, so an unstable sort is exact.
+        order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
 
         let mut top = TopK::new(k);
         top.push_rows(matrix, query, self.always.iter().copied(), Some(u));
@@ -1266,6 +1287,66 @@ mod tests {
             let mut pool = ThreadPool::new(threads);
             let got = assign_nearest(&mut pool, &centroids, &matrix, &rows);
             assert_eq!(got, vec![3, 5, 3, 5, 3, 20, 5], "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn approximate_search_probes_a_prefix_of_the_probe_order() {
+        // The tied centroids of `tied_centroids_take_the_lower_index`:
+        // 9 repeats 3 inside the first block of 16, and 18 repeats 5
+        // across its edge. Row c of the store is centroid c and its only
+        // member; rows 21 and 22 are queries pointing elsewhere, filed
+        // under clusters 0 and 20.
+        let (dim, nlist) = (5, 21);
+        let mut centroids = DenseMatrix::from_fn(nlist, dim, |c, j| (c * 10 + j) as f64);
+        let (c3, c5) = (centroids.row(3).to_vec(), centroids.row(5).to_vec());
+        centroids.row_mut(9).copy_from_slice(&c3);
+        centroids.row_mut(18).copy_from_slice(&c5);
+        let mut rows = centroids.as_slice().to_vec();
+        rows.extend([-1.0, -1.0, -1.0, -1.0, -1.0, 1.0, -2.0, 0.5, 0.0, -3.0]);
+        let store = EmbeddingStore::new(
+            DenseMatrix::from_vec(nlist + 2, dim, rows).unwrap(),
+            PrivacyMeta::non_private(ModelVariant::Sgm),
+        )
+        .unwrap();
+        let mut assignments: Vec<u32> = (0..nlist as u32).collect();
+        assignments.extend([0, 20]);
+        let mut index = IvfIndex {
+            dim,
+            nodes: nlist + 2,
+            store_fingerprint: store.fingerprint(),
+            centroids,
+            assignments,
+            calibration: Vec::new(),
+            clusters: Vec::new(),
+            always: Vec::new(),
+            geometry: OnceLock::new(),
+        };
+        index.rebuild_derived();
+        for u in [0, 3, 5, 9, 18, 20, 21, 22] {
+            let query = store.matrix().row(u);
+            // Reference: a stable sort by score alone keeps tied clusters
+            // in ascending index order.
+            let mut full: Vec<usize> = (0..nlist).collect();
+            full.sort_by(|&a, &b| {
+                vector::dot(query, index.centroids.row(b))
+                    .total_cmp(&vector::dot(query, index.centroids.row(a)))
+            });
+            assert_eq!(index.probe_order(query, nlist), full, "u={u}");
+            for nprobe in 1..nlist {
+                let probed = &full[..nprobe];
+                assert_eq!(index.probe_order(query, nprobe), probed, "u={u}");
+                let got = index.search(&store, u, nlist + 2, nprobe).unwrap();
+                let mut found: Vec<usize> = got.neighbors.iter().map(|n| n.node).collect();
+                found.sort_unstable();
+                let mut want: Vec<usize> = probed
+                    .iter()
+                    .flat_map(|&c| index.clusters[c].iter().copied())
+                    .filter(|&row| row != u)
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(found, want, "u={u} nprobe={nprobe}");
+            }
         }
     }
 

@@ -52,9 +52,11 @@
 //! pure, so it is unit-tested without touching the filesystem.
 
 use std::fmt::Display;
+use std::io::Write;
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 use advsgm::api::{
     audit_membership, load_graph, AuditConfig, Checkpoint, Delta, Dim, EmbeddingService, Epsilon,
@@ -166,12 +168,42 @@ kernel backend (ADVSGM_KERNELS):
   auto-detects the strongest supported backend. Training and exact
   serving are bitwise-identical across backends";
 
+/// Set by the first failed write to stdout, after which output is
+/// dropped: `None` when the reader went away (`BrokenPipe`), else the
+/// error, which fails the command.
+static STDOUT_FAILED: OnceLock<Option<String>> = OnceLock::new();
+
+/// `println!` for the CLI's output: every line goes through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. When the reader has gone away
+/// (`BrokenPipe`), the output has ended: this line and every later one
+/// are dropped, and the command runs to completion with its own exit
+/// status, so a `train` whose progress reader exited still writes its
+/// `.aemb`. Any other write error also ends the output, and `main` then
+/// reports it as the command's error.
+fn emit(line: std::fmt::Arguments<'_>) {
+    if STDOUT_FAILED.get().is_some() {
+        return;
+    }
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        let _ =
+            STDOUT_FAILED.set((e.kind() != std::io::ErrorKind::BrokenPipe).then(|| e.to_string()));
+    }
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let cmd = match args.next() {
         Some(c) => c,
         None => {
-            eprintln!("{USAGE}");
+            // A failed write to stderr has nowhere left to be reported,
+            // so it is ignored rather than turned into a panic.
+            let _ = writeln!(std::io::stderr(), "{USAGE}");
             return ExitCode::from(2);
         }
     };
@@ -186,15 +218,19 @@ fn main() -> ExitCode {
         "serve" => parse_serve(&rest).and_then(cmd_serve),
         "stop" => parse_stop(&rest).and_then(cmd_stop),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
+            out!("{USAGE}");
+            Ok(())
         }
         other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
     };
+    let result = result.and_then(|()| match STDOUT_FAILED.get() {
+        Some(Some(e)) => Err(format!("writing output: {e}")),
+        _ => Ok(()),
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("advsgm {cmd}: {msg}");
+            let _ = writeln!(std::io::stderr(), "advsgm {cmd}: {msg}");
             ExitCode::FAILURE
         }
     }
@@ -556,7 +592,7 @@ fn cmd_convert(args: ConvertArgs) -> Result<(), String> {
     advsgm::store::save_agph(&args.out, &graph, args.buckets)
         .map_err(|e| format!("{}: {e}", args.out))?;
     let size = std::fs::metadata(&args.out).map(|m| m.len()).unwrap_or(0);
-    println!(
+    out!(
         "wrote {}: {} nodes, {} edges in {} bucket section(s) ({})",
         args.out,
         graph.num_nodes(),
@@ -630,7 +666,7 @@ fn cmd_audit(args: AuditArgs) -> Result<(), String> {
     )?;
     let per_condition = 2 * args.cfg.targets * args.cfg.runs_per_world;
     let conditions = if args.ablation { 2 } else { 1 };
-    println!(
+    out!(
         "auditing {} ({} target edge(s) x {} run(s)/world x 2 worlds = {} training runs{})...",
         args.builder.config().variant.paper_name(),
         args.cfg.targets,
@@ -647,30 +683,36 @@ fn cmd_audit(args: AuditArgs) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     report.write(&args.out).map_err(|e| e.to_string())?;
 
-    println!("audited in {:.2?}:", start.elapsed());
+    out!("audited in {:.2?}:", start.elapsed());
     for a in &report.audit.attacks {
-        println!(
+        out!(
             "  {:<18} tpr {:.3}  fpr {:.3}  certified eps >= {:.4}",
-            a.name, a.tpr, a.fpr, a.empirical_epsilon
+            a.name,
+            a.tpr,
+            a.fpr,
+            a.empirical_epsilon
         );
     }
     match report.audit.stamped_epsilon {
-        Some(stamp) => println!(
+        Some(stamp) => out!(
             "  empirical eps >= {:.4} vs stamped eps = {:.4} -> {}",
-            report.audit.empirical_epsilon, stamp, report.verdict
+            report.audit.empirical_epsilon,
+            stamp,
+            report.verdict
         ),
-        None => println!(
+        None => out!(
             "  empirical eps >= {:.4} (release is unstamped) -> {}",
-            report.audit.empirical_epsilon, report.verdict
+            report.audit.empirical_epsilon,
+            report.verdict
         ),
     }
     if let Some(ablation) = &report.ablation {
-        println!(
+        out!(
             "  sigma->0 ablation: empirical eps >= {:.4} (attack power check)",
             ablation.empirical_epsilon
         );
     }
-    println!("wrote {}", args.out);
+    out!("wrote {}", args.out);
     Ok(())
 }
 
@@ -856,7 +898,7 @@ fn build_graph(edges: Option<&str>, dataset: &str, scale: f64, seed: u64) -> Res
     match edges {
         Some(path) => {
             let g = load_graph(path).map_err(|e| format!("{path}: {e}"))?;
-            println!(
+            out!(
                 "loaded {path}: {} nodes, {} edges",
                 g.num_nodes(),
                 g.num_edges()
@@ -872,7 +914,7 @@ fn build_graph(edges: Option<&str>, dataset: &str, scale: f64, seed: u64) -> Res
             })?;
             let spec = d.spec().scaled(scale);
             let g = synthesize(&spec, seed);
-            println!(
+            out!(
                 "synthesized {} at scale {scale}: {} nodes, {} edges",
                 d.name(),
                 g.num_nodes(),
@@ -919,7 +961,7 @@ fn cmd_train(args: TrainArgs) -> Result<(), String> {
             // datasets that means the checkpoint's seed, and resume
             // re-verifies the stored fingerprint either way.
             let graph = build_graph(graph_source, &args.dataset, args.scale, ckpt.seed())?;
-            println!(
+            out!(
                 "resumed {resume_path}: {}/{} epochs done, {} discriminator updates",
                 ckpt.epochs_done(),
                 ckpt.config().epochs,
@@ -935,7 +977,7 @@ fn cmd_train(args: TrainArgs) -> Result<(), String> {
 /// checkpoint reporting, then persists the released store.
 fn run_training(args: &TrainArgs, pipeline: Pipeline<'_>) -> Result<(), String> {
     let cfg = pipeline.config().clone();
-    println!(
+    out!(
         "training {} (dim {}, {} epochs, batch {}, lr {}, {} thread(s))...",
         cfg.variant.paper_name(),
         cfg.dim,
@@ -952,7 +994,7 @@ fn run_training(args: &TrainArgs, pipeline: Pipeline<'_>) -> Result<(), String> 
             };
             match (e.stop, e.loss) {
                 (Some(StopReason::BudgetExhausted), _) => {
-                    println!(
+                    out!(
                         "epoch {:>3}/{}: privacy budget exhausted after {} updates{spend}",
                         e.epoch + 1,
                         e.epochs_total,
@@ -960,7 +1002,7 @@ fn run_training(args: &TrainArgs, pipeline: Pipeline<'_>) -> Result<(), String> 
                     );
                 }
                 (_, Some(loss)) => {
-                    println!(
+                    out!(
                         "epoch {:>3}/{}  |L_Nov| {loss:.4}{spend}",
                         e.epoch + 1,
                         e.epochs_total
@@ -970,7 +1012,7 @@ fn run_training(args: &TrainArgs, pipeline: Pipeline<'_>) -> Result<(), String> 
             }
         }
         PipelineEvent::CheckpointSaved { path, epochs_done } => {
-            println!("checkpoint: wrote {} (epoch {epochs_done})", path.display());
+            out!("checkpoint: wrote {} (epoch {epochs_done})", path.display());
         }
         _ => {}
     });
@@ -985,7 +1027,7 @@ fn run_training(args: &TrainArgs, pipeline: Pipeline<'_>) -> Result<(), String> 
     let start = std::time::Instant::now();
     let trained = pipeline.train().map_err(|e| e.to_string())?;
     let outcome = trained.outcome();
-    println!(
+    out!(
         "trained in {:.2?}: {} epochs, {} discriminator updates{}{}",
         start.elapsed(),
         outcome.epochs_run,
@@ -1005,7 +1047,7 @@ fn run_training(args: &TrainArgs, pipeline: Pipeline<'_>) -> Result<(), String> 
     // Serialise once; the same buffer provides the file and the size line.
     let bytes = trained.store().to_bytes();
     std::fs::write(&args.out, &bytes).map_err(|e| format!("{}: {e}", args.out))?;
-    println!(
+    out!(
         "saved {} nodes x {} dims to {} ({}); privacy: {}",
         trained.store().len(),
         trained.store().dim(),
@@ -1017,10 +1059,10 @@ fn run_training(args: &TrainArgs, pipeline: Pipeline<'_>) -> Result<(), String> 
 }
 
 fn print_neighbors(node: usize, top_k: usize, neighbors: &[advsgm::store::Neighbor]) {
-    println!("top {top_k} neighbors of node {node}:");
-    println!("{:>10}  {:>10}  {:>14}", "row", "id", "score");
+    out!("top {top_k} neighbors of node {node}:");
+    out!("{:>10}  {:>10}  {:>14}", "row", "id", "score");
     for n in neighbors {
-        println!("{:>10}  {:>10}  {:>14.6}", n.node, n.id, n.score);
+        out!("{:>10}  {:>10}  {:>14.6}", n.node, n.id, n.score);
     }
 }
 
@@ -1034,7 +1076,7 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
                     let s = client
                         .score(u as u64, v as u64)
                         .map_err(|e| e.to_string())?;
-                    println!("score({u}, {v}) = {s}");
+                    out!("score({u}, {v}) = {s}");
                 }
                 QueryTarget::Node { node, top_k } => {
                     let neighbors = match args.approx {
@@ -1056,7 +1098,7 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
             match args.target {
                 QueryTarget::Pair { u, v } => {
                     let s = service.score(u, v).map_err(|e| e.to_string())?;
-                    println!("score({u}, {v}) = {s}");
+                    out!("score({u}, {v}) = {s}");
                 }
                 QueryTarget::Node { node, top_k } => {
                     let neighbors = match args.approx {
@@ -1064,7 +1106,7 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
                             let got = service
                                 .top_k_approx_with_stats(node, top_k, recall)
                                 .map_err(|e| e.to_string())?;
-                            println!(
+                            out!(
                                 "approx (recall target {recall}): scanned {} of {} rows",
                                 got.rows_scanned,
                                 service.len().saturating_sub(1)
@@ -1087,7 +1129,7 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
 fn cmd_index(args: IndexArgs) -> Result<(), String> {
     let store = advsgm::store::EmbeddingStore::load(&args.store)
         .map_err(|e| format!("{}: {e}", args.store))?;
-    println!(
+    out!(
         "building IVF index over {} nodes x {} dims...",
         store.len(),
         store.dim()
@@ -1101,7 +1143,7 @@ fn cmd_index(args: IndexArgs) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let bytes = index.to_bytes();
     std::fs::write(&args.out, &bytes).map_err(|e| format!("{}: {e}", args.out))?;
-    println!(
+    out!(
         "built in {:.2?}: {} clusters, {} always-scanned row(s); wrote {} ({})",
         start.elapsed(),
         index.nlist(),
@@ -1110,7 +1152,7 @@ fn cmd_index(args: IndexArgs) -> Result<(), String> {
         human_bytes(bytes.len())
     );
     for &(target, nprobe) in index.calibration() {
-        println!(
+        out!(
             "  recall >= {target:.2}: probe {nprobe}/{} clusters",
             index.nlist()
         );
@@ -1124,13 +1166,13 @@ fn cmd_serve(args: ServeArgs) -> Result<(), String> {
     if let Some(index_path) = &args.index {
         let idx = IvfIndex::load(index_path).map_err(|e| format!("{index_path}: {e}"))?;
         service.attach_index(idx).map_err(|e| e.to_string())?;
-        println!("loaded index {index_path}");
+        out!("loaded index {index_path}");
     } else if args.build_index {
         let start = std::time::Instant::now();
         let idx = service
             .build_index(IndexParams::default())
             .map_err(|e| e.to_string())?;
-        println!(
+        out!(
             "built in-memory index in {:.2?} ({} clusters)",
             start.elapsed(),
             idx.nlist()
@@ -1142,7 +1184,7 @@ fn cmd_serve(args: ServeArgs) -> Result<(), String> {
     let nodes = service.len();
     let indexed = service.index().is_some();
     let (kernel_backend, kernel_source) = advsgm::linalg::backend::resolution();
-    println!(
+    out!(
         "kernel backend {kernel_backend} ({}){}",
         kernel_source.describe(),
         if args.relaxed {
@@ -1157,7 +1199,7 @@ fn cmd_serve(args: ServeArgs) -> Result<(), String> {
     };
     let server = Server::bind(service, args.addr.as_str(), config)
         .map_err(|e| format!("{}: {e}", args.addr))?;
-    println!(
+    out!(
         "serving {} nodes on {} ({}; stop with `advsgm stop --addr {}`)",
         nodes,
         server.local_addr(),
@@ -1169,9 +1211,11 @@ fn cmd_serve(args: ServeArgs) -> Result<(), String> {
         server.local_addr()
     );
     let stats = server.wait();
-    println!(
+    out!(
         "served {} request(s): {} cache hit(s), {} error(s)",
-        stats.requests, stats.cache_hits, stats.errors
+        stats.requests,
+        stats.cache_hits,
+        stats.errors
     );
     Ok(())
 }
@@ -1180,15 +1224,15 @@ fn cmd_stop(args: StopArgs) -> Result<(), String> {
     let mut client =
         ServeClient::connect(args.addr.as_str()).map_err(|e| format!("{}: {e}", args.addr))?;
     client.shutdown().map_err(|e| e.to_string())?;
-    println!("server at {} acknowledged shutdown", args.addr);
+    out!("server at {} acknowledged shutdown", args.addr);
     Ok(())
 }
 
 fn cmd_info(args: InfoArgs) -> Result<(), String> {
     if args.host {
         let (backend, source) = advsgm::linalg::backend::resolution();
-        println!("host:");
-        println!("  arch        {}", std::env::consts::ARCH);
+        out!("host:");
+        out!("  arch        {}", std::env::consts::ARCH);
         let features: Vec<String> = advsgm::linalg::backend::host_features()
             .into_iter()
             .map(|(name, detected)| {
@@ -1199,8 +1243,8 @@ fn cmd_info(args: InfoArgs) -> Result<(), String> {
                 }
             })
             .collect();
-        println!("  features    {}", features.join(" "));
-        println!("  kernels     {backend} ({})", source.describe());
+        out!("  features    {}", features.join(" "));
+        out!("  kernels     {backend} ({})", source.describe());
     }
     let Some(path) = &args.store else {
         return Ok(());
@@ -1212,16 +1256,16 @@ fn cmd_info(args: InfoArgs) -> Result<(), String> {
     let service = EmbeddingService::from_store(
         advsgm::store::EmbeddingStore::from_bytes(&bytes).map_err(|e| e.to_string())?,
     );
-    println!("{path}:");
-    println!(
+    out!("{path}:");
+    out!(
         "  format      .aemb v{}",
         advsgm::store::format::FORMAT_VERSION
     );
-    println!("  size        {}", human_bytes(size));
-    println!("  checksum    ok (crc32)");
-    println!("  nodes       {}", service.len());
-    println!("  dim         {}", service.dim());
-    println!("  privacy     {}", service.privacy());
+    out!("  size        {}", human_bytes(size));
+    out!("  checksum    ok (crc32)");
+    out!("  nodes       {}", service.len());
+    out!("  dim         {}", service.dim());
+    out!("  privacy     {}", service.privacy());
     Ok(())
 }
 

@@ -255,7 +255,11 @@ impl Response {
     }
 }
 
-/// Writes one frame (header + payload) to `w`.
+/// Writes one frame (header + payload) to `w` in a single `write_all`.
+///
+/// Server and client sockets run with `TCP_NODELAY`, so two writes could
+/// leave as two segments and wake the reader once for the header and
+/// again for the payload; one buffer sends the frame whole.
 ///
 /// # Errors
 /// I/O failures; payloads over [`MAX_FRAME`] are an
@@ -267,8 +271,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
             format!("frame payload {} exceeds {MAX_FRAME}", payload.len()),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -399,6 +405,24 @@ mod tests {
         let oversize = vec![0u8; MAX_FRAME + 1];
         assert!(write_frame(&mut sink, &oversize).is_err());
         assert!(sink.is_empty(), "nothing written for oversize payloads");
+
+        // One frame is one `write` call, so it cannot leave as two
+        // segments.
+        struct CountingWriter(Vec<u8>, usize);
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.1 += 1;
+                self.0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut counted = CountingWriter(Vec::new(), 0);
+        write_frame(&mut counted, b"hello").unwrap();
+        assert_eq!(counted.1, 1, "write calls per frame");
+        assert_eq!(counted.0, [&5u32.to_le_bytes()[..], b"hello"].concat());
 
         let mut hostile = std::io::Cursor::new(((MAX_FRAME + 1) as u32).to_le_bytes().to_vec());
         assert_eq!(

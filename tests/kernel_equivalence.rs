@@ -1,11 +1,13 @@
 //! The kernel backend's two-tier arithmetic contract (DESIGN.md §15).
 //!
-//! **Bitwise tier:** every dispatched kernel (`dot`, `dot2`, `dot4`,
+//! **Bitwise tier:** every dispatched kernel (`dot`, `dot2`, `dot16`,
 //! `norm2_sq`, `axpy`, `scale`, `fused_axpy_scale`, `dist_sq_2x16`)
 //! must be bit-for-bit equal to the scalar reference in `linalg::vector`
 //! on every backend the host supports — over hostile values (NaN
 //! payloads, ±inf, subnormals, signed zeros, huge/tiny magnitudes) and
-//! every SIMD remainder length 0..=17. NaN *results* are compared as
+//! every SIMD remainder length 0..=17; every lane of `dot16` must be the
+//! single `dot` of its row, at those lengths and at 32 and 128 too.
+//! NaN *results* are compared as
 //! "both NaN" rather than payload-exact: Rust's scalar semantics leave
 //! the propagated payload unspecified (LLVM commutes `fmul`), so
 //! payload-exactness is unimplementable even scalar-vs-scalar — see the
@@ -98,13 +100,12 @@ proptest! {
         a in proptest::collection::vec(Awkward, 17),
         b in proptest::collection::vec(Awkward, 17),
         c in proptest::collection::vec(Awkward, 17),
-        d in proptest::collection::vec(Awkward, 17),
         alpha in Awkward,
         beta in Awkward,
     ) {
         for backend in supported_backends() {
             for n in 0..=17usize {
-                let (x, a, b, c, d) = (&x[..n], &a[..n], &b[..n], &c[..n], &d[..n]);
+                let (x, a, b, c) = (&x[..n], &a[..n], &b[..n], &c[..n]);
 
                 prop_assert!(
                     same_bits_mod_nan(backend::dot_with(backend, x, a), vector::dot(x, a)),
@@ -123,27 +124,12 @@ proptest! {
                 prop_assert!(same_bits_mod_nan(da, ra), "dot2.0: backend {} n {}", backend, n);
                 prop_assert!(same_bits_mod_nan(db, rb), "dot2.1: backend {} n {}", backend, n);
 
-                let quad = backend::dot4_with(backend, x, a, b, c, d);
-                let refq = vector::dot4(x, a, b, c, d);
-                for lane in 0..4 {
-                    prop_assert!(
-                        same_bits_mod_nan(quad[lane], refq[lane]),
-                        "dot4 lane {}: backend {} n {}", lane, backend, n
-                    );
-                }
-
                 // Every fused lane is the single `dot` of its operand,
                 // the sign of a zero sum included.
                 for (got, y) in [(da, a), (db, b)] {
                     prop_assert!(
                         same_bits_mod_nan(got, vector::dot(x, y)),
                         "dot2 vs dot: backend {} n {}", backend, n
-                    );
-                }
-                for (got, y) in quad.iter().zip([a, b, c, d]) {
-                    prop_assert!(
-                        same_bits_mod_nan(*got, vector::dot(x, y)),
-                        "dot4 vs dot: backend {} n {}", backend, n
                     );
                 }
 
@@ -173,6 +159,32 @@ proptest! {
                     all_same_bits_mod_nan(&f_fast, &f_ref),
                     "fused_axpy_scale: backend {} n {}", backend, n
                 );
+            }
+        }
+    }
+
+    /// Every lane of `dot16` is the single `dot` of its row, the sign of
+    /// a zero sum included: at every remainder length 0..=17 and at 32
+    /// and 128 (the serving and smoke-release widths), on awkward values
+    /// and, so that the wide sums stay finite, on ordinary ones.
+    #[test]
+    fn dot16_lanes_match_dot_on_awkward_values(
+        awkward in proptest::collection::vec(Awkward, 17 * 128),
+        ordinary in proptest::collection::vec(-1e3f64..1e3, 17 * 128),
+    ) {
+        for values in [&awkward, &ordinary] {
+            let (x, rows) = values.split_at(128);
+            for n in (0..=17usize).chain([32, 128]) {
+                let lanes: [&[f64]; 16] = std::array::from_fn(|l| &rows[l * 128..][..n]);
+                for backend in supported_backends() {
+                    let got = backend::dot16_with(backend, &x[..n], &lanes);
+                    for (l, row) in lanes.iter().enumerate() {
+                        prop_assert!(
+                            same_bits_mod_nan(got[l], vector::dot(&x[..n], row)),
+                            "dot16 lane {}: backend {} n {}", l, backend, n
+                        );
+                    }
+                }
             }
         }
     }
@@ -329,14 +341,14 @@ fn training_release_is_backend_invariant() {
     }
 }
 
-/// Exact serving is backend-invariant too: the full fused top-k scan
-/// returns bit-identical scores under scalar and the native backend
-/// (including a 4k+1 store, exercising the dispatched remainder row).
+/// Exact serving is backend-invariant too: the full top-k scan returns
+/// bit-identical scores under scalar and the native backend (on a store
+/// whose last 16-row group is padded).
 #[test]
 fn exact_topk_is_backend_invariant() {
     use advsgm::linalg::topk::top_k_rows;
 
-    let n = 4 * 6 + 1; // remainder row exercised
+    let n = 16 + 9; // one full group and a padded one
     let dim = 24;
     let m = DenseMatrix::from_fn(n, dim, |i, j| ((i * 37 + j * 11) as f64 * 0.173).sin());
     let q: Vec<f64> = (0..dim).map(|j| (j as f64 * 0.71).cos()).collect();
