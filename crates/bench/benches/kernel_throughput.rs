@@ -1,13 +1,13 @@
 //! Kernel-backend throughput: the committed perf trajectory for the
 //! dispatched SIMD surface (DESIGN.md §15).
 //!
-//! Times the hot shapes per backend — the 16-row `dot16` score, the
-//! `top_k_rows` row scan it powers (on a cache-resident store and,
-//! in full mode, a DRAM-streaming one: the large scan is memory-bound,
-//! so its ratio isolates what kernel speed buys once the matrix stops
-//! fitting in cache), and the relaxed-tier FMA `dot` — and writes
-//! `results/BENCH_kernels.json` (`docs/BENCHMARKS.md` schema) with each
-//! backend's speedup over scalar. Run with:
+//! Times the hot shapes per backend — the 16-row `dot16` score and the
+//! `top_k_rows` row scan it powers (on a cache-resident store and, in
+//! full mode, a DRAM-streaming one: the large scan is memory-bound, so
+//! its ratio isolates what kernel speed buys once the matrix stops
+//! fitting in cache) — and writes `results/BENCH_kernels.json`
+//! (`docs/BENCHMARKS.md` schema) with each timing's median and quartiles
+//! and each backend's speedup over scalar. Run with:
 //!
 //! ```text
 //! cargo bench -p advsgm-bench --bench kernel_throughput          # full
@@ -16,15 +16,15 @@
 //!
 //! The full run refreshes the committed baseline; `quick` shrinks reps
 //! for CI smoke and leaves the file untouched. The row scan is timed
-//! under `backend::force` — sound because the bitwise tier is
-//! bit-identical across backends, so forcing is unobservable to the
-//! result (asserted while timing). Container numbers carry the usual
+//! under `backend::force` — sound because every kernel is bit-identical
+//! across backends, so forcing is unobservable to the result (asserted
+//! while timing). Container numbers carry the usual
 //! caveat: 1-core hosts under-state cache effects a real serving box
 //! would see, but single-thread kernel ratios remain representative.
 
 use std::time::Instant;
 
-use advsgm_linalg::backend::{self, Backend, RelaxedKernels};
+use advsgm_linalg::backend::{self, Backend};
 use advsgm_linalg::rng::{gaussian_vec, seeded};
 use advsgm_linalg::topk::top_k_rows;
 use advsgm_linalg::DenseMatrix;
@@ -36,8 +36,9 @@ fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 
-/// Median-of-reps seconds for one closure.
-fn time_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+/// Seconds for one closure over `reps` repetitions: the first quartile,
+/// the median and the third quartile.
+fn time_secs(reps: usize, mut f: impl FnMut()) -> [f64; 3] {
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
             let start = Instant::now();
@@ -46,7 +47,8 @@ fn time_secs(reps: usize, mut f: impl FnMut()) -> f64 {
         })
         .collect();
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    let n = samples.len();
+    [samples[n / 4], samples[n / 2], samples[3 * n / 4]]
 }
 
 #[derive(serde::Serialize)]
@@ -77,10 +79,14 @@ struct FeatureFacts {
 struct KernelFacts {
     kernel: &'static str,
     backend: &'static str,
-    /// Nanoseconds per kernel call (dot16 / relaxed_dot) or per full scan
-    /// (row_scan), median over the repetitions.
+    /// Nanoseconds per kernel call (dot16) or per full scan (row_scan),
+    /// median over the repetitions.
     ns_per_op: f64,
-    /// This backend's throughput relative to scalar for the same kernel.
+    /// First and third quartiles of the same repetitions.
+    ns_per_op_q1: f64,
+    ns_per_op_q3: f64,
+    /// This backend's throughput relative to scalar for the same kernel,
+    /// from the medians.
     speedup_vs_scalar: f64,
 }
 
@@ -95,7 +101,6 @@ fn main() {
 
     let mut rng = seeded(34);
     let x = gaussian_vec(&mut rng, 1.0, DIM);
-    let a = gaussian_vec(&mut rng, 1.0, DIM);
     let lane_rows: Vec<Vec<f64>> = (0..16).map(|_| gaussian_vec(&mut rng, 1.0, DIM)).collect();
     let lanes: [&[f64]; 16] = std::array::from_fn(|l| lane_rows[l].as_slice());
     let row_fill = |i: usize, j: usize| ((i * 31 + j * 17) as f64 * 0.113).sin();
@@ -123,8 +128,8 @@ fn main() {
     let mut kernels: Vec<KernelFacts> = Vec::new();
     let mut scalar_ns: std::collections::HashMap<&'static str, f64> = Default::default();
     println!(
-        "{:>12} {:>8} {:>14} {:>10}",
-        "kernel", "backend", "ns/op", "vs scalar"
+        "{:>15} {:>8} {:>12} {:>25} {:>10}",
+        "kernel", "backend", "ns/op", "q1 - q3", "vs scalar"
     );
     // Scalar first so every speedup has its denominator.
     let mut ordered = backends.clone();
@@ -163,33 +168,31 @@ fn main() {
                 }
             })
         });
-        // relaxed_dot: the opt-in approximate-serving reduction.
-        let relaxed = RelaxedKernels::with_backend(bk);
-        let relaxed_secs = time_secs(reps, || {
-            for _ in 0..inner {
-                black_box(relaxed.dot(black_box(&x), &a));
-            }
-        });
 
         let mut rows = vec![
             ("dot16", dot16_secs, inner),
             ("row_scan_hot", scan_secs, scan_iters),
-            ("relaxed_dot", relaxed_secs, inner),
         ];
         if let Some(secs) = stream_secs {
-            rows.insert(2, ("row_scan_stream", secs, stream_iters));
+            rows.push(("row_scan_stream", secs, stream_iters));
         }
         for (kernel, secs, iters) in rows {
-            let ns = secs * 1e9 / iters as f64;
+            let [q1, ns, q3] = secs.map(|s| s * 1e9 / iters as f64);
             if bk == Backend::Scalar {
                 scalar_ns.insert(kernel, ns);
             }
             let speedup = scalar_ns.get(kernel).map_or(f64::NAN, |s| s / ns);
-            println!("{kernel:>12} {:>8} {ns:>14.1} {speedup:>9.2}x", bk.name());
+            println!(
+                "{kernel:>15} {:>8} {ns:>12.1} {:>25} {speedup:>9.2}x",
+                bk.name(),
+                format!("{q1:.1} - {q3:.1}")
+            );
             kernels.push(KernelFacts {
                 kernel,
                 backend: bk.name(),
                 ns_per_op: ns,
+                ns_per_op_q1: q1,
+                ns_per_op_q3: q3,
                 speedup_vs_scalar: speedup,
             });
         }

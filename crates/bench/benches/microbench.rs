@@ -137,7 +137,7 @@ fn bench_kernel_backends(c: &mut Criterion) {
     // can A/B without env games. The committed speedup numbers live in
     // `results/BENCH_kernels.json` (the `kernel_throughput` bench); this
     // group is for interactive criterion runs.
-    use advsgm_linalg::backend::{self, Backend, RelaxedKernels};
+    use advsgm_linalg::backend::{self, Backend};
     let mut rng = seeded(21);
     let x = gaussian_vec(&mut rng, 1.0, 128);
     let a = gaussian_vec(&mut rng, 1.0, 128);
@@ -158,10 +158,6 @@ fn bench_kernel_backends(c: &mut Criterion) {
                 backend::fused_axpy_scale_with(be, &mut y, 3.0, &a, 1.0 / 3.0);
                 black_box(y[0])
             })
-        });
-        let relaxed = RelaxedKernels::with_backend(be);
-        group.bench_function(format!("relaxed_dot_r128_{be}"), |bch| {
-            bch.iter(|| black_box(relaxed.dot(&x, &a)))
         });
     }
     group.finish();

@@ -167,7 +167,7 @@ pub(crate) const APPLY_TILE_BYTES: usize = 16 * 1024;
 /// are distinct), each row's arithmetic —
 /// `g = (g + c * noise) * (1/c)`, then one `step` — is exactly the
 /// per-row sequence the engines performed before tiling, and
-/// `fused_axpy_scale` is on the bitwise kernel tier. Only the *order
+/// `fused_axpy_scale` is bitwise-equal on every backend. Only the *order
 /// across rows* changes, which no row's result depends on.
 pub(crate) fn apply_noisy_updates(acc: RowAcc, noise: &[f64], mut step: impl FnMut(usize, &[f64])) {
     let dim = noise.len().max(1);

@@ -6,26 +6,20 @@
 //! before calling — and `unsafe_op_in_unsafe_fn` is denied, so each
 //! pointer dereference carries its own justification.
 //!
-//! Bitwise-tier functions (`dot2`, `dot16`, `axpy`, `scale`,
-//! `fused_axpy_scale`, `dist_sq_2x16`) enable **only** `avx2`: with no FMA in the
-//! feature set and no fast-math flags, each lane performs the exact
-//! scalar operation sequence (separate `vmulpd`/`vaddpd`, IEEE-754
+//! Every kernel (`dot2`, `dot16`, `axpy`, `scale`, `fused_axpy_scale`,
+//! `dist_sq_2x16`) enables **only** `avx2`: with no FMA in the feature
+//! set and no fast-math flags, each lane performs the exact scalar
+//! operation sequence (separate `vmulpd`/`vaddpd`, IEEE-754
 //! exactly-rounded per op), so results are bitwise-identical to
 //! `crate::vector`. Operand order is kept identical to the scalar code
 //! (`mul(x, row)`, `add(acc, prod)`) so even NaN payload propagation —
 //! x86 returns the first NaN operand — matches.
-//!
-//! The relaxed-tier `dot_relaxed` additionally enables `fma` and
-//! reassociates: four independent lane accumulators, fused
-//! multiply-add, fixed-order horizontal sum. See
-//! [`super::RelaxedKernels`].
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use core::arch::x86_64::{
-    __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,
-    _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_set_pd,
-    _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
-    _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_set_pd,
+    _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd,
+    _mm256_set_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd,
+    _mm256_unpacklo_pd, _mm_add_pd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_set_pd,
     _mm_setzero_pd, _mm_storeu_pd, _mm_unpackhi_pd, _mm_unpacklo_pd,
 };
 
@@ -260,41 +254,6 @@ unsafe fn fused_axpy_scale(y: &mut [f64], alpha: f64, x: &[f64], beta: f64) {
     }
 }
 
-/// Relaxed dot product: four independent lane accumulators, fused
-/// multiply-add, fixed-order horizontal reduction
-/// `((l0 + l2) + (l1 + l3)) + tail`. Deterministic, but **not**
-/// bitwise-equal to the scalar sum — see [`super::RelaxedKernels::dot`]
-/// for the error bound.
-///
-/// # Safety
-/// The caller must ensure AVX2 **and FMA** are available and
-/// `x.len() == y.len()`.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_relaxed(x: &[f64], y: &[f64]) -> f64 {
-    let n = x.len();
-    let mut acc: __m256d = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n == y.len() bounds both loads.
-        unsafe {
-            let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-            let yv = _mm256_loadu_pd(y.as_ptr().add(i));
-            acc = _mm256_fmadd_pd(xv, yv, acc);
-        }
-        i += 4;
-    }
-    let mut tail = 0.0f64;
-    while i < n {
-        tail = x[i].mul_add(y[i], tail);
-        i += 1;
-    }
-    let lo = _mm256_castpd256_pd128(acc);
-    let hi = _mm256_extractf128_pd::<1>(acc);
-    let s2 = _mm_add_pd(lo, hi); // [l0 + l2, l1 + l3]
-    let lanes = _mm_add_sd(s2, _mm_unpackhi_pd(s2, s2));
-    _mm_cvtsd_f64(lanes) + tail
-}
-
 // ---------------------------------------------------------------------
 // Safe entry points. The dispatcher calls only these: each one verifies
 // the CPU feature (std caches the detection in an atomic) and the slice
@@ -373,18 +332,4 @@ pub(super) fn fused_axpy_scale_checked(y: &mut [f64], alpha: f64, x: &[f64], bet
     assert_eq!(x.len(), y.len(), "fused_axpy_scale: length mismatch");
     // SAFETY: AVX2 verified and lengths asserted equal just above.
     unsafe { fused_axpy_scale(y, alpha, x, beta) }
-}
-
-/// Safe [`dot_relaxed`]: checks AVX2+FMA and lengths, then runs the
-/// kernel.
-#[inline]
-pub(super) fn dot_relaxed_checked(x: &[f64], y: &[f64]) -> f64 {
-    require_avx2();
-    assert!(
-        std::arch::is_x86_feature_detected!("fma"),
-        "relaxed avx2 kernels selected on a host without FMA"
-    );
-    assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    // SAFETY: AVX2 and FMA verified and lengths asserted equal above.
-    unsafe { dot_relaxed(x, y) }
 }

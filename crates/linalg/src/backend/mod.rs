@@ -8,12 +8,12 @@
 //! without trusting autovectorization and **without bending the
 //! repo's determinism contract**.
 //!
-//! # The two arithmetic tiers
+//! # The bitwise contract
 //!
-//! **Bitwise tier** — [`dot`], [`dot2`], [`dot16`], [`axpy`], [`scale`],
-//! [`fused_axpy_scale`], [`norm2_sq`], [`dist_sq_2x16`]. Every backend
-//! executes the *same floating-point operation sequence* as the scalar
-//! reference in [`crate::vector`], so results are bitwise-identical across
+//! Every kernel — [`dot`], [`dot2`], [`dot16`], [`axpy`], [`scale`],
+//! [`fused_axpy_scale`], [`dist_sq_2x16`] — executes on every backend
+//! the *same floating-point operation sequence* as the scalar reference
+//! in [`crate::vector`], so results are bitwise-identical across
 //! backends:
 //!
 //! * Element-wise kernels (`axpy`, `scale`, `fused_axpy_scale`)
@@ -31,13 +31,14 @@
 //!   panel. Each of its 32 accumulators is one [`vector::dist_sq`]: it
 //!   starts at `+0.0` and adds `(x_k − c_k)·(x_k − c_k)` in ascending
 //!   `k`, so the SIMD form needs no transposes and reassociates nothing.
-//! * `dot` and `norm2_sq` reduce into a **single** sequential
-//!   accumulator; that association is the contract, so they stay on the
-//!   scalar loop under every backend. (The serving scan gets its SIMD
-//!   win from `dot16`, which is why `top_k_rows` scores 16 rows a call.)
+//! * `dot` reduces into a **single** sequential accumulator; that
+//!   association is the contract, so it stays on the scalar loop under
+//!   every backend. (The serving scan gets its SIMD win from `dot16`,
+//!   which is why `top_k_rows` scores 16 rows a call.)
 //!
-//! Training and exact serving use only this tier; the exhaustive
-//! cross-backend equality proof lives in `tests/kernel_equivalence.rs`.
+//! Training and every serving scan, exact and approximate, use only
+//! these kernels; the exhaustive cross-backend equality proof lives in
+//! `tests/kernel_equivalence.rs`.
 //!
 //! One honest caveat: when an *input* is NaN, the guarantee weakens to
 //! "the same elements are NaN". Which NaN *payload* propagates through
@@ -47,16 +48,6 @@
 //! language does. Every non-NaN result — including ±inf, signed zeros,
 //! and subnormals — is bit-exact. Training inputs are finite, so the
 //! training-side contract (`.aemb` bytes) is unaffected.
-//!
-//! **Relaxed tier** — [`RelaxedKernels`]: reassociated multi-lane FMA
-//! reductions for single-`dot` row scans. Faster, *not* bitwise-equal
-//! to scalar (results differ within a documented ULP bound, see
-//! [`RelaxedKernels::dot`]). It is deliberately unreachable from
-//! training: the only callers are the approximate serving paths
-//! (`IvfIndex::search_relaxed` behind an explicit opt-in). That is safe
-//! for the same reason the ANN index itself is: released embeddings are
-//! Theorem-5 post-processing — any function of the released bytes,
-//! including a differently-rounded score, costs no additional privacy.
 //!
 //! # Selection
 //!
@@ -68,11 +59,11 @@
 //!    auto-detection (like an absurd `ADVSGM_THREADS` degrades to a
 //!    slow run, never a crash);
 //! 3. auto-detection picks the best supported backend: AVX2 on x86-64
-//!    hosts with AVX2+FMA, NEON on aarch64, scalar everywhere else.
+//!    hosts with AVX2, NEON on aarch64, scalar everywhere else.
 //!
-//! Because the bitwise tier is bitwise-equal across backends, the
-//! override is an A/B and CI tool, not a correctness knob: `train`,
-//! `query` (exact), and `.aemb`/`.aidx` bytes do not depend on it.
+//! Because every kernel is bitwise-equal across backends, the override
+//! is an A/B and CI tool, not a correctness knob: no command's output —
+//! `.aemb`/`.aidx` bytes, exact or approximate answers — depends on it.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -91,9 +82,8 @@ pub enum Backend {
     /// The portable reference loops of [`crate::vector`] — always
     /// available, and the definition of the bitwise contract.
     Scalar,
-    /// 256-bit AVX2 paths (x86-64 with AVX2; FMA is additionally
-    /// required so the relaxed tier can fuse, the bitwise tier never
-    /// contracts).
+    /// 256-bit AVX2 paths (x86-64 with AVX2; no kernel fuses a
+    /// multiply-add, so FMA is not required).
     Avx2,
     /// 128-bit NEON paths (aarch64, where NEON is architectural).
     Neon,
@@ -127,10 +117,7 @@ impl Backend {
         match self {
             Backend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-            }
+            Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx2 => false,
             // NEON is a mandatory part of AArch64: if the binary runs,
@@ -251,9 +238,9 @@ pub fn active() -> Backend {
 /// Forces the active backend, overriding `ADVSGM_KERNELS`.
 ///
 /// Intended for the equivalence tests and the kernel benches, which A/B
-/// backends inside one process. Forcing is always sound: the bitwise
-/// tier is bitwise-equal across backends, so no computation observes
-/// the switch.
+/// backends inside one process. Forcing is always sound: every kernel
+/// is bitwise-equal across backends, so no computation observes the
+/// switch.
 ///
 /// # Panics
 /// Panics if the host cannot execute `backend`.
@@ -290,41 +277,20 @@ pub fn host_features() -> Vec<(&'static str, bool)> {
 }
 
 // ---------------------------------------------------------------------
-// Bitwise tier: dispatched kernel surface.
+// Dispatched kernel surface.
 //
-// Each `foo` dispatches on `active()`; each `foo_with` takes the
-// backend explicitly (the equivalence tests and benches A/B through
+// Each `foo` but `dot` dispatches on `active()`; each `foo_with` takes
+// the backend explicitly (the equivalence tests and benches A/B through
 // these). `foo_with` falls back to the scalar reference when handed a
 // backend the host cannot run — never UB, and bitwise-identical anyway.
 // ---------------------------------------------------------------------
 
-/// Dispatched [`vector::dot`]. Scalar on every backend: the single
-/// sequential accumulator *is* the pinned FP association, so there is
-/// no bitwise-preserving SIMD form (see module docs).
+/// [`vector::dot`] on every backend: the single sequential accumulator
+/// *is* the pinned FP association, so there is no bitwise-preserving
+/// SIMD form (see module docs).
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    dot_with(active(), x, y)
-}
-
-/// [`dot`] on an explicit backend.
-#[inline]
-pub fn dot_with(backend: Backend, x: &[f64], y: &[f64]) -> f64 {
-    let _ = backend; // one scalar definition serves every backend
     vector::dot(x, y)
-}
-
-/// Dispatched [`vector::norm2_sq`]. Scalar on every backend, like
-/// [`dot`].
-#[inline]
-pub fn norm2_sq(x: &[f64]) -> f64 {
-    norm2_sq_with(active(), x)
-}
-
-/// [`norm2_sq`] on an explicit backend.
-#[inline]
-pub fn norm2_sq_with(backend: Backend, x: &[f64]) -> f64 {
-    let _ = backend;
-    vector::norm2_sq(x)
 }
 
 /// Dispatched [`vector::dot2`]: `(x . a, x . b)`, bitwise-identical to
@@ -543,74 +509,6 @@ fn dist_sq_2x16_scalar(block: &[f64], x0: &[f64], x1: &[f64]) -> [[f64; 16]; 2] 
     out
 }
 
-// ---------------------------------------------------------------------
-// Relaxed tier.
-// ---------------------------------------------------------------------
-
-/// Opt-in token for the relaxed arithmetic tier: reassociated
-/// multi-lane FMA reductions that are faster than the bitwise tier but
-/// **not** bitwise-equal to the scalar reference.
-///
-/// Constructing one is the explicit acknowledgement that the caller is
-/// in Theorem-5 post-processing territory: scoring *released*
-/// embeddings, where a differently-rounded inner product changes no
-/// privacy property and (in approximate serving) the result is already
-/// a recall trade-off. The training engines and every exact-serving
-/// path take no `RelaxedKernels` parameter, and
-/// `tests/kernel_equivalence.rs` pins that reachability claim by
-/// scanning `advsgm-core` for this type.
-///
-/// The token captures the backend at construction, so one search
-/// request is internally consistent even if [`force`] flips the global
-/// selection mid-flight.
-#[derive(Debug, Clone, Copy)]
-pub struct RelaxedKernels {
-    backend: Backend,
-}
-
-impl RelaxedKernels {
-    /// Opts in on the [`active`] backend.
-    pub fn opt_in() -> Self {
-        Self { backend: active() }
-    }
-
-    /// Opts in on an explicit backend (equivalence tests and benches).
-    pub fn with_backend(backend: Backend) -> Self {
-        Self { backend }
-    }
-
-    /// The backend this token scores with.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Relaxed dot product `x . y`.
-    ///
-    /// On SIMD backends the reduction runs 4 (AVX2) or 2 (NEON)
-    /// independent lane accumulators with fused multiply-add, then sums
-    /// the lanes in a fixed order; on the scalar backend it is exactly
-    /// [`vector::dot`]. For a given backend the result is deterministic,
-    /// but across backends it differs from the scalar sum by the usual
-    /// reassociation error: for finite inputs the relative error vs. the
-    /// exact (infinitely precise) sum is bounded by `~n * eps` — in
-    /// practice well under `1e-12` relative at serving dimensions
-    /// (`r <= 1024`), the bound `tests/kernel_equivalence.rs` enforces.
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    #[inline]
-    pub fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        assert_eq!(x.len(), y.len(), "dot: length mismatch");
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 if Backend::Avx2.is_supported() => avx2::dot_relaxed_checked(x, y),
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => neon::dot_relaxed_checked(x, y),
-            _ => vector::dot(x, y),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -710,22 +608,6 @@ mod tests {
             fused_axpy_scale_with(backend, &mut y1, 5.0, &x, 0.2);
             vector::fused_axpy_scale(&mut y2, 5.0, &x, 0.2);
             assert_eq!(bits(&y1), bits(&y2), "{backend} fused_axpy_scale");
-        }
-    }
-
-    #[test]
-    fn relaxed_dot_is_deterministic_and_close() {
-        let x: Vec<f64> = (0..129).map(|i| (i as f64 * 0.11).sin()).collect();
-        let y: Vec<f64> = (0..129).map(|i| (i as f64 * 0.23).cos()).collect();
-        let exact = vector::dot(&x, &y);
-        for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
-            let relaxed = RelaxedKernels::with_backend(backend);
-            let got = relaxed.dot(&x, &y);
-            assert_eq!(got.to_bits(), relaxed.dot(&x, &y).to_bits());
-            assert!(
-                (got - exact).abs() <= 1e-12 * exact.abs().max(1.0),
-                "{backend}: relaxed {got} vs exact {exact}"
-            );
         }
     }
 

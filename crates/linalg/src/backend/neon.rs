@@ -5,9 +5,9 @@
 //! `unsafe_op_in_unsafe_fn` is denied. NEON is an architectural part of
 //! AArch64, so support-detection is a compile-target question.
 //!
-//! Bitwise-tier functions use separate `vmulq_f64`/`vaddq_f64` — never
+//! Every kernel uses separate `vmulq_f64`/`vaddq_f64` — never
 //! `vfmaq_f64`, whose single rounding would break bit-equality with
-//! the scalar multiply-then-add — and keep the scalar operand order so
+//! the scalar multiply-then-add — and keeps the scalar operand order so
 //! NaN payload propagation matches. Lanes are independent elements
 //! (element-wise kernels) or independent scalar accumulators (`dot2`),
 //! exactly as in `crate::vector`. `dot16` and `dist_sq_2x16` run the
@@ -15,8 +15,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use core::arch::aarch64::{
-    float64x2_t, vaddq_f64, vdupq_n_f64, vfmaq_f64, vgetq_lane_f64, vld1q_f64, vmulq_f64,
-    vst1q_f64, vtrn1q_f64, vtrn2q_f64,
+    vaddq_f64, vdupq_n_f64, vgetq_lane_f64, vld1q_f64, vmulq_f64, vst1q_f64, vtrn1q_f64, vtrn2q_f64,
 };
 
 /// Two independent dot-product accumulators in one 128-bit register:
@@ -127,35 +126,6 @@ unsafe fn fused_axpy_scale(y: &mut [f64], alpha: f64, x: &[f64], beta: f64) {
     }
 }
 
-/// Relaxed dot product: two independent lane accumulators with fused
-/// multiply-add, fixed-order reduction `(l0 + l1) + tail`. Deterministic
-/// but not bitwise-equal to the scalar sum — see
-/// [`super::RelaxedKernels::dot`] for the error bound.
-///
-/// # Safety
-/// The caller must ensure `x.len() == y.len()`.
-#[target_feature(enable = "neon")]
-unsafe fn dot_relaxed(x: &[f64], y: &[f64]) -> f64 {
-    let n = x.len();
-    let mut acc: float64x2_t = vdupq_n_f64(0.0);
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: i + 2 <= n == y.len() bounds both loads.
-        unsafe {
-            let xv = vld1q_f64(x.as_ptr().add(i));
-            let yv = vld1q_f64(y.as_ptr().add(i));
-            acc = vfmaq_f64(acc, xv, yv);
-        }
-        i += 2;
-    }
-    let mut tail = 0.0f64;
-    while i < n {
-        tail = x[i].mul_add(y[i], tail);
-        i += 1;
-    }
-    (vgetq_lane_f64::<0>(acc) + vgetq_lane_f64::<1>(acc)) + tail
-}
-
 // ---------------------------------------------------------------------
 // Safe entry points. NEON is architectural on aarch64 (this module only
 // compiles for that target), so the wrappers check slice lengths only;
@@ -194,12 +164,4 @@ pub(super) fn fused_axpy_scale_checked(y: &mut [f64], alpha: f64, x: &[f64], bet
     assert_eq!(x.len(), y.len(), "fused_axpy_scale: length mismatch");
     // SAFETY: NEON is architectural on aarch64; lengths asserted equal.
     unsafe { fused_axpy_scale(y, alpha, x, beta) }
-}
-
-/// Safe [`dot_relaxed`]: checks lengths, then runs the kernel.
-#[inline]
-pub(super) fn dot_relaxed_checked(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    // SAFETY: NEON is architectural on aarch64; lengths asserted equal.
-    unsafe { dot_relaxed(x, y) }
 }

@@ -20,7 +20,7 @@
 //!   the serving-side kernel behind `advsgm-store` neighbor queries;
 //! * [`backend`] — runtime CPU-feature dispatch over the hot kernel
 //!   surface: explicit AVX2/NEON paths with the scalar loops as the
-//!   always-available reference, bitwise-identical on the training tier.
+//!   always-available reference, bitwise-identical on every backend.
 //!
 //! Everything is `f64` and allocation-conscious. `unsafe` is denied
 //! crate-wide and allowed only inside [`backend`]'s per-architecture

@@ -19,7 +19,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::backend::{self, RelaxedKernels};
+use crate::backend;
 use crate::matrix::DenseMatrix;
 
 #[cfg(test)]
@@ -309,48 +309,6 @@ where
     top.into_sorted()
 }
 
-/// [`top_k_rows_among`] on the **relaxed** arithmetic tier: every
-/// candidate row is scored with [`RelaxedKernels::dot`] — a reassociated
-/// multi-lane FMA reduction — instead of the bitwise-tier scalar dot.
-///
-/// Scores may differ from the exact scan in the last few ULPs, so
-/// near-tied candidates can swap ranks; callers are by construction in
-/// approximate (recall < 1) serving, where the result set is already a
-/// recall trade-off and the released embeddings make any rescoring
-/// Theorem-5 post-processing. For a fixed backend the result is fully
-/// deterministic. The exact-mode and training paths have no route to
-/// this function: it exists only behind the [`RelaxedKernels`] opt-in.
-///
-/// # Panics
-/// Panics if `query.len() != matrix.cols()` or a listed row is out of
-/// range.
-pub fn top_k_rows_among_relaxed<I>(
-    kernels: &RelaxedKernels,
-    matrix: &DenseMatrix,
-    query: &[f64],
-    k: usize,
-    rows: I,
-    exclude: Option<usize>,
-) -> Vec<ScoredIndex>
-where
-    I: IntoIterator<Item = usize>,
-{
-    assert_eq!(
-        query.len(),
-        matrix.cols(),
-        "top_k_rows_among: query length {} != matrix cols {}",
-        query.len(),
-        matrix.cols()
-    );
-    let mut top = TopK::new(k);
-    for row in rows {
-        if Some(row) != exclude {
-            top.push(row, kernels.dot(query, matrix.row(row)));
-        }
-    }
-    top.into_sorted()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,32 +394,6 @@ mod tests {
         for (f, e) in full.iter().zip(&expected) {
             assert_eq!(f.index, e.index);
             assert_eq!(f.score.to_bits(), e.score.to_bits());
-        }
-    }
-
-    /// The relaxed candidate scan returns the same neighbor *sets* as the
-    /// exact one on well-separated scores, and is deterministic.
-    #[test]
-    fn relaxed_among_is_deterministic_and_close() {
-        let n = 12;
-        let dim = 16;
-        let m = DenseMatrix::from_fn(n, dim, |i, j| ((i * 31 + j * 7) as f64 * 0.11).sin());
-        let q: Vec<f64> = (0..dim).map(|j| (j as f64 * 0.43).cos()).collect();
-        let kernels = RelaxedKernels::opt_in();
-
-        let a = top_k_rows_among_relaxed(&kernels, &m, &q, 4, 0..n, Some(2));
-        let b = top_k_rows_among_relaxed(&kernels, &m, &q, 4, 0..n, Some(2));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.index, y.index);
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-        }
-
-        let exact = top_k_rows_among(&m, &q, 4, 0..n, Some(2));
-        for (r, e) in a.iter().zip(&exact) {
-            assert_eq!(r.index, e.index, "well-separated scores must agree");
-            let rel = ((r.score - e.score) / e.score).abs();
-            assert!(rel < 1e-12, "relaxed score drifted: {rel}");
         }
     }
 

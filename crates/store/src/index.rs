@@ -31,13 +31,11 @@
 //! `tests/index_serving.rs`). The radii are
 //! derived from the store when the index is built and when
 //! [`IvfIndex::validate_for`] accepts a store, and are never serialised;
-//! until then exact mode is the full scan. An explicit
-//! [`IvfIndex::search_relaxed`] entry point moves *only* the
-//! approximate candidate scan to the reassociated-FMA relaxed tier —
-//! Theorem-5 post-processing of released embeddings, never reachable
-//! from training or exact mode. Callers usually don't pick `nprobe`
-//! directly: [`IvfIndex::nprobe_for`] maps a recall target to a probe
-//! count through a calibration table measured at build time.
+//! until then exact mode is the full scan. Approximate search scores its
+//! candidates through the same kernel, so its answers, like exact ones,
+//! do not depend on the kernel backend. Callers usually don't pick
+//! `nprobe` directly: [`IvfIndex::nprobe_for`] maps a recall target to a
+//! probe count through a calibration table measured at build time.
 //!
 //! Rows containing non-finite values (NaN/±inf) cannot be clustered
 //! meaningfully; they live on an *always-scanned* list so approximate
@@ -55,10 +53,8 @@
 use std::path::Path;
 use std::sync::OnceLock;
 
-use advsgm_linalg::backend::{self, CentroidPanels, RelaxedKernels};
-use advsgm_linalg::topk::{
-    score_rows, top_k_rows, top_k_rows_among, top_k_rows_among_relaxed, ScoredIndex, TopK,
-};
+use advsgm_linalg::backend::{self, CentroidPanels};
+use advsgm_linalg::topk::{score_rows, top_k_rows, top_k_rows_among, ScoredIndex, TopK};
 use advsgm_linalg::{vector, DenseMatrix};
 use advsgm_parallel::ThreadPool;
 
@@ -565,42 +561,6 @@ impl IvfIndex {
         k: usize,
         nprobe: usize,
     ) -> Result<SearchResult, StoreError> {
-        self.search_impl(store, u, k, nprobe, None)
-    }
-
-    /// [`IvfIndex::search`] with the candidate scan on the **relaxed**
-    /// arithmetic tier ([`RelaxedKernels`], DESIGN.md §15).
-    ///
-    /// Only the approximate branch changes: probe ordering, the
-    /// always-scanned list membership, and exact mode (`nprobe >= nlist`)
-    /// stay on the bitwise tier, so exact results and every released
-    /// artifact (`.aemb`, `.aidx`) are backend-invariant. Relaxed scoring
-    /// of candidates is pure post-processing of the Theorem-5 release —
-    /// it reads only published embeddings — so it carries no privacy
-    /// cost; it may swap near-tied neighbors relative to [`Self::search`]
-    /// but is deterministic for a fixed backend.
-    ///
-    /// # Errors
-    /// Same contract as [`IvfIndex::search`].
-    pub fn search_relaxed(
-        &self,
-        store: &EmbeddingStore,
-        u: usize,
-        k: usize,
-        nprobe: usize,
-        kernels: &RelaxedKernels,
-    ) -> Result<SearchResult, StoreError> {
-        self.search_impl(store, u, k, nprobe, Some(kernels))
-    }
-
-    fn search_impl(
-        &self,
-        store: &EmbeddingStore,
-        u: usize,
-        k: usize,
-        nprobe: usize,
-        relaxed: Option<&RelaxedKernels>,
-    ) -> Result<SearchResult, StoreError> {
         self.check_shape(store)?;
         if u >= self.nodes {
             return Err(StoreError::NodeOutOfRange {
@@ -628,12 +588,7 @@ impl IvfIndex {
             .map(|&c| self.clusters[c].len())
             .sum::<usize>()
             + self.always.len();
-        let scored = match relaxed {
-            Some(kernels) => {
-                top_k_rows_among_relaxed(kernels, matrix, query, k, candidates, Some(u))
-            }
-            None => top_k_rows_among(matrix, query, k, candidates, Some(u)),
-        };
+        let scored = top_k_rows_among(matrix, query, k, candidates, Some(u));
         let neighbors = scored_to_neighbors(store, scored);
         Ok(SearchResult {
             neighbors,

@@ -11,7 +11,6 @@
 use std::path::Path;
 use std::sync::Mutex;
 
-use advsgm_linalg::backend::RelaxedKernels;
 use advsgm_parallel::{resolve_threads, ThreadPool};
 use advsgm_store::{EmbeddingStore, IndexParams, IvfIndex, Neighbor, PrivacyMeta, SearchResult};
 
@@ -59,12 +58,6 @@ pub struct EmbeddingService {
     /// store's fingerprint when attached. `top_k` and `batch_top_k`
     /// never consult it.
     index: Option<IvfIndex>,
-    /// Relaxed-tier kernel opt-in (DESIGN.md §15). `None` (the default)
-    /// keeps every scan on the bitwise tier; `Some` routes *only* the
-    /// approximate candidate scan through reassociated-FMA dots —
-    /// Theorem-5 post-processing of the released embeddings. Exact
-    /// queries and index building never consult it.
-    relaxed: Option<RelaxedKernels>,
 }
 
 impl std::fmt::Debug for EmbeddingService {
@@ -116,25 +109,7 @@ impl EmbeddingService {
             pool: Mutex::new(None),
             store,
             index: None,
-            relaxed: None,
         }
-    }
-
-    /// Opts the approximate query path into the relaxed kernel tier
-    /// ([`RelaxedKernels`]): candidate scans use reassociated-FMA dot
-    /// products on the active backend. Exact queries, `score`, and index
-    /// construction stay on the bitwise tier, so released artifacts are
-    /// unaffected — this is pure post-processing of the Theorem-5
-    /// release. Deterministic for a fixed backend; near-tied neighbors
-    /// may swap relative to the bitwise scan.
-    pub fn enable_relaxed_kernels(&mut self) {
-        self.relaxed = Some(RelaxedKernels::opt_in());
-    }
-
-    /// Whether the relaxed kernel tier is active for approximate queries.
-    #[must_use]
-    pub fn relaxed_kernels_enabled(&self) -> bool {
-        self.relaxed.is_some()
     }
 
     /// [`EmbeddingService::open_with_threads`] plus an `.aidx` ANN index
@@ -289,10 +264,7 @@ impl EmbeddingService {
             Some(index) => {
                 // At or past 1.0, `nprobe_for` gives `nlist`: exact mode.
                 let nprobe = index.nprobe_for(recall_target);
-                Ok(match &self.relaxed {
-                    Some(kernels) => index.search_relaxed(&self.store, u, k, nprobe, kernels)?,
-                    None => index.search(&self.store, u, k, nprobe)?,
-                })
+                Ok(index.search(&self.store, u, k, nprobe)?)
             }
             None => Ok(SearchResult {
                 neighbors: self.store.top_k(u, k)?,

@@ -92,7 +92,6 @@ const USAGE: &str = "usage:
                [--sample-queries N]
   advsgm serve --store PATH [--index PATH | --build-index]
                [--addr HOST:PORT] [--cache N] [--max-requests N]
-               [--relaxed]
   advsgm stop  --addr HOST:PORT
 
 train flags:
@@ -154,9 +153,6 @@ serving flags:
   --cache N             serve: LRU capacity in cached top-k results
                         (default 1024; 0 disables)
   --max-requests N      serve: exit after answering N requests
-  --relaxed             serve: score approximate (--approx < 1) candidate
-                        scans with relaxed-tier SIMD kernels (reassociated
-                        FMA); exact queries stay bitwise. Off by default
   --host                info: report detected CPU features and the kernel
                         backend the process would select (no store needed)
 
@@ -165,8 +161,8 @@ kernel backend (ADVSGM_KERNELS):
   scalar | avx2 | neon. Precedence mirrors ADVSGM_THREADS: a set, valid,
   host-supported ADVSGM_KERNELS value wins; an unsupported or unknown
   value degrades to auto-detection (reported by `info --host`); unset
-  auto-detects the strongest supported backend. Training and exact
-  serving are bitwise-identical across backends";
+  auto-detects the strongest supported backend. Training and serving,
+  exact and approximate, are bitwise-identical across backends";
 
 /// Set by the first failed write to stdout, after which output is
 /// dropped: `None` when the reader went away (`BrokenPipe`), else the
@@ -314,7 +310,6 @@ const SERVE_FLAGS: &[&[Flag]] = &[&[
     ("--addr", 1),
     ("--cache", 1),
     ("--max-requests", 1),
-    ("--relaxed", 0),
 ]];
 const STOP_FLAGS: &[&[Flag]] = &[&[("--addr", 1)]];
 
@@ -853,7 +848,6 @@ struct ServeArgs {
     addr: String,
     cache: usize,
     max_requests: Option<u64>,
-    relaxed: bool,
 }
 
 fn parse_serve(tokens: &[String]) -> Result<ServeArgs, String> {
@@ -874,7 +868,6 @@ fn parse_serve(tokens: &[String]) -> Result<ServeArgs, String> {
             .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
         cache,
         max_requests,
-        relaxed: flags.has("--relaxed"),
     })
 }
 
@@ -1178,20 +1171,12 @@ fn cmd_serve(args: ServeArgs) -> Result<(), String> {
             idx.nlist()
         );
     }
-    if args.relaxed {
-        service.enable_relaxed_kernels();
-    }
     let nodes = service.len();
     let indexed = service.index().is_some();
     let (kernel_backend, kernel_source) = advsgm::linalg::backend::resolution();
     out!(
-        "kernel backend {kernel_backend} ({}){}",
-        kernel_source.describe(),
-        if args.relaxed {
-            "; relaxed tier on approximate scans"
-        } else {
-            ""
-        }
+        "kernel backend {kernel_backend} ({})",
+        kernel_source.describe()
     );
     let config = ServeConfig {
         cache_capacity: args.cache,
@@ -1768,7 +1753,7 @@ mod tests {
     fn serve_happy_path_and_defaults() {
         let a = parse_serve(&toks(
             "--store e.aemb --index e.aidx --addr 0.0.0.0:9000 --cache 99 \
-             --max-requests 1000 --relaxed",
+             --max-requests 1000",
         ))
         .unwrap();
         assert_eq!(a.store, "e.aemb");
@@ -1776,14 +1761,17 @@ mod tests {
         assert_eq!(a.addr, "0.0.0.0:9000");
         assert_eq!(a.cache, 99);
         assert_eq!(a.max_requests, Some(1000));
-        assert!(a.relaxed);
 
         let d = parse_serve(&toks("--store e.aemb")).unwrap();
         assert_eq!(d.addr, "127.0.0.1:7878");
         assert_eq!(d.cache, 1024);
         assert_eq!(d.max_requests, None);
         assert!(!d.build_index);
-        assert!(!d.relaxed, "relaxed tier is opt-in");
+
+        // Approximate scans run on the same bitwise kernels as every other
+        // scan, so there is no arithmetic tier to select.
+        let err = parse_serve(&toks("--store e.aemb --relaxed")).unwrap_err();
+        assert!(err.contains("unknown flag --relaxed"), "{err}");
     }
 
     #[test]

@@ -1,33 +1,28 @@
-//! The kernel backend's two-tier arithmetic contract (DESIGN.md §15).
+//! The kernel backend's bitwise contract (DESIGN.md §15).
 //!
-//! **Bitwise tier:** every dispatched kernel (`dot`, `dot2`, `dot16`,
-//! `norm2_sq`, `axpy`, `scale`, `fused_axpy_scale`, `dist_sq_2x16`)
-//! must be bit-for-bit equal to the scalar reference in `linalg::vector`
-//! on every backend the host supports — over hostile values (NaN
-//! payloads, ±inf, subnormals, signed zeros, huge/tiny magnitudes) and
-//! every SIMD remainder length 0..=17; every lane of `dot16` must be the
-//! single `dot` of its row, at those lengths and at 32 and 128 too.
+//! Every dispatched kernel (`dot2`, `dot16`, `axpy`, `scale`,
+//! `fused_axpy_scale`, `dist_sq_2x16`) must be bit-for-bit equal to the
+//! scalar reference in `linalg::vector` on every backend the host
+//! supports — over hostile values (NaN payloads, ±inf, subnormals,
+//! signed zeros, huge/tiny magnitudes) and every SIMD remainder length
+//! 0..=17; every lane of `dot16` must be the single `dot` of its row, at
+//! those lengths and at 32 and 128 too. (`backend::dot` is
+//! `vector::dot` itself on every backend, so it needs no check.)
 //! NaN *results* are compared as
 //! "both NaN" rather than payload-exact: Rust's scalar semantics leave
 //! the propagated payload unspecified (LLVM commutes `fmul`), so
 //! payload-exactness is unimplementable even scalar-vs-scalar — see the
 //! caveat in `linalg::backend`'s docs. On top of the per-kernel
 //! property, full training must release bitwise-identical `.aemb`
-//! bytes whichever backend is active, at 1 and 4 threads, and the
-//! index build identical `.aidx` bytes.
-//!
-//! **Relaxed tier:** `RelaxedKernels::dot` may reassociate (FMA lanes)
-//! but must be deterministic per backend and within the documented
-//! ~`n·eps` relative bound of the scalar sum — and must be *unreachable*
-//! from the training crate: `Pipeline::train` bottoms out in
-//! `advsgm-core`, whose sources this suite scans for any mention of the
-//! opt-in type.
+//! bytes whichever backend is active, at 1 and 4 threads, the index
+//! build identical `.aidx` bytes, and index search, approximate and
+//! exact, identical answers.
 
 use advsgm::core::{AdvSgmConfig, ModelVariant, Trainer};
 use advsgm::graph::generators::classic::karate_club;
 use std::sync::{Mutex, MutexGuard};
 
-use advsgm::linalg::backend::{self, Backend, CentroidPanels, RelaxedKernels};
+use advsgm::linalg::backend::{self, Backend, CentroidPanels};
 use advsgm::linalg::{vector, DenseMatrix};
 use advsgm::parallel::ThreadPool;
 use advsgm::store::{EmbeddingStore, IndexParams, IvfIndex, PrivacyMeta};
@@ -106,18 +101,6 @@ proptest! {
         for backend in supported_backends() {
             for n in 0..=17usize {
                 let (x, a, b, c) = (&x[..n], &a[..n], &b[..n], &c[..n]);
-
-                prop_assert!(
-                    same_bits_mod_nan(backend::dot_with(backend, x, a), vector::dot(x, a)),
-                    "dot: backend {} n {}", backend, n
-                );
-                prop_assert!(
-                    same_bits_mod_nan(
-                        backend::norm2_sq_with(backend, x),
-                        vector::norm2_sq(x)
-                    ),
-                    "norm2_sq: backend {} n {}", backend, n
-                );
 
                 let (da, db) = backend::dot2_with(backend, x, a, b);
                 let (ra, rb) = vector::dot2(x, a, b);
@@ -222,78 +205,6 @@ proptest! {
             }
         }
     }
-
-    /// The relaxed tier is deterministic per backend and within the
-    /// documented relative bound of the scalar sum on finite inputs.
-    #[test]
-    fn relaxed_tier_is_deterministic_and_within_bound(
-        x in proptest::collection::vec(-100.0f64..100.0, 17),
-        y in proptest::collection::vec(-100.0f64..100.0, 17),
-    ) {
-        for backend in supported_backends() {
-            let kernels = RelaxedKernels::with_backend(backend);
-            for n in 0..=17usize {
-                let (x, y) = (&x[..n], &y[..n]);
-                let fast = kernels.dot(x, y);
-                prop_assert_eq!(
-                    fast.to_bits(),
-                    kernels.dot(x, y).to_bits(),
-                    "relaxed dot not deterministic: backend {} n {}", backend, n
-                );
-                let exact = vector::dot(x, y);
-                // Documented bound: ~n * machine-eps relative; 1e-12 is
-                // orders of magnitude of slack at n <= 17.
-                let tolerance = 1e-12 * exact.abs().max(1.0);
-                prop_assert!(
-                    (fast - exact).abs() <= tolerance,
-                    "relaxed dot drift {} vs {} (backend {}, n {})",
-                    fast, exact, backend, n
-                );
-            }
-        }
-    }
-}
-
-/// Compile-visibility guard: the relaxed tier must be unreachable from
-/// `Pipeline::train`. Training bottoms out in `advsgm-core` (the three
-/// engines) over `advsgm-linalg`'s bitwise surface, so *no* source file
-/// of the core crate — and none of the training-side pipeline module —
-/// may name the opt-in type. (Rust privacy can't express "this crate
-/// must not use that public type", so the boundary is enforced by scan;
-/// the type's only constructors are `opt_in`/`with_backend`, making any
-/// use textually visible.)
-#[test]
-fn relaxed_kernels_unreachable_from_training() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut offenders = Vec::new();
-    let mut stack = vec![root.join("crates/core/src")];
-    let mut files = Vec::new();
-    while let Some(dir) = stack.pop() {
-        for entry in std::fs::read_dir(&dir).expect("readable source tree") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                files.push(path);
-            }
-        }
-    }
-    files.push(root.join("src/api/pipeline.rs"));
-    files.push(root.join("src/api/builder.rs"));
-    assert!(
-        files.len() > 10,
-        "source scan found too few files to be credible"
-    );
-    for path in files {
-        let source = std::fs::read_to_string(&path).expect("readable source file");
-        if source.contains("RelaxedKernels") || source.contains("dot_relaxed") {
-            offenders.push(path);
-        }
-    }
-    assert!(
-        offenders.is_empty(),
-        "relaxed-tier kernels referenced from training-side sources: {offenders:?}"
-    );
 }
 
 /// The acceptance gate: a full train→release is bitwise-identical under
@@ -368,10 +279,13 @@ fn exact_topk_is_backend_invariant() {
 
 /// The index build is backend-invariant down to the `.aidx` bytes: its
 /// assignment kernel, `dist_sq_2x16`, must score every centroid like
-/// `vector::dist_sq`. Two stores: a clustered one whose `nlist` of 37
-/// leaves five centroids after two whole blocks of 16, and a trained
-/// release at r = 128 indexed with `nlist` 17 (one block and one
-/// centroid, like the CI smoke release).
+/// `vector::dist_sq`. Search is too, approximate as well as exact: with
+/// each backend forced, a few rows' answers at every `nprobe` in
+/// `1..=nlist` must agree in neighbors, score bits and rows scanned. Two
+/// stores: a clustered one whose `nlist` of 37 leaves five centroids
+/// after two whole blocks of 16, and a trained release at r = 128
+/// indexed with `nlist` 17 (one block and one centroid, like the CI
+/// smoke release).
 #[test]
 fn index_build_is_backend_invariant() {
     let clustered = EmbeddingStore::new(
@@ -394,6 +308,22 @@ fn index_build_is_backend_invariant() {
         .clone();
     assert_eq!(trained.dim(), 128);
 
+    /// Every answer of `rows` at every `nprobe`, as comparable bits.
+    fn answers(index: &IvfIndex, store: &EmbeddingStore, rows: &[usize]) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        for nprobe in 1..=index.nlist() {
+            for &u in rows {
+                let result = index.search(store, u, 10, nprobe).unwrap();
+                let mut answer = vec![result.rows_scanned as u64];
+                for n in &result.neighbors {
+                    answer.extend([n.node as u64, n.score.to_bits()]);
+                }
+                out.push(answer);
+            }
+        }
+        out
+    }
+
     let native = Backend::detect();
     let _forcing = forcing_backends();
     for (name, store, nlist) in [("clustered", &clustered, 37), ("trained", &trained, 17)] {
@@ -401,17 +331,22 @@ fn index_build_is_backend_invariant() {
             nlist,
             ..IndexParams::default()
         };
+        let rows = [0, 1, store.len() / 2, store.len() - 1];
         backend::force(Backend::Scalar);
         let scalar = IvfIndex::build(store, params).unwrap();
+        let scalar_answers = answers(&scalar, store, &rows);
         backend::force(native);
-        let native_bytes = IvfIndex::build_in(store, params, &mut ThreadPool::new(3))
-            .unwrap()
-            .to_bytes();
+        let native_index = IvfIndex::build_in(store, params, &mut ThreadPool::new(3)).unwrap();
         assert_eq!(scalar.nlist(), nlist, "{name}");
         assert_eq!(
             scalar.to_bytes(),
-            native_bytes,
+            native_index.to_bytes(),
             "{name}: .aidx bytes differ between scalar and {native}"
+        );
+        assert_eq!(
+            scalar_answers,
+            answers(&native_index, store, &rows),
+            "{name}: search answers differ between scalar and {native}"
         );
     }
 }
