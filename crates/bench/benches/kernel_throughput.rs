@@ -1,13 +1,17 @@
 //! Kernel-backend throughput: the committed perf trajectory for the
 //! dispatched SIMD surface (DESIGN.md §15).
 //!
-//! Times the hot shapes per backend — the 16-row `dot16` score and the
-//! `top_k_rows` row scan it powers (on a cache-resident store and, in
-//! full mode, a DRAM-streaming one: the large scan is memory-bound, so
+//! Times the hot shapes per backend — the 16-row `dot16` score, the
+//! index build's two-row, 16-centroid `dist_sq_2x16`, and the
+//! `top_k_rows` row scan `dot16` powers (on a cache-resident store and,
+//! in full mode, a DRAM-streaming one: the large scan is memory-bound, so
 //! its ratio isolates what kernel speed buys once the matrix stops
 //! fitting in cache) — and writes `results/BENCH_kernels.json`
 //! (`docs/BENCHMARKS.md` schema) with each timing's median and quartiles
-//! and each backend's speedup over scalar. Run with:
+//! and each backend's speedup over scalar. Within every repetition each
+//! kernel is timed on every backend back to back, the order reversed on
+//! alternate repetitions, so drift on a shared host lands on both sides
+//! of a ratio alike. Run with:
 //!
 //! ```text
 //! cargo bench -p advsgm-bench --bench kernel_throughput          # full
@@ -18,13 +22,13 @@
 //! for CI smoke and leaves the file untouched. The row scan is timed
 //! under `backend::force` — sound because every kernel is bit-identical
 //! across backends, so forcing is unobservable to the result (asserted
-//! while timing). Container numbers carry the usual
+//! before timing). Container numbers carry the usual
 //! caveat: 1-core hosts under-state cache effects a real serving box
 //! would see, but single-thread kernel ratios remain representative.
 
 use std::time::Instant;
 
-use advsgm_linalg::backend::{self, Backend};
+use advsgm_linalg::backend::{self, Backend, CentroidPanels};
 use advsgm_linalg::rng::{gaussian_vec, seeded};
 use advsgm_linalg::topk::top_k_rows;
 use advsgm_linalg::DenseMatrix;
@@ -36,16 +40,15 @@ fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 
-/// Seconds for one closure over `reps` repetitions: the first quartile,
-/// the median and the third quartile.
-fn time_secs(reps: usize, mut f: impl FnMut()) -> [f64; 3] {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
+/// Seconds one call of `f` takes.
+fn time_once(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64()
+}
+
+/// The first quartile, the median and the third quartile of `samples`.
+fn quartiles(mut samples: Vec<f64>) -> [f64; 3] {
     samples.sort_by(f64::total_cmp);
     let n = samples.len();
     [samples[n / 4], samples[n / 2], samples[3 * n / 4]]
@@ -79,8 +82,8 @@ struct FeatureFacts {
 struct KernelFacts {
     kernel: &'static str,
     backend: &'static str,
-    /// Nanoseconds per kernel call (dot16) or per full scan (row_scan),
-    /// median over the repetitions.
+    /// Nanoseconds per kernel call (dot16, dist_sq_2x16) or per full
+    /// scan (row_scan), median over the repetitions.
     ns_per_op: f64,
     /// First and third quartiles of the same repetitions.
     ns_per_op_q1: f64,
@@ -101,16 +104,20 @@ fn main() {
 
     let mut rng = seeded(34);
     let x = gaussian_vec(&mut rng, 1.0, DIM);
+    let x1 = gaussian_vec(&mut rng, 1.0, DIM);
     let lane_rows: Vec<Vec<f64>> = (0..16).map(|_| gaussian_vec(&mut rng, 1.0, DIM)).collect();
     let lanes: [&[f64]; 16] = std::array::from_fn(|l| lane_rows[l].as_slice());
+    let panels = CentroidPanels::pack(&DenseMatrix::from_fn(16, DIM, |c, k| lane_rows[c][k]));
     let row_fill = |i: usize, j: usize| ((i * 31 + j * 17) as f64 * 0.113).sin();
     let matrix_hot = DenseMatrix::from_fn(scan_rows_hot, DIM, row_fill);
     let matrix_stream = (!quick).then(|| DenseMatrix::from_fn(scan_rows_stream, DIM, row_fill));
 
-    let backends: Vec<Backend> = Backend::ALL
+    let mut backends: Vec<Backend> = Backend::ALL
         .into_iter()
         .filter(|bk| bk.is_supported())
         .collect();
+    // Scalar first, the denominator of every speedup.
+    backends.sort_by_key(|bk| *bk != Backend::Scalar);
     println!(
         "kernel_throughput: r={DIM} scan={scan_rows_hot} rows hot, backends: {} (detected: {})",
         backends
@@ -121,75 +128,106 @@ fn main() {
         Backend::detect()
     );
 
-    // Reference result for the forced-backend scan assertion.
-    backend::force(Backend::Scalar);
-    let reference_scan = top_k_rows(&matrix_hot, &x, 10, None);
+    // Every backend's answers must be the scalar backend's, bit for bit.
+    let scan_bits = |bk: Backend| -> Vec<(usize, u64)> {
+        backend::force(bk);
+        let scan = top_k_rows(&matrix_hot, &x, 10, None);
+        scan.iter().map(|e| (e.index, e.score.to_bits())).collect()
+    };
+    let dist_bits = |bk: Backend| {
+        backend::dist_sq_2x16_with(bk, &panels, 0, &x, &x1).map(|row| row.map(f64::to_bits))
+    };
+    for &bk in &backends {
+        assert!(
+            scan_bits(bk) == scan_bits(Backend::Scalar)
+                && dist_bits(bk) == dist_bits(Backend::Scalar),
+            "bitwise contract violated during bench: backend {bk}"
+        );
+    }
+
+    // (kernel, calls per timed sample)
+    let scan_iters = (inner / 100).max(1);
+    let stream_iters = (scan_iters / 8).max(1);
+    let mut shapes = vec![
+        ("dot16", inner),
+        ("dist_sq_2x16", inner),
+        ("row_scan_hot", scan_iters),
+    ];
+    if matrix_stream.is_some() {
+        shapes.push(("row_scan_stream", stream_iters));
+    }
+    // samples[shape][backend]: seconds per timed sample.
+    let mut samples = vec![vec![Vec::with_capacity(reps); backends.len()]; shapes.len()];
+    for rep in 0..reps {
+        for (shape, &(kernel, iters)) in shapes.iter().enumerate() {
+            let mut order: Vec<usize> = (0..backends.len()).collect();
+            if rep % 2 == 1 {
+                order.reverse();
+            }
+            for b in order {
+                let bk = backends[b];
+                // The row scans dispatch through the process-wide backend.
+                backend::force(bk);
+                let secs = time_once(|| match kernel {
+                    "dot16" => {
+                        for _ in 0..iters {
+                            black_box(backend::dot16_with(bk, black_box(&x), &lanes));
+                        }
+                    }
+                    "dist_sq_2x16" => {
+                        for _ in 0..iters {
+                            black_box(backend::dist_sq_2x16_with(
+                                bk,
+                                &panels,
+                                0,
+                                black_box(&x),
+                                &x1,
+                            ));
+                        }
+                    }
+                    "row_scan_hot" => {
+                        for _ in 0..iters {
+                            black_box(top_k_rows(&matrix_hot, black_box(&x), 10, None));
+                        }
+                    }
+                    _ => {
+                        let m = matrix_stream.as_ref().expect("full mode");
+                        for _ in 0..iters {
+                            black_box(top_k_rows(m, black_box(&x), 10, None));
+                        }
+                    }
+                });
+                samples[shape][b].push(secs);
+            }
+        }
+    }
+    // Leave the process on the auto-detected backend.
+    backend::force(Backend::detect());
 
     let mut kernels: Vec<KernelFacts> = Vec::new();
-    let mut scalar_ns: std::collections::HashMap<&'static str, f64> = Default::default();
     println!(
         "{:>15} {:>8} {:>12} {:>25} {:>10}",
         "kernel", "backend", "ns/op", "q1 - q3", "vs scalar"
     );
-    // Scalar first so every speedup has its denominator.
-    let mut ordered = backends.clone();
-    ordered.sort_by_key(|bk| *bk != Backend::Scalar);
-    for bk in ordered {
-        // dot16: the 16-row score at the heart of the serving scan.
-        let dot16_secs = time_secs(reps, || {
-            for _ in 0..inner {
-                black_box(backend::dot16_with(bk, black_box(&x), &lanes));
-            }
-        });
-        // row_scan: the full fused top-k pass, forced onto `bk`.
-        backend::force(bk);
-        let scan = top_k_rows(&matrix_hot, &x, 10, None);
-        assert_eq!(
-            scan.iter()
-                .map(|e| (e.index, e.score.to_bits()))
-                .collect::<Vec<_>>(),
-            reference_scan
-                .iter()
-                .map(|e| (e.index, e.score.to_bits()))
-                .collect::<Vec<_>>(),
-            "bitwise contract violated during bench: backend {bk}"
-        );
-        let scan_iters = (inner / 100).max(1);
-        let scan_secs = time_secs(reps, || {
-            for _ in 0..scan_iters {
-                black_box(top_k_rows(&matrix_hot, black_box(&x), 10, None));
-            }
-        });
-        let stream_iters = (scan_iters / 8).max(1);
-        let stream_secs = matrix_stream.as_ref().map(|m| {
-            time_secs(reps, || {
-                for _ in 0..stream_iters {
-                    black_box(top_k_rows(m, black_box(&x), 10, None));
-                }
-            })
-        });
-
-        let mut rows = vec![
-            ("dot16", dot16_secs, inner),
-            ("row_scan_hot", scan_secs, scan_iters),
-        ];
-        if let Some(secs) = stream_secs {
-            rows.push(("row_scan_stream", secs, stream_iters));
-        }
-        for (kernel, secs, iters) in rows {
-            let [q1, ns, q3] = secs.map(|s| s * 1e9 / iters as f64);
-            if bk == Backend::Scalar {
-                scalar_ns.insert(kernel, ns);
-            }
-            let speedup = scalar_ns.get(kernel).map_or(f64::NAN, |s| s / ns);
+    for (shape, &(kernel, iters)) in shapes.iter().enumerate() {
+        let per_op: Vec<[f64; 3]> = samples[shape]
+            .iter()
+            .map(|s| quartiles(s.clone()).map(|secs| secs * 1e9 / iters as f64))
+            .collect();
+        let scalar_ns = backends
+            .iter()
+            .position(|&bk| bk == Backend::Scalar)
+            .map_or(f64::NAN, |b| per_op[b][1]);
+        for (b, &[q1, ns, q3]) in per_op.iter().enumerate() {
+            let speedup = scalar_ns / ns;
             println!(
                 "{kernel:>15} {:>8} {ns:>12.1} {:>25} {speedup:>9.2}x",
-                bk.name(),
+                backends[b].name(),
                 format!("{q1:.1} - {q3:.1}")
             );
             kernels.push(KernelFacts {
                 kernel,
-                backend: bk.name(),
+                backend: backends[b].name(),
                 ns_per_op: ns,
                 ns_per_op_q1: q1,
                 ns_per_op_q3: q3,
@@ -197,8 +235,6 @@ fn main() {
             });
         }
     }
-    // Leave the process on the auto-detected backend.
-    backend::force(Backend::detect());
 
     if !quick {
         let baseline = KernelBaseline {

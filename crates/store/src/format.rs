@@ -51,9 +51,12 @@ const FLAG_SIGMA: u16 = 1 << 2;
 /// Every flag bit version 1 defines; the rest must read as zero.
 const KNOWN_FLAGS: u16 = FLAG_EPSILON | FLAG_DELTA | FLAG_SIGMA;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup tables
+/// for slicing-by-8: `CRC32_TABLES[0]` is the bytewise table, and
+/// `CRC32_TABLES[k][i]` is the register after byte `i` followed by `k`
+/// zero bytes, so one step folds eight input bytes through eight lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -66,14 +69,25 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE 802.3) of `data` — the checksum stored in the `.aemb`
-/// trailer.
+/// trailer. Eight bytes per step (slicing-by-8), then the tail a byte at
+/// a time; the value is the bytewise algorithm's.
 ///
 /// # Examples
 /// ```
@@ -81,9 +95,23 @@ const CRC32_TABLE: [u32; 256] = {
 /// assert_eq!(advsgm_store::format::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes(word[..4].try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(word[4..].try_into().expect("4 bytes"));
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -275,6 +303,40 @@ mod tests {
     fn crc32_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise CRC-32 that slicing-by-8 replaced, bit by bit from
+    /// the polynomial, with no table.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference() {
+        let bytes: Vec<u8> = (0..(1usize << 20) + 7)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        // Every length through several words and every alignment of the
+        // 8-byte steps against the tail.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &bytes[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start={start} len={len}");
+            }
+        }
+        let big = &bytes[3..3 + (1 << 20)];
+        assert_eq!(crc32(big), crc32_bytewise(big));
     }
 
     #[test]

@@ -85,7 +85,10 @@ const CALIBRATION_TARGETS: [f64; 5] = [0.50, 0.80, 0.90, 0.95, 0.99];
 /// scan (2.6–2.9× measured on a 2-core AVX2 host, 100k × 32 store):
 /// list order jumps around the matrix while the full scan streams it.
 /// Past about a quarter of the rows the pruned visit saves little or
-/// loses.
+/// loses. The Lloyd passes' filter ([`Admission`]) takes the full scan
+/// past the same share of the centroids: a distance it scores one at a
+/// time costs about 3–5× one of the 16-centroid kernel's (24–30 against
+/// 5–10 ns per distance on that store, one thread).
 const FULL_SCAN_SHARE: usize = 4;
 
 /// Build-time knobs for [`IvfIndex::build`].
@@ -200,10 +203,14 @@ impl IvfIndex {
     /// deterministic seeding (evenly spaced rows), then a recall
     /// calibration pass over sampled queries — on the calling thread.
     ///
-    /// Cost is `O(iters · n · nlist · r)` for clustering plus
+    /// Cost is at most `O(iters · n · nlist · r)` for clustering plus
     /// `O(samples · n · r)` for calibration; this is the one-time price of
     /// sublinear queries and belongs at the release boundary, not on the
-    /// serving path.
+    /// serving path. Where the release falls into separated clusters, the
+    /// Lloyd passes after the first score each row against the few
+    /// centroids a triangle-inequality bound admits (about 15 of 316 on a
+    /// 100k × 32 store), and calibration's exact answers come from exact
+    /// mode's pruned visit; elsewhere both take the full scans.
     ///
     /// # Errors
     /// [`StoreError::LimitExceeded`] if the resolved `nlist` overflows the
@@ -226,6 +233,16 @@ impl IvfIndex {
         params: IndexParams,
         pool: &mut ThreadPool,
     ) -> Result<Self, StoreError> {
+        Self::build_counted(store, params, pool).map(|(index, _)| index)
+    }
+
+    /// [`IvfIndex::build_in`], also returning how many row-to-centroid
+    /// distances each assignment pass computed.
+    pub(crate) fn build_counted(
+        store: &EmbeddingStore,
+        params: IndexParams,
+        pool: &mut ThreadPool,
+    ) -> Result<(Self, Vec<usize>), StoreError> {
         let n = store.len();
         let dim = store.dim();
         let matrix = store.matrix();
@@ -267,12 +284,25 @@ impl IvfIndex {
             let row = finite[c * finite.len() / nlist];
             centroids.row_mut(c).copy_from_slice(matrix.row(row));
         }
+        // The first pass scans every centroid; each later one starts every
+        // row from its previous centroid and scores only the centroids
+        // [`Admission`] admits. Once a pass sends most rows to the full scan
+        // anyway, the passes left skip the filter.
+        let mut finite_assign = assign_nearest(pool, &centroids, matrix, &finite);
+        let mut distances = vec![finite.len() * nlist];
+        let mut filter = true;
         for _ in 0..params.kmeans_iters.max(1) {
-            let finite_assign = assign_nearest(pool, &centroids, matrix, &finite);
             update_centroids(pool, &mut centroids, matrix, &finite, &finite_assign);
+            if filter {
+                let pass = reassign_nearest(pool, &centroids, matrix, &finite, &finite_assign);
+                filter = pass.full_scans * 2 <= finite.len();
+                distances.push(pass.distances);
+                finite_assign = pass.nearest;
+            } else {
+                finite_assign = assign_nearest(pool, &centroids, matrix, &finite);
+                distances.push(finite.len() * nlist);
+            }
         }
-        // Final assignment against the final centroids.
-        let finite_assign = assign_nearest(pool, &centroids, matrix, &finite);
 
         let mut assignments = vec![ALWAYS_SCAN; n];
         for (&row, &c) in finite.iter().zip(&finite_assign) {
@@ -291,9 +321,9 @@ impl IvfIndex {
             geometry: OnceLock::new(),
         };
         index.rebuild_derived();
-        index.calibration = index.calibrate(store, &finite, params, pool);
         index.derive_geometry(store);
-        Ok(index)
+        index.calibration = index.calibrate(store, &finite, params, pool);
+        Ok((index, distances))
     }
 
     /// Derives the per-cluster geometry from `store` unless it is
@@ -326,6 +356,9 @@ impl IvfIndex {
     /// `(target, nprobe)` table behind [`IvfIndex::nprobe_for`]. One probe
     /// of safety margin is added on top of the in-sample requirement so
     /// out-of-sample queries stay at or above the target in practice.
+    /// Each query's exact top `k` comes from exact mode, which is the
+    /// full scan's answer bit for bit, so the geometry must be derived
+    /// first for the visit to prune.
     fn calibrate(
         &self,
         store: &EmbeddingStore,
@@ -356,7 +389,7 @@ impl IvfIndex {
                 for (rank, c) in self.probe_order(query, nlist).into_iter().enumerate() {
                     rank_of[c] = rank;
                 }
-                for hit in top_k_rows(store.matrix(), query, k, Some(u)) {
+                for hit in self.exact(store.matrix(), u, k).0 {
                     let a = self.assignments[hit.index];
                     let first_found = if a == ALWAYS_SCAN {
                         0
@@ -709,11 +742,9 @@ impl IvfIndex {
 /// toward the lower centroid index), the rows split across the pool.
 ///
 /// The centroids are packed once per call, and each worker scores its
-/// rows two at a time (an odd last row is paired with itself): whole
-/// blocks of 16 centroids through [`backend::dist_sq_2x16`], the rest
-/// through [`vector::dist_sq`]. Both give `dist_sq`'s bits, and the scan
-/// visits centroids in ascending order keeping only a strictly smaller
-/// distance, so every row gets the one-centroid-at-a-time answer.
+/// rows two at a time (an odd last row is paired with itself) through
+/// [`scan_centroids`], keeping only a strictly smaller distance, so every
+/// row gets the one-centroid-at-a-time answer.
 fn assign_nearest(
     pool: &mut ThreadPool,
     centroids: &DenseMatrix,
@@ -726,39 +757,250 @@ fn assign_nearest(
         let mut nearest = Vec::with_capacity(part.len());
         for pair in part.chunks(2) {
             let x = [matrix.row(pair[0]), matrix.row(pair[pair.len() - 1])];
-            let mut best = [0usize; 2];
-            let mut best_d = [f64::INFINITY; 2];
-            let mut consider = |i: usize, c: usize, d: f64| {
-                if d < best_d[i] {
-                    best_d[i] = d;
-                    best[i] = c;
-                }
-            };
-            for block in 0..panels.blocks() {
-                let dists = backend::dist_sq_2x16(&panels, block, x[0], x[1]);
-                for (i, row_dists) in dists.iter().enumerate() {
-                    for (j, &d) in row_dists.iter().enumerate() {
-                        consider(i, block * CentroidPanels::BLOCK + j, d);
-                    }
-                }
-            }
-            for c in panels.blocks() * CentroidPanels::BLOCK..centroids.rows() {
-                for (i, x) in x.iter().enumerate() {
-                    consider(i, c, vector::dist_sq(x, centroids.row(c)));
-                }
-            }
-            nearest.extend_from_slice(&best[..pair.len()]);
+            nearest.extend_from_slice(&nearest_of_pair(&panels, centroids, x)[..pair.len()]);
         }
         nearest
     })
     .concat()
 }
 
+/// The squared distance from each of the two rows `x` to every centroid,
+/// as `visit(i, c, d)` for row `x[i]`, centroid `c` in ascending order:
+/// whole blocks of 16 centroids through [`backend::dist_sq_2x16`], the
+/// rest through [`vector::dist_sq`]. Both give `dist_sq`'s bits.
+fn scan_centroids(
+    panels: &CentroidPanels,
+    centroids: &DenseMatrix,
+    x: [&[f64]; 2],
+    mut visit: impl FnMut(usize, usize, f64),
+) {
+    for block in 0..panels.blocks() {
+        let dists = backend::dist_sq_2x16(panels, block, x[0], x[1]);
+        for (i, row_dists) in dists.iter().enumerate() {
+            for (j, &d) in row_dists.iter().enumerate() {
+                visit(i, block * CentroidPanels::BLOCK + j, d);
+            }
+        }
+    }
+    for c in panels.blocks() * CentroidPanels::BLOCK..centroids.rows() {
+        for (i, x) in x.iter().enumerate() {
+            visit(i, c, vector::dist_sq(x, centroids.row(c)));
+        }
+    }
+}
+
+/// The nearest centroid of each of the two rows `x`: the first centroid
+/// in ascending order whose distance no later one beats strictly.
+fn nearest_of_pair(panels: &CentroidPanels, centroids: &DenseMatrix, x: [&[f64]; 2]) -> [usize; 2] {
+    let mut best = [0usize; 2];
+    let mut best_d = [f64::INFINITY; 2];
+    scan_centroids(panels, centroids, x, |i, c, d| {
+        if d < best_d[i] {
+            best_d[i] = d;
+            best[i] = c;
+        }
+    });
+    best
+}
+
+/// One filtered assignment pass ([`reassign_nearest`]).
+struct Reassigned {
+    /// `rows[i]`'s nearest centroid.
+    nearest: Vec<usize>,
+    /// Rows that took the full scan.
+    full_scans: usize,
+    /// Row-to-centroid distances computed.
+    distances: usize,
+}
+
+/// [`assign_nearest`]'s answer for a later Lloyd pass, from each row's
+/// `previous` centroid: a row scores only the centroids [`Admission`]
+/// admits, and takes [`nearest_of_pair`]'s full scan (two such rows at a
+/// time) when the admission cannot be trusted or holds more than
+/// `1 / FULL_SCAN_SHARE` of the centroids.
+fn reassign_nearest(
+    pool: &mut ThreadPool,
+    centroids: &DenseMatrix,
+    matrix: &DenseMatrix,
+    rows: &[usize],
+    previous: &[usize],
+) -> Reassigned {
+    let panels = CentroidPanels::pack(centroids);
+    let admission = Admission::new(pool, centroids, &panels);
+    let nlist = centroids.rows();
+    let chunk = rows.len().div_ceil(pool.threads());
+    let parts = pool.map_chunks(rows, chunk, |_, offset, part| {
+        let mut nearest = vec![0usize; part.len()];
+        let mut distances = 0;
+        let mut scan = Vec::new();
+        for (i, &row) in part.iter().enumerate() {
+            match admission.nearest(centroids, matrix.row(row), previous[offset + i]) {
+                Ok((c, scored)) => {
+                    nearest[i] = c;
+                    distances += scored;
+                }
+                Err(scored) => {
+                    scan.push(i);
+                    distances += scored + nlist;
+                }
+            }
+        }
+        for pair in scan.chunks(2) {
+            let x = [
+                matrix.row(part[pair[0]]),
+                matrix.row(part[pair[pair.len() - 1]]),
+            ];
+            for (&i, c) in pair.iter().zip(nearest_of_pair(&panels, centroids, x)) {
+                nearest[i] = c;
+            }
+        }
+        (nearest, scan.len(), distances)
+    });
+    let mut pass = Reassigned {
+        nearest: Vec::with_capacity(rows.len()),
+        full_scans: 0,
+        distances: 0,
+    };
+    for (nearest, full_scans, distances) in parts {
+        pass.nearest.extend(nearest);
+        pass.full_scans += full_scans;
+        pass.distances += distances;
+    }
+    pass
+}
+
+/// The Lloyd passes' filter (after Elkan, "Using the Triangle Inequality
+/// to Accelerate k-Means", ICML 2003, Lemma 1): for each centroid `a`,
+/// the `keep` centroids nearest to it, ascending by the computed
+/// `E_c = dist_sq(c_a, c)`. A row `x` whose previous centroid is `a`
+/// computes `D_a = dist_sq(x, c_a)` and the threshold
+/// `T = (D_a + MIN_POSITIVE)·4·(1 + s)`, and scores only the centroids
+/// with `E_c ≤ T`, a prefix of `a`'s list. Every other centroid is
+/// strictly farther from `x` than `c_a` in computed distance, so the
+/// lowest-index minimum over the admitted ones is the full scan's answer.
+/// (Squared, the test reads `‖c_a − c‖ > 2·‖x − c_a‖` with a margin.)
+///
+/// Why an excluded centroid can neither win nor tie. Let `u = ε/2`,
+/// `r < 2^50` the dimension, `g = γ_{r+2}` (as in [`Geometry`]),
+/// `ν = 2^-1024`, and `δ_a = ‖x − c_a‖`, `δ_c = ‖x − c‖`,
+/// `δ_ac = ‖c_a − c‖` the true distances between finite vectors (the
+/// build clusters only finite rows, and every centroid stays finite).
+///
+/// 1. A computed `dist_sq` `D` of two finite vectors at true distance `δ`
+///    satisfies `(1 − g)·δ² − ν ≤ D ≤ (1 + g)·δ² + ν` when it is finite.
+///    Each difference rounds once by a relative `u` (exactly below the
+///    normal range), each square once by a relative `u` or, below the
+///    normal range, by at most `2^-1075`, and the sum of `r`
+///    non-negative terms by a relative `γ_{r−1}` (Higham, *Accuracy and
+///    Stability of Numerical Algorithms*, §3.1). The `r` underflow terms
+///    stay below `ν`.
+/// 2. Let `A = (D_a + ν) / (1 − g)`. By step 1, `δ_a² ≤ A`.
+/// 3. `T` rounds three times (`1 + s`, the sum, the product), all in
+///    the normal range, and `MIN_POSITIVE = 4ν`, so
+///    `T ≥ 4·(1 + s)·(1 − u)³·(D_a + 4ν)`. With `s = (4r + 16)·ε`,
+///    `(1 + s)·(1 − u)³·(1 − g) ≥ 1 + 3g > 1 + g`, so `T ≥ 4·(1 + g)·A + ν`.
+/// 4. If `E_c > T`, step 1 gives `δ_ac² ≥ (E_c − ν)/(1 + g) > 4A`. By
+///    the triangle inequality `δ_c ≥ δ_ac − δ_a > 2√A − √A = √A`, so
+///    `dist_sq(x, c) ≥ (1 − g)·δ_c² − ν > (1 − g)·A − ν = D_a`.
+///
+/// Overflow voids step 1. A row whose `D_a` or `T` is not finite takes
+/// the full scan. An `E_c` that overflowed to `+∞` may be excluded: the
+/// same sum with an unbounded exponent is above `f64::MAX ≥ T`, and
+/// step 1 holds for it. A `dist_sq(x, c)` that overflowed is above the
+/// finite `D_a` anyway. Underflow is what `MIN_POSITIVE` pays for, as in
+/// [`floored_sqrt`]: rows and centroids a few `2^-537` apart square to
+/// zero, and no margin of the relative kind alone could keep such a tie.
+struct Admission {
+    /// `keep` entries `(E_c, c)` per centroid, ascending by `E_c` and then
+    /// by `c`.
+    near: Vec<(f64, usize)>,
+    /// Entries per centroid: `⌊nlist / FULL_SCAN_SHARE⌋ + 1`, capped at
+    /// `nlist`, so a row whose admitted set fills its list has more than
+    /// `1 / FULL_SCAN_SHARE` of the centroids admitted.
+    keep: usize,
+    /// `4·(1 + s)`.
+    factor: f64,
+}
+
+impl Admission {
+    /// Every centroid's list, the centroids split across the pool by
+    /// output and scored two at a time like rows.
+    fn new(pool: &mut ThreadPool, centroids: &DenseMatrix, panels: &CentroidPanels) -> Self {
+        let nlist = centroids.rows();
+        let keep = (nlist / FULL_SCAN_SHARE + 1).min(nlist);
+        let ids: Vec<usize> = (0..nlist).collect();
+        let by_distance =
+            |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1));
+        let chunk = nlist.div_ceil(pool.threads());
+        let near = pool
+            .map_chunks(&ids, chunk, |_, _, part| {
+                let mut near = Vec::with_capacity(part.len() * keep);
+                for pair in part.chunks(2) {
+                    let x = [centroids.row(pair[0]), centroids.row(pair[pair.len() - 1])];
+                    let mut lists = [Vec::with_capacity(nlist), Vec::with_capacity(nlist)];
+                    scan_centroids(panels, centroids, x, |i, c, d| lists[i].push((d, c)));
+                    for list in &mut lists[..pair.len()] {
+                        if keep < nlist {
+                            list.select_nth_unstable_by(keep, by_distance);
+                            list.truncate(keep);
+                        }
+                        list.sort_unstable_by(by_distance);
+                        near.extend_from_slice(list);
+                    }
+                }
+                near
+            })
+            .concat();
+        let slack = (4 * centroids.cols() + 16) as f64 * f64::EPSILON;
+        Self {
+            near,
+            keep,
+            factor: 4.0 * (1.0 + slack),
+        }
+    }
+
+    /// Row `x`'s nearest centroid given its previous centroid `a`:
+    /// `Ok((nearest, distances computed))`, or `Err(distances computed)`
+    /// when the row must take the full scan instead.
+    fn nearest(
+        &self,
+        centroids: &DenseMatrix,
+        x: &[f64],
+        a: usize,
+    ) -> Result<(usize, usize), usize> {
+        let d_a = vector::dist_sq(x, centroids.row(a));
+        let threshold = (d_a + f64::MIN_POSITIVE) * self.factor;
+        if !threshold.is_finite() {
+            return Err(1);
+        }
+        let near = &self.near[a * self.keep..(a + 1) * self.keep];
+        let admitted = near.partition_point(|&(e, _)| e <= threshold);
+        if admitted == self.keep {
+            return Err(1);
+        }
+        // The lowest index among the minima, as the ascending scan with a
+        // strict `<` finds it.
+        let mut best = (d_a, a);
+        let mut scored = 1;
+        for &(_, c) in &near[..admitted] {
+            if c != a {
+                let d = vector::dist_sq(x, centroids.row(c));
+                scored += 1;
+                if d < best.0 || (d == best.0 && c < best.1) {
+                    best = (d, c);
+                }
+            }
+        }
+        Ok((best.1, scored))
+    }
+}
+
 /// One Lloyd update: each centroid becomes the mean of the rows
-/// assigned to it (`assign[i]` for `rows[i]`); empty clusters keep
-/// theirs. Each centroid is summed whole on the thread that owns it,
-/// walking its rows in ascending order, so the sums are bitwise the
-/// one-thread ones.
+/// assigned to it (`assign[i]` for `rows[i]`). An empty cluster keeps
+/// its centroid, and so does one whose mean is not finite (its members'
+/// sum overflowed), so every centroid stays finite. Each centroid is
+/// summed whole on the thread that owns it, walking its rows in
+/// ascending order, so the sums are bitwise the one-thread ones.
 fn update_centroids(
     pool: &mut ThreadPool,
     centroids: &mut DenseMatrix,
@@ -783,8 +1025,11 @@ fn update_centroids(
                 vector::add_assign(&mut sum, matrix.row(row));
             }
             let inv = 1.0 / members.len() as f64;
-            for (d, &s) in centroid.iter_mut().zip(&sum) {
-                *d = s * inv;
+            for s in &mut sum {
+                *s *= inv;
+            }
+            if sum.iter().all(|s| s.is_finite()) {
+                centroid.copy_from_slice(&sum);
             }
         }
     });
@@ -1326,6 +1571,295 @@ mod tests {
             let bytes = index.to_bytes();
             let body = &bytes[..bytes.len() - 4];
             assert_eq!((crc32(body), bytes.len()), (0x7f96_95ea, 2676));
+        }
+    }
+
+    /// Rows in `groups` separated groups, from integer arithmetic and
+    /// correctly rounded `÷` and `×` only, so the bytes built from them
+    /// are the same on every IEEE-754 platform.
+    fn arithmetic_clusters(n: usize, dim: usize, groups: usize) -> EmbeddingStore {
+        let m = DenseMatrix::from_fn(n, dim, |i, j| {
+            let g = (i * 7) % groups;
+            let center = ((g * 37 + j * 11) % 53) as f64 * 2.0 - 52.0;
+            center + ((i * 7919 + j * 104_729) % 97) as f64 / 97.0 * 0.75
+        });
+        EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap()
+    }
+
+    #[test]
+    fn clustered_build_bytes_are_pinned_while_the_filter_skips() {
+        // The checksum was taken from the build before the Lloyd passes
+        // filtered centroids, which scored every row against every one.
+        let store = arithmetic_clusters(3_000, 8, 48);
+        for threads in [1, 3] {
+            let (index, distances) = IvfIndex::build_counted(
+                &store,
+                IndexParams::default(),
+                &mut ThreadPool::new(threads),
+            )
+            .unwrap();
+            let bytes = index.to_bytes();
+            let body = &bytes[..bytes.len() - 4];
+            assert_eq!((crc32(body), bytes.len()), (0xf2fd_987e, 15_620));
+            let full = store.len() * index.nlist();
+            assert_eq!(distances.len(), 6);
+            assert_eq!(distances[0], full);
+            for (pass, &d) in distances.iter().enumerate().skip(1) {
+                assert!(d * 10 < full, "pass {pass} scored {d} of {full}");
+            }
+        }
+    }
+
+    #[test]
+    fn unclustered_builds_stop_filtering() {
+        // Rows spread evenly in 48 dimensions: every centroid is about as
+        // far from a row as its own, so the filter admits too many, and
+        // the passes after the first filtered one scan in full.
+        let m = DenseMatrix::from_fn(1_500, 48, |i, j| {
+            let h = ((i * 48 + j) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            ((h ^ (h >> 29)) % 1_000) as f64
+        });
+        let store = EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap();
+        let (index, distances) =
+            IvfIndex::build_counted(&store, IndexParams::default(), &mut ThreadPool::new(2))
+                .unwrap();
+        let full = store.len() * index.nlist();
+        assert!(distances[1] > full, "{distances:?}");
+        assert!(distances[2..].iter().all(|&d| d == full), "{distances:?}");
+    }
+
+    #[test]
+    fn overflowing_means_keep_the_previous_centroid() {
+        // Two clusters of two rows each at ±MAX/1.5: each member sum
+        // overflows, so both centroids keep their seed rows.
+        let big = f64::MAX / 1.5;
+        let m =
+            DenseMatrix::from_vec(4, 2, vec![big, big, big, big, -big, -big, -big, -big]).unwrap();
+        let store = EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap();
+        let index = IvfIndex::build(&store, IndexParams::default()).unwrap();
+        assert_eq!(index.nlist(), 2);
+        let bytes = index.to_bytes();
+        let centroids: Vec<f64> = bytes[INDEX_HEADER_LEN..INDEX_HEADER_LEN + 32]
+            .chunks(8)
+            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        assert_eq!(centroids, [big, big, -big, -big]);
+    }
+
+    #[test]
+    fn the_filter_keeps_ties_at_its_bound() {
+        // Centroids 0 and 1 and a row exactly as far from both in computed
+        // distance, starting from centroid 1; six more centroids lie `far`
+        // beyond centroid 1 along every axis. Centroid 0 sits at twice the
+        // row's distance, so the filter must admit it, and the tie goes to
+        // the lower index.
+        let tie = |c0: &[f64], c1: &[f64], x: &[f64], far: f64| {
+            let dim = x.len();
+            let rest = (2..8).flat_map(|k| c1.iter().map(move |v| v + k as f64 * far));
+            let centroids =
+                DenseMatrix::from_vec(8, dim, c0.iter().chain(c1).copied().chain(rest).collect())
+                    .unwrap();
+            let matrix = DenseMatrix::from_vec(1, dim, x.to_vec()).unwrap();
+            assert_eq!(
+                vector::dist_sq(x, c0).to_bits(),
+                vector::dist_sq(x, c1).to_bits()
+            );
+            let mut pool = ThreadPool::new(1);
+            let pass = reassign_nearest(&mut pool, &centroids, &matrix, &[0], &[1]);
+            assert_eq!(pass.full_scans, 0, "the filter must decide");
+            assert_eq!(pass.nearest, [0]);
+            assert_eq!(assign_nearest(&mut pool, &centroids, &matrix, &[0]), [0]);
+        };
+        // The exact midpoint: `E_0 = 4·D_1` exactly. At 2^-538 every
+        // square but the centroids' own distance (2^-1074) underflows.
+        tie(&[0.0], &[2.0], &[1.0], 100.0);
+        let unit = 2f64.powi(-538);
+        tie(&[0.0], &[2.0 * unit], &[unit], 2f64.powi(-500));
+        // Rounding alone puts `E_0` one ulp above `4·D_1` here (found by a
+        // random search over rounded midpoints).
+        tie(
+            &[
+                0.6915145120073704,
+                -4.277648496659992,
+                2.8594728778673875,
+                -0.3380249178274878,
+                0.23347610632535043,
+                0.8476406653626074,
+                -0.10653191905299583,
+                0.3200922882973547,
+            ],
+            &[
+                0.01892543685683179,
+                -4.384396520676098,
+                2.8306148475650073,
+                -0.16478513220625124,
+                0.2890578210412247,
+                0.027795729083524512,
+                -0.012318524758260202,
+                1.9932728830762025,
+            ],
+            &[
+                0.35521997443210107,
+                -4.331022508668045,
+                2.8450438627161976,
+                -0.2514050250168695,
+                0.26126696368328756,
+                0.43771819722306593,
+                -0.05942522190562802,
+                1.1566825856867786,
+            ],
+            100.0,
+        );
+    }
+
+    /// A row of `dim` grid coordinates, multiples of `4·scale` in
+    /// `[-64, 64]·scale`.
+    fn grid_row(rng: &mut rand::rngs::SmallRng, dim: usize, scale: f64) -> Vec<f64> {
+        use rand::Rng;
+        (0..dim)
+            .map(|_| rng.gen_range(-16i64..=16) as f64 * 4.0 * scale)
+            .collect()
+    }
+
+    /// Grid centroids for the filter's property test, with each one's
+    /// parent: about a quarter repeat an earlier centroid, a quarter are
+    /// an earlier one moved a grid step along one axis, and the rest are
+    /// free (their own parent).
+    fn grid_centroids(
+        rng: &mut rand::rngs::SmallRng,
+        nlist: usize,
+        dim: usize,
+        scale: f64,
+    ) -> (Vec<Vec<f64>>, Vec<usize>) {
+        use rand::Rng;
+        let (mut rows, mut parent): (Vec<Vec<f64>>, Vec<usize>) = (Vec::new(), Vec::new());
+        for c in 0..nlist {
+            let from = if c > 0 { rng.gen_range(0..c) } else { 0 };
+            let (row, p) = match rng.gen_range(0..4) {
+                0 if c > 0 => (rows[from].clone(), from),
+                1 if c > 0 => {
+                    let mut row = rows[from].clone();
+                    row[rng.gen_range(0..dim)] += 4.0 * scale;
+                    (row, from)
+                }
+                _ => (grid_row(rng, dim, scale), c),
+            };
+            rows.push(row);
+            parent.push(p);
+        }
+        (rows, parent)
+    }
+
+    /// Rows for the filter's property test, in four kinds: a copy of a
+    /// centroid, a centroid moved by up to two `scale` steps per
+    /// coordinate, the midpoint of a centroid and its parent (equally far
+    /// from both, up to rounding), and a free grid point.
+    fn rows_around(
+        rng: &mut rand::rngs::SmallRng,
+        centroids: &[Vec<f64>],
+        parent: &[usize],
+        n: usize,
+        scale: f64,
+    ) -> Vec<Vec<f64>> {
+        use rand::Rng;
+        let dim = centroids[0].len();
+        (0..n)
+            .map(|_| {
+                let c = rng.gen_range(0..centroids.len());
+                match rng.gen_range(0..4) {
+                    0 => centroids[c].clone(),
+                    1 => centroids[c]
+                        .iter()
+                        .map(|v| v + rng.gen_range(-2i64..=2) as f64 * scale)
+                        .collect(),
+                    2 => centroids[c]
+                        .iter()
+                        .zip(&centroids[parent[c]])
+                        .map(|(a, b)| a / 2.0 + b / 2.0)
+                        .collect(),
+                    _ => grid_row(rng, dim, scale),
+                }
+            })
+            .collect()
+    }
+
+    /// Each row's nearest centroid, ties toward the *higher* index: the
+    /// previous centroid that least favours the lower-index answer.
+    fn last_nearest(centroids: &DenseMatrix, matrix: &DenseMatrix) -> Vec<usize> {
+        (0..matrix.rows())
+            .map(|i| {
+                let mut best = (f64::INFINITY, 0);
+                for c in 0..centroids.rows() {
+                    let d = vector::dist_sq(matrix.row(i), centroids.row(c));
+                    if d <= best.0 {
+                        best = (d, c);
+                    }
+                }
+                best.1
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn filtered_assignment_equals_the_full_scan(
+            seed in 0u64..u64::MAX,
+            dim in 1usize..=33,
+            nlist in 1usize..=40,
+            scale_kind in 0usize..6,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            // Exact grid arithmetic; rounding; squares near overflow;
+            // coordinates near MAX, whose nonzero distances all overflow;
+            // grid steps whose squares just reach the subnormal range;
+            // subnormal coordinates.
+            let scale = [
+                1.0,
+                0.1,
+                2f64.powi(505),
+                2f64.powi(1017),
+                2f64.powi(-539),
+                2f64.powi(-1070),
+            ][scale_kind];
+            let (centroid_rows, parent) = grid_centroids(&mut rng, nlist, dim, scale);
+            let n = rng.gen_range(1..=120);
+            let rows = rows_around(&mut rng, &centroid_rows, &parent, n, scale);
+            let centroids = DenseMatrix::from_vec(nlist, dim, centroid_rows.concat()).unwrap();
+            let matrix = DenseMatrix::from_vec(n, dim, rows.concat()).unwrap();
+            let all: Vec<usize> = (0..n).collect();
+            let mut pools = [ThreadPool::new(1), ThreadPool::new(3)];
+
+            // Any previous centroid: the answer, the last of the tied
+            // nearest ones, or any other.
+            let full = assign_nearest(&mut pools[0], &centroids, &matrix, &all);
+            let last = last_nearest(&centroids, &matrix);
+            let previous: Vec<usize> = (0..n)
+                .map(|i| match rng.gen_range(0..3) {
+                    0 => full[i],
+                    1 => last[i],
+                    _ => rng.gen_range(0..nlist),
+                })
+                .collect();
+            for pool in &mut pools {
+                let pass = reassign_nearest(pool, &centroids, &matrix, &all, &previous);
+                proptest::prop_assert_eq!(&pass.nearest, &full);
+            }
+
+            // Every pass of a build's Lloyd loop over these rows, seeded
+            // as the build seeds (so repeated rows give tied centroids).
+            let k = nlist.min(n);
+            let mut lloyd = DenseMatrix::from_fn(k, dim, |c, j| matrix.get(c * n / k, j));
+            let mut assign = assign_nearest(&mut pools[0], &lloyd, &matrix, &all);
+            for _ in 0..4 {
+                update_centroids(&mut pools[0], &mut lloyd, &matrix, &all, &assign);
+                let full = assign_nearest(&mut pools[0], &lloyd, &matrix, &all);
+                for pool in &mut pools {
+                    let pass = reassign_nearest(pool, &lloyd, &matrix, &all, &assign);
+                    proptest::prop_assert_eq!(&pass.nearest, &full);
+                }
+                assign = full;
+            }
         }
     }
 
