@@ -20,11 +20,10 @@
 //! stopping rule of lines 9–11. The schedule exists exactly once
 //! (`session::run_schedule`) and executes through one of three engine
 //! strategies, all behind the one training type [`trainer::Trainer`]:
-//! the sequential engine at one thread; the sharded producer/worker
-//! engine above that (Algorithm 2 batch production on a dedicated
-//! thread, per-pair clipped gradients in thread-local shards, a
-//! deterministic shard-order reduction — run-to-run deterministic at any
-//! thread count, DESIGN.md §7/§10); and, through
+//! the sequential engine at one thread; the sharded batch-parallel
+//! engine above that (per-pair clipped gradients in thread-local shards,
+//! a deterministic shard-order reduction — run-to-run deterministic at
+//! any thread count, DESIGN.md §7/§10); and, through
 //! [`trainer::PartitionedTrainer::new`], the out-of-core engine
 //! (embedding partitions swapped through a two-slot pool with a disk
 //! spill store, bitwise-identical to the sequential engine at every

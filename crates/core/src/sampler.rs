@@ -4,14 +4,13 @@
 //! two subsampling probabilities Theorem 7 needs: `gamma_pos = B/|E|` and
 //! `gamma_neg = B k/|V|`.
 //!
-//! Besides the sequential engine's pull-style methods, the provider can
-//! *produce* whole discriminator iterations up front
-//! ([`BatchProvider::sample_disc_iteration`]). The sharded engine runs
-//! this production on a dedicated thread feeding a bounded queue, so
-//! Algorithm 2 sampling for iteration `t + 1` overlaps the gradient work
-//! of iteration `t` (DESIGN.md §7). Batch *composition* is independent of
-//! thread count: it depends only on the producer's RNG stream, which is
-//! derived from the seed alone.
+//! [`BatchProvider::sample_disc_iteration`] draws one whole discriminator
+//! iteration (the positive and the negative batch) in one call. Every
+//! engine samples through it inline, on the thread that runs the
+//! schedule: at about 0.1 % of an epoch, sampling is not worth a thread
+//! of its own (DESIGN.md §7). Batch *composition* is independent of
+//! thread count: it depends only on the engine's sampling stream, which
+//! is derived from the seed alone.
 
 use advsgm_graph::sampling::edge_sampler::EdgeBatchSampler;
 use advsgm_graph::sampling::negative::{NegativeDistribution, NegativePair, NegativeSampler};

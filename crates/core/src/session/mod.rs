@@ -12,9 +12,9 @@
 //!
 //! * `sequential::SequentialEngine` — single-threaded step execution on
 //!   one interleaved RNG stream (`Trainer` at one thread);
-//! * `sharded::ShardedEngine` — the producer/worker execution of
-//!   DESIGN.md §7 (Algorithm-2 production one iteration ahead, per-shard
-//!   RNG streams, deterministic shard-order reduction);
+//! * `sharded::ShardedEngine` — the batch-parallel execution of
+//!   DESIGN.md §7 (per-shard RNG streams, deterministic shard-order
+//!   reduction);
 //! * `partitioned::PartitionedEngine` — the out-of-core execution of
 //!   DESIGN.md §14: embedding partitions swap through a two-slot pool
 //!   (spilling to disk) while every step *replays* the sequential
@@ -65,11 +65,13 @@ use rand::rngs::SmallRng;
 use crate::config::AdvSgmConfig;
 use crate::error::CoreError;
 use crate::grad::{advsgm_augment, dpasgm_augment, sgm_negative_grads, sgm_positive_grads};
+use crate::loss::novel_loss_batch;
 use crate::model::{Embeddings, GeneratorPair};
 use crate::sampler::{BatchProvider, DiscBatch};
 use crate::sigmoid::SigmoidKind;
 use crate::trainer::TrainOutcome;
 use crate::variants::ModelVariant;
+use crate::weighting::WeightMode;
 
 pub(crate) mod partitioned;
 pub(crate) mod sequential;
@@ -79,7 +81,7 @@ pub(crate) mod sharded;
 /// this stream so they all start from identical matrices; the sequential
 /// and partitioned engines then *continue* the stream through training.
 pub(crate) const STREAM_INIT: u64 = 0xAD5;
-/// Stream tag for the sharded producer thread's Algorithm 2 sampling.
+/// Stream tag for the sharded engine's Algorithm 2 sampling.
 pub(crate) const STREAM_SAMPLER: u64 = 0x5A11;
 /// Stream tag for the sharded engine's discriminator update seeds.
 pub(crate) const STREAM_DISC: u64 = 0xD15C;
@@ -352,16 +354,6 @@ pub struct EpochEvent {
 /// All methods have no-op defaults, so implementors override only what
 /// they need. [`NoHooks`] is the ready-made silent implementation.
 pub trait TrainHooks {
-    /// Whether this run could ever request a checkpoint. Defaults to
-    /// `true`; return `false` to let engines skip the per-epoch
-    /// boundary-state snapshots that checkpoint capture needs (for the
-    /// sharded engine that is an `O(|E|)` copy per epoch) — the session
-    /// will then never call [`TrainHooks::wants_checkpoint`]. Queried
-    /// once, before training starts.
-    fn may_checkpoint(&self) -> bool {
-        true
-    }
-
     /// Called after every completed epoch, and once more (with
     /// `loss: None`, `stop: Some(BudgetExhausted)`) when the privacy
     /// budget stops training mid-epoch. Returning
@@ -391,16 +383,11 @@ pub trait TrainHooks {
     }
 }
 
-/// The silent [`TrainHooks`] implementation: no events, no checkpoints
-/// (so engines skip snapshot upkeep entirely).
+/// The silent [`TrainHooks`] implementation: no events, no checkpoints.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoHooks;
 
-impl TrainHooks for NoHooks {
-    fn may_checkpoint(&self) -> bool {
-        false
-    }
-}
+impl TrainHooks for NoHooks {}
 
 /// Which execution engine a checkpoint was captured from.
 /// [`Trainer::resume`](crate::Trainer::resume) restores the *same*
@@ -411,7 +398,7 @@ pub enum EngineKind {
     /// Single-threaded step execution ([`Trainer::new`](crate::Trainer::new)
     /// at one thread).
     Sequential,
-    /// The sharded producer/worker execution
+    /// The sharded batch-parallel execution
     /// ([`Trainer::new`](crate::Trainer::new) at `threads > 1`); the
     /// thread count travels in the checkpoint's `config.num_threads`.
     Sharded,
@@ -469,7 +456,7 @@ pub struct CheckpointState {
     /// Which engine captured this state.
     pub engine: EngineKind,
     /// Engine-owned RNG stream positions, in the engine's fixed order:
-    /// sequential `[main]`; sharded `[producer, epoch-loss]`;
+    /// sequential `[main]`; sharded `[sampler, epoch-loss]`;
     /// partitioned `[main]` (it replays the sequential stream).
     pub rng_streams: Vec<[u64; 4]>,
     /// The edge sampler's index permutation at the boundary — the batch
@@ -504,6 +491,27 @@ pub(crate) fn graph_fingerprint(graph: &Graph) -> u64 {
         }
     }
     h
+}
+
+/// `|L_Nov|` under `mode` on one fresh batch from `provider`, sampled from
+/// `sampler` and noised from `noise` (`None`: `sampler` again): the
+/// in-RAM engines' [`Engine::epoch_loss`].
+pub(crate) fn fresh_batch_loss(
+    core: &SessionCore,
+    graph: &Graph,
+    mode: WeightMode,
+    provider: &mut BatchProvider,
+    sampler: &mut SmallRng,
+    noise: Option<&mut SmallRng>,
+) -> Result<f64, CoreError> {
+    let (pos, signs) = provider.positives_with_signs(graph, sampler)?;
+    let negs = provider.negatives(&pos, sampler);
+    let noise = noise.unwrap_or(sampler);
+    let noise_std = gradient_noise_std(&core.cfg);
+    Ok(novel_loss_batch(
+        core.kind, mode, &core.emb, &core.gens, &pos, &signs, &negs, noise_std, noise,
+    )
+    .abs())
 }
 
 /// Engine-owned state a checkpoint needs: RNG stream positions plus the
@@ -552,8 +560,14 @@ pub(crate) trait Engine {
     ) -> Result<(), CoreError>;
     /// One generator iteration (Algorithm 3 lines 14–18).
     fn generator_update(&mut self, core: &mut SessionCore, graph: &Graph) -> Result<(), CoreError>;
-    /// The epoch's `|L_Nov|` diagnostic on one fresh batch.
-    fn epoch_loss(&mut self, core: &mut SessionCore, graph: &Graph) -> Result<f64, CoreError>;
+    /// The `|L_Nov|` diagnostic under `mode` on one fresh batch: the
+    /// epoch loss, and the Fig. 2 harness's evaluation.
+    fn epoch_loss(
+        &mut self,
+        core: &mut SessionCore,
+        graph: &Graph,
+        mode: WeightMode,
+    ) -> Result<f64, CoreError>;
     /// Writes any engine-resident model state back into `core` so that
     /// `core.emb` is authoritative (checkpoint capture, outcome
     /// assembly). No-op for the in-RAM engines, which mutate `core.emb`
@@ -586,7 +600,7 @@ pub(crate) struct ScheduleCursor {
 /// The engine-independent half of a training session: configuration,
 /// model parameters, accountant, Theorem-7 rates, and the schedule
 /// cursor. Engines receive `&mut SessionCore` per step and own only their
-/// execution context (RNG streams, pools, channels).
+/// execution context (providers, RNG streams, pools).
 pub(crate) struct SessionCore {
     pub(crate) cfg: AdvSgmConfig,
     pub(crate) kind: SigmoidKind,
@@ -875,7 +889,11 @@ pub(crate) fn run_schedule(
     hooks: &mut dyn TrainHooks,
 ) -> Result<(), CoreError> {
     let epochs = core.cfg.epochs;
-    let may_checkpoint = hooks.may_checkpoint();
+    let loss_mode = if core.cfg.variant.is_adversarial() {
+        WeightMode::InverseS
+    } else {
+        WeightMode::Fixed(0.0)
+    };
     'training: for epoch in core.cursor.epochs_done..epochs {
         for iter in 0..core.cfg.disc_iters {
             // One Algorithm 2 iteration: the positive batch EB, then the
@@ -908,7 +926,7 @@ pub(crate) fn run_schedule(
                 core.cursor.gen_updates += 1;
             }
         }
-        let loss = engine.epoch_loss(core, graph)?;
+        let loss = engine.epoch_loss(core, graph, loss_mode)?;
         core.cursor.epochs_done += 1;
         core.cursor.epoch_losses.push(loss);
         let finished = core.cursor.epochs_done == epochs;
@@ -920,7 +938,7 @@ pub(crate) fn run_schedule(
             spend: core.spend()?,
             stop: finished.then_some(StopReason::Completed),
         });
-        if may_checkpoint && hooks.wants_checkpoint(core.cursor.epochs_done) {
+        if hooks.wants_checkpoint(core.cursor.epochs_done) {
             // Out-of-core engines hold the embeddings in their slot pool;
             // make core.emb authoritative before capturing.
             engine.sync_core(core)?;

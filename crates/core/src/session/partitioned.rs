@@ -976,17 +976,17 @@ impl Engine for PartitionedEngine {
         Ok(())
     }
 
-    /// Per-epoch `|L_Nov|` on one fresh batch, replayed through the
-    /// order-fixed fold split of [`crate::loss`].
-    fn epoch_loss(&mut self, core: &mut SessionCore, graph: &Graph) -> Result<f64, CoreError> {
+    /// `|L_Nov|` on one fresh batch, replayed through the order-fixed
+    /// fold split of [`crate::loss`].
+    fn epoch_loss(
+        &mut self,
+        core: &mut SessionCore,
+        graph: &Graph,
+        mode: WeightMode,
+    ) -> Result<f64, CoreError> {
         Self::reclaim(core);
         let (pos, pos_signs) = self.provider.positives_with_signs(graph, &mut self.rng)?;
         let negs = self.provider.negatives(&pos, &mut self.rng);
-        let mode = if core.cfg.variant.is_adversarial() {
-            WeightMode::InverseS
-        } else {
-            WeightMode::Fixed(0.0)
-        };
         // Same panic point as `novel_loss_batch`, before any draw.
         assert!(!pos.is_empty(), "need at least one positive pair");
         let r = core.cfg.dim;

@@ -19,23 +19,21 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::error::CoreError;
-use crate::loss::novel_loss_batch;
 use crate::sampler::{BatchProvider, DiscBatch};
 use crate::session::{
-    accumulate, apply_noisy_updates, clipped_pair_grads, gradient_noise_std, Engine, EngineKind,
-    EngineStreams, PairCtx, PairFakes, SessionCore,
+    accumulate, apply_noisy_updates, clipped_pair_grads, fresh_batch_loss, gradient_noise_std,
+    Engine, EngineKind, EngineStreams, PairCtx, PairFakes, SessionCore,
 };
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
 
 /// Single-threaded step execution (`Trainer` at one thread).
 pub(crate) struct SequentialEngine {
-    /// Algorithm-2 batch provisioning; also used by the Fig. 2 harness's
-    /// post-training loss evaluation through `Trainer`.
-    pub(crate) provider: BatchProvider,
+    /// Algorithm-2 batch provisioning.
+    provider: BatchProvider,
     /// The one RNG stream: init-stream continuation, interleaving
     /// sampling, fakes, and noise in program order.
-    pub(crate) rng: SmallRng,
+    rng: SmallRng,
     /// The negative half of a sampled iteration, buffered between the two
     /// `next_batch` calls of one discriminator iteration (both batches are
     /// drawn together so the RNG order matches `sample_disc_iteration`).
@@ -203,27 +201,15 @@ impl Engine for SequentialEngine {
         Ok(())
     }
 
-    /// Per-epoch `|L_Nov|` diagnostic on one fresh batch.
-    fn epoch_loss(&mut self, core: &mut SessionCore, graph: &Graph) -> Result<f64, CoreError> {
-        let (pos, signs) = self.provider.positives_with_signs(graph, &mut self.rng)?;
-        let negs = self.provider.negatives(&pos, &mut self.rng);
-        let mode = if core.cfg.variant.is_adversarial() {
-            WeightMode::InverseS
-        } else {
-            WeightMode::Fixed(0.0)
-        };
-        Ok(novel_loss_batch(
-            core.kind,
-            mode,
-            &core.emb,
-            &core.gens,
-            &pos,
-            &signs,
-            &negs,
-            gradient_noise_std(&core.cfg),
-            &mut self.rng,
-        )
-        .abs())
+    /// `|L_Nov|` on one fresh batch, sampled and noised from the one
+    /// stream.
+    fn epoch_loss(
+        &mut self,
+        core: &mut SessionCore,
+        graph: &Graph,
+        mode: WeightMode,
+    ) -> Result<f64, CoreError> {
+        fresh_batch_loss(core, graph, mode, &mut self.provider, &mut self.rng, None)
     }
 
     fn streams(&self) -> EngineStreams {

@@ -1,4 +1,4 @@
-//! The sharded [`Engine`]: producer/worker execution (DESIGN.md §7).
+//! The sharded [`Engine`]: batch-parallel execution (DESIGN.md §7).
 //!
 //! Executes the same Algorithm-3 steps as the sequential engine but splits
 //! every batch across a pool of worker threads, following the structure of
@@ -7,10 +7,9 @@
 //! so per-pair work is embarrassingly parallel and only the final
 //! sum-and-apply is sequential. Per discriminator update:
 //!
-//! 1. **Produce** — a dedicated producer thread runs Algorithm 2
-//!    ([`BatchProvider::sample_disc_iteration`]) ahead of the consumer
-//!    through a bounded queue, so sampling for iteration `t + 1` overlaps
-//!    the gradient work of iteration `t`;
+//! 1. **Sample** — the calling thread runs Algorithm 2
+//!    ([`BatchProvider::sample_disc_iteration`]) on the engine's own
+//!    sampler stream, as the sequential engine does on its one stream;
 //! 2. **Shard** — the batch is cut into fixed-size shards
 //!    (`AdvSgmConfig::shard_size`, default `ceil(B / threads)`); shard
 //!    `k` of update `u` gets its own RNG stream
@@ -24,19 +23,10 @@
 //! 5. **Apply** — the Theorem-6 batch noise (drawn once per update from
 //!    the update's stream 0) and the per-row touch-count normalisation
 //!    (DESIGN.md §5) are applied exactly as in the sequential engine.
-//!
-//! For checkpointing, the producer attaches a [`ProducerSnapshot`] (its
-//! RNG state plus the edge sampler's permutation) to each epoch's loss
-//! batch: that snapshot *is* the producer's state at the epoch boundary —
-//! the live producer has already raced ahead of the consumer, so its
-//! current state is never the right thing to persist. Resume seeds a
-//! fresh producer from the snapshot and starts it at the next epoch.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{Receiver, SyncSender};
 
-use advsgm_graph::sampling::negative::NegativePair;
-use advsgm_graph::{Edge, Graph, GraphError};
+use advsgm_graph::Graph;
 use advsgm_linalg::rng::{derive_seed, gaussian_vec, rng_state, seeded};
 use advsgm_linalg::{backend, vector};
 use advsgm_parallel::ThreadPool;
@@ -44,149 +34,49 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::error::CoreError;
-use crate::loss::novel_loss_batch;
 use crate::sampler::{BatchProvider, DiscBatch};
 use crate::session::{
-    accumulate, apply_noisy_updates, clipped_pair_grads, gradient_noise_std, Engine, EngineKind,
-    EngineStreams, PairCtx, PairFakes, RowAcc, SessionCore, STREAM_DISC, STREAM_GEN,
+    accumulate, apply_noisy_updates, clipped_pair_grads, fresh_batch_loss, gradient_noise_std,
+    Engine, EngineKind, EngineStreams, PairCtx, PairFakes, RowAcc, SessionCore, STREAM_DISC,
+    STREAM_GEN,
 };
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
 
-/// Bounded depth of the producer -> consumer batch queue: enough for
-/// sampling to run ahead of gradient work, small enough to cap memory at a
-/// few batches.
-pub(crate) const QUEUE_DEPTH: usize = 4;
-
-/// The producer's checkpointable state as of an epoch boundary.
-#[derive(Debug, Clone)]
-pub(crate) struct ProducerSnapshot {
-    /// The producer RNG's state after finishing the epoch's production.
-    pub rng: [u64; 4],
-    /// The edge sampler's index permutation at the same point.
-    pub edge_permutation: Vec<u32>,
-}
-
-/// Items flowing from the producer thread to the training loop.
-pub(crate) enum Produced {
-    /// One discriminator update batch.
-    Update(DiscBatch),
-    /// The epoch-loss diagnostic batch (positives, their foe flags, and
-    /// negatives), sent once per epoch, plus the producer's state at this
-    /// epoch boundary when the run can checkpoint (`None` otherwise — the
-    /// snapshot costs an `O(|E|)` copy, pure waste for a run that will
-    /// never capture one).
-    Loss(
-        Vec<Edge>,
-        Vec<bool>,
-        Vec<NegativePair>,
-        Option<Box<ProducerSnapshot>>,
-    ),
-    /// Sampling failed; training must abort with this error.
-    Failed(GraphError),
-}
-
-/// What the producer thread must produce: the epoch range still to run,
-/// the per-epoch iteration count, and whether to attach boundary
-/// snapshots for checkpointing.
-pub(crate) struct ProducePlan {
-    /// First epoch to produce (0 for fresh runs, `epochs_done` on resume).
-    pub start_epoch: usize,
-    /// Total configured epochs.
-    pub epochs: usize,
-    /// Discriminator iterations per epoch.
-    pub disc_iters: usize,
-    /// Attach a [`ProducerSnapshot`] to each epoch's loss batch.
-    pub snapshots: bool,
-}
-
-/// Runs Algorithm 2 production for the plan's epoch range, one iteration
-/// ahead of the consumer. Ends when the schedule is produced or the
-/// consumer hangs up (early stop / error).
-pub(crate) fn produce_batches(
-    mut provider: BatchProvider,
-    graph: &Graph,
-    mut rng: SmallRng,
-    plan: &ProducePlan,
-    tx: &SyncSender<Produced>,
-) {
-    for _ in plan.start_epoch..plan.epochs {
-        for _ in 0..plan.disc_iters {
-            match provider.sample_disc_iteration(graph, &mut rng) {
-                Ok((pos, neg)) => {
-                    if tx.send(Produced::Update(pos)).is_err()
-                        || tx.send(Produced::Update(neg)).is_err()
-                    {
-                        return;
-                    }
-                }
-                Err(e) => {
-                    let _ = tx.send(Produced::Failed(e));
-                    return;
-                }
-            }
-        }
-        let (loss_pos, loss_signs) = match provider.positives_with_signs(graph, &mut rng) {
-            Ok(v) => v,
-            Err(e) => {
-                let _ = tx.send(Produced::Failed(e));
-                return;
-            }
-        };
-        let loss_neg = provider.negatives(&loss_pos, &mut rng);
-        // Everything this epoch consumes has now been drawn: this is the
-        // state a resume-at-this-boundary producer must start from.
-        let snapshot = plan.snapshots.then(|| {
-            Box::new(ProducerSnapshot {
-                rng: rng_state(&rng),
-                edge_permutation: provider.edge_permutation().to_vec(),
-            })
-        });
-        if tx
-            .send(Produced::Loss(loss_pos, loss_signs, loss_neg, snapshot))
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
-/// The `threads > 1` execution strategy. Lives inside `Trainer`'s thread
-/// scope: it borrows the worker pool and owns the consumer end of the
-/// producer queue.
-pub(crate) struct ShardedEngine<'p> {
-    pool: &'p mut ThreadPool,
-    rx: Receiver<Produced>,
-    threads: usize,
-    /// Derived stream for the epoch-loss diagnostic's noise draws.
+/// The `threads > 1` execution strategy.
+pub(crate) struct ShardedEngine {
+    provider: BatchProvider,
+    /// Algorithm-2 sampling: every discriminator batch and every
+    /// epoch-loss batch, in schedule order.
+    sampler: SmallRng,
+    /// The epoch-loss diagnostic's noise draws.
     loss_rng: SmallRng,
+    /// The negative half of a sampled iteration, buffered between the two
+    /// `next_batch` calls of one discriminator iteration.
+    pending_neg: Option<DiscBatch>,
+    pool: ThreadPool,
     disc_base: u64,
     gen_base: u64,
-    /// The producer state at the most recent epoch boundary (updated at
-    /// every loss-batch receipt; initialised to the producer's start
-    /// state, which is only read if a checkpoint could be captured before
-    /// the first epoch completes — it cannot).
-    latest: ProducerSnapshot,
 }
 
-impl<'p> ShardedEngine<'p> {
-    /// Builds the engine for one training run.
+impl ShardedEngine {
+    /// Builds the engine for one training run from the sampler and
+    /// epoch-loss streams at the cursor's epoch boundary.
     pub(crate) fn new(
-        pool: &'p mut ThreadPool,
-        rx: Receiver<Produced>,
+        provider: BatchProvider,
         threads: usize,
         seed: u64,
+        sampler: SmallRng,
         loss_rng: SmallRng,
-        initial: ProducerSnapshot,
     ) -> Self {
         Self {
-            pool,
-            rx,
-            threads,
+            provider,
+            sampler,
             loss_rng,
+            pending_neg: None,
+            pool: ThreadPool::new(threads),
             disc_base: derive_seed(seed, STREAM_DISC),
             gen_base: derive_seed(seed, STREAM_GEN),
-            latest: initial,
         }
     }
 
@@ -195,36 +85,30 @@ impl<'p> ShardedEngine<'p> {
         if core.cfg.shard_size > 0 {
             core.cfg.shard_size
         } else {
-            count.div_ceil(self.threads).max(1)
-        }
-    }
-
-    /// Receives the next produced item, surfacing producer-side failures.
-    fn recv_item(&mut self) -> Result<Produced, CoreError> {
-        match self.rx.recv() {
-            Ok(Produced::Failed(e)) => Err(e.into()),
-            Ok(item) => Ok(item),
-            Err(_) => Err(CoreError::Config {
-                field: "sampler",
-                reason: "batch producer terminated before the training schedule completed".into(),
-            }),
+            count.div_ceil(self.pool.threads()).max(1)
         }
     }
 }
 
-impl Engine for ShardedEngine<'_> {
+impl Engine for ShardedEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Sharded
     }
 
     fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads()
     }
 
-    fn next_batch(&mut self, _graph: &Graph) -> Result<DiscBatch, CoreError> {
-        match self.recv_item()? {
-            Produced::Update(b) => Ok(b),
-            _ => unreachable!("producer schedule mismatch: expected update"),
+    fn next_batch(&mut self, graph: &Graph) -> Result<DiscBatch, CoreError> {
+        match self.pending_neg.take() {
+            Some(neg) => Ok(neg),
+            None => {
+                let (pos, neg) = self
+                    .provider
+                    .sample_disc_iteration(graph, &mut self.sampler)?;
+                self.pending_neg = Some(neg);
+                Ok(pos)
+            }
         }
     }
 
@@ -242,8 +126,8 @@ impl Engine for ShardedEngine<'_> {
         let r = core.cfg.dim;
         let count = batch.pairs.len();
         if count == 0 {
-            // Cannot happen with the current producer (batch >= 1 after
-            // clamping), but an empty update is a well-defined no-op.
+            // Cannot happen (batch >= 1 after clamping), but an empty
+            // update is a well-defined no-op.
             return Ok(());
         }
         let update_seed = derive_seed(self.disc_base, core.cursor.disc_updates);
@@ -416,39 +300,32 @@ impl Engine for ShardedEngine<'_> {
         Ok(())
     }
 
-    /// Per-epoch `|L_Nov|` diagnostic on the producer's loss batch; also
-    /// records the producer snapshot riding along with it.
-    fn epoch_loss(&mut self, core: &mut SessionCore, _graph: &Graph) -> Result<f64, CoreError> {
-        let (loss_pos, loss_signs, loss_neg, snapshot) = match self.recv_item()? {
-            Produced::Loss(p, sg, n, s) => (p, sg, n, s),
-            _ => unreachable!("producer schedule mismatch: expected loss batch"),
-        };
-        if let Some(s) = snapshot {
-            self.latest = *s;
-        }
-        let mode = if core.cfg.variant.is_adversarial() {
-            WeightMode::InverseS
-        } else {
-            WeightMode::Fixed(0.0)
-        };
-        Ok(novel_loss_batch(
-            core.kind,
+    /// `|L_Nov|` on one fresh batch from the sampler stream, noised from
+    /// the epoch-loss stream.
+    fn epoch_loss(
+        &mut self,
+        core: &mut SessionCore,
+        graph: &Graph,
+        mode: WeightMode,
+    ) -> Result<f64, CoreError> {
+        fresh_batch_loss(
+            core,
+            graph,
             mode,
-            &core.emb,
-            &core.gens,
-            &loss_pos,
-            &loss_signs,
-            &loss_neg,
-            gradient_noise_std(&core.cfg),
-            &mut self.loss_rng,
+            &mut self.provider,
+            &mut self.sampler,
+            Some(&mut self.loss_rng),
         )
-        .abs())
     }
 
     fn streams(&self) -> EngineStreams {
+        debug_assert!(
+            self.pending_neg.is_none(),
+            "checkpoint capture mid-iteration"
+        );
         EngineStreams {
-            rngs: vec![self.latest.rng, rng_state(&self.loss_rng)],
-            edge_permutation: self.latest.edge_permutation.clone(),
+            rngs: vec![rng_state(&self.sampler), rng_state(&self.loss_rng)],
+            edge_permutation: self.provider.edge_permutation().to_vec(),
         }
     }
 }

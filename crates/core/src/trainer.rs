@@ -2,7 +2,7 @@
 //!
 //! [`Trainer`] is a session core plus the execution engine chosen when it
 //! is built: the sequential engine at one thread, the sharded
-//! producer/worker engine (DESIGN.md §7) above that, or the out-of-core
+//! batch-parallel engine (DESIGN.md §7) above that, or the out-of-core
 //! partitioned engine (DESIGN.md §14) through [`PartitionedTrainer::new`].
 //! The Algorithm-3 schedule itself — epochs, `n_D`/`n_G` iteration
 //! counts, the Theorem-7 stopping rule, outcome assembly — lives once in
@@ -27,30 +27,27 @@
 //!   configuration, so `disc_updates`, `epochs_run`, `stopped_by_budget`
 //!   and the reported spend are bitwise-equal on every engine.
 //! * **Checkpoint/resume is bitwise-exact** on every engine
-//!   ([`Trainer::resume`], `tests/checkpoint_resume.rs`).
+//!   ([`Trainer::resume`], `tests/checkpoint_resume.rs`), and so is
+//!   continuing a run a hook stopped with another
+//!   [`Trainer::train_with_hooks`] call.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
 use advsgm_graph::Graph;
-use advsgm_linalg::rng::{derive_seed, rng_from_state, rng_state, seeded};
+use advsgm_linalg::rng::{derive_seed, rng_from_state, seeded};
 use advsgm_linalg::DenseMatrix;
-use advsgm_parallel::ThreadPool;
 use rand::rngs::SmallRng;
 
 use crate::config::AdvSgmConfig;
 use crate::error::CoreError;
-use crate::loss::novel_loss_batch;
 use crate::sampler::BatchProvider;
 use crate::session::partitioned::PartitionedEngine;
 use crate::session::sequential::SequentialEngine;
-use crate::session::sharded::{
-    produce_batches, ProducePlan, ProducerSnapshot, ShardedEngine, QUEUE_DEPTH,
-};
+use crate::session::sharded::ShardedEngine;
 use crate::session::{
-    gradient_noise_std, run_schedule, CheckpointState, Engine, EngineKind, NoHooks, SessionCore,
-    TrainHooks, STREAM_LOSS, STREAM_SAMPLER,
+    run_schedule, CheckpointState, Engine, EngineKind, NoHooks, SessionCore, TrainHooks,
+    STREAM_LOSS, STREAM_SAMPLER,
 };
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
@@ -117,25 +114,6 @@ impl SlotPoolStats {
     }
 }
 
-/// The engine a [`Trainer`] was built with.
-enum ChosenEngine {
-    Sequential(SequentialEngine),
-    /// The sharded engine borrows a worker pool and the consumer end of
-    /// its producer queue, so it exists only inside the thread scope of
-    /// [`Trainer::train_with_hooks`]; this is what it starts from.
-    Sharded(ShardedStart),
-    Partitioned(Box<PartitionedEngine>),
-}
-
-/// Everything the sharded engine and its producer thread start from.
-struct ShardedStart {
-    /// Moves into the producer thread when training starts.
-    provider: Option<BatchProvider>,
-    threads: usize,
-    /// `[producer, epoch-loss]` RNG states at the cursor's epoch boundary.
-    streams: [[u64; 4]; 2],
-}
-
 /// Trains one model variant on one graph (Algorithm 3) on the engine
 /// chosen at construction (module docs have the determinism contract).
 ///
@@ -154,7 +132,7 @@ struct ShardedStart {
 /// ```
 pub struct Trainer {
     core: SessionCore,
-    engine: ChosenEngine,
+    engine: Box<dyn Engine + Send>,
     stats: Arc<SlotPoolStats>,
 }
 
@@ -209,21 +187,20 @@ impl Trainer {
         let threads = cfg.effective_threads();
         let (core, provider, rng) = SessionCore::new(graph, cfg)?;
         if threads <= 1 {
-            return Ok(Self::in_ram(
-                core,
-                ChosenEngine::Sequential(SequentialEngine::new(provider, rng)),
-            ));
+            return Ok(Self::in_ram(core, SequentialEngine::new(provider, rng)));
         }
         // The init-stream RNG is dropped: the sharded engine derives its
         // own streams, sharing only the parameter initialisation.
         let seed = core.cfg.seed;
-        let stream = |tag| rng_state(&seeded(derive_seed(seed, tag)));
-        let start = ShardedStart {
-            provider: Some(provider),
+        let stream = |tag| seeded(derive_seed(seed, tag));
+        let engine = ShardedEngine::new(
+            provider,
             threads,
-            streams: [stream(STREAM_SAMPLER), stream(STREAM_LOSS)],
-        };
-        Ok(Self::in_ram(core, ChosenEngine::Sharded(start)))
+            seed,
+            stream(STREAM_SAMPLER),
+            stream(STREAM_LOSS),
+        );
+        Ok(Self::in_ram(core, engine))
     }
 
     /// Rebuilds a trainer mid-schedule from a checkpoint captured through
@@ -245,11 +222,11 @@ impl Trainer {
         partitions: usize,
     ) -> Result<Self, CoreError> {
         let (core, provider) = SessionCore::resume(graph, state)?;
-        let main_rng = || rng_from_state(state.rng_streams[0]);
+        let stream = |i: usize| rng_from_state(state.rng_streams[i]);
         match state.engine {
             EngineKind::Sequential => Ok(Self::in_ram(
                 core,
-                ChosenEngine::Sequential(SequentialEngine::new(provider, main_rng())),
+                SequentialEngine::new(provider, stream(0)),
             )),
             EngineKind::Sharded => {
                 let threads = state.config.num_threads;
@@ -260,21 +237,18 @@ impl Trainer {
                         ),
                     });
                 }
-                let start = ShardedStart {
-                    provider: Some(provider),
-                    threads,
-                    streams: [state.rng_streams[0], state.rng_streams[1]],
-                };
-                Ok(Self::in_ram(core, ChosenEngine::Sharded(start)))
+                let seed = core.cfg.seed;
+                let engine = ShardedEngine::new(provider, threads, seed, stream(0), stream(1));
+                Ok(Self::in_ram(core, engine))
             }
-            EngineKind::Partitioned => Self::partitioned(core, provider, main_rng(), partitions),
+            EngineKind::Partitioned => Self::partitioned(core, provider, stream(0), partitions),
         }
     }
 
-    fn in_ram(core: SessionCore, engine: ChosenEngine) -> Self {
+    fn in_ram(core: SessionCore, engine: impl Engine + Send + 'static) -> Self {
         Self {
             core,
-            engine,
+            engine: Box::new(engine),
             stats: Arc::default(),
         }
     }
@@ -297,7 +271,7 @@ impl Trainer {
             PartitionedEngine::new(&mut core, provider, rng, partitions, Arc::clone(&stats))?;
         Ok(Self {
             core,
-            engine: ChosenEngine::Partitioned(Box::new(engine)),
+            engine: Box::new(engine),
             stats,
         })
     }
@@ -307,11 +281,7 @@ impl Trainer {
     /// the next update's fakes, not counting the calling thread, which
     /// joins in on the fakes (its trajectory is thread-invariant).
     pub fn threads(&self) -> usize {
-        match &self.engine {
-            ChosenEngine::Sequential(engine) => engine.threads(),
-            ChosenEngine::Sharded(start) => start.threads,
-            ChosenEngine::Partitioned(engine) => engine.threads(),
-        }
+        self.engine.threads()
     }
 
     /// The validated configuration this trainer was built with. Exporters
@@ -346,11 +316,11 @@ impl Trainer {
     /// it first. A call once the schedule is done (every epoch run, or the
     /// budget exhausted) does nothing.
     ///
+    /// A run a hook stopped continues where it stopped on the next call,
+    /// bitwise as if it had never stopped.
+    ///
     /// # Errors
-    /// Propagates substrate failures. A sharded run that a hook stopped
-    /// cannot continue in place (its producer has drawn ahead); resume it
-    /// from a checkpoint instead, or a second call fails with
-    /// [`CoreError::Config`].
+    /// Propagates substrate failures.
     pub fn train_with_hooks(
         &mut self,
         graph: &Graph,
@@ -360,49 +330,7 @@ impl Trainer {
         if core.cursor.stopped_by_budget || core.cursor.epochs_done >= core.cfg.epochs {
             return Ok(());
         }
-        match engine {
-            ChosenEngine::Sequential(engine) => run_schedule(core, engine, graph, hooks),
-            ChosenEngine::Partitioned(engine) => run_schedule(core, engine.as_mut(), graph, hooks),
-            ChosenEngine::Sharded(start) => {
-                let provider = start.provider.take().ok_or_else(|| CoreError::Config {
-                    field: "num_threads",
-                    reason: "a stopped sharded run cannot continue in place; resume it from a \
-                             checkpoint"
-                        .into(),
-                })?;
-                let threads = start.threads;
-                let [producer, loss] = start.streams;
-                let plan = ProducePlan {
-                    start_epoch: core.cursor.epochs_done,
-                    epochs: core.cfg.epochs,
-                    disc_iters: core.cfg.disc_iters,
-                    // Snapshot upkeep is skipped entirely for runs that can
-                    // never checkpoint (it copies the edge permutation once
-                    // per epoch).
-                    snapshots: hooks.may_checkpoint(),
-                };
-                // The engine's checkpoint baseline: the producer's start
-                // state is by definition its state at the `start_epoch`
-                // boundary.
-                let initial = ProducerSnapshot {
-                    rng: producer,
-                    edge_permutation: provider.edge_permutation().to_vec(),
-                };
-                let seed = core.cfg.seed;
-                let mut pool = ThreadPool::new(threads);
-                std::thread::scope(|scope| {
-                    let (tx, rx) = sync_channel(QUEUE_DEPTH);
-                    // Producer: runs Algorithm 2 ahead of the training loop.
-                    scope.spawn(move || {
-                        produce_batches(provider, graph, rng_from_state(producer), &plan, &tx);
-                    });
-                    let loss_rng = rng_from_state(loss);
-                    let mut engine =
-                        ShardedEngine::new(&mut pool, rx, threads, seed, loss_rng, initial);
-                    run_schedule(core, &mut engine, graph, hooks)
-                })
-            }
-        }
+        run_schedule(core, engine.as_mut(), graph, hooks)
     }
 
     /// Consumes the trainer into the outcome of the schedule run so far.
@@ -412,9 +340,7 @@ impl Trainer {
     /// # Errors
     /// [`CoreError::Io`] when the spill store cannot be read back.
     pub fn into_outcome(mut self) -> Result<TrainOutcome, CoreError> {
-        if let ChosenEngine::Partitioned(engine) = &mut self.engine {
-            engine.sync_core(&mut self.core)?;
-        }
+        self.engine.sync_core(&mut self.core)?;
         self.core.into_outcome()
     }
 
@@ -431,33 +357,17 @@ impl Trainer {
         mode: WeightMode,
         batches: usize,
     ) -> Result<f64, CoreError> {
-        let ChosenEngine::Sequential(engine) = &mut self.engine else {
+        if self.engine.kind() != EngineKind::Sequential {
             return Err(CoreError::Config {
                 field: "num_threads",
                 reason: "the Fig. 2 loss evaluation needs the sequential engine (one thread, \
                          in RAM)"
                     .into(),
             });
-        };
-        let noise_std = gradient_noise_std(&self.core.cfg);
+        }
         let mut total = 0.0;
         for _ in 0..batches.max(1) {
-            let (pos, signs) = engine
-                .provider
-                .positives_with_signs(graph, &mut engine.rng)?;
-            let negs = engine.provider.negatives(&pos, &mut engine.rng);
-            total += novel_loss_batch(
-                self.core.kind,
-                mode,
-                &self.core.emb,
-                &self.core.gens,
-                &pos,
-                &signs,
-                &negs,
-                noise_std,
-                &mut engine.rng,
-            )
-            .abs();
+            total += self.engine.epoch_loss(&mut self.core, graph, mode)?;
         }
         Ok(total / batches.max(1) as f64)
     }
@@ -929,6 +839,37 @@ mod tests {
             assert_eq!(out.epochs_run, 2, "{engine:?}");
             assert!(!out.stopped_by_budget);
             assert_eq!(out.epoch_losses.len(), 2);
+        }
+    }
+
+    #[test]
+    fn a_hook_stopped_run_continues_in_place_bitwise() {
+        // A hook stops the run after epoch 2; a second call finishes it,
+        // and the release is the uninterrupted run's on every engine.
+        let g = small_graph();
+        let mut cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
+        cfg.epochs = 5;
+        cfg.epsilon = 1e6;
+        let loss_bits =
+            |o: &TrainOutcome| -> Vec<u64> { o.epoch_losses.iter().map(|l| l.to_bits()).collect() };
+        for engine in ENGINES {
+            let whole = fit(engine, &g, cfg.clone());
+            let mut trainer = build(engine, &g, cfg.clone()).unwrap();
+            let mut rec = Recorder::new(Some(2));
+            trainer.train_with_hooks(&g, &mut rec).unwrap();
+            assert_eq!(rec.events.len(), 2, "{engine:?}");
+            trainer.train_with_hooks(&g, &mut NoHooks).unwrap();
+            let out = trainer.into_outcome().unwrap();
+            assert_eq!(out.epochs_run, 5, "{engine:?}");
+            assert_eq!(
+                bits(&whole.node_vectors),
+                bits(&out.node_vectors),
+                "{engine:?}"
+            );
+            assert_eq!(loss_bits(&whole), loss_bits(&out), "{engine:?}");
+            assert_eq!(whole.disc_updates, out.disc_updates, "{engine:?}");
+            assert_eq!(whole.epsilon_spent, out.epsilon_spent, "{engine:?}");
+            assert_eq!(whole.delta_spent, out.delta_spent, "{engine:?}");
         }
     }
 

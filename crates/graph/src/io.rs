@@ -117,18 +117,6 @@ fn parse_sign(tok: Option<&str>, line: usize) -> Result<bool, GraphError> {
     }
 }
 
-/// Reads a signed edge list from a file path.
-///
-/// # Errors
-/// See [`read_signed_edge_list`].
-pub fn read_signed_edge_list_file(
-    path: impl AsRef<Path>,
-    num_nodes: Option<usize>,
-) -> Result<Graph, GraphError> {
-    let f = std::fs::File::open(path)?;
-    read_signed_edge_list(f, num_nodes)
-}
-
 /// Writes the edge list of `graph` (one `u v` pair per line).
 ///
 /// # Errors

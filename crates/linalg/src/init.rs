@@ -25,12 +25,6 @@ pub fn embedding_uniform(rng: &mut impl Rng, rows: usize, cols: usize) -> DenseM
     DenseMatrix::from_fn(rows, cols, |_, _| rng.gen_range(-bound..bound))
 }
 
-/// Uniform initialisation over a caller-specified symmetric interval.
-pub fn uniform_symmetric(rng: &mut impl Rng, rows: usize, cols: usize, bound: f64) -> DenseMatrix {
-    assert!(bound > 0.0, "uniform bound must be positive");
-    DenseMatrix::from_fn(rows, cols, |_, _| rng.gen_range(-bound..bound))
-}
-
 /// Normalises every row of `m` to unit L2 norm in place (zero rows are left
 /// untouched). This is the paper's `C = 1` normalisation.
 pub fn normalize_rows(m: &mut DenseMatrix) {

@@ -121,13 +121,6 @@ impl DenseMatrix {
         self.data.chunks_exact(self.cols)
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Fills the matrix with a constant.
     pub fn fill(&mut self, v: f64) {
         self.data.iter_mut().for_each(|x| *x = v);

@@ -400,12 +400,6 @@ struct PipelineHooks<'a, 'g> {
 }
 
 impl TrainHooks for PipelineHooks<'_, '_> {
-    fn may_checkpoint(&self) -> bool {
-        // Engines skip per-epoch snapshot upkeep entirely when this run
-        // can never request a checkpoint.
-        self.policy.is_some() || self.keep_final
-    }
-
     fn on_epoch(&mut self, event: &EpochEvent) -> SessionControl {
         if event.spend.is_some() {
             self.last_spend = event.spend;

@@ -112,27 +112,6 @@ impl EmbeddingService {
         }
     }
 
-    /// [`EmbeddingService::open_with_threads`] plus an `.aidx` ANN index
-    /// loaded alongside and validated against the store (fingerprint,
-    /// shape). The result serves approximate queries sublinearly, and
-    /// [`EmbeddingService::top_k_approx`]'s exact point through the
-    /// index's pruned exact mode; `top_k` stays the full scan.
-    ///
-    /// # Errors
-    /// Everything [`EmbeddingService::open`] reports, the index format's
-    /// typed corruption modes, and
-    /// [`StoreError::IndexStoreMismatch`](advsgm_store::StoreError::IndexStoreMismatch)
-    /// when the index was built from a different release.
-    pub fn open_indexed(
-        store_path: impl AsRef<Path>,
-        index_path: impl AsRef<Path>,
-        threads: usize,
-    ) -> Result<Self> {
-        let mut service = Self::open_with_threads(store_path, threads)?;
-        service.attach_index(IvfIndex::load(index_path)?)?;
-        Ok(service)
-    }
-
     /// Attaches a prebuilt ANN index after validating it belongs to the
     /// served store (the `O(n·r)` fingerprint pass, and the derivation of
     /// the geometry exact mode prunes with, run once, here — not per

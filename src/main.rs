@@ -14,7 +14,7 @@
 //! advsgm audit --out results/AUDIT_membership.json [--dataset ppi] [--scale 0.05]
 //!              [--targets 3] [--runs 5] [--confidence 0.95] [--no-ablation]
 //!              [model flags as for train]
-//! advsgm query --store emb.aemb --node U [--top-k 10] [--threads N]
+//! advsgm query --store emb.aemb --node U [--top-k 10]
 //!              [--index emb.aidx --approx 0.95]
 //! advsgm query --remote HOST:PORT --node U [--top-k 10] [--approx 0.95]
 //! advsgm query --store emb.aemb --pair U V
@@ -83,7 +83,7 @@ const USAGE: &str = "usage:
                [--epochs N] [--dim N] [--batch-size N] [--lr F]
                [--seed N] [--threads N] [--targets N] [--runs N]
                [--test-fraction F] [--confidence F] [--no-ablation]
-  advsgm query --store PATH --node U [--top-k K] [--threads N]
+  advsgm query --store PATH --node U [--top-k K]
                [--index PATH --approx RECALL]
   advsgm query --remote HOST:PORT --node U [--top-k K] [--approx RECALL]
   advsgm query --store PATH --pair U V
@@ -292,7 +292,6 @@ const QUERY_FLAGS: &[&[Flag]] = &[&[
     ("--node", 1),
     ("--pair", 2),
     ("--top-k", 1),
-    ("--threads", 1),
     ("--approx", 1),
 ]];
 const INFO_FLAGS: &[&[Flag]] = &[&[("--store", 1), ("--host", 0)]];
@@ -738,7 +737,6 @@ enum QuerySource {
 struct QueryArgs {
     source: QuerySource,
     target: QueryTarget,
-    threads: usize,
     /// Recall target for approximate top-k; `None` = exact.
     approx: Option<f64>,
 }
@@ -752,7 +750,6 @@ fn parse_query(tokens: &[String]) -> Result<QueryArgs, String> {
         .next_back()
         .map(|p| (p[0], p[1]));
     let top_k: usize = flags.value("--top-k")?.unwrap_or(10);
-    let threads: usize = flags.value("--threads")?.unwrap_or(0);
     let approx = flags.checked("--approx", "in [0,1]", |r: &f64| (0.0..=1.0).contains(r))?;
     let index = flags.value("--index")?;
     let source = match (flags.value("--remote")?, flags.value("--store")?) {
@@ -762,9 +759,6 @@ fn parse_query(tokens: &[String]) -> Result<QueryArgs, String> {
         (Some(addr), None) => {
             if index.is_some() {
                 return Err("--index is a local-store flag; the server owns its index".into());
-            }
-            if threads != 0 {
-                return Err("--threads is a local-store flag; the server owns its threads".into());
             }
             QuerySource::Remote { addr }
         }
@@ -787,7 +781,6 @@ fn parse_query(tokens: &[String]) -> Result<QueryArgs, String> {
     Ok(QueryArgs {
         source,
         target,
-        threads,
         approx,
     })
 }
@@ -1082,8 +1075,7 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
             }
         }
         QuerySource::Local { store, index } => {
-            let mut service = EmbeddingService::open_with_threads(store, args.threads)
-                .map_err(|e| e.to_string())?;
+            let mut service = EmbeddingService::open(store).map_err(|e| e.to_string())?;
             if let Some(index_path) = index {
                 let idx = IvfIndex::load(index_path).map_err(|e| format!("{index_path}: {e}"))?;
                 service.attach_index(idx).map_err(|e| e.to_string())?;
@@ -1106,10 +1098,7 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
                             );
                             got.neighbors
                         }
-                        None => service
-                            .batch_top_k(&[node], top_k)
-                            .map_err(|e| e.to_string())?
-                            .remove(0),
+                        None => service.top_k(node, top_k).map_err(|e| e.to_string())?,
                     };
                     print_neighbors(node, top_k, &neighbors);
                 }
@@ -1604,7 +1593,7 @@ mod tests {
 
     #[test]
     fn query_node_happy_path() {
-        let a = parse_query(&toks("--store e.aemb --node 3 --top-k 7 --threads 2")).unwrap();
+        let a = parse_query(&toks("--store e.aemb --node 3 --top-k 7")).unwrap();
         assert_eq!(
             a.source,
             QuerySource::Local {
@@ -1613,8 +1602,14 @@ mod tests {
             }
         );
         assert_eq!(a.target, QueryTarget::Node { node: 3, top_k: 7 });
-        assert_eq!(a.threads, 2);
         assert_eq!(a.approx, None);
+    }
+
+    #[test]
+    fn query_has_no_threads_flag() {
+        // One query is one scan on the calling thread; there is no pool.
+        let err = parse_query(&toks("--store e.aemb --node 3 --threads 2")).unwrap_err();
+        assert!(err.contains("unknown flag --threads"), "{err}");
     }
 
     #[test]
@@ -1649,7 +1644,6 @@ mod tests {
         for (cmd, needle) in [
             ("--remote h:1 --store e.aemb --node 1", "not both"),
             ("--remote h:1 --index e.aidx --node 1", "local-store flag"),
-            ("--remote h:1 --threads 2 --node 1", "local-store flag"),
         ] {
             let err = parse_query(&toks(cmd)).unwrap_err();
             assert!(err.contains(needle), "{cmd}: {err}");

@@ -316,8 +316,8 @@ fn workload_releases_carry_their_wire_codes() {
     }
 }
 
-/// The sign-aware provider is `Send + Sync` (the sharded engine moves it
-/// onto the producer thread) and draws identically from every thread at
+/// The sign-aware provider is `Send + Sync` (the `Trainer` that owns it
+/// can move across threads) and draws identically from every thread at
 /// the same seed — concurrency cannot perturb the sign channel.
 #[test]
 fn signed_sampler_draws_identically_across_threads() {
