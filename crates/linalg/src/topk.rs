@@ -254,61 +254,6 @@ pub fn top_k_rows(
     top.into_sorted()
 }
 
-/// [`top_k_rows`] restricted to an explicit candidate set: scores `query`
-/// against only the listed `rows` and returns the top `k` of them,
-/// excluding `exclude` when given.
-///
-/// This is the scan kernel of cluster-pruned (IVF-style) approximate
-/// retrieval: an index nominates a subset of rows and this function ranks
-/// them. Rows are scored through [`TopK::push_rows`], 16 listed rows per
-/// [`backend::dot16`] call, which gives each row bit for bit the score
-/// the full scan gives it (see [`score_rows`]), so a candidate set
-/// covering **every** row yields a result bitwise-identical to
-/// `top_k_rows` — top-k selection under the total `(score desc, index
-/// asc)` order does not depend on scan order.
-///
-/// The candidate set is expected to list each row at most once (an IVF
-/// index's clusters partition the rows, so this holds by construction); a
-/// duplicated row may occupy more than one result slot. Out-of-range rows
-/// panic like [`DenseMatrix::row`].
-///
-/// # Panics
-/// Panics if `query.len() != matrix.cols()` or a listed row is out of
-/// range.
-///
-/// # Examples
-/// ```
-/// use advsgm_linalg::matrix::DenseMatrix;
-/// use advsgm_linalg::topk::{top_k_rows, top_k_rows_among};
-///
-/// let m = DenseMatrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]).unwrap();
-/// // A candidate set covering every row reproduces the full scan.
-/// let full = top_k_rows(&m, &[1.0, 0.0], 2, Some(0));
-/// let among = top_k_rows_among(&m, &[1.0, 0.0], 2, 0..3, Some(0));
-/// assert_eq!(full, among);
-/// ```
-pub fn top_k_rows_among<I>(
-    matrix: &DenseMatrix,
-    query: &[f64],
-    k: usize,
-    rows: I,
-    exclude: Option<usize>,
-) -> Vec<ScoredIndex>
-where
-    I: IntoIterator<Item = usize>,
-{
-    assert_eq!(
-        query.len(),
-        matrix.cols(),
-        "top_k_rows_among: query length {} != matrix cols {}",
-        query.len(),
-        matrix.cols()
-    );
-    let mut top = TopK::new(k);
-    top.push_rows(matrix, query, rows, exclude);
-    top.into_sorted()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,73 +427,65 @@ mod tests {
     }
 
     #[test]
-    fn among_full_coverage_is_bitwise_equal_to_full_scan() {
-        // Any enumeration order of a full candidate set must reproduce the
-        // fused full scan exactly — including NaN/inf rows and ties.
-        let mut m = DenseMatrix::from_fn(17, 5, |i, j| ((i * 11 + j * 3) as f64 * 0.29).sin());
+    fn push_rows_in_uneven_lists_matches_the_full_scan() {
+        // Lists short of, at and across the 16-row group (so full groups
+        // and padded ones alternate), in a shuffled row order and in its
+        // reverse, as search visits cluster lists. NaN and ±inf rows and
+        // a duplicated row (tied scores) ride along: the answer must not
+        // depend on the order rows arrive in, bit for bit.
+        let n = 105;
+        let mut m = DenseMatrix::from_fn(n, 7, |i, j| ((i * 5 + j * 11) as f64 * 0.43).sin());
         m.set(3, 0, f64::NAN);
-        m.set(8, 2, f64::INFINITY);
-        m.set(12, 1, f64::NEG_INFINITY);
-        let q: Vec<f64> = (0..5).map(|j| (j as f64 * 0.61).cos()).collect();
-        for k in [0usize, 1, 4, 17, 30] {
-            for exclude in [None, Some(3), Some(16)] {
-                let full = top_k_rows(&m, &q, k, exclude);
-                let fwd = top_k_rows_among(&m, &q, k, 0..17, exclude);
-                let rev = top_k_rows_among(&m, &q, k, (0..17).rev(), exclude);
-                assert_eq!(full.len(), fwd.len());
-                assert_eq!(fwd.len(), rev.len());
-                for ((a, b), c) in full.iter().zip(&fwd).zip(&rev) {
-                    assert_eq!(a.index, b.index, "k={k} exclude={exclude:?}");
-                    assert_eq!(a.score.to_bits(), b.score.to_bits());
-                    // NaN scores defeat PartialEq; scan-order invariance
-                    // must hold bitwise.
-                    assert_eq!(b.index, c.index, "scan order must not matter");
-                    assert_eq!(b.score.to_bits(), c.score.to_bits());
+        m.set(40, 2, f64::INFINITY);
+        m.set(77, 1, f64::NEG_INFINITY);
+        for j in 0..7 {
+            m.set(60, j, m.get(20, j));
+        }
+        let q: Vec<f64> = (0..7).map(|j| (j as f64 * 0.37).cos()).collect();
+        let shuffled: Vec<usize> = (0..n).map(|i| i * 11 % n).collect();
+        let reversed: Vec<usize> = shuffled.iter().rev().copied().collect();
+        for order in [&shuffled, &reversed] {
+            for k in [0usize, 1, 6, 23, n, n + 5] {
+                for skip in [None, Some(3), Some(9), Some(n - 1)] {
+                    let mut top = TopK::new(k);
+                    let mut at = 0;
+                    for len in [3usize, 0, 5, 4, 1, 2, 5, 3, 15, 16, 0, 17, 1, 33] {
+                        top.push_rows(&m, &q, order[at..at + len].iter().copied(), skip);
+                        at += len;
+                    }
+                    assert_eq!(at, n);
+                    let got = top.into_sorted();
+                    let want = top_k_rows(&m, &q, k, skip);
+                    assert_eq!(got.len(), want.len());
+                    for (a, b) in got.iter().zip(&want) {
+                        // NaN scores defeat PartialEq: compare bits.
+                        assert_eq!(a.index, b.index, "k={k} skip={skip:?}");
+                        assert_eq!(a.score.to_bits(), b.score.to_bits());
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn push_rows_in_uneven_lists_matches_the_full_scan() {
-        // Lists short of, at and across the 16-row group (so full groups
-        // and padded ones alternate), in a shuffled row order, as exact
-        // mode visits cluster lists.
-        let n = 105;
-        let m = DenseMatrix::from_fn(n, 7, |i, j| ((i * 5 + j * 11) as f64 * 0.43).sin());
-        let q: Vec<f64> = (0..7).map(|j| (j as f64 * 0.37).cos()).collect();
-        let order: Vec<usize> = (0..n).map(|i| i * 11 % n).collect();
-        for k in [1usize, 6, 23, n] {
-            let mut top = TopK::new(k);
-            let mut at = 0;
-            for len in [3usize, 0, 5, 4, 1, 2, 5, 3, 15, 16, 0, 17, 1, 33] {
-                top.push_rows(&m, &q, order[at..at + len].iter().copied(), Some(9));
-                at += len;
-            }
-            assert_eq!(at, n);
-            let got = top.into_sorted();
-            let want = top_k_rows(&m, &q, k, Some(9));
-            assert_eq!(got.len(), want.len());
-            for (a, b) in got.iter().zip(&want) {
-                assert_eq!(a.index, b.index, "k={k}");
-                assert_eq!(a.score.to_bits(), b.score.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn among_subset_ranks_only_listed_rows() {
+    fn push_rows_ranks_only_listed_rows() {
         let m = matrix_from_rows(&[&[5.0], &[4.0], &[3.0], &[2.0], &[1.0]]);
-        let top = top_k_rows_among(&m, &[1.0], 2, [4, 2, 3], None);
-        assert_eq!(top.iter().map(|e| e.index).collect::<Vec<_>>(), vec![2, 3]);
-        // Exclusion applies inside the subset too.
-        let top = top_k_rows_among(&m, &[1.0], 2, [4, 2, 3], Some(2));
-        assert_eq!(top.iter().map(|e| e.index).collect::<Vec<_>>(), vec![3, 4]);
+        let listed = |skip| {
+            let mut top = TopK::new(2);
+            top.push_rows(&m, &[1.0], [4, 2, 3], skip);
+            top.into_sorted()
+                .iter()
+                .map(|e| e.index)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(listed(None), vec![2, 3]);
+        // The skipped row is left out of the listed ones too.
+        assert_eq!(listed(Some(2)), vec![3, 4]);
     }
 
     #[test]
-    #[should_panic(expected = "query length")]
-    fn among_query_dim_mismatch_panics() {
-        top_k_rows_among(&DenseMatrix::zeros(2, 3), &[1.0], 1, 0..2, None);
+    #[should_panic(expected = "length mismatch")]
+    fn push_rows_query_dim_mismatch_panics() {
+        TopK::new(1).push_rows(&DenseMatrix::zeros(2, 3), &[1.0], 0..2, None);
     }
 }

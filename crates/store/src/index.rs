@@ -28,10 +28,10 @@
 //! [`advsgm_linalg::backend::dot`] bit for bit, and top-k selection
 //! under the total `(score desc, index asc)` order does not depend on
 //! scan order, so the answer is the full scan's (property-tested in
-//! `tests/index_serving.rs`). The radii are
-//! derived from the store when the index is built and when
-//! [`IvfIndex::validate_for`] accepts a store, and are never serialised;
-//! until then exact mode is the full scan. Approximate search scores its
+//! `tests/index_serving.rs`). The radii come from the build's last
+//! assignment pass, or from the store when [`IvfIndex::validate_for`]
+//! accepts one, and are never serialised; until then exact mode is the
+//! full scan. Approximate search scores its
 //! candidates through the same kernel, so its answers, like exact ones,
 //! do not depend on the kernel backend. Callers usually don't pick
 //! `nprobe` directly: [`IvfIndex::nprobe_for`] maps a recall target to a
@@ -54,7 +54,7 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use advsgm_linalg::backend::{self, CentroidPanels};
-use advsgm_linalg::topk::{score_rows, top_k_rows, top_k_rows_among, ScoredIndex, TopK};
+use advsgm_linalg::topk::{score_rows, top_k_rows, ScoredIndex, TopK};
 use advsgm_linalg::{vector, DenseMatrix};
 use advsgm_parallel::ThreadPool;
 
@@ -179,9 +179,9 @@ pub struct IvfIndex {
     /// Derived: rows scanned on every query (non-finite embeddings).
     always: Vec<usize>,
     /// Derived from the store, never serialised: the per-cluster bounds
-    /// exact mode prunes with. Set by the build and by
-    /// [`IvfIndex::validate_for`]; while unset, exact mode is the full
-    /// scan.
+    /// exact mode prunes with. Set by the build (from its last assignment
+    /// pass) and by [`IvfIndex::validate_for`]; while unset, exact mode is
+    /// the full scan.
     geometry: OnceLock<Geometry>,
 }
 
@@ -288,26 +288,29 @@ impl IvfIndex {
         // row from its previous centroid and scores only the centroids
         // [`Admission`] admits. Once a pass sends most rows to the full scan
         // anyway, the passes left skip the filter.
-        let mut finite_assign = assign_nearest(pool, &centroids, matrix, &finite);
-        let mut distances = vec![finite.len() * nlist];
+        let mut pass = assign_nearest(pool, &centroids, matrix, &finite);
+        let mut distances = vec![pass.distances];
         let mut filter = true;
         for _ in 0..params.kmeans_iters.max(1) {
-            update_centroids(pool, &mut centroids, matrix, &finite, &finite_assign);
-            if filter {
-                let pass = reassign_nearest(pool, &centroids, matrix, &finite, &finite_assign);
-                filter = pass.full_scans * 2 <= finite.len();
-                distances.push(pass.distances);
-                finite_assign = pass.nearest;
+            update_centroids(pool, &mut centroids, matrix, &finite, &pass.nearest);
+            pass = if filter {
+                reassign_nearest(pool, &centroids, matrix, &finite, &pass.nearest)
             } else {
-                finite_assign = assign_nearest(pool, &centroids, matrix, &finite);
-                distances.push(finite.len() * nlist);
-            }
+                assign_nearest(pool, &centroids, matrix, &finite)
+            };
+            filter = pass.full_scans * 2 <= finite.len();
+            distances.push(pass.distances);
         }
 
+        // The last pass measured every row against the final centroids:
+        // each cluster's farthest member gives exact mode its radius.
         let mut assignments = vec![ALWAYS_SCAN; n];
-        for (&row, &c) in finite.iter().zip(&finite_assign) {
+        let mut far = vec![0.0; nlist];
+        for ((&row, &c), &d) in finite.iter().zip(&pass.nearest).zip(&pass.dist_sq) {
             assignments[row] = c as u32;
+            far[c] = farther(far[c], d);
         }
+        let geometry = Geometry::new(&centroids, &far);
 
         let mut index = Self {
             dim,
@@ -318,20 +321,11 @@ impl IvfIndex {
             calibration: Vec::new(),
             clusters: Vec::new(),
             always: Vec::new(),
-            geometry: OnceLock::new(),
+            geometry: OnceLock::from(geometry),
         };
         index.rebuild_derived();
-        index.derive_geometry(store);
         index.calibration = index.calibrate(store, &finite, params, pool);
         Ok((index, distances))
-    }
-
-    /// Derives the per-cluster geometry from `store` unless it is
-    /// already set (an `O(n·r)` pass). The caller vouches that `store`
-    /// is the release the index belongs to.
-    fn derive_geometry(&self, store: &EmbeddingStore) {
-        self.geometry
-            .get_or_init(|| Geometry::derive(store.matrix(), &self.centroids, &self.clusters));
     }
 
     /// Recomputes the derived cluster membership lists from the
@@ -357,8 +351,8 @@ impl IvfIndex {
     /// of safety margin is added on top of the in-sample requirement so
     /// out-of-sample queries stay at or above the target in practice.
     /// Each query's exact top `k` comes from exact mode, which is the
-    /// full scan's answer bit for bit, so the geometry must be derived
-    /// first for the visit to prune.
+    /// full scan's answer bit for bit, so the geometry must be set first
+    /// for the visit to prune.
     fn calibrate(
         &self,
         store: &EmbeddingStore,
@@ -540,7 +534,8 @@ impl IvfIndex {
                 ),
             });
         }
-        self.derive_geometry(store);
+        self.geometry
+            .get_or_init(|| Geometry::derive(store.matrix(), &self.centroids, &self.clusters));
         Ok(())
     }
 
@@ -611,20 +606,21 @@ impl IvfIndex {
                 rows_scanned,
             });
         }
+        // One list at a time, as exact mode visits them: selection does
+        // not depend on the order rows arrive in.
         let probed = self.probe_order(query, nprobe.max(1));
-        let candidates = probed
+        let mut top = TopK::new(k);
+        let mut rows_scanned = 0;
+        for list in probed
             .iter()
-            .flat_map(|&c| self.clusters[c].iter().copied())
-            .chain(self.always.iter().copied());
-        let rows_scanned: usize = probed
-            .iter()
-            .map(|&c| self.clusters[c].len())
-            .sum::<usize>()
-            + self.always.len();
-        let scored = top_k_rows_among(matrix, query, k, candidates, Some(u));
-        let neighbors = scored_to_neighbors(store, scored);
+            .map(|&c| &self.clusters[c])
+            .chain([&self.always])
+        {
+            top.push_rows(matrix, query, list.iter().copied(), Some(u));
+            rows_scanned += list.len();
+        }
         Ok(SearchResult {
-            neighbors,
+            neighbors: scored_to_neighbors(store, top.into_sorted()),
             rows_scanned,
         })
     }
@@ -738,8 +734,21 @@ impl IvfIndex {
     }
 }
 
+/// One assignment pass over a list of rows.
+struct Pass {
+    /// `rows[i]`'s nearest centroid, ties toward the lower index.
+    nearest: Vec<usize>,
+    /// `rows[i]`'s squared distance to it, bitwise [`vector::dist_sq`].
+    dist_sq: Vec<f64>,
+    /// Rows that took the full scan.
+    full_scans: usize,
+    /// Row-to-centroid distances computed.
+    distances: usize,
+}
+
 /// Each of `rows`' nearest centroid in squared Euclidean distance (ties
-/// toward the lower centroid index), the rows split across the pool.
+/// toward the lower centroid index), the rows split across the pool, all
+/// of them through the full scan.
 ///
 /// The centroids are packed once per call, and each worker scores its
 /// rows two at a time (an odd last row is paired with itself) through
@@ -750,18 +759,24 @@ fn assign_nearest(
     centroids: &DenseMatrix,
     matrix: &DenseMatrix,
     rows: &[usize],
-) -> Vec<usize> {
+) -> Pass {
     let panels = CentroidPanels::pack(centroids);
     let chunk = rows.len().div_ceil(pool.threads());
-    pool.map_chunks(rows, chunk, |_, _, part| {
+    let parts = pool.map_chunks(rows, chunk, |_, _, part| {
         let mut nearest = Vec::with_capacity(part.len());
         for pair in part.chunks(2) {
             let x = [matrix.row(pair[0]), matrix.row(pair[pair.len() - 1])];
             nearest.extend_from_slice(&nearest_of_pair(&panels, centroids, x)[..pair.len()]);
         }
         nearest
-    })
-    .concat()
+    });
+    let (nearest, dist_sq) = parts.concat().into_iter().unzip();
+    Pass {
+        nearest,
+        dist_sq,
+        full_scans: rows.len(),
+        distances: rows.len() * centroids.rows(),
+    }
 }
 
 /// The squared distance from each of the two rows `x` to every centroid,
@@ -789,28 +804,21 @@ fn scan_centroids(
     }
 }
 
-/// The nearest centroid of each of the two rows `x`: the first centroid
-/// in ascending order whose distance no later one beats strictly.
-fn nearest_of_pair(panels: &CentroidPanels, centroids: &DenseMatrix, x: [&[f64]; 2]) -> [usize; 2] {
-    let mut best = [0usize; 2];
-    let mut best_d = [f64::INFINITY; 2];
+/// The nearest centroid of each of the two rows `x` and its distance: the
+/// first centroid in ascending order whose distance no later one beats
+/// strictly.
+fn nearest_of_pair(
+    panels: &CentroidPanels,
+    centroids: &DenseMatrix,
+    x: [&[f64]; 2],
+) -> [(usize, f64); 2] {
+    let mut best = [(0, f64::INFINITY); 2];
     scan_centroids(panels, centroids, x, |i, c, d| {
-        if d < best_d[i] {
-            best_d[i] = d;
-            best[i] = c;
+        if d < best[i].1 {
+            best[i] = (c, d);
         }
     });
     best
-}
-
-/// One filtered assignment pass ([`reassign_nearest`]).
-struct Reassigned {
-    /// `rows[i]`'s nearest centroid.
-    nearest: Vec<usize>,
-    /// Rows that took the full scan.
-    full_scans: usize,
-    /// Row-to-centroid distances computed.
-    distances: usize,
 }
 
 /// [`assign_nearest`]'s answer for a later Lloyd pass, from each row's
@@ -824,19 +832,19 @@ fn reassign_nearest(
     matrix: &DenseMatrix,
     rows: &[usize],
     previous: &[usize],
-) -> Reassigned {
+) -> Pass {
     let panels = CentroidPanels::pack(centroids);
     let admission = Admission::new(pool, centroids, &panels);
     let nlist = centroids.rows();
     let chunk = rows.len().div_ceil(pool.threads());
     let parts = pool.map_chunks(rows, chunk, |_, offset, part| {
-        let mut nearest = vec![0usize; part.len()];
+        let mut nearest = vec![(0, 0.0); part.len()];
         let mut distances = 0;
         let mut scan = Vec::new();
         for (i, &row) in part.iter().enumerate() {
             match admission.nearest(centroids, matrix.row(row), previous[offset + i]) {
-                Ok((c, scored)) => {
-                    nearest[i] = c;
+                Ok((best, scored)) => {
+                    nearest[i] = best;
                     distances += scored;
                 }
                 Err(scored) => {
@@ -850,23 +858,26 @@ fn reassign_nearest(
                 matrix.row(part[pair[0]]),
                 matrix.row(part[pair[pair.len() - 1]]),
             ];
-            for (&i, c) in pair.iter().zip(nearest_of_pair(&panels, centroids, x)) {
-                nearest[i] = c;
+            for (&i, best) in pair.iter().zip(nearest_of_pair(&panels, centroids, x)) {
+                nearest[i] = best;
             }
         }
         (nearest, scan.len(), distances)
     });
-    let mut pass = Reassigned {
-        nearest: Vec::with_capacity(rows.len()),
-        full_scans: 0,
-        distances: 0,
-    };
-    for (nearest, full_scans, distances) in parts {
-        pass.nearest.extend(nearest);
-        pass.full_scans += full_scans;
-        pass.distances += distances;
+    let mut best = Vec::with_capacity(rows.len());
+    let (mut full_scans, mut distances) = (0, 0);
+    for (part, scans, scored) in parts {
+        best.extend(part);
+        full_scans += scans;
+        distances += scored;
     }
-    pass
+    let (nearest, dist_sq) = best.into_iter().unzip();
+    Pass {
+        nearest,
+        dist_sq,
+        full_scans,
+        distances,
+    }
 }
 
 /// The Lloyd passes' filter (after Elkan, "Using the Triangle Inequality
@@ -960,14 +971,15 @@ impl Admission {
     }
 
     /// Row `x`'s nearest centroid given its previous centroid `a`:
-    /// `Ok((nearest, distances computed))`, or `Err(distances computed)`
-    /// when the row must take the full scan instead.
+    /// `Ok(((nearest, its distance), distances computed))`, or
+    /// `Err(distances computed)` when the row must take the full scan
+    /// instead.
     fn nearest(
         &self,
         centroids: &DenseMatrix,
         x: &[f64],
         a: usize,
-    ) -> Result<(usize, usize), usize> {
+    ) -> Result<((usize, f64), usize), usize> {
         let d_a = vector::dist_sq(x, centroids.row(a));
         let threshold = (d_a + f64::MIN_POSITIVE) * self.factor;
         if !threshold.is_finite() {
@@ -980,18 +992,18 @@ impl Admission {
         }
         // The lowest index among the minima, as the ascending scan with a
         // strict `<` finds it.
-        let mut best = (d_a, a);
+        let mut best = (a, d_a);
         let mut scored = 1;
         for &(_, c) in &near[..admitted] {
             if c != a {
                 let d = vector::dist_sq(x, centroids.row(c));
                 scored += 1;
-                if d < best.0 || (d == best.0 && c < best.1) {
-                    best = (d, c);
+                if d < best.1 || (d == best.1 && c < best.0) {
+                    best = (c, d);
                 }
             }
         }
-        Ok((best.1, scored))
+        Ok((best, scored))
     }
 }
 
@@ -1035,10 +1047,11 @@ fn update_centroids(
     });
 }
 
-/// Per-cluster geometry behind exact mode's bound, derived from the
-/// store (never serialised). For cluster `c` with centroid `c` and radius
-/// `R_c = max ‖x − c‖` over its members `x`, [`Geometry::bound`] gives
-/// an upper bound on the *computed* score `dot(q, x)` of every member.
+/// Per-cluster geometry behind exact mode's bound, from the store's
+/// distances to the centroids (never serialised). For cluster `c` with
+/// centroid `c` and radius `R_c = max ‖x − c‖` over its members `x`,
+/// [`Geometry::bound`] gives an upper bound on the *computed* score
+/// `dot(q, x)` of every member.
 ///
 /// Why the bound holds. Let `u = ε/2` be the unit roundoff, `r < 2^50`
 /// the dimension, `γ_r = r·u / (1 − r·u)` and `A = ‖q‖·(‖c‖ + R_c)`,
@@ -1088,27 +1101,33 @@ struct Geometry {
 }
 
 impl Geometry {
+    /// From the store: each cluster's members measured again against its
+    /// centroid.
     fn derive(matrix: &DenseMatrix, centroids: &DenseMatrix, clusters: &[Vec<usize>]) -> Self {
+        let far: Vec<f64> = clusters
+            .iter()
+            .enumerate()
+            .map(|(c, members)| {
+                members.iter().fold(0.0, |far, &row| {
+                    farther(far, vector::dist_sq(matrix.row(row), centroids.row(c)))
+                })
+            })
+            .collect();
+        Self::new(centroids, &far)
+    }
+
+    /// From `far[c]`, the largest computed `dist_sq` from a member of
+    /// cluster `c` to its centroid (`0` for an empty cluster).
+    fn new(centroids: &DenseMatrix, far: &[f64]) -> Self {
         let slack = (4 * centroids.cols() + 16) as f64 * f64::EPSILON;
-        let mut radius = Vec::with_capacity(clusters.len());
-        let mut span = Vec::with_capacity(clusters.len());
-        for (c, members) in clusters.iter().enumerate() {
-            let centroid = centroids.row(c);
-            // NaN-propagating max: a non-finite member (only a hand-made
-            // `.aidx` can cluster one) must make the bound unusable,
-            // never small.
-            let far = members.iter().fold(0.0_f64, |far, &row| {
-                let d = vector::dist_sq(matrix.row(row), centroid);
-                if d > far || d.is_nan() {
-                    d
-                } else {
-                    far
-                }
-            });
-            let r = floored_sqrt(far) * (1.0 + slack);
-            radius.push(r);
-            span.push(floored_sqrt(vector::norm2_sq(centroid)) + r);
-        }
+        let (radius, span) = far
+            .iter()
+            .enumerate()
+            .map(|(c, &far)| {
+                let r = floored_sqrt(far) * (1.0 + slack);
+                (r, floored_sqrt(vector::norm2_sq(centroids.row(c))) + r)
+            })
+            .unzip();
         Self {
             radius,
             span,
@@ -1124,6 +1143,17 @@ impl Geometry {
         let margin = self.slack * reach + f64::MIN_POSITIVE;
         let bound = q_dot_c + q_norm * self.radius[c] + margin;
         ((reach + margin).is_finite() && bound.is_finite()).then_some(bound)
+    }
+}
+
+/// The larger of a cluster's farthest squared distance so far and a
+/// member's `d`, NaN-propagating: a non-finite member (only a hand-made
+/// `.aidx` can cluster one) must make the bound unusable, never small.
+fn farther(far: f64, d: f64) -> f64 {
+    if d > far || d.is_nan() {
+        d
+    } else {
+        far
     }
 }
 
@@ -1485,7 +1515,7 @@ mod tests {
         let rows: Vec<usize> = (0..7).collect();
         for threads in 1..=3 {
             let mut pool = ThreadPool::new(threads);
-            let got = assign_nearest(&mut pool, &centroids, &matrix, &rows);
+            let got = assign_nearest(&mut pool, &centroids, &matrix, &rows).nearest;
             assert_eq!(got, vec![3, 5, 3, 5, 3, 20, 5], "threads={threads}");
         }
     }
@@ -1550,6 +1580,93 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #[test]
+        fn approximate_search_equals_a_reference_over_the_probed_lists(
+            seed in 0u64..u64::MAX,
+            n in 12usize..48,
+            dim in 1usize..6,
+            nlist in 2usize..10,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            // Rows around a few centres on a coarse grid, so scores tie too,
+            // a few repeated rows, and one NaN, one +inf and one -inf row.
+            // Coordinates are never zero and each row holds at most one
+            // non-finite value, so no score sees two NaN-making events (a
+            // NaN operand, ∞·0, ∞ − ∞). Where two NaNs meet, which one an
+            // add passes on depends on operand order, and so does the sign
+            // that ranks a NaN score (DESIGN.md §15): the scalar kernel and
+            // `vector::dot` may then disagree.
+            let centres: Vec<Vec<f64>> = (0..4)
+                .map(|_| (0..dim).map(|_| f64::from(rng.gen_range(-4i32..=4))).collect())
+                .collect();
+            let mut m = DenseMatrix::zeros(n, dim);
+            for i in 0..n {
+                let centre = &centres[rng.gen_range(0..centres.len())];
+                for (j, &c) in centre.iter().enumerate() {
+                    m.set(i, j, c + f64::from(rng.gen_range(-2i32..=2)) * 0.25 + 0.125);
+                }
+            }
+            for _ in 0..3 {
+                let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                for j in 0..dim {
+                    m.set(to, j, m.get(from, j));
+                }
+            }
+            let at = rng.gen_range(0..n);
+            for (i, value) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].into_iter().enumerate() {
+                m.set((at + i) % n, rng.gen_range(0..dim), value);
+            }
+            let store =
+                EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap();
+            let params = IndexParams {
+                nlist,
+                kmeans_iters: 3,
+                sample_queries: 8,
+                calibration_k: 3,
+            };
+            let index = IvfIndex::build(&store, params).unwrap();
+            let matrix = store.matrix();
+            let mut own_row_probed = false;
+            for u in 0..n {
+                let query = matrix.row(u);
+                // The probe order: centroid score descending, and a stable
+                // sort keeps tied clusters in ascending index order.
+                let mut order: Vec<usize> = (0..index.nlist()).collect();
+                order.sort_by(|&a, &b| {
+                    vector::dot(query, index.centroids.row(b))
+                        .total_cmp(&vector::dot(query, index.centroids.row(a)))
+                });
+                for nprobe in 1..index.nlist() {
+                    let listed: Vec<usize> = (0..n)
+                        .filter(|&row| match index.assignments[row] {
+                            ALWAYS_SCAN => true,
+                            c => order[..nprobe].contains(&(c as usize)),
+                        })
+                        .collect();
+                    own_row_probed |= index.assignments[u] != ALWAYS_SCAN && listed.contains(&u);
+                    let mut want: Vec<(usize, f64)> = listed
+                        .iter()
+                        .filter(|&&row| row != u)
+                        .map(|&row| (row, vector::dot(query, matrix.row(row))))
+                        .collect();
+                    want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                    for k in [0, 1, 10, want.len() + 3] {
+                        let got = index.search(&store, u, k, nprobe).unwrap();
+                        proptest::prop_assert_eq!(got.rows_scanned, listed.len());
+                        let got: Vec<(usize, u64)> =
+                            got.neighbors.iter().map(|g| (g.node, g.score.to_bits())).collect();
+                        let want: Vec<(usize, u64)> =
+                            want.iter().take(k).map(|&(row, s)| (row, s.to_bits())).collect();
+                        proptest::prop_assert_eq!(got, want, "u={} nprobe={} k={}", u, nprobe, k);
+                    }
+                }
+            }
+            proptest::prop_assert!(own_row_probed, "no query row sat in a probed cluster");
+        }
+    }
+
     #[test]
     fn build_bytes_are_pinned() {
         // Only correctly rounded +, −, ×, ÷ make these inputs and the
@@ -1610,22 +1727,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unclustered_builds_stop_filtering() {
-        // Rows spread evenly in 48 dimensions: every centroid is about as
-        // far from a row as its own, so the filter admits too many, and
-        // the passes after the first filtered one scan in full.
+    /// Rows spread evenly in 48 dimensions, with no clusters to find.
+    fn spread_store() -> EmbeddingStore {
         let m = DenseMatrix::from_fn(1_500, 48, |i, j| {
             let h = ((i * 48 + j) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             ((h ^ (h >> 29)) % 1_000) as f64
         });
-        let store = EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap();
+        EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap()
+    }
+
+    #[test]
+    fn unclustered_builds_stop_filtering() {
+        // Every centroid is about as far from a row as its own, so the
+        // filter admits too many, and the passes after the first filtered
+        // one scan in full.
+        let store = spread_store();
         let (index, distances) =
             IvfIndex::build_counted(&store, IndexParams::default(), &mut ThreadPool::new(2))
                 .unwrap();
         let full = store.len() * index.nlist();
         assert!(distances[1] > full, "{distances:?}");
         assert!(distances[2..].iter().all(|&d| d == full), "{distances:?}");
+    }
+
+    #[test]
+    fn the_build_keeps_the_geometry_validate_for_derives() {
+        // The build folds its radii from the last Lloyd pass's distances:
+        // a filtered pass, a full-scan pass, and a filtered pass over a
+        // store whose non-finite rows are always scanned.
+        let mut hostile = clustered_store(400, 6, 9).matrix().clone();
+        hostile.set(7, 2, f64::NAN);
+        hostile.set(100, 0, f64::INFINITY);
+        hostile.set(222, 5, f64::NEG_INFINITY);
+        let hostile =
+            EmbeddingStore::new(hostile, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap();
+        let stores = [
+            (arithmetic_clusters(3_000, 8, 48), true, 0),
+            (spread_store(), false, 0),
+            (hostile, true, 3),
+        ];
+        for (store, filtered, always) in stores {
+            let mut pool = ThreadPool::new(2);
+            let (index, distances) =
+                IvfIndex::build_counted(&store, IndexParams::default(), &mut pool).unwrap();
+            let full = (store.len() - always) * index.nlist();
+            assert_eq!(index.always_scanned(), always);
+            assert_eq!(
+                distances[distances.len() - 1] < full,
+                filtered,
+                "{distances:?}"
+            );
+            let built = index.geometry.get().expect("the build sets it");
+            let loaded = IvfIndex::from_bytes(&index.to_bytes()).unwrap();
+            assert!(loaded.geometry.get().is_none());
+            loaded.validate_for(&store).unwrap();
+            let derived = loaded.geometry.get().expect("validate_for derives it");
+            assert_eq!(bits(&built.radius), bits(&derived.radius));
+            assert_eq!(bits(&built.span), bits(&derived.span));
+            assert_eq!(built.slack.to_bits(), derived.slack.to_bits());
+        }
     }
 
     #[test]
@@ -1668,7 +1828,8 @@ mod tests {
             let pass = reassign_nearest(&mut pool, &centroids, &matrix, &[0], &[1]);
             assert_eq!(pass.full_scans, 0, "the filter must decide");
             assert_eq!(pass.nearest, [0]);
-            assert_eq!(assign_nearest(&mut pool, &centroids, &matrix, &[0]), [0]);
+            let full = assign_nearest(&mut pool, &centroids, &matrix, &[0]);
+            assert_eq!(full.nearest, [0]);
         };
         // The exact midpoint: `E_0 = 4·D_1` exactly. At 2^-538 every
         // square but the centroids' own distance (2^-1074) underflows.
@@ -1783,6 +1944,10 @@ mod tests {
             .collect()
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     /// Each row's nearest centroid, ties toward the *higher* index: the
     /// previous centroid that least favours the lower-index answer.
     fn last_nearest(centroids: &DenseMatrix, matrix: &DenseMatrix) -> Vec<usize> {
@@ -1833,32 +1998,38 @@ mod tests {
             // Any previous centroid: the answer, the last of the tied
             // nearest ones, or any other.
             let full = assign_nearest(&mut pools[0], &centroids, &matrix, &all);
+            for (i, (&c, d)) in full.nearest.iter().zip(&full.dist_sq).enumerate() {
+                let want = vector::dist_sq(matrix.row(i), centroids.row(c));
+                proptest::prop_assert_eq!(d.to_bits(), want.to_bits());
+            }
             let last = last_nearest(&centroids, &matrix);
             let previous: Vec<usize> = (0..n)
                 .map(|i| match rng.gen_range(0..3) {
-                    0 => full[i],
+                    0 => full.nearest[i],
                     1 => last[i],
                     _ => rng.gen_range(0..nlist),
                 })
                 .collect();
             for pool in &mut pools {
                 let pass = reassign_nearest(pool, &centroids, &matrix, &all, &previous);
-                proptest::prop_assert_eq!(&pass.nearest, &full);
+                proptest::prop_assert_eq!(&pass.nearest, &full.nearest);
+                proptest::prop_assert_eq!(bits(&pass.dist_sq), bits(&full.dist_sq));
             }
 
             // Every pass of a build's Lloyd loop over these rows, seeded
             // as the build seeds (so repeated rows give tied centroids).
             let k = nlist.min(n);
             let mut lloyd = DenseMatrix::from_fn(k, dim, |c, j| matrix.get(c * n / k, j));
-            let mut assign = assign_nearest(&mut pools[0], &lloyd, &matrix, &all);
+            let mut assign = assign_nearest(&mut pools[0], &lloyd, &matrix, &all).nearest;
             for _ in 0..4 {
                 update_centroids(&mut pools[0], &mut lloyd, &matrix, &all, &assign);
                 let full = assign_nearest(&mut pools[0], &lloyd, &matrix, &all);
                 for pool in &mut pools {
                     let pass = reassign_nearest(pool, &lloyd, &matrix, &all, &assign);
-                    proptest::prop_assert_eq!(&pass.nearest, &full);
+                    proptest::prop_assert_eq!(&pass.nearest, &full.nearest);
+                    proptest::prop_assert_eq!(bits(&pass.dist_sq), bits(&full.dist_sq));
                 }
-                assign = full;
+                assign = full.nearest;
             }
         }
     }

@@ -150,7 +150,7 @@ serving flags:
                         instead of loading an .aidx file. `index` and
                         --build-index build on ADVSGM_THREADS threads
                         (else 1); the index is the same at every width
-  --cache N             serve: LRU capacity in cached top-k results
+  --cache N             serve: SIEVE cache capacity in top-k results
                         (default 1024; 0 disables)
   --max-requests N      serve: exit after answering N requests
   --host                info: report detected CPU features and the kernel

@@ -17,9 +17,9 @@
 //!   request themselves, through the same [`EmbeddingService`] calls an
 //!   in-process caller makes, so wire answers are bitwise the local ones.
 //!   Malformed payloads get error responses *without* dropping the
-//!   connection. All connections share one service, one LRU cache of hot
-//!   top-k results ([`cache`]) and the lifetime counters; the cache lock
-//!   is held only to look up or insert, never across a scan.
+//!   connection. All connections share one service, one SIEVE cache of
+//!   hot top-k results ([`cache`]) and the lifetime counters; the cache
+//!   lock is held only to look up or insert, never across a scan.
 //!
 //! Shutdown is cooperative: the connection that reads a
 //! [`protocol::Request::Shutdown`] frame (or answers the
@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use advsgm_store::Neighbor;
 
 use crate::api::{EmbeddingService, Result};
-use cache::LruCache;
+use cache::SieveCache;
 use protocol::{read_frame, write_frame, Request, Response};
 
 /// How often an idle connection re-checks the shutdown flag.
@@ -62,7 +62,8 @@ pub const WRITE_DEADLINE: Duration = Duration::from_secs(2);
 /// serving box: a 1024-entry result cache and no request limit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// LRU capacity, in cached top-k results (`0` disables caching).
+    /// Result-cache capacity, in cached top-k results (`0` disables
+    /// caching). The cache evicts by SIEVE ([`cache::SieveCache`]).
     pub cache_capacity: usize,
     /// Stop serving after this many requests (`None` = run until a
     /// shutdown frame). Useful for bounded smoke runs.
@@ -85,7 +86,7 @@ pub struct ServerStats {
     /// Well-formed requests answered, including error responses
     /// (malformed payloads are answered but not counted).
     pub requests: u64,
-    /// Top-k requests answered from the LRU cache.
+    /// Top-k requests answered from the result cache.
     pub cache_hits: u64,
     /// Always equal to `requests`: each request is answered on its own.
     /// Kept only because the end-to-end benchmark (`e2ebench/`) reads
@@ -120,7 +121,7 @@ impl Server {
         let local = listener.local_addr().map_err(crate::api::Error::Io)?;
         let shared = Arc::new(Shared {
             service,
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            cache: Mutex::new(SieveCache::new(config.cache_capacity)),
             max_requests: config.max_requests,
             addr: local,
             shutdown: AtomicBool::new(false),
@@ -160,7 +161,7 @@ const EXACT_MODE: u64 = u64::MAX;
 /// counters and the shutdown flag.
 struct Shared {
     service: EmbeddingService,
-    cache: Mutex<LruCache<CacheKey, Vec<Neighbor>>>,
+    cache: Mutex<SieveCache<CacheKey, Vec<Neighbor>>>,
     max_requests: Option<u64>,
     /// The bound address, for the self-connect that wakes the acceptor.
     addr: SocketAddr,
@@ -228,7 +229,7 @@ impl Shared {
         }
     }
 
-    fn cache(&self) -> MutexGuard<'_, LruCache<CacheKey, Vec<Neighbor>>> {
+    fn cache(&self) -> MutexGuard<'_, SieveCache<CacheKey, Vec<Neighbor>>> {
         self.cache
             .lock()
             .expect("no thread panics while holding the cache lock")
@@ -498,7 +499,7 @@ mod tests {
         let stats = server.wait();
         // 24 identical queries plus the shutdown, each answered on its
         // own. Connections that miss at the same instant both scan, but
-        // every later repeat must come from the shared LRU.
+        // every later repeat must come from the shared cache.
         assert_eq!(stats.requests, 4 * 6 + 1, "stats: {stats:?}");
         assert_eq!(stats.batches, stats.requests);
         assert_eq!(stats.errors, 0);
