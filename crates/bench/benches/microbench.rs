@@ -98,8 +98,8 @@ fn bench_activations(c: &mut Criterion) {
 }
 
 fn bench_fused_kernels(c: &mut Criterion) {
-    // The fused kernels feed the sharded workers; both must beat (or at
-    // worst match) their two-pass equivalents.
+    // The fused kernels feed the generator step and the training apply;
+    // both must beat (or at worst match) their two-pass equivalents.
     use advsgm_linalg::vector;
     let mut rng = seeded(8);
     let x = gaussian_vec(&mut rng, 1.0, 128);
@@ -164,8 +164,8 @@ fn bench_kernel_backends(c: &mut Criterion) {
 }
 
 fn bench_pool_dispatch(c: &mut Criterion) {
-    // Per-region overhead of the scoped pool: what one sharded update pays
-    // on top of its gradient math.
+    // Per-region overhead of the scoped pool: what one parallel region of
+    // a training step pays on top of its work.
     use advsgm_parallel::ThreadPool;
     let data: Vec<f64> = (0..4096).map(|i| i as f64).collect();
     let mut group = c.benchmark_group("pool_dispatch");

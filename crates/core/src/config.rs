@@ -68,22 +68,15 @@ pub struct AdvSgmConfig {
     ///
     /// `0` means *auto*: the `ADVSGM_THREADS` environment variable if set,
     /// otherwise 1. At 1 the trainer runs the sequential engine; at
-    /// `N > 1` it runs the sharded engine, whose results are run-to-run
-    /// deterministic for a fixed `(seed, threads, shard_size)` triple but
-    /// differ from the sequential trajectory (it derives independent
-    /// per-shard RNG streams). The out-of-core partitioned engine uses
-    /// the threads for Phase-B computation and, above one thread, to
-    /// regenerate the next update's fake neighbors while the current one
-    /// computes. The calling thread also fills fakes once its own part of
-    /// a step is done, so `N + 1` threads can be busy while fakes are
-    /// regenerated. Its trajectory is the sequential one at any count.
+    /// `N > 1` it runs the replay engine, in RAM, which the out-of-core
+    /// trainer also runs at any count. The replay engine uses the threads
+    /// for Phase-B computation and, above one thread, to regenerate the
+    /// next update's fake neighbors while the current one computes. The
+    /// calling thread also fills fakes once its own part of a step is
+    /// done, so `N + 1` threads can be busy while fakes are regenerated.
+    /// No count moves a bit: every release, epoch loss and spend is a
+    /// function of the seed and the rest of the configuration.
     pub num_threads: usize,
-    /// Pairs per shard for the parallel engine; `0` means *auto* (divide
-    /// each batch evenly over the worker threads). Smaller shards change
-    /// the derived RNG stream assignment and hence the (still
-    /// deterministic) trajectory; they never change batch composition or
-    /// privacy accounting.
-    pub shard_size: usize,
     /// Base RNG seed.
     pub seed: u64,
 }
@@ -110,7 +103,6 @@ impl Default for AdvSgmConfig {
             project_rows: true,
             faithful_noise: false,
             num_threads: 0,
-            shard_size: 0,
             seed: 0,
         }
     }
@@ -157,14 +149,6 @@ impl AdvSgmConfig {
     #[must_use]
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
-        self
-    }
-
-    /// Sets the shard size for the parallel engine (builder style);
-    /// `0` divides each batch evenly over the threads.
-    #[must_use]
-    pub fn with_shard_size(mut self, shard_size: usize) -> Self {
-        self.shard_size = shard_size;
         self
     }
 
@@ -318,9 +302,8 @@ mod tests {
 
     #[test]
     fn thread_builders_roundtrip() {
-        let c = AdvSgmConfig::default().with_threads(8).with_shard_size(32);
+        let c = AdvSgmConfig::default().with_threads(8);
         assert_eq!(c.num_threads, 8);
-        assert_eq!(c.shard_size, 32);
         assert_eq!(c.effective_threads(), 8);
         c.validate().unwrap();
     }

@@ -18,16 +18,17 @@
 //! gradient identity `grad = clip(dL_sgm/dv + v') + N(C^2 sigma^2 I)`,
 //! per-batch privacy accounting through `advsgm-privacy`, and the
 //! stopping rule of lines 9–11. The schedule exists exactly once
-//! (`session::run_schedule`) and executes through one of three engine
-//! strategies, all behind the one training type [`trainer::Trainer`]:
-//! the sequential engine at one thread; the sharded batch-parallel
-//! engine above that (per-pair clipped gradients in thread-local shards,
-//! a deterministic shard-order reduction — run-to-run deterministic at
-//! any thread count, DESIGN.md §7/§10); and, through
-//! [`trainer::PartitionedTrainer::new`], the out-of-core engine
-//! (embedding partitions swapped through a two-slot pool with a disk
-//! spill store, bitwise-identical to the sequential engine at every
-//! partition and thread count; DESIGN.md §14). The session layer also
+//! (`session::run_schedule`) and executes through one of two engines,
+//! both behind the one training type [`trainer::Trainer`]: the
+//! sequential engine at one thread, and the replay engine, which replays
+//! the sequential engine's draws and accumulation order while a thread
+//! pool computes the per-item work — in RAM above one thread
+//! (DESIGN.md §7/§10), and, through
+//! [`trainer::PartitionedTrainer::new`], out of core (embedding
+//! partitions swapped through a two-slot pool with a disk spill store;
+//! DESIGN.md §14). Every release, epoch loss and spend is a function of
+//! the seed and the configuration, bitwise-identical at every thread and
+//! partition count. The session layer also
 //! provides [`session::TrainHooks`] (epoch-boundary observability) and
 //! [`session::CheckpointState`] (bitwise-exact checkpoint/resume on every
 //! engine through [`trainer::Trainer::resume`]).

@@ -8,26 +8,28 @@
 //! iteration counts, accounting (`record_and_check`), budget stop,
 //! epoch-loss recording, and [`TrainOutcome`] assembly, while the
 //! *execution* of each step is delegated to an
-//! `Engine` strategy with exactly three implementations:
+//! `Engine` strategy with exactly two implementations:
 //!
 //! * `sequential::SequentialEngine` — single-threaded step execution on
-//!   one interleaved RNG stream (`Trainer` at one thread);
-//! * `sharded::ShardedEngine` — the batch-parallel execution of
-//!   DESIGN.md §7 (per-shard RNG streams, deterministic shard-order
-//!   reduction);
-//! * `partitioned::PartitionedEngine` — the out-of-core execution of
-//!   DESIGN.md §14: embedding partitions swap through a two-slot pool
-//!   (spilling to disk) while every step *replays* the sequential
-//!   engine's RNG draws and floating-point accumulation order, so its
-//!   trajectory is bitwise-identical to the sequential engine's at any
-//!   partition count and thread count.
+//!   one interleaved RNG stream (`Trainer` at one thread), the reference
+//!   the other engine is tested against;
+//! * `replay::ReplayEngine` — every step *replays* the sequential
+//!   engine's RNG draws and floating-point accumulation order while a
+//!   thread pool regenerates fake neighbors and computes the pure
+//!   per-item work, over one of two row stores: in RAM (`Trainer` above
+//!   one thread; DESIGN.md §7), or a spill store whose embedding
+//!   partitions swap through a two-slot pool (out of core; DESIGN.md
+//!   §14). Its trajectory is bitwise-identical to the sequential
+//!   engine's at any thread count and partition count.
 //!
+//! So every release, epoch loss and spend is a function of the seed and
+//! the configuration, whatever engine, width or residency runs it.
 //! [`Trainer`](crate::Trainer) is the one training type: a session core
 //! plus one engine, chosen at construction (or, on resume, by the
-//! checkpoint's [`EngineKind`]), and the only caller of the schedule. The
-//! engine trait and all three implementations are deliberately
-//! crate-private, so a fourth loop cannot appear without touching this
-//! layer.
+//! checkpoint's [`EngineKind`] and recorded width), and the only caller of
+//! the schedule. The engine trait and both implementations are
+//! deliberately crate-private, so a third loop cannot appear without
+//! touching this layer.
 //!
 //! # Observability: [`TrainHooks`]
 //!
@@ -65,7 +67,6 @@ use rand::rngs::SmallRng;
 use crate::config::AdvSgmConfig;
 use crate::error::CoreError;
 use crate::grad::{advsgm_augment, dpasgm_augment, sgm_negative_grads, sgm_positive_grads};
-use crate::loss::novel_loss_batch;
 use crate::model::{Embeddings, GeneratorPair};
 use crate::sampler::{BatchProvider, DiscBatch};
 use crate::sigmoid::SigmoidKind;
@@ -73,22 +74,12 @@ use crate::trainer::TrainOutcome;
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
 
-pub(crate) mod partitioned;
+pub(crate) mod replay;
 pub(crate) mod sequential;
-pub(crate) mod sharded;
 
-/// Stream tag for the init RNG. Every engine initialises parameters from
-/// this stream so they all start from identical matrices; the sequential
-/// and partitioned engines then *continue* the stream through training.
+/// Stream tag for the one RNG stream. Every engine initialises parameters
+/// from it and then *continues* it through training.
 pub(crate) const STREAM_INIT: u64 = 0xAD5;
-/// Stream tag for the sharded engine's Algorithm 2 sampling.
-pub(crate) const STREAM_SAMPLER: u64 = 0x5A11;
-/// Stream tag for the sharded engine's discriminator update seeds.
-pub(crate) const STREAM_DISC: u64 = 0xD15C;
-/// Stream tag for the sharded engine's generator update seeds.
-pub(crate) const STREAM_GEN: u64 = 0x6E47;
-/// Stream tag for the sharded engine's epoch-loss diagnostic draws.
-pub(crate) const STREAM_LOSS: u64 = 0x1055;
 
 /// The fixed adversarial weight DP-ASGM uses (`lambda` in Eq. 4; the paper
 /// notes `lambda in (0, 1]` is the common choice).
@@ -103,7 +94,7 @@ pub(crate) const DPASGM_LAMBDA: f64 = 1.0;
 /// (noise-vector norm ~ `C*sigma/sqrt(r)`), unless `faithful_noise`
 /// requests the strict calibration (the ablation setting).
 ///
-/// Shared by all three engines so their paths can never drift apart on
+/// Shared by both engines so their paths can never drift apart on
 /// calibration (DESIGN.md §6).
 pub(crate) fn gradient_noise_std(cfg: &AdvSgmConfig) -> f64 {
     let base = cfg.clip * cfg.sigma;
@@ -144,8 +135,8 @@ pub(crate) fn record_and_check(
 }
 
 /// A sparse per-row gradient accumulator: `row -> (grad sum, touch
-/// count)`. Shared by all three engines; the insertion order of summands
-/// (pair order within a batch/shard) is the load-bearing floating-point
+/// count)`. Shared by both engines; the insertion order of summands
+/// (pair order within a batch) is the load-bearing floating-point
 /// association.
 pub(crate) type RowAcc = HashMap<usize, (Vec<f64>, usize)>;
 
@@ -251,7 +242,7 @@ impl PairCtx {
 /// non-unit pair weight scales the gradient *after* the clip, so each
 /// summand's sensitivity stays `<= C` and the accountant is unchanged.
 /// Lives here — once — so the gradient math can never drift between the
-/// three engines. `fakes` is `None` exactly for the non-adversarial
+/// engines. `fakes` is `None` exactly for the non-adversarial
 /// variants.
 pub(crate) fn clipped_pair_grads(
     kind: SigmoidKind,
@@ -389,24 +380,20 @@ pub struct NoHooks;
 
 impl TrainHooks for NoHooks {}
 
-/// Which execution engine a checkpoint was captured from.
-/// [`Trainer::resume`](crate::Trainer::resume) restores the *same*
-/// engine: trajectories and stream layouts are engine-specific, so a
-/// checkpoint never resumes on another engine.
+/// Where a checkpoint's rows lived: in RAM or out of core.
+/// [`Trainer::resume`](crate::Trainer::resume) resumes on the same store.
+/// Every engine follows the sequential trajectory and records the one
+/// sequential stream, so a state captured on one engine also continues
+/// bitwise on the other, at any width and partition count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Single-threaded step execution ([`Trainer::new`](crate::Trainer::new)
-    /// at one thread).
+    /// In RAM ([`Trainer::new`](crate::Trainer::new)): the sequential
+    /// engine at one thread, the replay engine above. The checkpoint's
+    /// `config.num_threads` picks which on resume.
     Sequential,
-    /// The sharded batch-parallel execution
-    /// ([`Trainer::new`](crate::Trainer::new) at `threads > 1`); the
-    /// thread count travels in the checkpoint's `config.num_threads`.
-    Sharded,
-    /// The out-of-core partition-swapping execution
+    /// Out of core: the replay engine on a spill store
     /// ([`PartitionedTrainer::new`](crate::PartitionedTrainer::new)). Its
-    /// trajectory replays the sequential engine's, so its checkpoints are
-    /// interchangeable across partition counts — but not across engines,
-    /// because the stream layout differs from the sharded engine's.
+    /// checkpoints resume under any partition count.
     Partitioned,
 }
 
@@ -435,11 +422,9 @@ pub struct CheckpointState {
     pub graph_fingerprint: u64,
     /// Completed epochs.
     pub epochs_done: u64,
-    /// Discriminator updates applied (positive + negative batches) — also
-    /// the sharded engine's per-update stream index.
+    /// Discriminator updates applied (positive + negative batches).
     pub disc_updates: u64,
-    /// Generator iterations applied — the sharded engine's per-iteration
-    /// stream index.
+    /// Generator iterations applied.
     pub gen_updates: u64,
     /// Per-epoch `|L_Nov|` diagnostics recorded so far.
     pub epoch_losses: Vec<f64>,
@@ -455,9 +440,8 @@ pub struct CheckpointState {
     pub accountant: Option<AccountantState>,
     /// Which engine captured this state.
     pub engine: EngineKind,
-    /// Engine-owned RNG stream positions, in the engine's fixed order:
-    /// sequential `[main]`; sharded `[sampler, epoch-loss]`;
-    /// partitioned `[main]` (it replays the sequential stream).
+    /// The RNG stream positions: the one sequential stream, `[main]`, on
+    /// every engine.
     pub rng_streams: Vec<[u64; 4]>,
     /// The edge sampler's index permutation at the boundary — the batch
     /// provider's only hidden mutable state.
@@ -493,27 +477,6 @@ pub(crate) fn graph_fingerprint(graph: &Graph) -> u64 {
     h
 }
 
-/// `|L_Nov|` under `mode` on one fresh batch from `provider`, sampled from
-/// `sampler` and noised from `noise` (`None`: `sampler` again): the
-/// in-RAM engines' [`Engine::epoch_loss`].
-pub(crate) fn fresh_batch_loss(
-    core: &SessionCore,
-    graph: &Graph,
-    mode: WeightMode,
-    provider: &mut BatchProvider,
-    sampler: &mut SmallRng,
-    noise: Option<&mut SmallRng>,
-) -> Result<f64, CoreError> {
-    let (pos, signs) = provider.positives_with_signs(graph, sampler)?;
-    let negs = provider.negatives(&pos, sampler);
-    let noise = noise.unwrap_or(sampler);
-    let noise_std = gradient_noise_std(&core.cfg);
-    Ok(novel_loss_batch(
-        core.kind, mode, &core.emb, &core.gens, &pos, &signs, &negs, noise_std, noise,
-    )
-    .abs())
-}
-
 /// Engine-owned state a checkpoint needs: RNG stream positions plus the
 /// edge sampler permutation as of the epoch boundary being captured.
 pub(crate) struct EngineStreams {
@@ -525,19 +488,19 @@ pub(crate) struct EngineStreams {
 
 /// The execution strategy behind the one Algorithm-3 schedule.
 ///
-/// Exactly three implementations exist —
-/// [`sequential::SequentialEngine`], [`sharded::ShardedEngine`], and
-/// [`partitioned::PartitionedEngine`] — and [`run_schedule`] is their
-/// only driver. An engine executes *steps*; it never sees the epoch
+/// Exactly two implementations exist — [`sequential::SequentialEngine`]
+/// and [`replay::ReplayEngine`] — and [`run_schedule`] is the only
+/// caller of their steps. An engine executes *steps*; it never sees the epoch
 /// structure, iteration counts, accounting, or stopping rule. The one
 /// thing it learns of the schedule is the flag [`Engine::disc_update`]
 /// receives: whether another discriminator update of the same phase
-/// follows (the partitioned engine then runs that update's draws one
-/// update early; DESIGN.md §14).
+/// follows (the replay engine then runs that update's draws one update
+/// early; DESIGN.md §14).
 ///
-/// Step methods are fallible because the out-of-core engine performs
-/// spill I/O inside a step, and may sample the next iteration's batches
-/// inside a discriminator update; the in-RAM engines always return `Ok`.
+/// Step methods are fallible because the replay engine performs spill
+/// I/O inside a step on its spill store, and may sample the next
+/// iteration's batches inside a discriminator update; the sequential
+/// engine always returns `Ok`.
 pub(crate) trait Engine {
     /// Which engine this is (persisted in checkpoints).
     fn kind(&self) -> EngineKind;
@@ -570,8 +533,8 @@ pub(crate) trait Engine {
     ) -> Result<f64, CoreError>;
     /// Writes any engine-resident model state back into `core` so that
     /// `core.emb` is authoritative (checkpoint capture, outcome
-    /// assembly). No-op for the in-RAM engines, which mutate `core.emb`
-    /// directly; the out-of-core engine materialises its partitions here.
+    /// assembly). No-op in RAM, where the engines mutate `core.emb`
+    /// directly; the spill store materialises its partitions here.
     fn sync_core(&mut self, core: &mut SessionCore) -> Result<(), CoreError> {
         let _ = core;
         Ok(())
@@ -614,10 +577,9 @@ pub(crate) struct SessionCore {
 
 impl SessionCore {
     /// Builds a fresh session: validates the configuration, initialises
-    /// parameters from the shared init stream, and constructs the batch
-    /// provider. Returns the provider and the *post-init* RNG for the
-    /// engine (the sequential engine continues this stream; the sharded
-    /// engine discards it and derives its own).
+    /// parameters from the one stream, and constructs the batch provider.
+    /// Returns the provider and the *post-init* RNG, which the engine
+    /// continues.
     pub(crate) fn new(
         graph: &Graph,
         cfg: AdvSgmConfig,
@@ -737,15 +699,10 @@ impl SessionCore {
                 state.gen_updates
             ));
         }
-        let expected_streams = match state.engine {
-            EngineKind::Sequential | EngineKind::Partitioned => 1,
-            EngineKind::Sharded => 2,
-        };
-        if state.rng_streams.len() != expected_streams {
+        if state.rng_streams.len() != 1 {
             return bad(format!(
-                "{} RNG streams for a {:?} checkpoint (need {expected_streams})",
-                state.rng_streams.len(),
-                state.engine
+                "{} RNG streams in a checkpoint (need 1)",
+                state.rng_streams.len()
             ));
         }
         if cfg.variant.is_private() != state.accountant.is_some() {
@@ -939,8 +896,8 @@ pub(crate) fn run_schedule(
             stop: finished.then_some(StopReason::Completed),
         });
         if hooks.wants_checkpoint(core.cursor.epochs_done) {
-            // Out-of-core engines hold the embeddings in their slot pool;
-            // make core.emb authoritative before capturing.
+            // A spill store holds the embeddings on disk; make core.emb
+            // authoritative before capturing.
             engine.sync_core(core)?;
             let state = capture_checkpoint(core, engine, graph);
             if hooks.on_checkpoint(&state) == SessionControl::Stop {

@@ -1,12 +1,20 @@
-//! The partitioned [`Engine`]: out-of-core execution (DESIGN.md §14).
+//! The replay [`Engine`]: the sequential trajectory at any thread count,
+//! in RAM (DESIGN.md §7) or out of core (DESIGN.md §14).
 //!
-//! Executes the same Algorithm-3 steps as the sequential engine while
-//! keeping at most **two** embedding partitions in memory — one `W_in`
-//! bucket and one `W_out` bucket — in a fixed-size slot pool backed by
-//! one spill file per role. The headline contract is *bitwise identity*:
-//! at a fixed seed the released embeddings, epoch losses, and privacy
-//! spend are identical to the sequential trainer's for every partition
-//! count and thread count.
+//! Executes the same Algorithm-3 steps as the sequential engine, over one
+//! of two row stores:
+//!
+//! * **in RAM** (`Trainer::new` above one thread): the embedding rows stay
+//!   in `core.emb`, every step reads them in place, and the apply steps
+//!   them through [`apply_noisy_updates`], as the sequential engine does;
+//! * **the spill store** (`PartitionedTrainer::new`): at most **two**
+//!   embedding partitions in memory — one `W_in` bucket and one `W_out`
+//!   bucket — in a fixed-size slot pool backed by one spill file per role.
+//!
+//! The headline contract is *bitwise identity*: at a fixed seed the
+//! released embeddings, epoch losses, and privacy spend are identical to
+//! the sequential trainer's for either store, every partition count and
+//! every thread count.
 //!
 //! That identity holds because every step is a *replay* of the sequential
 //! step, split into three phases:
@@ -26,22 +34,25 @@
 //!    iterator. A fake is a pure function of its stream position, its node
 //!    and `theta`, and nothing writes `theta` between a fake's record and
 //!    its use, so which thread fills a piece cannot change a fake.
-//!    Meanwhile the calling thread *gathers* the rows the step reads,
-//!    role by role: every item's `W_in` row, then every item's `W_out`
-//!    row, is copied into a flat buffer at the item's batch index,
-//!    visiting each touched bucket once in the *resident-first cyclic
-//!    order* (the resident bucket, then the next ones, wrapping at `P`),
-//!    and then helps with the fakes. AdvSGM's batch means are folded
-//!    serially in pair order. The *pure* per-item results are then
-//!    computed from those buffers, stored at each item's original batch
-//!    index; they are chunk-invariant too.
+//!    Meanwhile, under the spill store, the calling thread *gathers* the
+//!    rows the step reads, role by role: every item's `W_in` row, then
+//!    every item's `W_out` row, is copied into a flat buffer at the item's
+//!    batch index, visiting each touched bucket once in the
+//!    *resident-first cyclic order* (the resident bucket, then the next
+//!    ones, wrapping at `P`), and then helps with the fakes. The in-RAM
+//!    store gathers nothing. AdvSGM's batch means are folded serially in
+//!    pair order. The *pure* per-item results are then computed from the
+//!    rows, read in place or from the gather buffers ([`ItemRows`]), and
+//!    stored at each item's original batch index; they are
+//!    chunk-invariant too.
 //! 3. **Phase C (fold)** — the floating-point accumulations (per-row
 //!    gradient sums, the loss fold) run over the per-item results in
 //!    original batch order — exactly the association the sequential
 //!    engine uses — and record each row's first batch index.
 //!
 //! All embedding reads in a step see the pre-update snapshot (the
-//! sequential engine also reads everything before writing anything), so
+//! sequential engine also reads everything before writing anything). In
+//! RAM the apply is the sequential engine's own. Under the spill store
 //! each touched row's pre-update value is already in its role's gather
 //! buffer, at the row's first batch index. The apply updates that copy
 //! once with the sequential arithmetic ([`step_row`]) and writes it in
@@ -83,8 +94,9 @@
 //! A budget stop after update `u` leaves `u + 1`'s draws unused, and
 //! nothing reads the stream after a budget stop. Across steps the
 //! lookahead holds `u + 1`'s noise vectors, a second set of fake records,
-//! a second fake buffer and the positive batch sampled ahead. DESIGN.md
-//! §14 has the measured gain.
+//! a second fake buffer and the positive batch sampled ahead. Both fake
+//! buffers are allocated once, at the largest step's size. DESIGN.md §7
+//! and §14 have the measured gains.
 //!
 //! Each role's spill file is created and sized once: the whole matrix as
 //! row-major little-endian `f64`, so row `i` sits at byte `i * r * 8` and
@@ -93,8 +105,8 @@
 //!
 //! The generator tables and the graph's edge list stay RAM-resident: the
 //! embedding matrices dominate the model's footprint (two dense
-//! `n x r` matrices against the generators' two), and the scope of this
-//! engine is bounding *embedding* residency; see DESIGN.md §14.
+//! `n x r` matrices against the generators' two), and the scope of the
+//! spill store is bounding *embedding* residency; see DESIGN.md §14.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -115,8 +127,8 @@ use crate::model::embeddings::step_row;
 use crate::model::{Embeddings, GeneratorPair};
 use crate::sampler::{BatchProvider, DiscBatch};
 use crate::session::{
-    accumulate, clipped_pair_grads, gradient_noise_std, Engine, EngineKind, EngineStreams, PairCtx,
-    PairFakes, RowAcc, SessionCore,
+    accumulate, apply_noisy_updates, clipped_pair_grads, gradient_noise_std, Engine, EngineKind,
+    EngineStreams, PairCtx, PairFakes, RowAcc, SessionCore,
 };
 use crate::trainer::SlotPoolStats;
 use crate::variants::ModelVariant;
@@ -491,6 +503,51 @@ fn fake_pair(fakes: &[f64], k: usize, r: usize) -> (&[f64], &[f64]) {
     row(fakes, k, 2 * r).split_at(r)
 }
 
+/// Where a step reads its items' rows. Item `k` at node pair `(a, b)`
+/// reads `W_in` row `a` and `W_out` row `b`.
+#[derive(Clone, Copy)]
+enum ItemRows<'a> {
+    /// The in-RAM store: the rows in place in `core.emb`.
+    InPlace(&'a Embeddings),
+    /// The spill store: row `k` of each role's gather buffer.
+    Gathered(&'a [Vec<f64>; 2]),
+}
+
+impl<'a> ItemRows<'a> {
+    /// The rows of whichever store `parts` says the engine has.
+    fn new(
+        parts: &Option<PartitionedEmbeddings>,
+        emb: &'a Embeddings,
+        rows: &'a [Vec<f64>; 2],
+    ) -> Self {
+        match parts {
+            Some(_) => Self::Gathered(rows),
+            None => Self::InPlace(emb),
+        }
+    }
+
+    /// Item `k`'s `W_in` and `W_out` rows; `(a, b)` is its node pair.
+    fn of(self, k: usize, (a, b): (usize, usize), r: usize) -> (&'a [f64], &'a [f64]) {
+        match self {
+            Self::InPlace(emb) => (emb.input(a), emb.output(b)),
+            Self::Gathered([rows_in, rows_out]) => (row(rows_in, k, r), row(rows_out, k, r)),
+        }
+    }
+}
+
+/// Copies every item's `W_in` and `W_out` rows into `rows` under the spill
+/// store; the in-RAM store reads its rows in place and gathers nothing.
+fn gather(
+    parts: &mut Option<PartitionedEmbeddings>,
+    items: &[(usize, usize)],
+    rows: &mut [Vec<f64>; 2],
+) -> Result<(), CoreError> {
+    match parts {
+        Some(parts) => parts.gather_pairs(items, rows),
+        None => Ok(()),
+    }
+}
+
 /// Where one item's two fakes start on the one stream (Phase A), and the
 /// node each generator fakes a neighbor of. Every step draws the
 /// `for_i` fake first and the `for_j` fake right after it.
@@ -646,9 +703,10 @@ where
     }
 }
 
-/// Out-of-core step execution replaying the sequential trajectory
-/// (module docs have the phase structure and determinism argument).
-pub(crate) struct PartitionedEngine {
+/// Step execution replaying the sequential trajectory over an in-RAM or
+/// a spill row store (module docs have the phase structure and
+/// determinism argument).
+pub(crate) struct ReplayEngine {
     /// Algorithm-2 batch provisioning, identical to the sequential engine's.
     provider: BatchProvider,
     /// The one RNG stream, in the sequential engine's draw order.
@@ -663,10 +721,11 @@ pub(crate) struct PartitionedEngine {
     /// lookahead; `Some` exactly when that update's Phase A is done and
     /// its fakes are in `fakes`.
     next_noise: Option<[Vec<f64>; 2]>,
-    /// The bucketed embeddings behind the two-slot pool.
-    parts: PartitionedEmbeddings,
-    /// Phase-B gather buffers per role, indexed by [`Role`] and reused
-    /// across steps: row `k` is item `k`'s row.
+    /// The spill store: the bucketed embeddings behind the two-slot pool.
+    /// `None` is the in-RAM store, whose rows stay in `core.emb`.
+    parts: Option<PartitionedEmbeddings>,
+    /// The spill store's Phase-B gather buffers per role, indexed by
+    /// [`Role`] and reused across steps: row `k` is item `k`'s row.
     rows: [Vec<f64>; 2],
     /// Phase A's fake records, reused across steps: entry `k` is item `k`'s.
     draws: Vec<FakeDraw>,
@@ -683,9 +742,11 @@ pub(crate) struct PartitionedEngine {
     threads: usize,
 }
 
-impl PartitionedEngine {
-    /// Steals `core.emb` into the slot pool (leaving an empty placeholder)
-    /// and wraps the provider plus the post-init RNG stream.
+impl ReplayEngine {
+    /// Wraps the provider plus the post-init RNG stream. At
+    /// `partitions == 0` the rows stay in `core.emb`; otherwise they move
+    /// into a spill store of `partitions` buckets, leaving an empty
+    /// placeholder in `core.emb`.
     pub(crate) fn new(
         core: &mut SessionCore,
         provider: BatchProvider,
@@ -693,11 +754,22 @@ impl PartitionedEngine {
         partitions: usize,
         stats: Arc<SlotPoolStats>,
     ) -> Result<Self, CoreError> {
-        let threads = core.cfg.effective_threads();
-        let buckets = NodeBuckets::new(core.emb.num_nodes(), partitions)?;
-        let emb = std::mem::replace(&mut core.emb, empty_embeddings());
-        let parts = PartitionedEmbeddings::new(emb, buckets, stats, &std::env::temp_dir())?;
-        let pool = (threads > 1).then(|| ThreadPool::new(threads));
+        let cfg = &core.cfg;
+        let threads = cfg.effective_threads();
+        // Both fake buffers take the largest step's records from the start
+        // (the generator's `B (k + 1)` samples): once glibc's dynamic mmap
+        // threshold has risen, a buffer that grows mid-job comes from the
+        // heap and raises peak RSS (DESIGN.md §7).
+        let most = cfg.batch_size * (cfg.negatives + 1) * 2 * cfg.dim;
+        let parts = match partitions {
+            0 => None,
+            p => {
+                let buckets = NodeBuckets::new(core.emb.num_nodes(), p)?;
+                let emb = std::mem::replace(&mut core.emb, empty_embeddings());
+                let temp = std::env::temp_dir();
+                Some(PartitionedEmbeddings::new(emb, buckets, stats, &temp)?)
+            }
+        };
         Ok(Self {
             provider,
             rng,
@@ -708,18 +780,19 @@ impl PartitionedEngine {
             rows: [Vec::new(), Vec::new()],
             draws: Vec::new(),
             next_draws: Vec::new(),
-            fakes: Vec::new(),
-            next_fakes: Vec::new(),
-            pool,
+            fakes: Vec::with_capacity(most),
+            next_fakes: Vec::with_capacity(most),
+            pool: (threads > 1).then(|| ThreadPool::new(threads)),
             threads,
         })
     }
 
     /// Drops the full-matrix copy a checkpoint's [`Engine::sync_core`]
-    /// left in `core.emb`, restoring the two-partition residency bound.
-    /// The spill files remain authoritative throughout.
-    fn reclaim(core: &mut SessionCore) {
-        if core.emb.num_nodes() != 0 {
+    /// left in `core.emb` under the spill store, restoring the
+    /// two-partition residency bound. The spill files remain
+    /// authoritative throughout; the in-RAM store keeps its rows there.
+    fn reclaim(&self, core: &mut SessionCore) {
+        if self.parts.is_some() && core.emb.num_nodes() != 0 {
             core.emb = empty_embeddings();
         }
     }
@@ -747,9 +820,12 @@ impl PartitionedEngine {
     }
 }
 
-impl Engine for PartitionedEngine {
+impl Engine for ReplayEngine {
     fn kind(&self) -> EngineKind {
-        EngineKind::Partitioned
+        match self.parts {
+            Some(_) => EngineKind::Partitioned,
+            None => EngineKind::Sequential,
+        }
     }
 
     fn threads(&self) -> usize {
@@ -784,8 +860,7 @@ impl Engine for PartitionedEngine {
         batch: &DiscBatch,
         next_in_phase: bool,
     ) -> Result<(), CoreError> {
-        Self::reclaim(core);
-        let core = &*core;
+        self.reclaim(core);
         let r = core.cfg.dim;
         let variant = core.cfg.variant;
         let clip = core.cfg.clip;
@@ -818,14 +893,20 @@ impl Engine for PartitionedEngine {
             pool,
             ..
         } = self;
+        let SessionCore {
+            cfg,
+            kind,
+            emb,
+            gens,
+            ..
+        } = core;
         let pairs = &batch.pairs;
         // Stage 1, for fakes not yet regenerated: the workers regenerate
-        // them while this thread gathers every pair's W_in and W_out rows.
+        // them while this thread gathers every pair's W_in and W_out rows
+        // (spill store) or joins them at once (in RAM).
         let gathered = adversarial && !fakes_ready;
         if gathered {
-            regenerate_fakes(pool, &core.gens, draws, fakes, || {
-                parts.gather_pairs(pairs, rows)
-            })?;
+            regenerate_fakes(pool, gens, draws, fakes, || gather(parts, pairs, rows))?;
         }
         debug_assert!(!adversarial || fakes.len() == count * 2 * r);
 
@@ -835,9 +916,10 @@ impl Engine for PartitionedEngine {
         // and the apply.
         let [n_in, n_out] = noise;
         let cur_fakes = &*fakes;
+        let kind = *kind;
         let mut finish = |grads_pool: &mut Option<ThreadPool>| -> Result<(), CoreError> {
             if !gathered {
-                parts.gather_pairs(pairs, rows)?;
+                gather(parts, pairs, rows)?;
             }
             let mut mean_j = vec![0.0; r];
             let mut mean_i = vec![0.0; r];
@@ -850,10 +932,9 @@ impl Engine for PartitionedEngine {
                 vector::scale(&mut mean_j, 1.0 / count as f64);
                 vector::scale(&mut mean_i, 1.0 / count as f64);
             }
-            let kind = core.kind;
-            let [gathered_in, gathered_out] = &*rows;
+            let at = ItemRows::new(parts, emb, rows);
             let (mean_j, mean_i) = (&mean_j, &mean_i);
-            let grads = map_indexed(grads_pool, pairs, |idx, _| {
+            let grads = map_indexed(grads_pool, pairs, |idx, &pair| {
                 let pair_fakes = adversarial.then(|| {
                     let (fake_j, fake_i) = fake_pair(cur_fakes, idx, r);
                     PairFakes {
@@ -863,15 +944,9 @@ impl Engine for PartitionedEngine {
                         mean_i,
                     }
                 });
-                clipped_pair_grads(
-                    kind,
-                    variant,
-                    clip,
-                    PairCtx::of(batch, idx),
-                    row(gathered_in, idx, r),
-                    row(gathered_out, idx, r),
-                    pair_fakes,
-                )
+                let (vi, vj) = at.of(idx, pair, r);
+                let ctx = PairCtx::of(batch, idx);
+                clipped_pair_grads(kind, variant, clip, ctx, vi, vj, pair_fakes)
             });
 
             // Phase C: accumulate per-row sums in original pair order — the
@@ -883,8 +958,15 @@ impl Engine for PartitionedEngine {
                 upd_out.add(j, k, gj);
             }
 
-            let eta = core.cfg.eta_d;
-            let project = core.cfg.project_rows && variant != ModelVariant::Sgm;
+            let eta = cfg.eta_d;
+            let project = cfg.project_rows && variant != ModelVariant::Sgm;
+            let Some(parts) = parts else {
+                apply_noisy_updates(upd_in.acc, &n_in, |i, g| emb.step_input(i, eta, g, project));
+                apply_noisy_updates(upd_out.acc, &n_out, |j, g| {
+                    emb.step_output(j, eta, g, project)
+                });
+                return Ok(());
+            };
             let [rows_in, rows_out] = rows;
             parts.apply(Role::In, upd_in, rows_in, &n_in, eta, project)?;
             parts.apply(Role::Out, upd_out, rows_out, &n_out, eta, project)
@@ -895,9 +977,7 @@ impl Engine for PartitionedEngine {
         // Stage 2: the workers regenerate the next update's fakes while
         // this thread finishes this one, its gradients serially, and then
         // helps them.
-        regenerate_fakes(pool, &core.gens, next_draws, next_fakes, || {
-            finish(&mut None)
-        })?;
+        regenerate_fakes(pool, gens, next_draws, next_fakes, || finish(&mut None))?;
         std::mem::swap(fakes, next_fakes);
         Ok(())
     }
@@ -909,7 +989,7 @@ impl Engine for PartitionedEngine {
     /// sample-order gradient accumulation in Phase C. No embedding is
     /// written.
     fn generator_update(&mut self, core: &mut SessionCore, graph: &Graph) -> Result<(), CoreError> {
-        Self::reclaim(core);
+        self.reclaim(core);
         let r = core.cfg.dim;
         let sample_count = core.cfg.batch_size * (core.cfg.negatives + 1);
         let noise_std = gradient_noise_std(&core.cfg);
@@ -932,8 +1012,8 @@ impl Engine for PartitionedEngine {
         }
 
         // Phase B: the workers regenerate the fakes while this thread
-        // gathers v_i = W_in[s] and v_j = W_out[t] role by role; then the
-        // per-sample upstream gradients (pure).
+        // gathers v_i = W_in[s] and v_j = W_out[t] role by role (spill
+        // store only); then the per-sample upstream gradients (pure).
         let Self {
             parts,
             rows,
@@ -943,14 +1023,14 @@ impl Engine for PartitionedEngine {
             ..
         } = self;
         regenerate_fakes(pool, &core.gens, draws, fakes, || {
-            parts.gather_pairs(&samples, rows)
+            gather(parts, &samples, rows)
         })?;
         let kind = core.kind;
-        let [vi, vj] = &*rows;
+        let at = ItemRows::new(parts, &core.emb, rows);
         let fakes = &*fakes;
         let (ng1, ng2) = (&ng1, &ng2);
-        let ups = map_indexed(pool, &samples, |idx, _| {
-            let (vi, vj) = (row(vi, idx, r), row(vj, idx, r));
+        let ups = map_indexed(pool, &samples, |idx, &sample| {
+            let (vi, vj) = at.of(idx, sample, r);
             let (f1, f2) = fake_pair(fakes, idx, r);
             let (s1_fake, s1_noise) = backend::dot2(vi, f1, ng1);
             let s1 = s1_fake + s1_noise;
@@ -984,7 +1064,7 @@ impl Engine for PartitionedEngine {
         graph: &Graph,
         mode: WeightMode,
     ) -> Result<f64, CoreError> {
-        Self::reclaim(core);
+        self.reclaim(core);
         let (pos, pos_signs) = self.provider.positives_with_signs(graph, &mut self.rng)?;
         let negs = self.provider.negatives(&pos, &mut self.rng);
         // Same panic point as `novel_loss_batch`, before any draw.
@@ -1008,40 +1088,37 @@ impl Engine for PartitionedEngine {
 
         // Phase B: the workers regenerate the fakes while this thread runs
         // one gather per role over the positives followed by the
-        // negatives; then the per-pair scalar terms.
+        // negatives (spill store only); then the per-pair scalar terms.
+        let items: Vec<(usize, usize)> = pos
+            .iter()
+            .map(|e| (e.u().index(), e.v().index()))
+            .chain(negs.iter().map(|p| (p.source.index(), p.negative.index())))
+            .collect();
         let Self {
             parts,
-            rows: [rows_in, rows_out],
+            rows,
             draws,
             fakes,
             pool,
             ..
         } = self;
         regenerate_fakes(pool, &core.gens, draws, fakes, || {
-            let sources = pos.iter().map(|e| e.u().index());
-            let sources = sources.chain(negs.iter().map(|p| p.source.index()));
-            parts.gather(Role::In, sources, rows_in)?;
-            let targets = pos.iter().map(|e| e.v().index());
-            let targets = targets.chain(negs.iter().map(|p| p.negative.index()));
-            parts.gather(Role::Out, targets, rows_out)
+            gather(parts, &items, rows)
         })?;
-        let (rows_in, rows_out) = (&*rows_in, &*rows_out);
+        let at = ItemRows::new(parts, &core.emb, rows);
         let fakes = &*fakes;
         let (n1, n2, pos_signs) = (&n1, &n2, &pos_signs);
-        let terms = map_indexed(pool, &pos, |idx, _| {
+        let terms = map_indexed(pool, &items[..pos.len()], |idx, &item| {
+            let (vi, vj) = at.of(idx, item, r);
             let (fake_j, fake_i) = fake_pair(fakes, idx, r);
-            positive_terms(
-                row(rows_in, idx, r),
-                row(rows_out, idx, r),
-                fake_j,
-                fake_i,
-                n1,
-                n2,
-                pos_signs.get(idx).copied().unwrap_or(false),
-            )
+            let foe = pos_signs.get(idx).copied().unwrap_or(false);
+            positive_terms(vi, vj, fake_j, fake_i, n1, n2, foe)
         });
-        let neg_dots: Vec<f64> = (pos.len()..pos.len() + negs.len())
-            .map(|k| negative_dot(row(rows_in, k, r), row(rows_out, k, r)))
+        let neg_dots: Vec<f64> = (pos.len()..items.len())
+            .map(|k| {
+                let (vi, vn) = at.of(k, items[k], r);
+                negative_dot(vi, vn)
+            })
             .collect();
 
         // Phase C: the order-fixed fold.
@@ -1049,7 +1126,9 @@ impl Engine for PartitionedEngine {
     }
 
     fn sync_core(&mut self, core: &mut SessionCore) -> Result<(), CoreError> {
-        core.emb = self.parts.snapshot()?;
+        if let Some(parts) = &mut self.parts {
+            core.emb = parts.snapshot()?;
+        }
         Ok(())
     }
 
@@ -1077,11 +1156,9 @@ mod tests {
     use crate::config::AdvSgmConfig;
     use advsgm_graph::generators::classic::karate_club;
 
-    /// A live engine over the karate club at `partitions` buckets.
-    fn engine(
-        graph: &Graph,
-        partitions: usize,
-    ) -> (SessionCore, PartitionedEngine, Arc<SlotPoolStats>) {
+    /// A live engine over the karate club on a spill store of
+    /// `partitions` buckets.
+    fn engine(graph: &Graph, partitions: usize) -> (SessionCore, ReplayEngine, Arc<SlotPoolStats>) {
         engine_at(graph, partitions, 1)
     }
 
@@ -1090,14 +1167,18 @@ mod tests {
         graph: &Graph,
         partitions: usize,
         threads: usize,
-    ) -> (SessionCore, PartitionedEngine, Arc<SlotPoolStats>) {
+    ) -> (SessionCore, ReplayEngine, Arc<SlotPoolStats>) {
         let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm).with_threads(threads);
         let (mut core, provider, rng) = SessionCore::new(graph, cfg).unwrap();
         let stats = Arc::new(SlotPoolStats::default());
         let engine =
-            PartitionedEngine::new(&mut core, provider, rng, partitions, Arc::clone(&stats))
-                .unwrap();
+            ReplayEngine::new(&mut core, provider, rng, partitions, Arc::clone(&stats)).unwrap();
         (core, engine, stats)
+    }
+
+    /// The engine's spill store.
+    fn spill(engine: &mut ReplayEngine) -> &mut PartitionedEmbeddings {
+        engine.parts.as_mut().expect("a spill store")
     }
 
     /// A positive batch over every pair of every third node: it touches
@@ -1143,7 +1224,7 @@ mod tests {
                 .disc_update(&mut core, &g, &grid_batch(g.num_nodes()), false)
                 .unwrap();
             for role in [Role::In, Role::Out] {
-                let parts = &mut engine.parts;
+                let parts = spill(&mut engine);
                 let slot = parts.slots[role as usize].take().expect("resident");
                 let mut on_disk = vec![0.0; slot.rows.len()];
                 let first = parts.buckets.range(slot.bucket).start;
@@ -1162,8 +1243,9 @@ mod tests {
         engine.disc_update(&mut core, &g, &warm, false).unwrap();
         // Swap W_in's handle for a read-only one: gathers still succeed,
         // the apply's first write (bucket 0 holds node 0) fails.
-        let path = engine.parts.spill_dir.join("w_in.spill");
-        engine.parts.files[Role::In as usize] = File::open(path).unwrap();
+        let parts = spill(&mut engine);
+        let path = parts.spill_dir.join("w_in.spill");
+        parts.files[Role::In as usize] = File::open(path).unwrap();
         let err = engine
             .disc_update(&mut core, &g, &grid_batch(g.num_nodes()), false)
             .unwrap_err();
@@ -1205,11 +1287,10 @@ mod tests {
         let warm = engine.next_batch(&g).unwrap();
         engine.disc_update(&mut core, &g, &warm, false).unwrap();
         // Park W_out on bucket 0, then cut its file where bucket 1 starts.
-        engine.parts.acquire(Role::Out, 0).unwrap();
-        let cut = engine.parts.buckets.range(1).start * engine.parts.dim * 8;
-        engine.parts.files[Role::Out as usize]
-            .set_len(cut as u64)
-            .unwrap();
+        let parts = spill(&mut engine);
+        parts.acquire(Role::Out, 0).unwrap();
+        let cut = parts.buckets.range(1).start * parts.dim * 8;
+        parts.files[Role::Out as usize].set_len(cut as u64).unwrap();
         let err = engine
             .disc_update(&mut core, &g, &grid_batch(g.num_nodes()), false)
             .unwrap_err();

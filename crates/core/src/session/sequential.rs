@@ -1,5 +1,6 @@
 //! The sequential [`Engine`]: single-threaded step execution on one
-//! interleaved RNG stream.
+//! interleaved RNG stream, and the reference the replay engine is tested
+//! against.
 //!
 //! This is the literal Algorithm-3 step semantics the repo started from:
 //! one `SmallRng` (the continuation of the init stream) drives sampling,
@@ -19,10 +20,11 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::error::CoreError;
+use crate::loss::novel_loss_batch;
 use crate::sampler::{BatchProvider, DiscBatch};
 use crate::session::{
-    accumulate, apply_noisy_updates, clipped_pair_grads, fresh_batch_loss, gradient_noise_std,
-    Engine, EngineKind, EngineStreams, PairCtx, PairFakes, SessionCore,
+    accumulate, apply_noisy_updates, clipped_pair_grads, gradient_noise_std, Engine, EngineKind,
+    EngineStreams, PairCtx, PairFakes, SessionCore,
 };
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
@@ -209,7 +211,14 @@ impl Engine for SequentialEngine {
         graph: &Graph,
         mode: WeightMode,
     ) -> Result<f64, CoreError> {
-        fresh_batch_loss(core, graph, mode, &mut self.provider, &mut self.rng, None)
+        let (pos, signs) = self.provider.positives_with_signs(graph, &mut self.rng)?;
+        let negs = self.provider.negatives(&pos, &mut self.rng);
+        let noise_std = gradient_noise_std(&core.cfg);
+        let rng = &mut self.rng;
+        let loss = novel_loss_batch(
+            core.kind, mode, &core.emb, &core.gens, &pos, &signs, &negs, noise_std, rng,
+        );
+        Ok(loss.abs())
     }
 
     fn streams(&self) -> EngineStreams {

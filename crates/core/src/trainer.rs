@@ -1,9 +1,9 @@
 //! The one training type over the session layer (DESIGN.md §10).
 //!
 //! [`Trainer`] is a session core plus the execution engine chosen when it
-//! is built: the sequential engine at one thread, the sharded
-//! batch-parallel engine (DESIGN.md §7) above that, or the out-of-core
-//! partitioned engine (DESIGN.md §14) through [`PartitionedTrainer::new`].
+//! is built: the sequential engine at one thread, the replay engine in RAM
+//! above that (DESIGN.md §7), or the replay engine on a spill store, out
+//! of core (DESIGN.md §14), through [`PartitionedTrainer::new`].
 //! The Algorithm-3 schedule itself — epochs, `n_D`/`n_G` iteration
 //! counts, the Theorem-7 stopping rule, outcome assembly — lives once in
 //! `session::run_schedule`, and [`Trainer::train_with_hooks`] drives every
@@ -11,17 +11,19 @@
 //!
 //! # Determinism contract
 //!
+//! Released embeddings, epoch losses and spend are a function of the seed
+//! and the configuration: no thread count or partition count moves a bit.
+//!
 //! * **Sequential** (`threads = 1`): the trajectory is a pure function of
 //!   the seed.
-//! * **Partitioned**: every step replays the sequential engine's RNG draws
-//!   and floating-point accumulation order, so released embeddings, epoch
+//! * **Replay** (`threads = N > 1` in RAM, or any width out of core):
+//!   every step replays the sequential engine's RNG draws and
+//!   floating-point accumulation order, so released embeddings, epoch
 //!   losses and spend are bit-for-bit the sequential engine's at every
-//!   partition count `P >= 1` and thread count
-//!   (`tests/ooc_equivalence.rs`), while at most two embedding partitions
-//!   are resident ([`SlotPoolStats::high_water`] `<= 2`).
-//! * **Sharded** (`threads = N > 1`): run-to-run deterministic for a fixed
-//!   `(seed, threads, shard_size)` triple, on its own trajectory, because
-//!   per-shard RNG streams replace the one interleaved stream.
+//!   thread count (`tests/sharded_determinism.rs`) and every partition
+//!   count `P >= 1` (`tests/ooc_equivalence.rs`), while at most two
+//!   embedding partitions are resident out of core
+//!   ([`SlotPoolStats::high_water`] `<= 2`).
 //! * **Privacy accounting is engine-invariant**: batch composition, the
 //!   `(sigma, gamma)` schedule and the stopping rule depend only on the
 //!   configuration, so `disc_updates`, `epochs_run`, `stopped_by_budget`
@@ -35,19 +37,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use advsgm_graph::Graph;
-use advsgm_linalg::rng::{derive_seed, rng_from_state, seeded};
+use advsgm_linalg::rng::rng_from_state;
 use advsgm_linalg::DenseMatrix;
 use rand::rngs::SmallRng;
 
 use crate::config::AdvSgmConfig;
 use crate::error::CoreError;
 use crate::sampler::BatchProvider;
-use crate::session::partitioned::PartitionedEngine;
+use crate::session::replay::ReplayEngine;
 use crate::session::sequential::SequentialEngine;
-use crate::session::sharded::ShardedEngine;
 use crate::session::{
     run_schedule, CheckpointState, Engine, EngineKind, NoHooks, SessionCore, TrainHooks,
-    STREAM_LOSS, STREAM_SAMPLER,
 };
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
@@ -75,13 +75,13 @@ pub struct TrainOutcome {
     pub epoch_losses: Vec<f64>,
 }
 
-/// Observability counters for the partitioned engine's two-slot pool.
+/// Observability counters for the spill store's two-slot pool.
 ///
 /// Obtained through [`Trainer::slot_stats`] *before* training consumes the
 /// trainer (the handle is `Arc`-shared with the engine), so callers can
 /// assert the residency bound after the run: [`SlotPoolStats::high_water`]
-/// never exceeds 2 — one `W_in` partition plus one `W_out` partition. The
-/// in-RAM engines have no pool; their counters stay zero.
+/// never exceeds 2 — one `W_in` partition plus one `W_out` partition.
+/// Training in RAM has no pool; its counters stay zero.
 #[derive(Debug, Default)]
 pub struct SlotPoolStats {
     pub(crate) resident: AtomicUsize,
@@ -176,41 +176,27 @@ impl PartitionedTrainer {
 }
 
 impl Trainer {
-    /// Builds a trainer on an in-RAM engine picked from
-    /// [`AdvSgmConfig::effective_threads`]: the sequential engine at one
-    /// thread, the sharded engine above that. Validates the configuration
-    /// against the graph.
+    /// Builds a trainer in RAM on the engine
+    /// [`AdvSgmConfig::effective_threads`] picks: the sequential engine at
+    /// one thread, the replay engine above that. Both follow the one
+    /// sequential trajectory. Validates the configuration against the
+    /// graph.
     ///
     /// # Errors
     /// Configuration or sampler-construction failures.
     pub fn new(graph: &Graph, cfg: AdvSgmConfig) -> Result<Self, CoreError> {
-        let threads = cfg.effective_threads();
         let (core, provider, rng) = SessionCore::new(graph, cfg)?;
-        if threads <= 1 {
-            return Ok(Self::in_ram(core, SequentialEngine::new(provider, rng)));
-        }
-        // The init-stream RNG is dropped: the sharded engine derives its
-        // own streams, sharing only the parameter initialisation.
-        let seed = core.cfg.seed;
-        let stream = |tag| seeded(derive_seed(seed, tag));
-        let engine = ShardedEngine::new(
-            provider,
-            threads,
-            seed,
-            stream(STREAM_SAMPLER),
-            stream(STREAM_LOSS),
-        );
-        Ok(Self::in_ram(core, engine))
+        Self::in_ram(core, provider, rng)
     }
 
     /// Rebuilds a trainer mid-schedule from a checkpoint captured through
-    /// [`TrainHooks::on_checkpoint`], on the engine that captured it: the
-    /// trajectory is engine-specific, so the engine (and a sharded run's
-    /// thread count) is pinned by the checkpoint, not re-resolved.
-    /// `partitions` is the node-bucket count for a partitioned checkpoint
-    /// and is ignored otherwise; the partitioned trajectory is `P`-free,
-    /// so any `P >= 1` continues the identical run. Training the result is
-    /// bitwise-identical to never having interrupted the original run.
+    /// [`TrainHooks::on_checkpoint`]. An in-RAM checkpoint resumes in RAM
+    /// on the engine its recorded `config.num_threads` picks; a
+    /// partitioned one resumes out of core with `partitions` node buckets
+    /// (ignored otherwise). Every engine follows the sequential
+    /// trajectory, so any width and any `P >= 1` continues the identical
+    /// run: training the result is bitwise-identical to never having
+    /// interrupted the original run.
     ///
     /// # Errors
     /// [`CoreError::Checkpoint`] when the state is inconsistent or does
@@ -222,40 +208,33 @@ impl Trainer {
         partitions: usize,
     ) -> Result<Self, CoreError> {
         let (core, provider) = SessionCore::resume(graph, state)?;
-        let stream = |i: usize| rng_from_state(state.rng_streams[i]);
+        let rng = rng_from_state(state.rng_streams[0]);
         match state.engine {
-            EngineKind::Sequential => Ok(Self::in_ram(
-                core,
-                SequentialEngine::new(provider, stream(0)),
-            )),
-            EngineKind::Sharded => {
-                let threads = state.config.num_threads;
-                if threads < 2 {
-                    return Err(CoreError::Checkpoint {
-                        reason: format!(
-                            "sharded checkpoint records {threads} thread(s); need >= 2"
-                        ),
-                    });
-                }
-                let seed = core.cfg.seed;
-                let engine = ShardedEngine::new(provider, threads, seed, stream(0), stream(1));
-                Ok(Self::in_ram(core, engine))
-            }
-            EngineKind::Partitioned => Self::partitioned(core, provider, stream(0), partitions),
+            EngineKind::Sequential => Self::in_ram(core, provider, rng),
+            EngineKind::Partitioned => Self::partitioned(core, provider, rng, partitions),
         }
     }
 
-    fn in_ram(core: SessionCore, engine: impl Engine + Send + 'static) -> Self {
-        Self {
+    /// The sequential engine at one thread, else the replay engine with
+    /// its rows in `core.emb`.
+    fn in_ram(
+        core: SessionCore,
+        provider: BatchProvider,
+        rng: SmallRng,
+    ) -> Result<Self, CoreError> {
+        if core.cfg.effective_threads() > 1 {
+            return Self::replay(core, provider, rng, 0);
+        }
+        Ok(Self {
             core,
-            engine: Box::new(engine),
+            engine: Box::new(SequentialEngine::new(provider, rng)),
             stats: Arc::default(),
-        }
+        })
     }
 
-    /// Moves `core`'s embeddings into a partitioned engine's slot pool.
+    /// The replay engine out of core, with `partitions >= 1` node buckets.
     fn partitioned(
-        mut core: SessionCore,
+        core: SessionCore,
         provider: BatchProvider,
         rng: SmallRng,
         partitions: usize,
@@ -266,9 +245,19 @@ impl Trainer {
                 reason: "need at least one partition bucket".into(),
             });
         }
+        Self::replay(core, provider, rng, partitions)
+    }
+
+    /// The replay engine: in RAM at `partitions == 0`, else on a spill
+    /// store that takes `core`'s embeddings.
+    fn replay(
+        mut core: SessionCore,
+        provider: BatchProvider,
+        rng: SmallRng,
+        partitions: usize,
+    ) -> Result<Self, CoreError> {
         let stats = Arc::new(SlotPoolStats::default());
-        let engine =
-            PartitionedEngine::new(&mut core, provider, rng, partitions, Arc::clone(&stats))?;
+        let engine = ReplayEngine::new(&mut core, provider, rng, partitions, Arc::clone(&stats))?;
         Ok(Self {
             core,
             engine: Box::new(engine),
@@ -277,9 +266,9 @@ impl Trainer {
     }
 
     /// The resolved worker-thread count: 1 for the sequential engine; for
-    /// the partitioned engine, the workers that run Phase B and regenerate
-    /// the next update's fakes, not counting the calling thread, which
-    /// joins in on the fakes (its trajectory is thread-invariant).
+    /// the replay engine, the workers that run Phase B and regenerate the
+    /// next update's fakes, not counting the calling thread, which joins
+    /// in on the fakes (its trajectory is thread-invariant).
     pub fn threads(&self) -> usize {
         self.engine.threads()
     }
@@ -291,9 +280,8 @@ impl Trainer {
         &self.core.cfg
     }
 
-    /// A shared handle to the partitioned engine's slot-pool counters,
-    /// usable after [`Trainer::train`] consumed the trainer; all zero on
-    /// the in-RAM engines.
+    /// A shared handle to the spill store's slot-pool counters, usable
+    /// after [`Trainer::train`] consumed the trainer; all zero in RAM.
     pub fn slot_stats(&self) -> Arc<SlotPoolStats> {
         Arc::clone(&self.stats)
     }
@@ -334,8 +322,8 @@ impl Trainer {
     }
 
     /// Consumes the trainer into the outcome of the schedule run so far.
-    /// The partitioned engine first materialises the full embeddings from
-    /// its slot pool and spill store.
+    /// Out of core, the full embeddings are first read back from the
+    /// spill store.
     ///
     /// # Errors
     /// [`CoreError::Io`] when the spill store cannot be read back.
@@ -345,26 +333,17 @@ impl Trainer {
     }
 
     /// Evaluates `|L_Nov|` under an arbitrary weight mode on the current
-    /// state (Fig. 2 harness). It draws from the sequential engine's RNG
-    /// stream, so it needs that engine.
+    /// state (Fig. 2 harness). It draws from the one sequential stream, so
+    /// every engine returns the same bits.
     ///
     /// # Errors
-    /// [`CoreError::Config`] on the sharded and partitioned engines;
-    /// propagates sampling failures.
+    /// Propagates sampling and spill failures.
     pub fn loss_under_weight_mode(
         &mut self,
         graph: &Graph,
         mode: WeightMode,
         batches: usize,
     ) -> Result<f64, CoreError> {
-        if self.engine.kind() != EngineKind::Sequential {
-            return Err(CoreError::Config {
-                field: "num_threads",
-                reason: "the Fig. 2 loss evaluation needs the sequential engine (one thread, \
-                         in RAM)"
-                    .into(),
-            });
-        }
         let mut total = 0.0;
         for _ in 0..batches.max(1) {
             total += self.engine.epoch_loss(&mut self.core, graph, mode)?;
@@ -387,26 +366,34 @@ mod tests {
     use crate::session::{EpochEvent, SessionControl, StopReason};
     use advsgm_graph::generators::classic::karate_club;
     use advsgm_graph::generators::sbm::{degree_corrected_sbm, SbmConfig};
+    use advsgm_linalg::rng::seeded;
     use advsgm_linalg::vector;
     use rand::Rng;
 
-    /// The engines every behavioural test below runs on.
-    const ENGINES: [EngineKind; 3] = [
-        EngineKind::Sequential,
-        EngineKind::Sharded,
-        EngineKind::Partitioned,
-    ];
+    /// An engine a behavioural test below runs on.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Setup {
+        /// The sequential engine (one thread, in RAM).
+        Sequential,
+        /// The replay engine in RAM at four threads.
+        InRam4,
+        /// The replay engine out of core, one thread, `P = 3` buckets.
+        Partitioned,
+    }
 
-    /// `cfg` on `engine`: one thread, four threads, or `P = 3` buckets.
-    fn build(engine: EngineKind, g: &Graph, cfg: AdvSgmConfig) -> Result<Trainer, CoreError> {
+    /// The engines every behavioural test below runs on.
+    const ENGINES: [Setup; 3] = [Setup::Sequential, Setup::InRam4, Setup::Partitioned];
+
+    /// `cfg` on `engine`.
+    fn build(engine: Setup, g: &Graph, cfg: AdvSgmConfig) -> Result<Trainer, CoreError> {
         match engine {
-            EngineKind::Sequential => Trainer::new(g, cfg.with_threads(1)),
-            EngineKind::Sharded => Trainer::new(g, cfg.with_threads(4)),
-            EngineKind::Partitioned => PartitionedTrainer::new(g, cfg.with_threads(1), 3),
+            Setup::Sequential => Trainer::new(g, cfg.with_threads(1)),
+            Setup::InRam4 => Trainer::new(g, cfg.with_threads(4)),
+            Setup::Partitioned => PartitionedTrainer::new(g, cfg.with_threads(1), 3),
         }
     }
 
-    fn fit(engine: EngineKind, g: &Graph, cfg: AdvSgmConfig) -> TrainOutcome {
+    fn fit(engine: Setup, g: &Graph, cfg: AdvSgmConfig) -> TrainOutcome {
         build(engine, g, cfg).unwrap().train(g).unwrap()
     }
 
@@ -443,7 +430,7 @@ mod tests {
         let g = small_graph();
         for engine in ENGINES {
             for v in ModelVariant::all() {
-                let cfg = AdvSgmConfig::test_small(v).with_shard_size(7);
+                let cfg = AdvSgmConfig::test_small(v);
                 let out = fit(engine, &g, cfg);
                 assert_eq!(out.node_vectors.rows(), g.num_nodes());
                 assert_eq!(out.node_vectors.cols(), 16);
@@ -476,23 +463,23 @@ mod tests {
 
     #[test]
     fn tight_budget_stops_every_engine_at_the_same_update() {
-        // Budget spend and schedule-derived counters must not depend on
+        // The stop, the spend and the released bits must not depend on
         // the engine or its thread count. `budget_limited` stops after the
         // first update; `later` after one whole epoch and part of the next
-        // phase, so the partitioned engine's lookahead has handed over
-        // many times before it stops.
+        // phase, so the replay engine's lookahead has handed over many
+        // times before it stops.
         let g = karate_club();
         let mut later = budget_limited();
         later.sigma = 5.0;
         later.epsilon = 5.0;
         for cfg in [budget_limited(), later] {
             let at = format!("epsilon {}", cfg.epsilon);
-            let seq = fit(EngineKind::Sequential, &g, cfg.clone());
+            let seq = fit(Setup::Sequential, &g, cfg.clone());
             assert!(seq.stopped_by_budget, "{at}: expected early stop");
             assert!(seq.epochs_run < 50, "{at}");
             // Spent delta must have crossed the target.
             assert!(seq.delta_spent.unwrap() >= 1e-5, "{at}");
-            // The stop falls mid-phase, so above one thread the partitioned
+            // The stop falls mid-phase, so above one thread the replay
             // engine stops with the next update's draws already taken.
             let phase = 2 * cfg.disc_iters as u64;
             assert_ne!(
@@ -506,26 +493,20 @@ mod tests {
                     .train(&g)
                     .unwrap()
             };
-            let (part1, part4) = (partitioned(1), partitioned(4));
+            let in_ram = |threads| Trainer::fit(&g, cfg.clone().with_threads(threads)).unwrap();
             for (engine, out) in [
-                ("sharded@4", &fit(EngineKind::Sharded, &g, cfg.clone())),
-                (
-                    "sharded@2",
-                    &Trainer::fit(&g, cfg.clone().with_threads(2)).unwrap(),
-                ),
-                ("partitioned@1", &part1),
-                ("partitioned@4", &part4),
+                ("in-RAM@4", &in_ram(4)),
+                ("in-RAM@2", &in_ram(2)),
+                ("partitioned@1", &partitioned(1)),
+                ("partitioned@4", &partitioned(4)),
             ] {
-                assert!(out.stopped_by_budget, "{at}: {engine}");
-                assert_eq!(seq.disc_updates, out.disc_updates, "{at}: {engine}");
-                assert_eq!(seq.epochs_run, out.epochs_run, "{at}: {engine}");
-                assert_eq!(seq.epsilon_spent, out.epsilon_spent, "{at}: {engine}");
-                assert_eq!(seq.delta_spent, out.delta_spent, "{at}: {engine}");
-            }
-            // Up to the stop, the partitioned engine replays the sequential
-            // one.
-            for (engine, out) in [("partitioned@1", &part1), ("partitioned@4", &part4)] {
                 let what = format!("{at}: {engine}");
+                assert!(out.stopped_by_budget, "{what}");
+                assert_eq!(seq.disc_updates, out.disc_updates, "{what}");
+                assert_eq!(seq.epochs_run, out.epochs_run, "{what}");
+                assert_eq!(seq.epsilon_spent, out.epsilon_spent, "{what}");
+                assert_eq!(seq.delta_spent, out.delta_spent, "{what}");
+                // Up to the stop, every engine replays the sequential one.
                 assert_eq!(bits(&seq.node_vectors), bits(&out.node_vectors), "{what}");
                 assert_eq!(
                     bits(&seq.context_vectors),
@@ -567,24 +548,26 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_engine_replays_the_sequential_engine_bitwise() {
+    fn replay_engine_replays_the_sequential_engine_bitwise() {
         let g = small_graph();
         for v in ModelVariant::all() {
             let cfg = AdvSgmConfig::test_small(v);
-            let seq = fit(EngineKind::Sequential, &g, cfg.clone());
+            let seq = fit(Setup::Sequential, &g, cfg.clone());
             // Phase-B results are chunk-invariant and the lookahead (which
-            // needs the pool) moves no draw, so four worker threads
-            // reproduce the sequential engine too.
-            for (threads, p) in [(1, 3), (4, 2)] {
-                let ooc = PartitionedTrainer::new(&g, cfg.clone().with_threads(threads), p)
-                    .unwrap()
-                    .train(&g)
-                    .unwrap();
-                let at = format!("{v} at {threads} thread(s)");
+            // needs the pool) moves no draw, so any worker count, in RAM
+            // (`P = 0`) or out of core, reproduces the sequential engine.
+            for (threads, p) in [(2, 0), (4, 0), (1, 3), (4, 2)] {
+                let cfg = cfg.clone().with_threads(threads);
+                let ooc = match p {
+                    0 => Trainer::new(&g, cfg),
+                    p => PartitionedTrainer::new(&g, cfg, p),
+                };
+                let ooc = ooc.unwrap().train(&g).unwrap();
+                let at = format!("{v} at {threads} thread(s), P = {p}");
                 assert_eq!(
                     bits(&seq.node_vectors),
                     bits(&ooc.node_vectors),
-                    "{at}: partitioned must reproduce the sequential engine bit-for-bit"
+                    "{at}: the replay engine must reproduce the sequential engine bit-for-bit"
                 );
                 assert_eq!(
                     bits(&seq.context_vectors),
@@ -600,33 +583,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_size_changes_trajectory_but_stays_deterministic() {
-        let g = small_graph();
-        let base = AdvSgmConfig::test_small(ModelVariant::AdvSgm).with_threads(3);
-        let a1 = Trainer::fit(&g, base.clone().with_shard_size(4)).unwrap();
-        let a2 = Trainer::fit(&g, base.clone().with_shard_size(4)).unwrap();
-        assert_eq!(bits(&a1.node_vectors), bits(&a2.node_vectors));
-        let b = Trainer::fit(&g, base.with_shard_size(5)).unwrap();
-        assert_ne!(
-            bits(&a1.node_vectors),
-            bits(&b.node_vectors),
-            "different sharding must follow a different derived-stream trajectory"
-        );
-    }
-
-    #[test]
     fn auto_thread_resolution_trains_and_is_deterministic() {
         // num_threads = 0 resolves via ADVSGM_THREADS (CI runs this suite
-        // with it set to 4, routing it through the sharded engine) and
-        // falls back to the sequential engine otherwise; either way
-        // training must succeed and be reproducible.
+        // with it set to 4, routing it through the in-RAM replay engine)
+        // and falls back to the sequential engine otherwise; either way
+        // training must release the sequential engine's bits.
         let g = small_graph();
         let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
         assert_eq!(cfg.num_threads, 0, "test_small must leave threads auto");
         let trainer = Trainer::new(&g, cfg.clone()).unwrap();
         assert_eq!(trainer.threads(), cfg.effective_threads());
         let a = trainer.train(&g).unwrap();
-        let b = Trainer::fit(&g, cfg).unwrap();
+        let b = Trainer::fit(&g, cfg.with_threads(1)).unwrap();
         assert_eq!(bits(&a.node_vectors), bits(&b.node_vectors));
     }
 
@@ -684,27 +652,30 @@ mod tests {
     fn loss_under_weight_modes_orders_as_figure2() {
         // lambda = 1/S should produce the largest |L_Nov|, then 1, then 0.5
         // (Fig. 2's bars), because lambda multiplies a non-negative term.
+        // Every engine draws the one sequential stream, so each evaluates
+        // the same bits.
         let g = small_graph();
         let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
-        let mut t = build(EngineKind::Sequential, &g, cfg.clone()).unwrap();
-        let l_half = t
-            .loss_under_weight_mode(&g, WeightMode::Fixed(0.5), 3)
-            .unwrap();
-        let l_one = t
-            .loss_under_weight_mode(&g, WeightMode::Fixed(1.0), 3)
-            .unwrap();
-        let l_inv = t
-            .loss_under_weight_mode(&g, WeightMode::InverseS, 3)
-            .unwrap();
+        let modes = [
+            WeightMode::Fixed(0.5),
+            WeightMode::Fixed(1.0),
+            WeightMode::InverseS,
+        ];
+        let losses = |engine| -> Vec<u64> {
+            let mut t = build(engine, &g, cfg.clone()).unwrap();
+            let mut losses = Vec::new();
+            for mode in modes {
+                let loss = t.loss_under_weight_mode(&g, mode, 3).unwrap();
+                losses.push(loss.to_bits());
+            }
+            losses
+        };
+        let seq = losses(Setup::Sequential);
+        let [l_half, l_one, l_inv] = [0, 1, 2].map(|k| f64::from_bits(seq[k]));
         assert!(l_half <= l_one + 1e-9, "half={l_half} one={l_one}");
         assert!(l_one <= l_inv + 1e-9, "one={l_one} inv={l_inv}");
-        // The other engines refuse with a typed error instead of panicking.
-        for engine in [EngineKind::Sharded, EngineKind::Partitioned] {
-            let mut t = build(engine, &g, cfg.clone()).unwrap();
-            let err = t
-                .loss_under_weight_mode(&g, WeightMode::InverseS, 1)
-                .unwrap_err();
-            assert!(matches!(err, CoreError::Config { .. }), "{engine:?}: {err}");
+        for engine in [Setup::InRam4, Setup::Partitioned] {
+            assert_eq!(seq, losses(engine), "{engine:?}");
         }
     }
 
@@ -740,8 +711,8 @@ mod tests {
         assert!(stats.high_water() <= 2, "high water {}", stats.high_water());
         assert!(stats.loads() > 0);
         assert!(stats.evictions() > 0, "P=4 must swap partitions");
-        // The in-RAM engines have no pool: their counters stay zero.
-        for engine in [EngineKind::Sequential, EngineKind::Sharded] {
+        // Training in RAM has no pool: its counters stay zero.
+        for engine in [Setup::Sequential, Setup::InRam4] {
             let trainer = build(engine, &g, cfg.clone()).unwrap();
             let stats = trainer.slot_stats();
             trainer.train(&g).unwrap();
@@ -888,11 +859,11 @@ mod tests {
         }
         // A budget-stopped schedule is done too.
         let g = karate_club();
-        let mut trainer = build(EngineKind::Sequential, &g, budget_limited()).unwrap();
+        let mut trainer = build(Setup::Sequential, &g, budget_limited()).unwrap();
         trainer.train_with_hooks(&g, &mut NoHooks).unwrap();
         trainer.train_with_hooks(&g, &mut NoHooks).unwrap();
         let out = trainer.into_outcome().unwrap();
-        let once = fit(EngineKind::Sequential, &g, budget_limited());
+        let once = fit(Setup::Sequential, &g, budget_limited());
         assert_eq!(out.disc_updates, once.disc_updates);
     }
 
@@ -906,13 +877,13 @@ mod tests {
             train_observed(build(engine, &g, cfg.clone()).unwrap(), &g, &mut rec);
             let state = rec.checkpoint.expect("checkpoint captured");
             let resumed = Trainer::resume(&g, &state, 2).unwrap();
-            let want = if engine == EngineKind::Sharded { 4 } else { 1 };
+            let want = if engine == Setup::InRam4 { 4 } else { 1 };
             assert_eq!(resumed.threads(), want, "{engine:?}");
             let stats = resumed.slot_stats();
             let out = resumed.train(&g).unwrap();
             assert_eq!(out.epochs_run, 3, "{engine:?}");
-            assert_eq!(stats.loads() > 0, engine == EngineKind::Partitioned);
-            if engine == EngineKind::Partitioned {
+            assert_eq!(stats.loads() > 0, engine == Setup::Partitioned);
+            if engine == Setup::Partitioned {
                 assert!(matches!(
                     Trainer::resume(&g, &state, 0),
                     Err(CoreError::Config {

@@ -6,9 +6,8 @@
 //!
 //! The table is immutable after construction and [`AliasTable::sample`]
 //! takes `&self` with a caller-supplied RNG, so one table can be shared by
-//! reference across the sharded trainer's worker threads (each worker
-//! brings its own derived RNG stream); a compile-time assertion below pins
-//! the `Send + Sync` guarantee.
+//! reference across threads (each brings its own RNG); a compile-time
+//! assertion below pins the `Send + Sync` guarantee.
 
 use rand::Rng;
 

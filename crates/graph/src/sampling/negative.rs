@@ -11,9 +11,9 @@
 //! provided; AdvSGM defaults to the paper's uniform choice.
 //!
 //! The sampler is immutable after construction (`&self` sampling with a
-//! caller-supplied RNG), so the sharded training engine shares one
-//! instance by reference across its batch-production and worker threads;
-//! the `Send + Sync` guarantee is pinned by a compile-time assertion.
+//! caller-supplied RNG), so one instance can be shared by reference across
+//! threads; the `Send + Sync` guarantee is pinned by a compile-time
+//! assertion.
 
 use rand::Rng;
 

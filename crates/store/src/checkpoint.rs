@@ -46,21 +46,29 @@ const FLAG_ACCOUNTANT: u16 = 1 << 0;
 /// Every flag bit version 1 defines; the rest must read as zero.
 const KNOWN_FLAGS: u16 = FLAG_ACCOUNTANT;
 
-/// Wire code for the engine kind (append-only, like variant codes).
+/// Wire code for the engine kind (append-only, like variant codes). An
+/// in-RAM checkpoint records 0 at any width. Code 1 is retired: it marked
+/// the removed sharded engine.
 fn engine_code(kind: EngineKind) -> u8 {
     match kind {
         EngineKind::Sequential => 0,
-        EngineKind::Sharded => 1,
         EngineKind::Partitioned => 2,
     }
 }
 
-/// Inverse of [`engine_code`]; unknown codes are a corruption error.
+/// Inverse of [`engine_code`]; code 1 and unknown codes are a corruption
+/// error.
 fn engine_from_code(code: u8) -> Result<EngineKind, StoreError> {
     Ok(match code {
         0 => EngineKind::Sequential,
-        1 => EngineKind::Sharded,
         2 => EngineKind::Partitioned,
+        1 => {
+            return Err(StoreError::Corrupted {
+                reason: "engine code 1 is the removed sharded engine, whose per-shard \
+                         trajectory cannot be continued"
+                    .into(),
+            })
+        }
         other => {
             return Err(StoreError::Corrupted {
                 reason: format!("unknown engine code {other}"),
@@ -137,7 +145,8 @@ pub fn encode_checkpoint(state: &CheckpointState) -> Result<Vec<u8>, StoreError>
         cfg.disc_iters as u64,
         cfg.gen_iters as u64,
         cfg.num_threads as u64,
-        cfg.shard_size as u64,
+        // The retired `shard_size` slot, written as zero.
+        0,
         cfg.seed,
     ] {
         out.extend_from_slice(&v.to_le_bytes());
@@ -352,7 +361,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState, StoreError> {
     let disc_iters = c.u64()? as usize;
     let gen_iters = c.u64()? as usize;
     let num_threads = c.u64()? as usize;
-    let shard_size = c.u64()? as usize;
+    // The retired `shard_size` slot: ignored, whatever it holds.
+    c.u64()?;
     let seed = c.u64()?;
     let eta_d = c.f64()?;
     let eta_g = c.f64()?;
@@ -447,7 +457,6 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState, StoreError> {
             project_rows: bools & 0b01 != 0,
             faithful_noise: bools & 0b10 != 0,
             num_threads,
-            shard_size,
             seed,
         },
         graph_nodes,
@@ -689,13 +698,42 @@ mod tests {
 
     #[test]
     fn engine_codes_roundtrip() {
-        for k in [
-            EngineKind::Sequential,
-            EngineKind::Sharded,
-            EngineKind::Partitioned,
-        ] {
+        for k in [EngineKind::Sequential, EngineKind::Partitioned] {
             assert_eq!(engine_from_code(engine_code(k)).unwrap(), k);
         }
         assert!(engine_from_code(7).is_err());
+    }
+
+    /// Re-seals `bytes` after an edit: a fresh CRC-32 trailer.
+    fn reseal(bytes: &mut [u8]) {
+        let end = bytes.len();
+        let sum = crc32(&bytes[..end - 4]);
+        bytes[end - 4..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn a_sharded_checkpoint_is_a_typed_error_naming_the_removed_engine() {
+        let mut bytes = encode_checkpoint(&sample_state()).unwrap();
+        bytes[8] = 1;
+        reseal(&mut bytes);
+        let err = decode_checkpoint(&bytes).unwrap_err();
+        let StoreError::Corrupted { reason } = &err else {
+            panic!("expected Corrupted, got {err}");
+        };
+        assert!(reason.contains("sharded engine"), "{reason}");
+    }
+
+    #[test]
+    fn the_retired_shard_size_slot_is_written_as_zero_and_ignored() {
+        let state = sample_state();
+        let bytes = encode_checkpoint(&state).unwrap();
+        assert_eq!(bytes[64..72], [0; 8], "offset 64 holds a zero u64");
+        // A file from before the slot retired may hold any value there.
+        let mut old = bytes.clone();
+        old[64..72].copy_from_slice(&16u64.to_le_bytes());
+        reseal(&mut old);
+        let back = decode_checkpoint(&old).unwrap();
+        assert_states_bitwise_equal(&state, &back);
+        assert_eq!(encode_checkpoint(&back).unwrap(), bytes);
     }
 }

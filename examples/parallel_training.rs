@@ -1,7 +1,7 @@
-//! Parallel sharded training through `advsgm::api`: the same Algorithm 3
-//! at every width, engine selection left entirely to the pipeline — plus
-//! a live proof that the facade is bitwise-faithful to the hand-wired
-//! engines it wraps.
+//! Parallel training through `advsgm::api`: the same Algorithm 3 at every
+//! width, engine selection left entirely to the pipeline — plus a live
+//! proof that every width releases the sequential run's bits and that the
+//! facade is bitwise-faithful to the hand-wired engines it wraps.
 //!
 //! ```bash
 //! cargo run --release --example parallel_training
@@ -55,10 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seq.disc_updates
     );
 
-    // The pipeline at increasing widths. threads = 1 must reproduce the
-    // sequential run bit-for-bit; wider runs are deterministic too, each
-    // on its own derived-stream trajectory — and every width must match
-    // the hand-wired Trainer exactly (the facade adds nothing).
+    // The pipeline at increasing widths. Every width must reproduce the
+    // sequential run bit-for-bit (the replay engine above one thread
+    // follows the sequential trajectory) and match the hand-wired Trainer
+    // exactly (the facade adds nothing).
     for threads in [1usize, 2, 4] {
         let b = base.clone().threads(threads);
         let t0 = Instant::now();
@@ -78,18 +78,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .zip(seq.node_vectors.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits());
         println!(
-            "pipeline, {threads} thread(s)     {elapsed:>10.2?}  bitwise == hand-wired engine: {bitwise_engine}{}",
-            if threads == 1 {
-                format!(", bitwise == sequential: {bitwise_seq}")
-            } else {
-                String::new()
-            }
+            "pipeline, {threads} thread(s)     {elapsed:>10.2?}  bitwise == hand-wired engine: \
+             {bitwise_engine}, bitwise == sequential: {bitwise_seq}"
         );
         assert!(bitwise_engine, "facade must be bitwise-faithful");
-        if threads == 1 {
-            assert!(bitwise_seq, "threads=1 must match the sequential trainer");
-        }
-        // Accounting never depends on the engine.
+        assert!(
+            bitwise_seq,
+            "threads={threads} must match the sequential trainer"
+        );
+        // The epoch losses and the accounting match too.
+        let losses = |o: &[f64]| o.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            losses(&out.outcome().epoch_losses),
+            losses(&seq.epoch_losses)
+        );
         assert_eq!(out.outcome().disc_updates, seq.disc_updates);
         assert_eq!(out.outcome().epsilon_spent, seq.epsilon_spent);
     }

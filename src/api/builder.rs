@@ -37,9 +37,9 @@ use crate::api::types::{Delta, Dim, Epsilon, NoiseSigma};
 #[derive(Debug, Clone)]
 pub struct PipelineBuilder {
     cfg: AdvSgmConfig,
-    /// `0` selects the in-RAM engines (sequential/sharded by thread
-    /// count); `>= 1` selects the out-of-core partitioned engine with
-    /// this many node buckets. Deliberately *not* part of
+    /// `0` trains in RAM (the sequential engine at one thread, the
+    /// replay engine above); `>= 1` trains out of core, the replay engine
+    /// on a spill store with this many node buckets. Deliberately *not* part of
     /// [`AdvSgmConfig`]: the trajectory is partition-invariant, so the
     /// bucket count is an execution-resource choice, never pinned into
     /// checkpoints or release metadata.
@@ -164,21 +164,12 @@ impl PipelineBuilder {
     /// [`AdvSgmConfig::with_threads`]). `0` means *auto*: the
     /// `ADVSGM_THREADS` environment variable if set, else 1; an explicit
     /// `N > 0` always takes precedence over the environment. The
-    /// resulting [`Pipeline::train`] auto-selects the sequential or
-    /// sharded engine from the resolved count — callers never name an
-    /// engine.
+    /// resulting [`Pipeline::train`] auto-selects the sequential or the
+    /// replay engine from the resolved count — callers never name an
+    /// engine, and no count moves a released bit.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg = self.cfg.with_threads(threads);
-        self
-    }
-
-    /// Sets the pairs-per-shard for the parallel engine (mapped to
-    /// [`AdvSgmConfig::with_shard_size`]); `0` divides each batch evenly
-    /// over the threads.
-    #[must_use]
-    pub fn shard_size(mut self, shard_size: usize) -> Self {
-        self.cfg = self.cfg.with_shard_size(shard_size);
         self
     }
 
@@ -281,15 +272,14 @@ mod tests {
             .gen_iters(4)
             .learning_rate(0.05)
             .seed(9)
-            .threads(4)
-            .shard_size(16);
+            .threads(4);
         let c = b.config();
         assert_eq!(c.variant, ModelVariant::DpSgm);
         assert_eq!((c.dim, c.epsilon, c.delta, c.sigma), (32, 2.0, 1e-6, 3.0));
         assert_eq!((c.epochs, c.batch_size, c.negatives), (7, 64, 3));
         assert_eq!((c.disc_iters, c.gen_iters), (9, 4));
         assert_eq!((c.eta_d, c.eta_g), (0.05, 0.05));
-        assert_eq!((c.seed, c.num_threads, c.shard_size), (9, 4, 16));
+        assert_eq!((c.seed, c.num_threads), (9, 4));
     }
 
     #[test]

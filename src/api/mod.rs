@@ -22,10 +22,11 @@
 //!   cross-field validation pass. An invalid configuration cannot exist
 //!   past the builder.
 //! * **Callers never name an engine.** [`Pipeline::train`] selects the
-//!   sequential or sharded engine from the resolved thread count — or
-//!   the out-of-core partitioned engine when the builder asked for node
-//!   buckets ([`PipelineBuilder::partitions`]) — and the run is
-//!   bitwise-identical to the equivalent hand-wired engine
+//!   sequential or replay engine from the resolved thread count — or the
+//!   replay engine out of core when the builder asked for node buckets
+//!   ([`PipelineBuilder::partitions`]) — and the run is
+//!   bitwise-identical to the equivalent hand-wired engine, and to the
+//!   sequential engine at every width
 //!   (`tests/api_facade.rs`, `tests/ooc_equivalence.rs`).
 //! * **One error.** Every operation returns [`Result`]; the single
 //!   [`enum@Error`] wraps each crate's error with the source chain

@@ -191,9 +191,9 @@ type Observer<'g> = Box<dyn FnMut(PipelineEvent<'_>) + 'g>;
 /// [`PipelineBuilder::build`] or [`Pipeline::resume`], consumed by
 /// [`Pipeline::train`].
 ///
-/// The engine is selected at construction: sequential vs sharded from
-/// [`AdvSgmConfig::effective_threads`], or the out-of-core partitioned
-/// engine when the builder asked for node buckets
+/// The engine is selected at construction: sequential vs replay from
+/// [`AdvSgmConfig::effective_threads`], or the replay engine out of core
+/// when the builder asked for node buckets
 /// ([`PipelineBuilder::partitions`]). A `Pipeline` run is
 /// bitwise-identical to the equivalent hand-wired [`Trainer`] run
 /// (`tests/api_facade.rs`, `tests/ooc_equivalence.rs`).
@@ -255,9 +255,10 @@ impl<'g> Pipeline<'g> {
     }
 
     /// Resumes a checkpointed run from an `.actk` file, against the same
-    /// graph it was captured on. The engine and thread count are pinned
-    /// by the checkpoint; the continued run is bitwise-identical to
-    /// never having interrupted the original.
+    /// graph it was captured on. The row store (in RAM or out of core)
+    /// and the thread count come from the checkpoint; every engine
+    /// follows the one trajectory, and the continued run is
+    /// bitwise-identical to never having interrupted the original.
     ///
     /// # Errors
     /// [`Error::Store`] on load/codec failures, [`Error::Core`] when the

@@ -51,10 +51,10 @@
 //!   (Theorem 4), RDP↔(ε,δ) conversion (Theorem 3), budget stopping;
 //! * [`core`] — the AdvSGM trainer (Algorithm 3) plus the SGM / DP-SGM /
 //!   DP-ASGM / AdvSGM-NoDP ablations behind one training type,
-//!   [`core::Trainer`], on a sequential, sharded-parallel, or
-//!   out-of-core engine;
+//!   [`core::Trainer`], on a sequential, parallel in-RAM, or out-of-core
+//!   engine, all releasing the same bits;
 //! * [`parallel`] — the vendored scoped thread pool + chunked parallel-for
-//!   backing the sharded engine;
+//!   backing the parallel engine;
 //! * [`baselines`] — DPGGAN, DPGVAE, GAP, DPAR;
 //! * [`eval`] — link-prediction AUC, Affinity-Propagation clustering, MI;
 //! * [`datasets`] — synthetic stand-ins for the paper's six datasets;

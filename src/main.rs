@@ -7,7 +7,7 @@
 //!              [--graph FILE.agph] [--partitions P]
 //!              [--variant advsgm] [--epsilon 6] [--delta 1e-5] [--sigma 5]
 //!              [--epochs N] [--dim 128] [--batch-size 128] [--lr 0.1]
-//!              [--threads N] [--shard-size N] [--seed 0]
+//!              [--threads N] [--seed 0]
 //!              [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]
 //! advsgm convert --out graph.agph [--dataset ppi] [--scale 0.1]
 //!              [--edges FILE] [--seed 0] [--buckets P]
@@ -73,8 +73,7 @@ const USAGE: &str = "usage:
                [--variant sgm|dp-sgm|dp-asgm|advsgm|advsgm-nodp|
                           signed-advsgm|sp-advsgm]
                [--epsilon F] [--delta F] [--sigma F] [--epochs N]
-               [--dim N] [--batch-size N] [--lr F] [--threads N]
-               [--shard-size N] [--seed N]
+               [--dim N] [--batch-size N] [--lr F] [--threads N] [--seed N]
                [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]
   advsgm convert --out PATH [--dataset NAME] [--scale F] [--edges FILE]
                [--seed N] [--buckets P]
@@ -97,12 +96,11 @@ const USAGE: &str = "usage:
 train flags:
   --batch-size N        pairs per discriminator batch B (default 128)
   --lr F                learning rate for both eta_d and eta_g (default 0.1)
-  --threads N           worker threads for the training engine; precedence:
-                        an explicit N > 0 here overrides the ADVSGM_THREADS
-                        environment variable, 0 (the default) defers to
-                        ADVSGM_THREADS, and with both unset training runs on
-                        1 thread
-  --shard-size N        pairs per parallel shard; 0 = auto (batch/threads)
+  --threads N           worker threads for the training engine (every count
+                        releases the same bytes); precedence: an explicit
+                        N > 0 here overrides the ADVSGM_THREADS environment
+                        variable, 0 (the default) defers to ADVSGM_THREADS,
+                        and with both unset training runs on 1 thread
   --graph FILE          load the training graph from FILE: .agph files go
                         through the verified partitioned codec, anything
                         else is parsed as a whitespace edge-list
@@ -253,7 +251,7 @@ const MODEL_FLAGS: &[Flag] = &[
 
 /// `train`'s engine flags. `--resume` pins them, and every model flag
 /// but `--epochs`, to the checkpoint's values.
-const ENGINE_FLAGS: &[Flag] = &[("--threads", 1), ("--shard-size", 1)];
+const ENGINE_FLAGS: &[Flag] = &[("--threads", 1)];
 
 const TRAIN_FLAGS: &[&[Flag]] = &[
     GRAPH_FLAGS,
@@ -515,10 +513,6 @@ fn parse_train(tokens: &[String]) -> Result<TrainArgs, String> {
     // to the environment, else 1.
     if let Some(n) = flags.value("--threads")? {
         builder = builder.threads(n);
-    }
-    // 0 is meaningful (auto: divide the batch over threads).
-    if let Some(n) = flags.value("--shard-size")? {
-        builder = builder.shard_size(n);
     }
     let partitions = flags.value("--partitions")?.unwrap_or(0);
     let epochs_explicit = flags.value("--epochs")?;
@@ -1268,7 +1262,7 @@ mod tests {
         let a = parse_train(&toks(
             "--out e.aemb --dataset wiki --scale 0.5 --variant dp-sgm --epsilon 2 \
              --delta 1e-6 --sigma 3 --epochs 7 --dim 32 --batch-size 64 --lr 0.05 \
-             --threads 4 --shard-size 16 --seed 9 --checkpoint-every 2 --checkpoint c.actk",
+             --threads 4 --seed 9 --checkpoint-every 2 --checkpoint c.actk",
         ))
         .unwrap();
         assert_eq!(a.out, "e.aemb");
@@ -1286,7 +1280,6 @@ mod tests {
         assert_eq!(cfg.eta_d, 0.05);
         assert_eq!(cfg.eta_g, 0.05, "--lr drives both learning rates");
         assert_eq!(cfg.num_threads, 4);
-        assert_eq!(cfg.shard_size, 16);
         assert_eq!(cfg.seed, 9);
         assert_eq!(a.checkpoint_every.map(NonZeroUsize::get), Some(2));
         assert_eq!(a.checkpoint_path.as_deref(), Some("c.actk"));
@@ -1311,8 +1304,10 @@ mod tests {
 
     #[test]
     fn train_rejects_unknown_flag() {
-        let err = parse_train(&toks("--out e.aemb --bogus 3")).unwrap_err();
-        assert!(err.contains("unknown flag --bogus"), "{err}");
+        for flag in ["--bogus", "--shard-size"] {
+            let err = parse_train(&toks(&format!("--out e.aemb {flag} 3"))).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+        }
     }
 
     #[test]
@@ -1504,7 +1499,6 @@ mod tests {
             "--batch-size 32",
             "--lr 0.2",
             "--threads 2",
-            "--shard-size 8",
             "--seed 4",
         ] {
             let cmd = format!("--out e.aemb --resume c.actk {flag}");

@@ -173,57 +173,66 @@ fn resume_reproduces_a_budget_stop_exactly() {
 }
 
 #[test]
-fn sequential_and_sharded_checkpoints_resume_on_their_own_engine() {
-    // One checkpoint per engine — sequential, sharded at 4 threads, and
-    // partitioned at P = 2 — each resumes through the one
-    // `Trainer::resume` on the engine that captured it (the partitioned
-    // one under P = 3) and finishes bitwise-equal to that engine's
-    // uninterrupted run.
+fn checkpoints_resume_bitwise_on_every_engine() {
+    // Every engine follows the sequential trajectory and records the one
+    // sequential stream. So a checkpoint captured in RAM at 1 or 4
+    // threads, or out of core at P = 2, finishes bitwise-equal to the
+    // uninterrupted run when resumed in RAM at width 1 or 4, or out of
+    // core at P = 3 — through the `.actk` bytes.
     let g = karate_club();
-    let build = |kind: EngineKind| match kind {
-        EngineKind::Sequential => Trainer::new(&g, test_cfg(1)).unwrap(),
-        EngineKind::Sharded => Trainer::new(&g, test_cfg(4)).unwrap(),
-        EngineKind::Partitioned => PartitionedTrainer::new(&g, test_cfg(1), 2).unwrap(),
-    };
-    for (kind, threads) in [
-        (EngineKind::Sequential, 1),
-        (EngineKind::Sharded, 4),
-        (EngineKind::Partitioned, 1),
-    ] {
-        let full = build(kind).train(&g).unwrap();
+    let full = Trainer::fit(&g, test_cfg(1)).unwrap();
+    for (threads, partitions) in [(1usize, 0usize), (4, 0), (1, 2)] {
+        let trainer = match partitions {
+            0 => Trainer::new(&g, test_cfg(threads)),
+            p => PartitionedTrainer::new(&g, test_cfg(threads), p),
+        };
         let mut hook = InterruptAt::new(1);
-        train_interrupted(build(kind), &g, &mut hook);
-        let state = hook.taken.unwrap();
-        assert_eq!(state.engine, kind);
-        assert_eq!(state.config.num_threads, threads, "resolved width pinned");
+        train_interrupted(trainer.unwrap(), &g, &mut hook);
+        let wire = encode_checkpoint(&hook.taken.unwrap()).unwrap();
+        let captured = decode_checkpoint(&wire).unwrap();
+        let kind = match partitions {
+            0 => EngineKind::Sequential,
+            _ => EngineKind::Partitioned,
+        };
+        let from = format!("captured at {threads} thread(s), P = {partitions}");
+        assert_eq!(captured.engine, kind, "{from}: engine code");
+        assert_eq!(captured.config.num_threads, threads, "{from}: width pinned");
 
-        let resumed = Trainer::resume(&g, &state, 3).unwrap();
-        assert_eq!(resumed.threads(), threads, "{kind:?}: engine pinned");
-        let resumed = resumed.train(&g).unwrap();
-        assert_eq!(
-            bits(&full.node_vectors),
-            bits(&resumed.node_vectors),
-            "{kind:?}: node vectors"
-        );
-        assert_eq!(
-            fbits(&full.epoch_losses),
-            fbits(&resumed.epoch_losses),
-            "{kind:?}: epoch losses"
-        );
-        assert_eq!(
-            full.epsilon_spent.map(f64::to_bits),
-            resumed.epsilon_spent.map(f64::to_bits),
-            "{kind:?}: epsilon_spent"
-        );
+        for (width, engine) in [
+            (1, EngineKind::Sequential),
+            (4, EngineKind::Sequential),
+            (1, EngineKind::Partitioned),
+        ] {
+            let mut state = captured.clone();
+            state.config.num_threads = width;
+            state.engine = engine;
+            let resumed = Trainer::resume(&g, &state, 3).unwrap();
+            let tag = format!("{from}, resumed {engine:?} at {width} thread(s)");
+            assert_eq!(resumed.threads(), width, "{tag}: width");
+            let resumed = resumed.train(&g).unwrap();
+            assert_eq!(
+                bits(&full.node_vectors),
+                bits(&resumed.node_vectors),
+                "{tag}: node vectors"
+            );
+            assert_eq!(
+                bits(&full.context_vectors),
+                bits(&resumed.context_vectors),
+                "{tag}: context vectors"
+            );
+            assert_eq!(
+                fbits(&full.epoch_losses),
+                fbits(&resumed.epoch_losses),
+                "{tag}: epoch losses"
+            );
+            assert_eq!(full.disc_updates, resumed.disc_updates, "{tag}");
+            assert_eq!(
+                full.epsilon_spent.map(f64::to_bits),
+                resumed.epsilon_spent.map(f64::to_bits),
+                "{tag}: epsilon_spent"
+            );
+        }
     }
-
-    // A sharded checkpoint must record the width it ran at.
-    let mut hook = InterruptAt::new(1);
-    train_interrupted(build(EngineKind::Sharded), &g, &mut hook);
-    let mut state = hook.taken.unwrap();
-    state.config.num_threads = 1;
-    let err = Trainer::resume(&g, &state, 1).err().expect("must fail");
-    assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
 }
 
 #[test]
