@@ -2,7 +2,9 @@
 //! dispatched SIMD surface (DESIGN.md §15).
 //!
 //! Times the hot shapes per backend — the 16-row `dot16` score, the
-//! index build's two-row, 16-centroid `dist_sq_2x16`, and the
+//! index build's two-row, 16-centroid `dist_sq_2x16`, the generator's two
+//! fake stages for one `r = 128` fake (`box_muller`: 64 uniform pairs to
+//! 128 normals; `sigmoid_of_sum`: 128 values of `φ(θ + z)`), and the
 //! `top_k_rows` row scan `dot16` powers (on a cache-resident store and,
 //! in full mode, a DRAM-streaming one: the large scan is memory-bound, so
 //! its ratio isolates what kernel speed buys once the matrix stops
@@ -32,6 +34,7 @@ use advsgm_linalg::backend::{self, Backend, CentroidPanels};
 use advsgm_linalg::rng::{gaussian_vec, seeded};
 use advsgm_linalg::topk::top_k_rows;
 use advsgm_linalg::DenseMatrix;
+use rand::Rng;
 
 /// Embedding width for every timed shape — the repo's serving default.
 const DIM: usize = 128;
@@ -82,7 +85,8 @@ struct FeatureFacts {
 struct KernelFacts {
     kernel: &'static str,
     backend: &'static str,
-    /// Nanoseconds per kernel call (dot16, dist_sq_2x16) or per full
+    /// Nanoseconds per kernel call (dot16, dist_sq_2x16, and
+    /// box_muller and sigmoid_of_sum over one r = 128 fake) or per full
     /// scan (row_scan), median over the repetitions.
     ns_per_op: f64,
     /// First and third quartiles of the same repetitions.
@@ -111,6 +115,15 @@ fn main() {
     let row_fill = |i: usize, j: usize| ((i * 31 + j * 17) as f64 * 0.113).sin();
     let matrix_hot = DenseMatrix::from_fn(scan_rows_hot, DIM, row_fill);
     let matrix_stream = (!quick).then(|| DenseMatrix::from_fn(scan_rows_stream, DIM, row_fill));
+    // One r = DIM fake's inputs, as the generator draws them: uniform
+    // pairs (1 − gen, gen), and θ near its initial bias of −2.
+    let u1: Vec<f64> = (0..DIM / 2).map(|_| 1.0 - rng.gen::<f64>()).collect();
+    let u2: Vec<f64> = (0..DIM / 2).map(|_| rng.gen::<f64>()).collect();
+    let theta: Vec<f64> = gaussian_vec(&mut rng, 0.1, DIM)
+        .into_iter()
+        .map(|t| t - 2.0)
+        .collect();
+    let mut fake = vec![0.0; DIM];
 
     let mut backends: Vec<Backend> = Backend::ALL
         .into_iter()
@@ -137,10 +150,18 @@ fn main() {
     let dist_bits = |bk: Backend| {
         backend::dist_sq_2x16_with(bk, &panels, 0, &x, &x1).map(|row| row.map(f64::to_bits))
     };
+    let fake_bits = |bk: Backend| {
+        let mut z = vec![0.0; DIM];
+        backend::box_muller_with(bk, &u1, &u2, &mut z);
+        let normals: Vec<u64> = z.iter().map(|v| v.to_bits()).collect();
+        backend::sigmoid_of_sum_with(bk, &theta, &mut z);
+        (normals, z.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+    };
     for &bk in &backends {
         assert!(
             scan_bits(bk) == scan_bits(Backend::Scalar)
-                && dist_bits(bk) == dist_bits(Backend::Scalar),
+                && dist_bits(bk) == dist_bits(Backend::Scalar)
+                && fake_bits(bk) == fake_bits(Backend::Scalar),
             "bitwise contract violated during bench: backend {bk}"
         );
     }
@@ -151,6 +172,8 @@ fn main() {
     let mut shapes = vec![
         ("dot16", inner),
         ("dist_sq_2x16", inner),
+        ("box_muller", inner),
+        ("sigmoid_of_sum", inner),
         ("row_scan_hot", scan_iters),
     ];
     if matrix_stream.is_some() {
@@ -183,6 +206,18 @@ fn main() {
                                 black_box(&x),
                                 &x1,
                             ));
+                        }
+                    }
+                    "box_muller" => {
+                        for _ in 0..iters {
+                            backend::box_muller_with(bk, black_box(&u1), &u2, &mut fake);
+                            black_box(&fake);
+                        }
+                    }
+                    "sigmoid_of_sum" => {
+                        for _ in 0..iters {
+                            backend::sigmoid_of_sum_with(bk, black_box(&theta), &mut fake);
+                            black_box(&fake);
                         }
                     }
                     "row_scan_hot" => {

@@ -17,20 +17,26 @@
 //! are real, which aligns `phi(theta_t)` with the embeddings of `t`'s
 //! actual partners. The generator's privacy is argued by post-processing
 //! (Theorem 2).
+//!
+//! The latent noise is unit-variance. The paper writes `N_G(sigma^2 I)`
+//! with the DP noise multiplier, but a sigmoid driven by std-5 noise
+//! saturates almost everywhere and the fake distribution stops depending
+//! on `theta`; unit noise keeps the generator expressive. (The
+//! privacy-relevant `C^2 sigma^2` noise enters through the activation
+//! arguments `N.v` of Eqs. 13/17, not here.)
+//!
+//! A fake runs two dispatched kernels (DESIGN.md §15): the latent stage
+//! `backend::box_muller` turns the stream's uniforms into `z`, both
+//! Box–Muller halves per pair, and the sigmoid stage
+//! `backend::sigmoid_of_sum` makes `phi(theta_t + z)`. Their `ln`,
+//! `sin`/`cos` and `exp` are the linalg crate's own, so a fake is the same
+//! bits on every backend and no host libm is on the fake path.
 
 use advsgm_linalg::activations::sigmoid;
-use advsgm_linalg::rng::gaussian_fill;
+use advsgm_linalg::backend;
+use advsgm_linalg::rng::{box_muller_fill, skip_box_muller_fill};
 use advsgm_linalg::DenseMatrix;
 use rand::Rng;
-
-/// Latent-noise standard deviation for fake generation.
-///
-/// The paper writes `N_G(sigma^2 I)` with the DP noise multiplier, but a
-/// sigmoid driven by std-5 noise saturates almost everywhere and the fake
-/// distribution stops depending on `theta`; unit noise keeps the generator
-/// expressive. (The privacy-relevant `C^2 sigma^2` noise enters through the
-/// activation arguments `N.v` of Eqs. 13/17, not here.)
-const LATENT_STD: f64 = 1.0;
 
 /// Initial bias of the generator tables: fakes start near
 /// `sigmoid(-2) ~ 0.12` per coordinate, i.e. with norms comparable to the
@@ -54,11 +60,14 @@ pub struct FakeNeighbor {
 }
 
 impl Generator {
-    /// Creates a generator table for `num_nodes` nodes of dimension `r`.
+    /// Creates a generator table for `num_nodes` nodes of dimension `r`:
+    /// `INIT_BIAS + 0.1 z` per entry, the `z` drawn through the latent
+    /// stage in row-major order.
     pub fn new(num_nodes: usize, dim: usize, rng: &mut impl Rng) -> Self {
         let mut theta = DenseMatrix::zeros(num_nodes, dim);
-        for v in theta.as_mut_slice().iter_mut() {
-            *v = INIT_BIAS + 0.1 * advsgm_linalg::rng::gaussian(rng, 1.0);
+        box_muller_fill(rng, theta.as_mut_slice());
+        for v in theta.as_mut_slice() {
+            *v = INIT_BIAS + 0.1 * *v;
         }
         Self { theta }
     }
@@ -87,25 +96,23 @@ impl Generator {
     }
 
     /// Samples one fake neighbor of `node` into `out` (`dim` values): the
-    /// latent draw `z` fills `out`, then each entry becomes
-    /// `phi(theta + z)`. This is the only copy of the fake arithmetic;
-    /// every engine reaches it.
+    /// latent stage fills `out` with `z` from `2⌈dim/2⌉` uniforms of
+    /// `rng`, then the sigmoid stage makes each entry `phi(theta + z)`.
+    /// This is the only copy of the fake arithmetic; every engine reaches
+    /// it.
     pub(crate) fn generate_into(&self, node: usize, rng: &mut impl Rng, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.dim());
-        gaussian_fill(rng, LATENT_STD, out);
-        for (o, &t) in out.iter_mut().zip(self.theta.row(node)) {
-            *o = sigmoid(t + *o);
-        }
+        box_muller_fill(rng, out);
+        backend::sigmoid_of_sum(self.theta.row(node), out);
     }
 
     /// Advances `rng` past exactly the draws one [`Generator::generate`]
-    /// consumes — two uniforms per latent coordinate (Box–Muller) —
-    /// without computing the fake. A caller that records the stream
-    /// position first can regenerate the same fake from it later.
+    /// consumes — `2⌈dim/2⌉` uniforms, one pair per two latent
+    /// coordinates (both Box–Muller halves) — without computing the fake.
+    /// A caller that records the stream position first can regenerate the
+    /// same fake from it later.
     pub(crate) fn skip_generate(&self, rng: &mut impl Rng) {
-        for _ in 0..2 * self.dim() {
-            rng.gen::<f64>();
-        }
+        skip_box_muller_fill(rng, self.dim());
     }
 
     /// The deterministic center `phi(theta_node)` of a node's fakes
@@ -283,7 +290,7 @@ mod tests {
 
     #[test]
     fn skip_generate_consumes_exactly_the_draws_of_generate() {
-        for dim in [1, 16, 128] {
+        for dim in [1, 3, 16, 127, 128] {
             let mut rng = seeded(dim as u64);
             let pair = GeneratorPair::new(5, dim, &mut rng);
             for (name, g) in [("for_i", &pair.for_i), ("for_j", &pair.for_j)] {

@@ -34,19 +34,6 @@ pub fn log_sigmoid(x: f64) -> f64 {
     x.min(0.0) - (-x.abs()).exp().ln_1p()
 }
 
-/// Derivative of the sigmoid expressed through its value:
-/// `sigmoid'(x) = s * (1 - s)` where `s = sigmoid(x)`.
-#[inline]
-pub fn sigmoid_derivative_from_value(s: f64) -> f64 {
-    s * (1.0 - s)
-}
-
-/// Hyperbolic tangent (thin wrapper for symmetry with the other activations).
-#[inline]
-pub fn tanh(x: f64) -> f64 {
-    x.tanh()
-}
-
 /// Algorithm 1 of the paper: *exponential clipping*, a smooth clamp of `x`
 /// into `[a, b]` with exponentially rounded corners.
 ///
@@ -260,13 +247,6 @@ mod tests {
         // ln(sigmoid(-1000)) = -1000 - ln(1+e^{-1000}) ~= -1000
         let v = log_sigmoid(-1000.0);
         assert!((v + 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn derivative_from_value_peak_at_half() {
-        assert!((sigmoid_derivative_from_value(0.5) - 0.25).abs() < EPS);
-        assert_eq!(sigmoid_derivative_from_value(0.0), 0.0);
-        assert_eq!(sigmoid_derivative_from_value(1.0), 0.0);
     }
 
     #[test]

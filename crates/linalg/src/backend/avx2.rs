@@ -7,20 +7,31 @@
 //! pointer dereference carries its own justification.
 //!
 //! Every kernel (`dot2`, `dot16`, `axpy`, `scale`, `fused_axpy_scale`,
-//! `dist_sq_2x16`) enables **only** `avx2`: with no FMA in the feature
-//! set and no fast-math flags, each lane performs the exact scalar
-//! operation sequence (separate `vmulpd`/`vaddpd`, IEEE-754
-//! exactly-rounded per op), so results are bitwise-identical to
-//! `crate::vector`. Operand order is kept identical to the scalar code
-//! (`mul(x, row)`, `add(acc, prod)`) so even NaN payload propagation —
-//! x86 returns the first NaN operand — matches.
+//! `dist_sq_2x16`, `box_muller`, `sigmoid_of_sum`) enables **only**
+//! `avx2`: with no FMA in the feature set and no fast-math flags, each
+//! lane performs the exact scalar operation sequence (separate
+//! `vmulpd`/`vaddpd`, IEEE-754 exactly-rounded per op), so results are
+//! bitwise-identical to `crate::vector` and `crate::math`. Operand order
+//! is kept identical to the scalar code (`mul(x, row)`, `add(acc, prod)`)
+//! so even NaN payload propagation — x86 returns the first NaN operand —
+//! matches.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use core::arch::x86_64::{
-    _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd,
-    _mm256_set_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd,
-    _mm256_unpacklo_pd, _mm_add_pd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_set_pd,
-    _mm_setzero_pd, _mm_storeu_pd, _mm_unpackhi_pd, _mm_unpacklo_pd,
+    __m256d, __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_and_si256, _mm256_blendv_pd,
+    _mm256_castpd_si256, _mm256_castsi256_pd, _mm256_cmp_pd, _mm256_cvtepi32_epi64,
+    _mm256_cvtepi32_pd, _mm256_cvttpd_epi32, _mm256_div_pd, _mm256_loadu_pd, _mm256_max_pd,
+    _mm256_mul_pd, _mm256_or_si256, _mm256_permute2f128_pd, _mm256_set1_epi64x, _mm256_set1_pd,
+    _mm256_set_pd, _mm256_setzero_pd, _mm256_slli_epi64, _mm256_sqrt_pd, _mm256_srli_epi64,
+    _mm256_storeu_pd, _mm256_sub_epi64, _mm256_sub_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
+    _mm256_xor_si256, _mm_add_pd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_set_pd,
+    _mm_setzero_pd, _mm_storeu_pd, _mm_unpackhi_pd, _mm_unpacklo_pd, _CMP_GE_OQ,
+};
+
+use crate::math::{
+    self, C1, C2, C3, C4, C5, C6, EXP_MIN, FRAC_PI_4, INV_LN2, LG1, LG2, LG3, LG4, LG5, LG6, LG7,
+    LN2_HI, LN2_LO, LN_OFFSET, LN_REDUCE, MANTISSA, P1, P2, P3, P4, P5, ROUND_SHIFT, S1, S2, S3,
+    S4, S5, S6, SIGN, TWO52_BITS, TWO52_PLUS_BIAS,
 };
 
 /// Two independent dot-product accumulators packed into one 128-bit
@@ -255,6 +266,263 @@ unsafe fn fused_axpy_scale(y: &mut [f64], alpha: f64, x: &[f64], beta: f64) {
 }
 
 // ---------------------------------------------------------------------
+// The fake kernels: `crate::math`'s functions four lanes at a time. Each
+// lane runs the scalar function's operations in its order, with the
+// scalar code's operand order; the integer steps on the bits are the
+// same 64-bit operations, and a branch-free scalar select is a blend.
+// The short names below for the arithmetic intrinsics keep each lane
+// form line-for-line comparable with its scalar form.
+// ---------------------------------------------------------------------
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn splat(x: f64) -> __m256d {
+    _mm256_set1_pd(x)
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn splat_bits(x: u64) -> __m256i {
+    _mm256_set1_epi64x(x as i64)
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn add(a: __m256d, b: __m256d) -> __m256d {
+    _mm256_add_pd(a, b)
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn sub(a: __m256d, b: __m256d) -> __m256d {
+    _mm256_sub_pd(a, b)
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn mul(a: __m256d, b: __m256d) -> __m256d {
+    _mm256_mul_pd(a, b)
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn div(a: __m256d, b: __m256d) -> __m256d {
+    _mm256_div_pd(a, b)
+}
+
+/// `x`'s bits XOR `mask`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn xor_bits(x: __m256d, mask: __m256i) -> __m256d {
+    _mm256_castsi256_pd(_mm256_xor_si256(_mm256_castpd_si256(x), mask))
+}
+
+/// `crate::math::ln` on four lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn ln_x4(x: __m256d) -> __m256d {
+    let ix = _mm256_add_epi64(_mm256_castpd_si256(x), splat_bits(LN_REDUCE));
+    let k_bits = _mm256_or_si256(splat_bits(TWO52_BITS), _mm256_srli_epi64::<52>(ix));
+    let k = sub(_mm256_castsi256_pd(k_bits), splat(TWO52_PLUS_BIAS));
+    let m_bits = _mm256_add_epi64(
+        _mm256_and_si256(ix, splat_bits(MANTISSA)),
+        splat_bits(LN_OFFSET),
+    );
+    let f = sub(_mm256_castsi256_pd(m_bits), splat(1.0));
+    let hfsq = mul(mul(splat(0.5), f), f);
+    let s = div(f, add(splat(2.0), f));
+    let z = mul(s, s);
+    let w = mul(z, z);
+    let t1 = mul(
+        w,
+        add(splat(LG2), mul(w, add(splat(LG4), mul(w, splat(LG6))))),
+    );
+    let t2 = mul(
+        z,
+        add(
+            splat(LG1),
+            mul(
+                w,
+                add(splat(LG3), mul(w, add(splat(LG5), mul(w, splat(LG7))))),
+            ),
+        ),
+    );
+    let r = add(t2, t1);
+    let head = add(mul(s, add(hfsq, r)), mul(k, splat(LN2_LO)));
+    add(add(sub(head, hfsq), f), mul(k, splat(LN2_HI)))
+}
+
+/// `crate::math::sin_pi4` on four lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn sin_pi4_x4(a: __m256d) -> __m256d {
+    let z = mul(a, a);
+    let w = mul(z, z);
+    let r = add(
+        add(splat(S2), mul(z, add(splat(S3), mul(z, splat(S4))))),
+        mul(mul(z, w), add(splat(S5), mul(z, splat(S6)))),
+    );
+    let v = mul(z, a);
+    add(a, mul(v, add(splat(S1), mul(z, r))))
+}
+
+/// `crate::math::cos_pi4` on four lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn cos_pi4_x4(a: __m256d) -> __m256d {
+    let z = mul(a, a);
+    let w = mul(z, z);
+    let r = add(
+        mul(z, add(splat(C1), mul(z, add(splat(C2), mul(z, splat(C3)))))),
+        mul(
+            mul(w, w),
+            add(splat(C4), mul(z, add(splat(C5), mul(z, splat(C6))))),
+        ),
+    );
+    let hz = mul(splat(0.5), z);
+    let w = sub(splat(1.0), hz);
+    add(w, add(sub(sub(splat(1.0), w), hz), mul(z, r)))
+}
+
+/// `crate::math::sincos_2pi` on four lanes: `(sin, cos)`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn sincos_2pi_x4(u: __m256d) -> (__m256d, __m256d) {
+    let t = mul(splat(8.0), u);
+    let octant = _mm256_cvttpd_epi32(t);
+    let g = sub(t, _mm256_cvtepi32_pd(octant));
+    let n = _mm256_cvtepi32_epi64(octant);
+    let odd = _mm256_castsi256_pd(_mm256_slli_epi64::<63>(n));
+    let a = mul(
+        _mm256_blendv_pd(g, sub(splat(1.0), g), odd),
+        splat(FRAC_PI_4),
+    );
+    let (s, c) = (sin_pi4_x4(a), cos_pi4_x4(a));
+    let gray = _mm256_xor_si256(n, _mm256_srli_epi64::<1>(n));
+    let swap = _mm256_castsi256_pd(_mm256_slli_epi64::<63>(gray));
+    let sign = splat_bits(SIGN);
+    let sin_sign = _mm256_and_si256(_mm256_slli_epi64::<61>(n), sign);
+    let cos_sign = _mm256_and_si256(_mm256_slli_epi64::<62>(gray), sign);
+    let sin = xor_bits(_mm256_blendv_pd(s, c, swap), sin_sign);
+    let cos = xor_bits(_mm256_blendv_pd(c, s, swap), cos_sign);
+    (sin, cos)
+}
+
+/// `crate::math::exp` on four lanes. `max(EXP_MIN, x)` returns its
+/// second operand unless the first is greater, so a NaN passes through
+/// as in the scalar clamp.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn exp_x4(x: __m256d) -> __m256d {
+    let x = _mm256_max_pd(splat(EXP_MIN), x);
+    let shifted = add(mul(x, splat(INV_LN2)), splat(ROUND_SHIFT));
+    let k = sub(shifted, splat(ROUND_SHIFT));
+    let hi = sub(x, mul(k, splat(LN2_HI)));
+    let lo = mul(k, splat(LN2_LO));
+    let r = sub(hi, lo);
+    let rr = mul(r, r);
+    let poly = add(
+        splat(P1),
+        mul(
+            rr,
+            add(
+                splat(P2),
+                mul(
+                    rr,
+                    add(splat(P3), mul(rr, add(splat(P4), mul(rr, splat(P5))))),
+                ),
+            ),
+        ),
+    );
+    let c = sub(r, mul(rr, poly));
+    let y = add(
+        splat(1.0),
+        add(sub(div(mul(r, c), sub(splat(2.0), c)), lo), hi),
+    );
+    let k = _mm256_sub_epi64(
+        _mm256_castpd_si256(shifted),
+        splat_bits(ROUND_SHIFT.to_bits()),
+    );
+    let h = _mm256_srli_epi64::<1>(_mm256_add_epi64(k, splat_bits(2048)));
+    let lo_scale = _mm256_slli_epi64::<52>(_mm256_sub_epi64(h, splat_bits(1)));
+    let hi_scale =
+        _mm256_slli_epi64::<52>(_mm256_sub_epi64(_mm256_add_epi64(k, splat_bits(2047)), h));
+    mul(
+        mul(y, _mm256_castsi256_pd(lo_scale)),
+        _mm256_castsi256_pd(hi_scale),
+    )
+}
+
+/// `crate::math::sigmoid` on four lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn sigmoid_x4(x: __m256d) -> __m256d {
+    let neg_abs = _mm256_castsi256_pd(_mm256_or_si256(_mm256_castpd_si256(x), splat_bits(SIGN)));
+    let e = exp_x4(neg_abs);
+    let non_negative = _mm256_cmp_pd::<_CMP_GE_OQ>(x, _mm256_setzero_pd());
+    let num = _mm256_blendv_pd(e, splat(1.0), non_negative);
+    div(num, add(splat(1.0), e))
+}
+
+/// The latent stage, four pairs per step: bitwise-identical to
+/// `crate::math::box_muller`. The four cosine normals and the four sine
+/// normals are interleaved back into pair order on the store; pairs past
+/// the last whole group of four, and an odd `out`'s last pair, take the
+/// scalar form.
+///
+/// # Safety
+/// The caller must ensure AVX2 is available and
+/// `u1.len() == u2.len() == ⌈out.len()/2⌉`.
+#[target_feature(enable = "avx2")]
+unsafe fn box_muller(u1: &[f64], u2: &[f64], out: &mut [f64]) {
+    let whole = out.len() / 2;
+    let mut p = 0;
+    while p + 4 <= whole {
+        // SAFETY: p + 4 <= whole <= u1.len() == u2.len() bounds both loads.
+        let (a, b) = unsafe {
+            (
+                _mm256_loadu_pd(u1.as_ptr().add(p)),
+                _mm256_loadu_pd(u2.as_ptr().add(p)),
+            )
+        };
+        let mag = _mm256_sqrt_pd(mul(splat(-2.0), ln_x4(a)));
+        let (sin, cos) = sincos_2pi_x4(b);
+        let (zc, zs) = (mul(mag, cos), mul(mag, sin));
+        let even = _mm256_unpacklo_pd(zc, zs); // [c0, s0, c2, s2]
+        let odd = _mm256_unpackhi_pd(zc, zs); // [c1, s1, c3, s3]
+                                              // SAFETY: 2p + 8 <= 2·whole <= out.len() bounds both stores.
+        unsafe {
+            let at = out.as_mut_ptr().add(2 * p);
+            _mm256_storeu_pd(at, _mm256_permute2f128_pd::<0x20>(even, odd));
+            _mm256_storeu_pd(at.add(4), _mm256_permute2f128_pd::<0x31>(even, odd));
+        }
+        p += 4;
+    }
+    math::box_muller(&u1[p..], &u2[p..], &mut out[2 * p..]);
+}
+
+/// The sigmoid stage, four values per step: `z[i] = φ(theta[i] + z[i])`,
+/// bitwise-identical to `crate::math::sigmoid_of_sum`.
+///
+/// # Safety
+/// The caller must ensure AVX2 is available and `theta.len() == z.len()`.
+#[target_feature(enable = "avx2")]
+unsafe fn sigmoid_of_sum(theta: &[f64], z: &mut [f64]) {
+    let n = z.len();
+    let mut i = 0;
+    while i + 4 <= n {
+        // SAFETY: i + 4 <= n == theta.len() bounds both loads and the store.
+        unsafe {
+            let t = _mm256_loadu_pd(theta.as_ptr().add(i));
+            let zv = _mm256_loadu_pd(z.as_ptr().add(i));
+            _mm256_storeu_pd(z.as_mut_ptr().add(i), sigmoid_x4(add(t, zv)));
+        }
+        i += 4;
+    }
+    math::sigmoid_of_sum(&theta[i..], &mut z[i..]);
+}
+
+// ---------------------------------------------------------------------
 // Safe entry points. The dispatcher calls only these: each one verifies
 // the CPU feature (std caches the detection in an atomic) and the slice
 // lengths the unsafe kernels rely on, so the `unsafe` stays inside this
@@ -332,4 +600,26 @@ pub(super) fn fused_axpy_scale_checked(y: &mut [f64], alpha: f64, x: &[f64], bet
     assert_eq!(x.len(), y.len(), "fused_axpy_scale: length mismatch");
     // SAFETY: AVX2 verified and lengths asserted equal just above.
     unsafe { fused_axpy_scale(y, alpha, x, beta) }
+}
+
+/// Safe [`box_muller`]: checks feature and lengths, then runs the kernel.
+#[inline]
+pub(super) fn box_muller_checked(u1: &[f64], u2: &[f64], out: &mut [f64]) {
+    require_avx2();
+    assert!(
+        u1.len() == u2.len() && u1.len() == out.len().div_ceil(2),
+        "box_muller: length mismatch"
+    );
+    // SAFETY: AVX2 verified and lengths asserted just above.
+    unsafe { box_muller(u1, u2, out) }
+}
+
+/// Safe [`sigmoid_of_sum`]: checks feature and lengths, then runs the
+/// kernel.
+#[inline]
+pub(super) fn sigmoid_of_sum_checked(theta: &[f64], z: &mut [f64]) {
+    require_avx2();
+    assert_eq!(theta.len(), z.len(), "sigmoid_of_sum: length mismatch");
+    // SAFETY: AVX2 verified and lengths asserted equal just above.
+    unsafe { sigmoid_of_sum(theta, z) }
 }

@@ -11,10 +11,11 @@
 //! # The bitwise contract
 //!
 //! Every kernel — [`dot`], [`dot2`], [`dot16`], [`axpy`], [`scale`],
-//! [`fused_axpy_scale`], [`dist_sq_2x16`] — executes on every backend
-//! the *same floating-point operation sequence* as the scalar reference
-//! in [`crate::vector`], so results are bitwise-identical across
-//! backends:
+//! [`fused_axpy_scale`], [`dist_sq_2x16`], [`box_muller`],
+//! [`sigmoid_of_sum`] — executes on every backend the *same
+//! floating-point operation sequence* as its scalar reference (in
+//! [`crate::vector`], or in this crate's own `math` module for the two
+//! fake kernels), so results are bitwise-identical across backends:
 //!
 //! * Element-wise kernels (`axpy`, `scale`, `fused_axpy_scale`)
 //!   vectorize trivially: SIMD lanes are independent elements and each
@@ -31,6 +32,11 @@
 //!   panel. Each of its 32 accumulators is one [`vector::dist_sq`]: it
 //!   starts at `+0.0` and adds `(x_k − c_k)·(x_k − c_k)` in ascending
 //!   `k`, so the SIMD form needs no transposes and reassociates nothing.
+//! * `box_muller` and `sigmoid_of_sum` are the generator's two fake
+//!   stages. Their `ln`, `sin`/`cos` and `exp` are fdlibm/musl
+//!   polynomials in plain IEEE operations, with the integer work done on
+//!   the bits; each lane runs them in the scalar order, a branch-free
+//!   select becomes a blend, and no host libm is called.
 //! * `dot` reduces into a **single** sequential accumulator; that
 //!   association is the contract, so it stays on the scalar loop under
 //!   every backend. (The serving scan gets its SIMD win from `dot16`,
@@ -67,7 +73,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::{vector, DenseMatrix};
+use crate::{math, vector, DenseMatrix};
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
@@ -397,6 +403,60 @@ pub fn fused_axpy_scale_with(backend: Backend, y: &mut [f64], alpha: f64, x: &[f
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => neon::fused_axpy_scale_checked(y, alpha, x, beta),
         _ => vector::fused_axpy_scale(y, alpha, x, beta),
+    }
+}
+
+/// Dispatched latent stage of a fake: pair `p`'s uniforms
+/// `(u1[p], u2[p])` become Box–Muller's two standard normals,
+/// `out[2p] = m·cos 2πu₂` and `out[2p + 1] = m·sin 2πu₂` with
+/// `m = √(−2 ln u₁)`, bitwise-identical on every backend. An odd `out`
+/// drops the last pair's sine.
+///
+/// The domain is the generator's: `u1` in `[2⁻⁵³, 1]` and `u2` in
+/// `[0, 1)`. Outside it the bits still agree across backends, but are
+/// not Box–Muller's normals.
+///
+/// # Panics
+/// Panics unless `u1.len() == u2.len() == ⌈out.len()/2⌉`.
+#[inline]
+pub fn box_muller(u1: &[f64], u2: &[f64], out: &mut [f64]) {
+    box_muller_with(active(), u1, u2, out);
+}
+
+/// [`box_muller`] on an explicit backend.
+#[inline]
+pub fn box_muller_with(backend: Backend, u1: &[f64], u2: &[f64], out: &mut [f64]) {
+    assert!(
+        u1.len() == u2.len() && u1.len() == out.len().div_ceil(2),
+        "box_muller: length mismatch"
+    );
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 if Backend::Avx2.is_supported() => avx2::box_muller_checked(u1, u2, out),
+        _ => math::box_muller(u1, u2, out),
+    }
+}
+
+/// Dispatched sigmoid stage of a fake: `z[i] = φ(theta[i] + z[i])` with
+/// the branch-free sigmoid `num / (1 + e)`, `e = exp(−|x|)`, `num = 1`
+/// for `x ≥ 0` and `e` otherwise, bitwise-identical on every backend.
+/// Any `theta` is accepted; a NaN sum gives NaN.
+///
+/// # Panics
+/// Panics if the lengths differ.
+#[inline]
+pub fn sigmoid_of_sum(theta: &[f64], z: &mut [f64]) {
+    sigmoid_of_sum_with(active(), theta, z);
+}
+
+/// [`sigmoid_of_sum`] on an explicit backend.
+#[inline]
+pub fn sigmoid_of_sum_with(backend: Backend, theta: &[f64], z: &mut [f64]) {
+    assert_eq!(theta.len(), z.len(), "sigmoid_of_sum: length mismatch");
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 if Backend::Avx2.is_supported() => avx2::sigmoid_of_sum_checked(theta, z),
+        _ => math::sigmoid_of_sum(theta, z),
     }
 }
 

@@ -33,11 +33,6 @@ pub fn normalize_rows(m: &mut DenseMatrix) {
     }
 }
 
-/// Maximum row L2 norm of `m` (0.0 for an empty matrix).
-pub fn max_row_norm(m: &DenseMatrix) -> f64 {
-    m.rows_iter().map(vector::norm2).fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,13 +71,5 @@ mod tests {
         normalize_rows(&mut m);
         assert!((vector::norm2(m.row(0)) - 1.0).abs() < 1e-12);
         assert_eq!(m.row(1), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn max_row_norm_reports_largest() {
-        let mut m = DenseMatrix::zeros(2, 2);
-        m.row_mut(0).copy_from_slice(&[3.0, 4.0]);
-        m.row_mut(1).copy_from_slice(&[1.0, 0.0]);
-        assert_eq!(max_row_norm(&m), 5.0);
     }
 }

@@ -20,7 +20,9 @@
 //!   the serving-side kernel behind `advsgm-store` neighbor queries;
 //! * [`backend`] — runtime CPU-feature dispatch over the hot kernel
 //!   surface: explicit AVX2/NEON paths with the scalar loops as the
-//!   always-available reference, bitwise-identical on every backend.
+//!   always-available reference, bitwise-identical on every backend —
+//!   including the generator's two fake kernels, whose `ln`, `sin`/`cos`
+//!   and `exp` are the crate's own (module `math`), not host libm.
 //!
 //! Everything is `f64` and allocation-conscious. `unsafe` is denied
 //! crate-wide and allowed only inside [`backend`]'s per-architecture
@@ -34,6 +36,7 @@ pub mod activations;
 pub mod backend;
 pub mod error;
 pub mod init;
+mod math;
 pub mod matrix;
 pub mod rng;
 pub mod stats;

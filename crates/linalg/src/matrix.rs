@@ -126,11 +126,6 @@ impl DenseMatrix {
         self.data.iter_mut().for_each(|x| *x = v);
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        vector::norm2(&self.data)
-    }
-
     /// Matrix-vector product `self * x` (x is a column vector of length `cols`).
     ///
     /// # Errors
@@ -326,12 +321,6 @@ mod tests {
         let mut m = DenseMatrix::zeros(2, 2);
         m.row_mut(1)[0] = 9.0;
         assert_eq!(m.get(1, 0), 9.0);
-    }
-
-    #[test]
-    fn frobenius_norm_simple() {
-        let m = DenseMatrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
-        assert_eq!(m.frobenius_norm(), 5.0);
     }
 
     #[test]

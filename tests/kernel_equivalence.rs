@@ -7,7 +7,10 @@
 //! signed zeros, huge/tiny magnitudes) and every SIMD remainder length
 //! 0..=17; every lane of `dot16` must be the single `dot` of its row, at
 //! those lengths and at 32 and 128 too. (`backend::dot` is
-//! `vector::dot` itself on every backend, so it needs no check.)
+//! `vector::dot` itself on every backend, so it needs no check.) The two
+//! fake kernels, `box_muller` and `sigmoid_of_sum`, must give the scalar
+//! backend's bits at every fake width 0..=17, 127, 128 and 129, on the
+//! generator's edge uniforms and on hostile θ.
 //! NaN *results* are compared as
 //! "both NaN" rather than payload-exact: Rust's scalar semantics leave
 //! the propagated payload unspecified (LLVM commutes `fmul`), so
@@ -52,6 +55,55 @@ impl Strategy for Awkward {
             9 => -f64::MIN_POSITIVE * 3.0, // negative subnormal
             _ => rng.gen_range(-1e3f64..1e3),
         }
+    }
+}
+
+/// Strategy over hostile generator parameters θ: ±0, ±inf, ±800 (where
+/// the sigmoid saturates), subnormals, quiet NaNs, and ordinary values
+/// around the sigmoid's working range.
+struct HostileTheta;
+
+impl Strategy for HostileTheta {
+    type Value = f64;
+    fn sample_value(&self, rng: &mut TestRng) -> f64 {
+        match rng.below(14) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => 800.0,
+            5 => -800.0,
+            6 => f64::MIN_POSITIVE / 8.0,
+            7 => -f64::MIN_POSITIVE / 3.0,
+            8 => f64::from_bits(0x7ff8_0000_0000_0001),
+            9 => rng.gen_range(-745.0f64..745.0),
+            _ => rng.gen_range(-40.0f64..40.0),
+        }
+    }
+}
+
+/// One Box–Muller uniform pair as the generator draws it,
+/// `(1 − gen::<f64>(), gen::<f64>())`, or, one time in three each, the
+/// domain edges: `u₁` of `2⁻⁵³` or `1`, `u₂` of `0`, `k/8` or `1 − 2⁻⁵³`.
+struct UniformPair;
+
+impl Strategy for UniformPair {
+    type Value = (f64, f64);
+    fn sample_value(&self, rng: &mut TestRng) -> (f64, f64) {
+        let unit = |rng: &mut TestRng| (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        let u1 = match rng.below(6) {
+            0 => 1.0 / (1u64 << 53) as f64,
+            1 => 1.0,
+            _ => 1.0 - unit(rng),
+        };
+        let u2 = match rng.below(3) {
+            0 => match rng.below(9) {
+                8 => 1.0 - 1.0 / (1u64 << 53) as f64,
+                k => k as f64 / 8.0,
+            },
+            _ => unit(rng),
+        };
+        (u1, u2)
     }
 }
 
@@ -202,6 +254,40 @@ proptest! {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The fake kernels give the scalar backend's bits on every backend,
+    /// at every fake width 0..=17 and at 127, 128 and 129 (odd widths
+    /// drop the last pair's sine half; 128 is the default embedding
+    /// width). The latent stage sees only in-domain uniforms, so its
+    /// normals are compared bit for bit; the sigmoid stage sees hostile θ,
+    /// where a NaN needs only to stay NaN.
+    #[test]
+    fn fake_kernels_match_scalar_on_edge_uniforms_and_hostile_theta(
+        pairs in proptest::collection::vec(UniformPair, 65),
+        theta in proptest::collection::vec(HostileTheta, 129),
+    ) {
+        let (u1, u2): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+        for r in (0..=17usize).chain([127, 128, 129]) {
+            let p = r.div_ceil(2);
+            let mut want = vec![0.0; r];
+            backend::box_muller_with(Backend::Scalar, &u1[..p], &u2[..p], &mut want);
+            prop_assert!(want.iter().all(|z| z.is_finite()), "box_muller: r {}", r);
+            let mut want_fake = want.clone();
+            backend::sigmoid_of_sum_with(Backend::Scalar, &theta[..r], &mut want_fake);
+            for backend in supported_backends() {
+                let mut got = vec![0.0; r];
+                backend::box_muller_with(backend, &u1[..p], &u2[..p], &mut got);
+                prop_assert_eq!(bits(&got), bits(&want), "box_muller: backend {} r {}", backend, r);
+                backend::sigmoid_of_sum_with(backend, &theta[..r], &mut got);
+                prop_assert!(
+                    all_same_bits_mod_nan(&got, &want_fake),
+                    "sigmoid_of_sum: backend {} r {}", backend, r
+                );
             }
         }
     }
