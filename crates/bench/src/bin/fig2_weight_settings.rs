@@ -62,8 +62,7 @@ fn main() {
                     cfg.epochs = e;
                 }
                 let epochs = cfg.epochs;
-                // The Fig. 2 loss evaluation needs the sequential engine.
-                let mut trainer = Trainer::new(&graph, cfg.with_threads(1)).expect("trainer");
+                let mut trainer = Trainer::new(&graph, cfg).expect("trainer");
                 let mut trace = LossTrace::default();
                 trainer
                     .train_with_hooks(&graph, &mut trace)

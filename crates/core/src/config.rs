@@ -63,15 +63,14 @@ pub struct AdvSgmConfig {
     /// which is what reproduces their flat ~0.505 rows in Table V.
     /// The privacy accountant follows Theorem 7 verbatim in both modes.
     pub faithful_noise: bool,
-    /// Worker threads; picks the in-RAM engine of
-    /// [`crate::trainer::Trainer::new`].
+    /// Worker threads of the replay engine, in RAM
+    /// ([`crate::trainer::Trainer::new`]) or out of core.
     ///
     /// `0` means *auto*: the `ADVSGM_THREADS` environment variable if set,
-    /// otherwise 1. At 1 the trainer runs the sequential engine; at
-    /// `N > 1` it runs the replay engine, in RAM, which the out-of-core
-    /// trainer also runs at any count. The replay engine uses the threads
-    /// for Phase-B computation and, above one thread, to regenerate the
-    /// next update's fake neighbors while the current one computes. The
+    /// otherwise 1. At 1 every step runs on the calling thread; at
+    /// `N > 1` the engine uses the threads for Phase-B computation and to
+    /// regenerate the next update's fake neighbors while the current one
+    /// computes. The
     /// calling thread also fills fakes once its own part of a step is
     /// done, so `N + 1` threads can be busy while fakes are regenerated.
     /// No count moves a bit: every release, epoch loss and spend is a

@@ -18,20 +18,20 @@
 //! gradient identity `grad = clip(dL_sgm/dv + v') + N(C^2 sigma^2 I)`,
 //! per-batch privacy accounting through `advsgm-privacy`, and the
 //! stopping rule of lines 9–11. The schedule exists exactly once
-//! (`session::run_schedule`) and executes through one of two engines,
-//! both behind the one training type [`trainer::Trainer`]: the
-//! sequential engine at one thread, and the replay engine, which replays
-//! the sequential engine's draws and accumulation order while a thread
-//! pool computes the per-item work — in RAM above one thread
-//! (DESIGN.md §7/§10), and, through
+//! (`session::run_schedule`) and executes through one engine behind the
+//! one training type [`trainer::Trainer`]: the replay engine, which
+//! replays the draws and accumulation order of Algorithm 3 run literally
+//! on one stream (the sequential engine, kept as the unit tests' oracle)
+//! while a thread pool, above one thread, computes the per-item work — in
+//! RAM through [`trainer::Trainer::new`] (DESIGN.md §7/§10), and, through
 //! [`trainer::PartitionedTrainer::new`], out of core (embedding
 //! partitions swapped through a two-slot pool with a disk spill store;
 //! DESIGN.md §14). Every release, epoch loss and spend is a function of
 //! the seed and the configuration, bitwise-identical at every thread and
-//! partition count. The session layer also
-//! provides [`session::TrainHooks`] (epoch-boundary observability) and
-//! [`session::CheckpointState`] (bitwise-exact checkpoint/resume on every
-//! engine through [`trainer::Trainer::resume`]).
+//! partition count. The session layer also provides
+//! [`session::TrainHooks`] (epoch-boundary observability) and
+//! [`session::CheckpointState`] (bitwise-exact checkpoint/resume on
+//! either store through [`trainer::Trainer::resume`]).
 //!
 //! Gradients are analytic (the model is two embedding matrices plus two
 //! one-layer generators), so there is no autograd dependency; see [`grad`]

@@ -1,28 +1,24 @@
-//! Loss evaluation (Eqs. 2, 13, 16/24, 17) and the Fig. 2 metric.
+//! Loss evaluation (Eqs. 2, 13, 16/24) and the Fig. 2 metric.
 //!
 //! Training never materialises these losses (the gradients in [`crate::grad`]
 //! are closed-form), but Fig. 2's weight-setting study and the trainer's
-//! per-epoch diagnostics evaluate `|L^D_Nov|` directly.
+//! per-epoch diagnostics evaluate `|L^D_Nov|` directly: the replay engine
+//! computes each pair's `PositiveTerms` and negative dot, then folds them
+//! in one fixed order (`fold_novel_loss`).
 
-use advsgm_graph::sampling::negative::NegativePair;
-use advsgm_graph::Edge;
-use advsgm_linalg::rng::gaussian_vec;
 use advsgm_linalg::vector;
-use rand::Rng;
 
-use crate::model::{Embeddings, GeneratorPair};
 use crate::sigmoid::SigmoidKind;
 use crate::weighting::WeightMode;
 
-/// `-ln S(v_i . v_j)` — the positive skip-gram term as a minimisation.
-pub fn sgm_positive_loss(kind: SigmoidKind, vi: &[f64], vj: &[f64]) -> f64 {
-    -kind.log_value(vector::dot(vi, vj))
-}
-
-/// `-ln S(-(v_n . v_i))` — one negative-sample term.
-pub fn sgm_negative_loss(kind: SigmoidKind, vi: &[f64], vn: &[f64]) -> f64 {
-    -kind.log_value(-vector::dot(vn, vi))
-}
+// What only the one-stream evaluation, `novel_loss_batch`, needs.
+#[cfg(test)]
+use {
+    crate::model::{Embeddings, GeneratorPair},
+    advsgm_graph::{sampling::negative::NegativePair, Edge},
+    advsgm_linalg::rng::gaussian_vec,
+    rand::Rng,
+};
 
 /// `-ln(1 - S(arg))` — one adversarial discriminator term (Eq. 13).
 pub fn adversarial_term_loss(kind: SigmoidKind, arg: f64) -> f64 {
@@ -30,18 +26,13 @@ pub fn adversarial_term_loss(kind: SigmoidKind, arg: f64) -> f64 {
     -(1.0 - s).ln()
 }
 
-/// `ln(1 - S(arg))` — one generator term (Eq. 17; minimised).
-pub fn generator_term_loss(kind: SigmoidKind, arg: f64) -> f64 {
-    (1.0 - kind.value(arg)).ln()
-}
-
 /// The dot-product arguments one positive pair contributes to `L_Nov`:
 /// the skip-gram score plus the two noisy adversarial arguments (Eq. 13).
 ///
 /// Splitting the evaluation into these pure scalars and the order-fixed
-/// fold in [`fold_novel_loss`] is what lets the out-of-core engine
-/// compute them from gathered rows, in any order, and still reproduce the
-/// sequential engine's floating-point result bit for bit.
+/// fold in [`fold_novel_loss`] is what lets the replay engine compute them
+/// on any thread, from rows in place or gathered, and still reproduce the
+/// one-stream evaluation's floating-point result bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PositiveTerms {
     /// `v_i . v_j`.
@@ -74,8 +65,8 @@ pub(crate) fn positive_terms(
     }
 }
 
-/// The dot product one negative sample contributes (`v_n . v_i`, operand
-/// order matching [`sgm_negative_loss`]).
+/// The dot product one negative sample contributes, `v_n . v_i`: the
+/// skip-gram negative term is `-ln S(-(v_n . v_i))` (Eq. 2).
 pub(crate) fn negative_dot(vi: &[f64], vn: &[f64]) -> f64 {
     vector::dot(vn, vi)
 }
@@ -83,7 +74,8 @@ pub(crate) fn negative_dot(vi: &[f64], vn: &[f64]) -> f64 {
 /// Folds per-pair terms into the batch-mean `L_Nov` in the canonical
 /// accumulation order: skip-gram and adversarial sums are kept separate,
 /// positives are folded first (in slice order), then negatives, then
-/// `(sgm + adv) / |positives|`.
+/// `(sgm + adv) / |positives|`. The skip-gram part is Eq. 2's objective:
+/// `-ln S(v_i . v_j)` per positive, `-ln S(-(v_n . v_i))` per negative.
 pub(crate) fn fold_novel_loss(
     kind: SigmoidKind,
     mode: WeightMode,
@@ -120,9 +112,12 @@ pub(crate) fn fold_novel_loss(
 /// means "all friend" (the sign-blind evaluation, bitwise-identical to
 /// the pre-sign loss).
 ///
-/// Returns the batch-mean loss; Fig. 2 reports its absolute value.
+/// Returns the batch-mean loss; Fig. 2 reports its absolute value. The
+/// literal one-stream evaluation: the sequential engine (the test oracle)
+/// runs it, and the replay engine reproduces it bit for bit.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn novel_loss_batch(
+pub(crate) fn novel_loss_batch(
     kind: SigmoidKind,
     mode: WeightMode,
     emb: &Embeddings,
@@ -170,39 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn positive_loss_decreases_with_alignment() {
-        let kind = SigmoidKind::Plain;
-        let a = [1.0, 0.0];
-        let b = [1.0, 0.0];
-        let c = [-1.0, 0.0];
-        assert!(sgm_positive_loss(kind, &a, &b) < sgm_positive_loss(kind, &a, &c));
-    }
-
-    #[test]
-    fn negative_loss_decreases_with_separation() {
-        let kind = SigmoidKind::Plain;
-        let a = [1.0, 0.0];
-        let near = [1.0, 0.0];
-        let far = [-1.0, 0.0];
-        assert!(sgm_negative_loss(kind, &a, &far) < sgm_negative_loss(kind, &a, &near));
-    }
-
-    #[test]
     fn adversarial_term_nonnegative() {
         for kind in [SigmoidKind::Plain, SigmoidKind::paper_constrained()] {
             for &x in &[-5.0, 0.0, 5.0] {
                 assert!(adversarial_term_loss(kind, x) >= 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn generator_loss_is_negated_adversarial() {
-        let kind = SigmoidKind::Plain;
-        for &x in &[-2.0, 0.0, 2.0] {
-            let g = generator_term_loss(kind, x);
-            let d = adversarial_term_loss(kind, x);
-            assert!((g + d).abs() < 1e-12);
         }
     }
 

@@ -7,27 +7,25 @@
 //! (the crate-private `run_schedule`) owns every schedule decision:
 //! iteration counts, accounting (`record_and_check`), budget stop,
 //! epoch-loss recording, and [`TrainOutcome`] assembly, while the
-//! *execution* of each step is delegated to an
-//! `Engine` strategy with exactly two implementations:
-//!
-//! * `sequential::SequentialEngine` — single-threaded step execution on
-//!   one interleaved RNG stream (`Trainer` at one thread), the reference
-//!   the other engine is tested against;
-//! * `replay::ReplayEngine` — every step *replays* the sequential
-//!   engine's RNG draws and floating-point accumulation order while a
-//!   thread pool regenerates fake neighbors and computes the pure
-//!   per-item work, over one of two row stores: in RAM (`Trainer` above
-//!   one thread; DESIGN.md §7), or a spill store whose embedding
-//!   partitions swap through a two-slot pool (out of core; DESIGN.md
-//!   §14). Its trajectory is bitwise-identical to the sequential
-//!   engine's at any thread count and partition count.
+//! *execution* of each step is delegated to an `Engine` strategy. The
+//! one production implementation is `replay::ReplayEngine`: every step
+//! *replays* the RNG draws and floating-point accumulation order of
+//! Algorithm 3 run literally on one interleaved stream, while a thread
+//! pool (above one thread) regenerates fake neighbors and computes the
+//! pure per-item work, over one of two row stores: in RAM
+//! ([`Trainer::new`](crate::Trainer::new); DESIGN.md §7), or a spill store
+//! whose embedding partitions swap through a two-slot pool (out of core;
+//! DESIGN.md §14). The literal step execution,
+//! `sequential::SequentialEngine`, compiles only under `cfg(test)`: it is
+//! the oracle the trainer's unit tests hold the replay engine to, bit for
+//! bit, at any thread count and partition count.
 //!
 //! So every release, epoch loss and spend is a function of the seed and
-//! the configuration, whatever engine, width or residency runs it.
+//! the configuration, whatever width or residency runs it.
 //! [`Trainer`](crate::Trainer) is the one training type: a session core
-//! plus one engine, chosen at construction (or, on resume, by the
-//! checkpoint's [`EngineKind`] and recorded width), and the only caller of
-//! the schedule. The engine trait and both implementations are
+//! plus the engine, with its store chosen at construction (or, on resume,
+//! by the checkpoint's [`EngineKind`] and recorded width), and the only
+//! caller of the schedule. The engine trait and its implementations are
 //! deliberately crate-private, so a third loop cannot appear without
 //! touching this layer.
 //!
@@ -75,9 +73,10 @@ use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
 
 pub(crate) mod replay;
+#[cfg(test)]
 pub(crate) mod sequential;
 
-/// Stream tag for the one RNG stream. Every engine initialises parameters
+/// Stream tag for the one RNG stream. The engine initialises parameters
 /// from it and then *continues* it through training.
 pub(crate) const STREAM_INIT: u64 = 0xAD5;
 
@@ -94,8 +93,8 @@ pub(crate) const DPASGM_LAMBDA: f64 = 1.0;
 /// (noise-vector norm ~ `C*sigma/sqrt(r)`), unless `faithful_noise`
 /// requests the strict calibration (the ablation setting).
 ///
-/// Shared by both engines so their paths can never drift apart on
-/// calibration (DESIGN.md §6).
+/// Shared by every step that draws noise, so no two paths can drift apart
+/// on calibration (DESIGN.md §6).
 pub(crate) fn gradient_noise_std(cfg: &AdvSgmConfig) -> f64 {
     let base = cfg.clip * cfg.sigma;
     match cfg.variant {
@@ -116,8 +115,8 @@ pub(crate) fn gradient_noise_std(cfg: &AdvSgmConfig) -> f64 {
 
 /// Records one mechanism invocation against the accountant (when present)
 /// and evaluates Algorithm 3's stopping rule (lines 9–11). Returns `true`
-/// when training must stop. Lives here — and only here — so no schedule
-/// logic can be duplicated between engines.
+/// when training must stop. Lives here — and only here — so no engine
+/// can duplicate schedule logic.
 pub(crate) fn record_and_check(
     accountant: &mut Option<RdpAccountant>,
     cfg: &AdvSgmConfig,
@@ -135,9 +134,8 @@ pub(crate) fn record_and_check(
 }
 
 /// A sparse per-row gradient accumulator: `row -> (grad sum, touch
-/// count)`. Shared by both engines; the insertion order of summands
-/// (pair order within a batch) is the load-bearing floating-point
-/// association.
+/// count)`. The insertion order of summands (pair order within a batch)
+/// is the load-bearing floating-point association.
 pub(crate) type RowAcc = HashMap<usize, (Vec<f64>, usize)>;
 
 /// L1 working-set budget in bytes for one apply tile. Half of a typical
@@ -159,7 +157,7 @@ pub(crate) const APPLY_TILE_BYTES: usize = 16 * 1024;
 /// Bitwise-neutral by construction: rows are independent (`RowAcc` keys
 /// are distinct), each row's arithmetic —
 /// `g = (g + c * noise) * (1/c)`, then one `step` — is exactly the
-/// per-row sequence the engines performed before tiling, and
+/// per-row sequence performed before tiling, and
 /// `fused_axpy_scale` is bitwise-equal on every backend. Only the *order
 /// across rows* changes, which no row's result depends on.
 pub(crate) fn apply_noisy_updates(acc: RowAcc, noise: &[f64], mut step: impl FnMut(usize, &[f64])) {
@@ -242,8 +240,8 @@ impl PairCtx {
 /// non-unit pair weight scales the gradient *after* the clip, so each
 /// summand's sensitivity stays `<= C` and the accountant is unchanged.
 /// Lives here — once — so the gradient math can never drift between the
-/// engines. `fakes` is `None` exactly for the non-adversarial
-/// variants.
+/// replay engine and its oracle. `fakes` is `None` exactly for the
+/// non-adversarial variants.
 pub(crate) fn clipped_pair_grads(
     kind: SigmoidKind,
     variant: ModelVariant,
@@ -382,14 +380,13 @@ impl TrainHooks for NoHooks {}
 
 /// Where a checkpoint's rows lived: in RAM or out of core.
 /// [`Trainer::resume`](crate::Trainer::resume) resumes on the same store.
-/// Every engine follows the sequential trajectory and records the one
-/// sequential stream, so a state captured on one engine also continues
-/// bitwise on the other, at any width and partition count.
+/// Every width and store follows the one trajectory and records the one
+/// stream, so a state captured on one store also continues bitwise on
+/// the other, at any width and partition count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// In RAM ([`Trainer::new`](crate::Trainer::new)): the sequential
-    /// engine at one thread, the replay engine above. The checkpoint's
-    /// `config.num_threads` picks which on resume.
+    /// In RAM ([`Trainer::new`](crate::Trainer::new)), at the width the
+    /// checkpoint's `config.num_threads` records.
     Sequential,
     /// Out of core: the replay engine on a spill store
     /// ([`PartitionedTrainer::new`](crate::PartitionedTrainer::new)). Its
@@ -438,10 +435,10 @@ pub struct CheckpointState {
     pub gen_for_j: DenseMatrix,
     /// The RDP accountant's accumulated state (private variants only).
     pub accountant: Option<AccountantState>,
-    /// Which engine captured this state.
+    /// Which store captured this state.
     pub engine: EngineKind,
-    /// The RNG stream positions: the one sequential stream, `[main]`, on
-    /// every engine.
+    /// The RNG stream positions: the one stream, `[main]`, on either
+    /// store.
     pub rng_streams: Vec<[u64; 4]>,
     /// The edge sampler's index permutation at the boundary — the batch
     /// provider's only hidden mutable state.
@@ -488,23 +485,22 @@ pub(crate) struct EngineStreams {
 
 /// The execution strategy behind the one Algorithm-3 schedule.
 ///
-/// Exactly two implementations exist — [`sequential::SequentialEngine`]
-/// and [`replay::ReplayEngine`] — and [`run_schedule`] is the only
-/// caller of their steps. An engine executes *steps*; it never sees the epoch
-/// structure, iteration counts, accounting, or stopping rule. The one
-/// thing it learns of the schedule is the flag [`Engine::disc_update`]
+/// [`replay::ReplayEngine`] is the production implementation; the
+/// sequential engine is its test oracle. [`run_schedule`] is the only
+/// caller of their steps. An engine executes *steps*; it never sees the
+/// epoch structure, iteration counts, accounting, or stopping rule. The
+/// one thing it learns of the schedule is the flag [`Engine::disc_update`]
 /// receives: whether another discriminator update of the same phase
 /// follows (the replay engine then runs that update's draws one update
 /// early; DESIGN.md §14).
 ///
 /// Step methods are fallible because the replay engine performs spill
 /// I/O inside a step on its spill store, and may sample the next
-/// iteration's batches inside a discriminator update; the sequential
-/// engine always returns `Ok`.
+/// iteration's batches inside a discriminator update.
 pub(crate) trait Engine {
-    /// Which engine this is (persisted in checkpoints).
+    /// Which store this engine's rows live in (persisted in checkpoints).
     fn kind(&self) -> EngineKind;
-    /// The resolved worker-thread count (1 for sequential).
+    /// The resolved worker-thread count.
     fn threads(&self) -> usize;
     /// Produces the next discriminator batch in the fixed schedule order
     /// (positive, negative, positive, negative, ...).
@@ -513,7 +509,9 @@ pub(crate) trait Engine {
     /// `next_in_phase` is `true` when another discriminator update of this
     /// phase follows, so its batch comes from the next
     /// [`Engine::next_batch`] call before any generator step, epoch loss
-    /// or epoch boundary; `graph` is what that batch is sampled from.
+    /// or epoch boundary; `graph` is what that batch is sampled from. It
+    /// is `false` for the update that exhausts the budget, so nothing is
+    /// drawn past a budget stop.
     fn disc_update(
         &mut self,
         core: &mut SessionCore,
@@ -533,7 +531,7 @@ pub(crate) trait Engine {
     ) -> Result<f64, CoreError>;
     /// Writes any engine-resident model state back into `core` so that
     /// `core.emb` is authoritative (checkpoint capture, outcome
-    /// assembly). No-op in RAM, where the engines mutate `core.emb`
+    /// assembly). No-op in RAM, where the steps mutate `core.emb`
     /// directly; the spill store materialises its partitions here.
     fn sync_core(&mut self, core: &mut SessionCore) -> Result<(), CoreError> {
         let _ = core;
@@ -545,7 +543,7 @@ pub(crate) trait Engine {
 }
 
 /// Where the schedule currently stands. Engine-invariant by construction:
-/// every field advances identically whichever engine executes the steps.
+/// every field advances identically at every width and store.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ScheduleCursor {
     /// Completed epochs.
@@ -832,9 +830,9 @@ fn capture_checkpoint(core: &SessionCore, engine: &dyn Engine, graph: &Graph) ->
 }
 
 /// The Algorithm-3 schedule — the **only** implementation of the epoch /
-/// discriminator-iteration / budget-stop loop in the workspace. Every
-/// engine executes under it; [`Trainer`](crate::Trainer) is its only
-/// caller.
+/// discriminator-iteration / budget-stop loop in the workspace. The
+/// engine (and its test oracle) executes under it;
+/// [`Trainer`](crate::Trainer) is its only caller.
 ///
 /// Resume-aware: the loop starts at `core.cursor.epochs_done`, so a
 /// session restored from a [`CheckpointState`] continues exactly where the
@@ -859,11 +857,15 @@ pub(crate) fn run_schedule(
             for (half, gamma) in [core.gamma_pos, core.gamma_neg].into_iter().enumerate() {
                 let batch = engine.next_batch(graph)?;
                 // Only the phase's last update (the final negative batch)
-                // has no discriminator update after it.
+                // has no discriminator update after it, and none follows
+                // the update that exhausts the budget: it is charged
+                // before it runs, so it never draws ahead and the stream
+                // after a budget stop is the same at every width.
                 let next_in_phase = half == 0 || iter + 1 < core.cfg.disc_iters;
-                engine.disc_update(core, graph, &batch, next_in_phase)?;
+                let stop = record_and_check(&mut core.accountant, &core.cfg, gamma)?;
+                engine.disc_update(core, graph, &batch, next_in_phase && !stop)?;
                 core.cursor.disc_updates += 1;
-                if record_and_check(&mut core.accountant, &core.cfg, gamma)? {
+                if stop {
                     core.cursor.stopped_by_budget = true;
                     hooks.on_epoch(&EpochEvent {
                         epoch,

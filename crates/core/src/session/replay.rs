@@ -1,20 +1,22 @@
-//! The replay [`Engine`]: the sequential trajectory at any thread count,
-//! in RAM (DESIGN.md §7) or out of core (DESIGN.md §14).
+//! The replay [`Engine`], the one production engine: Algorithm 3's
+//! one-stream trajectory at any thread count, in RAM (DESIGN.md §7) or
+//! out of core (DESIGN.md §14).
 //!
-//! Executes the same Algorithm-3 steps as the sequential engine, over one
-//! of two row stores:
+//! Executes the Algorithm-3 steps of the sequential engine — the literal
+//! one-stream execution, kept as the unit tests' oracle — over one of two
+//! row stores:
 //!
-//! * **in RAM** (`Trainer::new` above one thread): the embedding rows stay
+//! * **in RAM** (`Trainer::new`, at every width): the embedding rows stay
 //!   in `core.emb`, every step reads them in place, and the apply steps
-//!   them through [`apply_noisy_updates`], as the sequential engine does;
+//!   them through [`apply_noisy_updates`], as the oracle does;
 //! * **the spill store** (`PartitionedTrainer::new`): at most **two**
 //!   embedding partitions in memory — one `W_in` bucket and one `W_out`
 //!   bucket — in a fixed-size slot pool backed by one spill file per role.
 //!
 //! The headline contract is *bitwise identity*: at a fixed seed the
 //! released embeddings, epoch losses, and privacy spend are identical to
-//! the sequential trainer's for either store, every partition count and
-//! every thread count.
+//! the oracle's for either store, every partition count and every thread
+//! count.
 //!
 //! That identity holds because every step is a *replay* of the sequential
 //! step, split into three phases:
@@ -52,12 +54,13 @@
 //!
 //! All embedding reads in a step see the pre-update snapshot (the
 //! sequential engine also reads everything before writing anything). In
-//! RAM the apply is the sequential engine's own. Under the spill store
-//! each touched row's pre-update value is already in its role's gather
-//! buffer, at the row's first batch index. The apply updates that copy
-//! once with the sequential arithmetic ([`step_row`]) and writes it in
-//! place into the role's spill file, rows ascending, one write per run of
-//! consecutive rows; a resident slot holding the row gets the same bytes.
+//! RAM the apply is the sequential engine's own, [`apply_noisy_updates`].
+//! Under the spill store each touched row's pre-update value is already
+//! in its role's gather buffer, at the row's first batch index. The apply
+//! updates that copy once with the sequential arithmetic ([`step_row`])
+//! and writes it in place into the role's spill file, rows ascending, one
+//! write per run of consecutive rows; a resident slot holding the row gets
+//! the same bytes.
 //! The apply therefore loads nothing, and a discriminator update loads at
 //! most `2 (P - 1)` partitions: `P - 1` per role for the gathers.
 //!
@@ -91,8 +94,9 @@
 //! thread there is no pool and the fakes come before the gathers. The
 //! last update of a phase never looks ahead, so at every epoch boundary,
 //! the only place a checkpoint is captured, nothing has been drawn ahead.
-//! A budget stop after update `u` leaves `u + 1`'s draws unused, and
-//! nothing reads the stream after a budget stop. Across steps the
+//! Neither does the update that exhausts the privacy budget, which the
+//! schedule charges before it runs, so the stream a budget stop leaves
+//! (the Fig. 2 loss reads it) is the same at every width. Across steps the
 //! lookahead holds `u + 1`'s noise vectors, a second set of fake records,
 //! a second fake buffer and the positive batch sampled ahead. Both fake
 //! buffers are allocated once, at the largest step's size. DESIGN.md §7
@@ -703,9 +707,9 @@ where
     }
 }
 
-/// Step execution replaying the sequential trajectory over an in-RAM or
-/// a spill row store (module docs have the phase structure and
-/// determinism argument).
+/// Step execution replaying the one-stream trajectory over an in-RAM or
+/// a spill row store, at every width (module docs have the phase
+/// structure and determinism argument).
 pub(crate) struct ReplayEngine {
     /// Algorithm-2 batch provisioning, identical to the sequential engine's.
     provider: BatchProvider,
@@ -1067,7 +1071,7 @@ impl Engine for ReplayEngine {
         self.reclaim(core);
         let (pos, pos_signs) = self.provider.positives_with_signs(graph, &mut self.rng)?;
         let negs = self.provider.negatives(&pos, &mut self.rng);
-        // Same panic point as `novel_loss_batch`, before any draw.
+        // Same panic point as the one-stream evaluation, before any draw.
         assert!(!pos.is_empty(), "need at least one positive pair");
         let r = core.cfg.dim;
         let noise_std = gradient_noise_std(&core.cfg);

@@ -1,6 +1,7 @@
-//! The sequential [`Engine`]: single-threaded step execution on one
-//! interleaved RNG stream, and the reference the replay engine is tested
-//! against.
+//! The sequential [`Engine`]: Algorithm 3's steps run literally on one
+//! interleaved RNG stream, on one thread. It compiles only under
+//! `cfg(test)`, as the oracle the trainer's unit tests hold the replay
+//! engine to, bit for bit.
 //!
 //! This is the literal Algorithm-3 step semantics the repo started from:
 //! one `SmallRng` (the continuation of the init stream) drives sampling,
@@ -29,7 +30,8 @@ use crate::session::{
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
 
-/// Single-threaded step execution (`Trainer` at one thread).
+/// Single-threaded step execution on one stream: the replay engine's
+/// oracle.
 pub(crate) struct SequentialEngine {
     /// Algorithm-2 batch provisioning.
     provider: BatchProvider,

@@ -1,25 +1,22 @@
 //! The one training type over the session layer (DESIGN.md §10).
 //!
-//! [`Trainer`] is a session core plus the execution engine chosen when it
-//! is built: the sequential engine at one thread, the replay engine in RAM
-//! above that (DESIGN.md §7), or the replay engine on a spill store, out
-//! of core (DESIGN.md §14), through [`PartitionedTrainer::new`].
+//! [`Trainer`] is a session core plus the replay engine, with its rows in
+//! RAM ([`Trainer::new`], DESIGN.md §7) or on a spill store, out of core
+//! ([`PartitionedTrainer::new`], DESIGN.md §14).
 //! The Algorithm-3 schedule itself — epochs, `n_D`/`n_G` iteration
 //! counts, the Theorem-7 stopping rule, outcome assembly — lives once in
-//! `session::run_schedule`, and [`Trainer::train_with_hooks`] drives every
-//! engine through it from one place, so the engines cannot drift.
+//! `session::run_schedule`, and [`Trainer::train_with_hooks`] drives the
+//! engine through it from one place.
 //!
 //! # Determinism contract
 //!
 //! Released embeddings, epoch losses and spend are a function of the seed
 //! and the configuration: no thread count or partition count moves a bit.
 //!
-//! * **Sequential** (`threads = 1`): the trajectory is a pure function of
-//!   the seed.
-//! * **Replay** (`threads = N > 1` in RAM, or any width out of core):
-//!   every step replays the sequential engine's RNG draws and
-//!   floating-point accumulation order, so released embeddings, epoch
-//!   losses and spend are bit-for-bit the sequential engine's at every
+//! * **Replay**: every step replays the RNG draws and floating-point
+//!   accumulation order of Algorithm 3 run literally on one stream (the
+//!   sequential engine, kept as the unit tests' oracle), so released
+//!   embeddings, epoch losses and spend are bit-for-bit the same at every
 //!   thread count (`tests/sharded_determinism.rs`) and every partition
 //!   count `P >= 1` (`tests/ooc_equivalence.rs`), while at most two
 //!   embedding partitions are resident out of core
@@ -27,8 +24,8 @@
 //! * **Privacy accounting is engine-invariant**: batch composition, the
 //!   `(sigma, gamma)` schedule and the stopping rule depend only on the
 //!   configuration, so `disc_updates`, `epochs_run`, `stopped_by_budget`
-//!   and the reported spend are bitwise-equal on every engine.
-//! * **Checkpoint/resume is bitwise-exact** on every engine
+//!   and the reported spend are bitwise-equal at every width and store.
+//! * **Checkpoint/resume is bitwise-exact** on either store
 //!   ([`Trainer::resume`], `tests/checkpoint_resume.rs`), and so is
 //!   continuing a run a hook stopped with another
 //!   [`Trainer::train_with_hooks`] call.
@@ -45,7 +42,6 @@ use crate::config::AdvSgmConfig;
 use crate::error::CoreError;
 use crate::sampler::BatchProvider;
 use crate::session::replay::ReplayEngine;
-use crate::session::sequential::SequentialEngine;
 use crate::session::{
     run_schedule, CheckpointState, Engine, EngineKind, NoHooks, SessionCore, TrainHooks,
 };
@@ -137,7 +133,7 @@ pub struct Trainer {
 }
 
 /// Builds the out-of-core [`Trainer`]: disk-resident embedding partitions,
-/// bitwise-identical to the sequential engine.
+/// bitwise-identical to training in RAM.
 ///
 /// A stateless name for [`PartitionedTrainer::new`], the one way to build a
 /// trainer on the partitioned engine. It remains its own type only because
@@ -176,27 +172,25 @@ impl PartitionedTrainer {
 }
 
 impl Trainer {
-    /// Builds a trainer in RAM on the engine
-    /// [`AdvSgmConfig::effective_threads`] picks: the sequential engine at
-    /// one thread, the replay engine above that. Both follow the one
-    /// sequential trajectory. Validates the configuration against the
-    /// graph.
+    /// Builds a trainer on the replay engine with its rows in RAM, at the
+    /// width [`AdvSgmConfig::effective_threads`] resolves. Every width
+    /// follows the one trajectory. Validates the configuration against
+    /// the graph.
     ///
     /// # Errors
     /// Configuration or sampler-construction failures.
     pub fn new(graph: &Graph, cfg: AdvSgmConfig) -> Result<Self, CoreError> {
         let (core, provider, rng) = SessionCore::new(graph, cfg)?;
-        Self::in_ram(core, provider, rng)
+        Self::replay(core, provider, rng, 0)
     }
 
     /// Rebuilds a trainer mid-schedule from a checkpoint captured through
     /// [`TrainHooks::on_checkpoint`]. An in-RAM checkpoint resumes in RAM
-    /// on the engine its recorded `config.num_threads` picks; a
-    /// partitioned one resumes out of core with `partitions` node buckets
-    /// (ignored otherwise). Every engine follows the sequential
-    /// trajectory, so any width and any `P >= 1` continues the identical
-    /// run: training the result is bitwise-identical to never having
-    /// interrupted the original run.
+    /// at its recorded `config.num_threads`; a partitioned one resumes out
+    /// of core with `partitions` node buckets (ignored otherwise). Every
+    /// width and every `P >= 1` follows the one trajectory, so either
+    /// continues the identical run: training the result is
+    /// bitwise-identical to never having interrupted the original run.
     ///
     /// # Errors
     /// [`CoreError::Checkpoint`] when the state is inconsistent or does
@@ -210,26 +204,9 @@ impl Trainer {
         let (core, provider) = SessionCore::resume(graph, state)?;
         let rng = rng_from_state(state.rng_streams[0]);
         match state.engine {
-            EngineKind::Sequential => Self::in_ram(core, provider, rng),
+            EngineKind::Sequential => Self::replay(core, provider, rng, 0),
             EngineKind::Partitioned => Self::partitioned(core, provider, rng, partitions),
         }
-    }
-
-    /// The sequential engine at one thread, else the replay engine with
-    /// its rows in `core.emb`.
-    fn in_ram(
-        core: SessionCore,
-        provider: BatchProvider,
-        rng: SmallRng,
-    ) -> Result<Self, CoreError> {
-        if core.cfg.effective_threads() > 1 {
-            return Self::replay(core, provider, rng, 0);
-        }
-        Ok(Self {
-            core,
-            engine: Box::new(SequentialEngine::new(provider, rng)),
-            stats: Arc::default(),
-        })
     }
 
     /// The replay engine out of core, with `partitions >= 1` node buckets.
@@ -265,10 +242,10 @@ impl Trainer {
         })
     }
 
-    /// The resolved worker-thread count: 1 for the sequential engine; for
-    /// the replay engine, the workers that run Phase B and regenerate the
+    /// The resolved worker-thread count: 1 runs every step on the calling
+    /// thread; above that, the workers that run Phase B and regenerate the
     /// next update's fakes, not counting the calling thread, which joins
-    /// in on the fakes (its trajectory is thread-invariant).
+    /// in on the fakes (the trajectory is thread-invariant).
     pub fn threads(&self) -> usize {
         self.engine.threads()
     }
@@ -333,8 +310,9 @@ impl Trainer {
     }
 
     /// Evaluates `|L_Nov|` under an arbitrary weight mode on the current
-    /// state (Fig. 2 harness). It draws from the one sequential stream, so
-    /// every engine returns the same bits.
+    /// state (Fig. 2 harness). It draws from the one stream, which no
+    /// width or store moves, also after a budget stop, so every trainer
+    /// returns the same bits.
     ///
     /// # Errors
     /// Propagates sampling and spill failures.
@@ -363,6 +341,7 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::sequential::SequentialEngine;
     use crate::session::{EpochEvent, SessionControl, StopReason};
     use advsgm_graph::generators::classic::karate_club;
     use advsgm_graph::generators::sbm::{degree_corrected_sbm, SbmConfig};
@@ -373,8 +352,12 @@ mod tests {
     /// An engine a behavioural test below runs on.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Setup {
-        /// The sequential engine (one thread, in RAM).
-        Sequential,
+        /// The sequential engine: Algorithm 3 run literally on one stream,
+        /// the oracle every trainer is tested against.
+        Oracle,
+        /// The replay engine in RAM at one thread (`advsgm train`'s
+        /// default).
+        InRam1,
         /// The replay engine in RAM at four threads.
         InRam4,
         /// The replay engine out of core, one thread, `P = 3` buckets.
@@ -382,12 +365,28 @@ mod tests {
     }
 
     /// The engines every behavioural test below runs on.
-    const ENGINES: [Setup; 3] = [Setup::Sequential, Setup::InRam4, Setup::Partitioned];
+    const ENGINES: [Setup; 4] = [
+        Setup::Oracle,
+        Setup::InRam1,
+        Setup::InRam4,
+        Setup::Partitioned,
+    ];
+
+    /// A trainer on the sequential engine: the oracle.
+    fn oracle(g: &Graph, cfg: AdvSgmConfig) -> Result<Trainer, CoreError> {
+        let (core, provider, rng) = SessionCore::new(g, cfg.with_threads(1))?;
+        Ok(Trainer {
+            core,
+            engine: Box::new(SequentialEngine::new(provider, rng)),
+            stats: Arc::default(),
+        })
+    }
 
     /// `cfg` on `engine`.
     fn build(engine: Setup, g: &Graph, cfg: AdvSgmConfig) -> Result<Trainer, CoreError> {
         match engine {
-            Setup::Sequential => Trainer::new(g, cfg.with_threads(1)),
+            Setup::Oracle => oracle(g, cfg),
+            Setup::InRam1 => Trainer::new(g, cfg.with_threads(1)),
             Setup::InRam4 => Trainer::new(g, cfg.with_threads(4)),
             Setup::Partitioned => PartitionedTrainer::new(g, cfg.with_threads(1), 3),
         }
@@ -463,56 +462,64 @@ mod tests {
 
     #[test]
     fn tight_budget_stops_every_engine_at_the_same_update() {
-        // The stop, the spend and the released bits must not depend on
-        // the engine or its thread count. `budget_limited` stops after the
-        // first update; `later` after one whole epoch and part of the next
-        // phase, so the replay engine's lookahead has handed over many
-        // times before it stops.
+        // The stop, the spend, the released bits and the stream left behind
+        // must not depend on the engine or its thread count.
+        // `budget_limited` stops after the first update; `later` after one
+        // whole epoch and part of the next phase, so the replay engine's
+        // lookahead has handed over many times before it stops.
         let g = karate_club();
         let mut later = budget_limited();
         later.sigma = 5.0;
         later.epsilon = 5.0;
+        // Trains to the stop, then reads the Fig. 2 loss, which draws from
+        // the stream the stop left.
+        let stop_and_loss = |mut trainer: Trainer| {
+            trainer.train_with_hooks(&g, &mut NoHooks).unwrap();
+            let loss = trainer
+                .loss_under_weight_mode(&g, WeightMode::InverseS, 3)
+                .unwrap();
+            (trainer.into_outcome().unwrap(), loss.to_bits())
+        };
         for cfg in [budget_limited(), later] {
             let at = format!("epsilon {}", cfg.epsilon);
-            let seq = fit(Setup::Sequential, &g, cfg.clone());
+            let (seq, seq_loss) = stop_and_loss(oracle(&g, cfg.clone()).unwrap());
             assert!(seq.stopped_by_budget, "{at}: expected early stop");
             assert!(seq.epochs_run < 50, "{at}");
             // Spent delta must have crossed the target.
             assert!(seq.delta_spent.unwrap() >= 1e-5, "{at}");
-            // The stop falls mid-phase, so above one thread the replay
-            // engine stops with the next update's draws already taken.
+            // The stop falls mid-phase, where the update before it has
+            // looked ahead above one thread; the stopping update must not.
             let phase = 2 * cfg.disc_iters as u64;
             assert_ne!(
                 seq.disc_updates % phase,
                 0,
                 "{at}: the stop must fall mid-phase"
             );
-            let partitioned = |threads| {
-                PartitionedTrainer::new(&g, cfg.clone().with_threads(threads), 3)
-                    .unwrap()
-                    .train(&g)
-                    .unwrap()
-            };
-            let in_ram = |threads| Trainer::fit(&g, cfg.clone().with_threads(threads)).unwrap();
-            for (engine, out) in [
-                ("in-RAM@4", &in_ram(4)),
-                ("in-RAM@2", &in_ram(2)),
-                ("partitioned@1", &partitioned(1)),
-                ("partitioned@4", &partitioned(4)),
+            let partitioned =
+                |threads| PartitionedTrainer::new(&g, cfg.clone().with_threads(threads), 3);
+            let in_ram = |threads| Trainer::new(&g, cfg.clone().with_threads(threads));
+            for (engine, trainer) in [
+                ("in-RAM@1", in_ram(1)),
+                ("in-RAM@2", in_ram(2)),
+                ("in-RAM@4", in_ram(4)),
+                ("partitioned@1", partitioned(1)),
+                ("partitioned@4", partitioned(4)),
             ] {
                 let what = format!("{at}: {engine}");
+                let (out, loss) = stop_and_loss(trainer.unwrap());
                 assert!(out.stopped_by_budget, "{what}");
                 assert_eq!(seq.disc_updates, out.disc_updates, "{what}");
                 assert_eq!(seq.epochs_run, out.epochs_run, "{what}");
                 assert_eq!(seq.epsilon_spent, out.epsilon_spent, "{what}");
                 assert_eq!(seq.delta_spent, out.delta_spent, "{what}");
-                // Up to the stop, every engine replays the sequential one.
+                // Up to the stop, every engine replays the oracle.
                 assert_eq!(bits(&seq.node_vectors), bits(&out.node_vectors), "{what}");
                 assert_eq!(
                     bits(&seq.context_vectors),
                     bits(&out.context_vectors),
                     "{what}"
                 );
+                assert_eq!(seq_loss, loss, "{what}: the stop left another stream");
             }
         }
     }
@@ -552,11 +559,11 @@ mod tests {
         let g = small_graph();
         for v in ModelVariant::all() {
             let cfg = AdvSgmConfig::test_small(v);
-            let seq = fit(Setup::Sequential, &g, cfg.clone());
+            let seq = fit(Setup::Oracle, &g, cfg.clone());
             // Phase-B results are chunk-invariant and the lookahead (which
             // needs the pool) moves no draw, so any worker count, in RAM
             // (`P = 0`) or out of core, reproduces the sequential engine.
-            for (threads, p) in [(2, 0), (4, 0), (1, 3), (4, 2)] {
+            for (threads, p) in [(1, 0), (2, 0), (4, 0), (1, 3), (4, 2)] {
                 let cfg = cfg.clone().with_threads(threads);
                 let ooc = match p {
                     0 => Trainer::new(&g, cfg),
@@ -585,16 +592,16 @@ mod tests {
     #[test]
     fn auto_thread_resolution_trains_and_is_deterministic() {
         // num_threads = 0 resolves via ADVSGM_THREADS (CI runs this suite
-        // with it set to 4, routing it through the in-RAM replay engine)
-        // and falls back to the sequential engine otherwise; either way
-        // training must release the sequential engine's bits.
+        // with it set to 4, giving the replay engine a pool) and falls
+        // back to one thread otherwise; either way training must release
+        // the oracle's bits.
         let g = small_graph();
         let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
         assert_eq!(cfg.num_threads, 0, "test_small must leave threads auto");
         let trainer = Trainer::new(&g, cfg.clone()).unwrap();
         assert_eq!(trainer.threads(), cfg.effective_threads());
         let a = trainer.train(&g).unwrap();
-        let b = Trainer::fit(&g, cfg.with_threads(1)).unwrap();
+        let b = fit(Setup::Oracle, &g, cfg);
         assert_eq!(bits(&a.node_vectors), bits(&b.node_vectors));
     }
 
@@ -652,8 +659,8 @@ mod tests {
     fn loss_under_weight_modes_orders_as_figure2() {
         // lambda = 1/S should produce the largest |L_Nov|, then 1, then 0.5
         // (Fig. 2's bars), because lambda multiplies a non-negative term.
-        // Every engine draws the one sequential stream, so each evaluates
-        // the same bits.
+        // Every engine draws the one stream, so each evaluates the same
+        // bits.
         let g = small_graph();
         let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
         let modes = [
@@ -670,11 +677,11 @@ mod tests {
             }
             losses
         };
-        let seq = losses(Setup::Sequential);
+        let seq = losses(Setup::Oracle);
         let [l_half, l_one, l_inv] = [0, 1, 2].map(|k| f64::from_bits(seq[k]));
         assert!(l_half <= l_one + 1e-9, "half={l_half} one={l_one}");
         assert!(l_one <= l_inv + 1e-9, "one={l_one} inv={l_inv}");
-        for engine in [Setup::InRam4, Setup::Partitioned] {
+        for engine in [Setup::InRam1, Setup::InRam4, Setup::Partitioned] {
             assert_eq!(seq, losses(engine), "{engine:?}");
         }
     }
@@ -712,7 +719,7 @@ mod tests {
         assert!(stats.loads() > 0);
         assert!(stats.evictions() > 0, "P=4 must swap partitions");
         // Training in RAM has no pool: its counters stay zero.
-        for engine in [Setup::Sequential, Setup::InRam4] {
+        for engine in [Setup::Oracle, Setup::InRam1, Setup::InRam4] {
             let trainer = build(engine, &g, cfg.clone()).unwrap();
             let stats = trainer.slot_stats();
             trainer.train(&g).unwrap();
@@ -859,11 +866,11 @@ mod tests {
         }
         // A budget-stopped schedule is done too.
         let g = karate_club();
-        let mut trainer = build(Setup::Sequential, &g, budget_limited()).unwrap();
+        let mut trainer = build(Setup::InRam1, &g, budget_limited()).unwrap();
         trainer.train_with_hooks(&g, &mut NoHooks).unwrap();
         trainer.train_with_hooks(&g, &mut NoHooks).unwrap();
         let out = trainer.into_outcome().unwrap();
-        let once = fit(Setup::Sequential, &g, budget_limited());
+        let once = fit(Setup::Oracle, &g, budget_limited());
         assert_eq!(out.disc_updates, once.disc_updates);
     }
 

@@ -3,13 +3,10 @@
 //! The paper feeds embeddings to **Affinity Propagation** (Frey & Dueck,
 //! Science 2007) and reports **mutual information** between the discovered
 //! clusters and the class labels. [`affinity`] implements AP from scratch;
-//! [`kmeans`](mod@kmeans) provides a cheaper reference clusterer; [`metrics`] has MI,
-//! NMI and ARI.
+//! [`metrics`] has MI, NMI and ARI.
 
 pub mod affinity;
-pub mod kmeans;
 pub mod metrics;
 
 pub use affinity::{AffinityPropagation, ApParams};
-pub use kmeans::kmeans;
 pub use metrics::{adjusted_rand_index, mutual_information, normalized_mutual_information};

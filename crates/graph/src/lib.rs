@@ -14,7 +14,7 @@
 //! * [`partition`] — the 90/10 link-prediction edge split of Section VI-A;
 //! * [`buckets`] — the contiguous node buckets behind out-of-core
 //!   partitioned training;
-//! * [`io`] — plain-text edge-list and label readers/writers.
+//! * [`io`] — the plain-text edge-list reader.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -52,11 +52,6 @@ impl DenseMatrix {
         Ok(Self { rows, cols, data })
     }
 
-    /// The `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        Self::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.0 })
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -126,21 +121,6 @@ impl DenseMatrix {
         self.data.iter_mut().for_each(|x| *x = v);
     }
 
-    /// Matrix-vector product `self * x` (x is a column vector of length `cols`).
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if x.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matvec",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), 1),
-            });
-        }
-        Ok(self.rows_iter().map(|r| vector::dot(r, x)).collect())
-    }
-
     /// Vector-matrix product `x^T * self` (x has length `rows`); returns a
     /// vector of length `cols`.
     ///
@@ -159,62 +139,6 @@ impl DenseMatrix {
             vector::axpy(*xi, row, &mut out);
         }
         Ok(out)
-    }
-
-    /// Matrix product `self * other`.
-    ///
-    /// A straightforward ikj-ordered triple loop; all matrices in this
-    /// workspace are small (`r x r` with r <= 256), so cache blocking is not
-    /// worth the complexity.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
-    pub fn matmul(&self, other: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-        if self.cols != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul",
-                lhs: (self.rows, self.cols),
-                rhs: (other.rows, other.cols),
-            });
-        }
-        let mut out = DenseMatrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for (k, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                let o_row = out.row_mut(i);
-                vector::axpy(aik, b_row, o_row);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&self) -> DenseMatrix {
-        DenseMatrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
-    }
-
-    /// Rank-1 update `self += alpha * x * y^T`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
-    pub fn rank1_update(&mut self, alpha: f64, x: &[f64], y: &[f64]) -> Result<(), LinalgError> {
-        if x.len() != self.rows || y.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "rank1_update",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        for (i, &xi) in x.iter().enumerate() {
-            if xi != 0.0 {
-                vector::axpy(alpha * xi, y, self.row_mut(i));
-            }
-        }
-        Ok(())
     }
 
     /// Element-wise `self += alpha * other`.
@@ -260,60 +184,11 @@ mod tests {
     }
 
     #[test]
-    fn identity_matvec_is_noop() {
-        let i3 = DenseMatrix::identity(3);
-        let x = vec![1.0, -2.0, 0.5];
-        assert_eq!(i3.matvec(&x).unwrap(), x);
-    }
-
-    #[test]
-    fn matvec_rejects_bad_shape() {
-        let m = DenseMatrix::zeros(2, 3);
-        assert!(m.matvec(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn vecmat_matches_transpose_matvec() {
+    fn vecmat_matches_a_hand_computed_product() {
+        // [2, -1] . [[0, 1, 2], [1, 2, 3]] = [0 - 1, 2 - 2, 4 - 3].
         let m = DenseMatrix::from_fn(2, 3, |i, j| (i + j) as f64);
         let x = vec![2.0, -1.0];
-        let a = m.vecmat(&x).unwrap();
-        let b = m.transpose().matvec(&x).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn matmul_small_example() {
-        let a = DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let b = DenseMatrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_identity_right() {
-        let a = DenseMatrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
-        let c = a.matmul(&DenseMatrix::identity(3)).unwrap();
-        assert_eq!(c, a);
-    }
-
-    #[test]
-    fn matmul_shape_mismatch() {
-        let a = DenseMatrix::zeros(2, 3);
-        let b = DenseMatrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = DenseMatrix::from_fn(2, 4, |i, j| (i * 7 + j * 3) as f64);
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn rank1_update_outer_product() {
-        let mut m = DenseMatrix::zeros(2, 2);
-        m.rank1_update(2.0, &[1.0, 3.0], &[4.0, 5.0]).unwrap();
-        assert_eq!(m.as_slice(), &[8.0, 10.0, 24.0, 30.0]);
+        assert_eq!(m.vecmat(&x).unwrap(), vec![-1.0, 0.0, 1.0]);
     }
 
     #[test]

@@ -292,12 +292,6 @@ impl RdpAccountant {
         })
     }
 
-    /// Clears all accumulated privacy loss (cache retained).
-    pub fn reset(&mut self) {
-        self.totals.iter_mut().for_each(|t| *t = 0.0);
-        self.steps_recorded = 0;
-    }
-
     /// Plans ahead: the largest number of *iterations* (each = one step at
     /// `gamma_pos` plus one at `gamma_neg`) that keeps
     /// `delta(target_epsilon) < target_delta`. Binary searches the additive
@@ -413,15 +407,6 @@ mod tests {
         let mut a = RdpAccountant::new();
         a.record_subsampled_gaussian(5.0, 0.01, 1).unwrap();
         a.check_budget(6.0, 1e-5).unwrap();
-    }
-
-    #[test]
-    fn reset_clears_spend() {
-        let mut a = RdpAccountant::new();
-        a.record_subsampled_gaussian(5.0, 0.1, 500).unwrap();
-        a.reset();
-        assert_eq!(a.steps(), 0);
-        assert!(a.delta(1.0).unwrap() < 1e-100);
     }
 
     #[test]

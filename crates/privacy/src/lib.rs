@@ -1,8 +1,10 @@
 //! # advsgm-privacy
 //!
-//! Differential-privacy substrate for AdvSGM: the Gaussian mechanism, Rényi
-//! differential privacy (RDP) accounting with subsampling amplification, and
-//! the conversions between RDP and `(epsilon, delta)`-DP.
+//! Differential-privacy accounting for AdvSGM: Rényi differential privacy
+//! (RDP) curves of the Gaussian mechanism, subsampling amplification, and
+//! the conversions between RDP and `(epsilon, delta)`-DP. The mechanism
+//! itself — the per-pair clip (`advsgm_linalg::vector::clip_l2`) and the
+//! noise draw — runs inside the trainer (`advsgm-core`'s session layer).
 //!
 //! The paper's privacy argument (Theorems 6 and 7) decomposes as:
 //!
@@ -25,14 +27,11 @@
 #![deny(missing_docs)]
 
 pub mod accountant;
-pub mod clipping;
 pub mod conversion;
 pub mod error;
-pub mod mechanisms;
 pub mod rdp;
 pub mod subsampled;
 
 pub use accountant::{AccountantState, RdpAccountant, SpendSnapshot};
 pub use error::PrivacyError;
-pub use mechanisms::GaussianMechanism;
 pub use rdp::GaussianRdp;

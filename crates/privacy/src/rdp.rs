@@ -82,11 +82,6 @@ pub fn compose(a: &[(usize, f64)], b: &[(usize, f64)]) -> Vec<(usize, f64)> {
         .collect()
 }
 
-/// Scales a curve by an integer number of identical steps.
-pub fn compose_n(curve: &[(usize, f64)], steps: u64) -> Vec<(usize, f64)> {
-    curve.iter().map(|&(a, e)| (a, e * steps as f64)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,20 +132,6 @@ mod tests {
         for (i, &(a, e)) in d.iter().enumerate() {
             assert_eq!(a, c[i].0);
             assert!((e - 2.0 * c[i].1).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn compose_n_matches_repeated_compose() {
-        let g = GaussianRdp::new(3.0).unwrap();
-        let c = g.curve(&[2, 8, 32]);
-        let mut acc = c.clone();
-        for _ in 0..4 {
-            acc = compose(&acc, &c);
-        }
-        let direct = compose_n(&c, 5);
-        for (x, y) in acc.iter().zip(&direct) {
-            assert!((x.1 - y.1).abs() < 1e-9);
         }
     }
 

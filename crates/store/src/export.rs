@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn partitioned_export_matches_sequential_bitwise() {
-        // The out-of-core engine replays the sequential trajectory, so
+        // Out of core the replay engine follows the in-RAM trajectory, so
         // the exported stores must be bitwise-identical at any P.
         let g = karate_club();
         let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm).with_threads(1);

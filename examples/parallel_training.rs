@@ -1,7 +1,7 @@
 //! Parallel training through `advsgm::api`: the same Algorithm 3 at every
-//! width, engine selection left entirely to the pipeline — plus a live
-//! proof that every width releases the sequential run's bits and that the
-//! facade is bitwise-faithful to the hand-wired engines it wraps.
+//! width, on the one replay engine the pipeline builds — plus a live
+//! proof that every width releases the one-thread run's bits and that the
+//! facade is bitwise-faithful to the hand-wired trainer it wraps.
 //!
 //! ```bash
 //! cargo run --release --example parallel_training
@@ -46,19 +46,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .gen_iters(2)
         .epsilon(advsgm::api::Epsilon::new(1e9)?); // never stop early
 
-    // Reference: the hand-wired sequential engine (internals surface).
+    // Reference: the hand-wired trainer at one thread (internals surface).
     let t0 = Instant::now();
-    let seq = Trainer::fit(&graph, base.config().clone().with_threads(1))?;
+    let one = Trainer::fit(&graph, base.config().clone().with_threads(1))?;
     let seq_time = t0.elapsed();
     println!(
         "hand-wired Trainer        {seq_time:>10.2?}  ({} updates)",
-        seq.disc_updates
+        one.disc_updates
     );
 
     // The pipeline at increasing widths. Every width must reproduce the
-    // sequential run bit-for-bit (the replay engine above one thread
-    // follows the sequential trajectory) and match the hand-wired Trainer
-    // exactly (the facade adds nothing).
+    // one-thread run bit-for-bit (the replay engine follows one trajectory
+    // at every width) and match the hand-wired Trainer exactly (the
+    // facade adds nothing).
     for threads in [1usize, 2, 4] {
         let b = base.clone().threads(threads);
         let t0 = Instant::now();
@@ -71,29 +71,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .zip(hand_wired.node_vectors.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits());
-        let bitwise_seq = out
+        let bitwise_one = out
             .embeddings()
             .as_slice()
             .iter()
-            .zip(seq.node_vectors.as_slice())
+            .zip(one.node_vectors.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits());
         println!(
             "pipeline, {threads} thread(s)     {elapsed:>10.2?}  bitwise == hand-wired engine: \
-             {bitwise_engine}, bitwise == sequential: {bitwise_seq}"
+             {bitwise_engine}, bitwise == one thread: {bitwise_one}"
         );
         assert!(bitwise_engine, "facade must be bitwise-faithful");
         assert!(
-            bitwise_seq,
-            "threads={threads} must match the sequential trainer"
+            bitwise_one,
+            "threads={threads} must match the one-thread trainer"
         );
         // The epoch losses and the accounting match too.
         let losses = |o: &[f64]| o.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
         assert_eq!(
             losses(&out.outcome().epoch_losses),
-            losses(&seq.epoch_losses)
+            losses(&one.epoch_losses)
         );
-        assert_eq!(out.outcome().disc_updates, seq.disc_updates);
-        assert_eq!(out.outcome().epsilon_spent, seq.epsilon_spent);
+        assert_eq!(out.outcome().disc_updates, one.disc_updates);
+        assert_eq!(out.outcome().epsilon_spent, one.epsilon_spent);
     }
 
     // Auto resolution: an unpinned width defers to ADVSGM_THREADS (else 1).
@@ -107,8 +107,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(auto.threads(), auto.config().effective_threads());
 
     println!(
-        "\nprivacy spend (any engine): epsilon = {:.3} at delta = {:.0e}",
-        seq.epsilon_spent.unwrap_or(f64::NAN),
+        "\nprivacy spend (any width): epsilon = {:.3} at delta = {:.0e}",
+        one.epsilon_spent.unwrap_or(f64::NAN),
         base.config().delta
     );
     println!("speedups require free cores; see e2ebench's train-inram workload");

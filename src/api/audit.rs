@@ -5,7 +5,7 @@
 //! training stack — it consumes a *release function* mapping `(graph,
 //! seed)` to released `.aemb` bytes. This module supplies that function
 //! from a [`PipelineBuilder`]: each paired-world run clones the builder,
-//! pins the derived seed, forces the sequential engine (`threads(1)` —
+//! pins the derived seed, forces one training thread (`threads(1)` —
 //! the harness owns the fan-out), trains, and hands back
 //! [`Trained::release_bytes`]. The attack then reads scores through the
 //! released bytes only, exactly the Theorem-5 adversary's view, so the

@@ -37,9 +37,9 @@ use crate::api::types::{Delta, Dim, Epsilon, NoiseSigma};
 #[derive(Debug, Clone)]
 pub struct PipelineBuilder {
     cfg: AdvSgmConfig,
-    /// `0` trains in RAM (the sequential engine at one thread, the
-    /// replay engine above); `>= 1` trains out of core, the replay engine
-    /// on a spill store with this many node buckets. Deliberately *not* part of
+    /// `0` trains in RAM; `>= 1` trains out of core, on a spill store
+    /// with this many node buckets. The replay engine runs either way.
+    /// Deliberately *not* part of
     /// [`AdvSgmConfig`]: the trajectory is partition-invariant, so the
     /// bucket count is an execution-resource choice, never pinned into
     /// checkpoints or release metadata.
@@ -164,9 +164,9 @@ impl PipelineBuilder {
     /// [`AdvSgmConfig::with_threads`]). `0` means *auto*: the
     /// `ADVSGM_THREADS` environment variable if set, else 1; an explicit
     /// `N > 0` always takes precedence over the environment. The
-    /// resulting [`Pipeline::train`] auto-selects the sequential or the
-    /// replay engine from the resolved count — callers never name an
-    /// engine, and no count moves a released bit.
+    /// resulting [`Pipeline::train`] runs the replay engine at the
+    /// resolved width — callers never name an engine, and no count moves
+    /// a released bit.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg = self.cfg.with_threads(threads);

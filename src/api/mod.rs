@@ -21,13 +21,12 @@
 //!   construction; [`PipelineBuilder::build`] runs the one
 //!   cross-field validation pass. An invalid configuration cannot exist
 //!   past the builder.
-//! * **Callers never name an engine.** [`Pipeline::train`] selects the
-//!   sequential or replay engine from the resolved thread count — or the
-//!   replay engine out of core when the builder asked for node buckets
-//!   ([`PipelineBuilder::partitions`]) — and the run is
-//!   bitwise-identical to the equivalent hand-wired engine, and to the
-//!   sequential engine at every width
-//!   (`tests/api_facade.rs`, `tests/ooc_equivalence.rs`).
+//! * **Callers never name an engine.** [`Pipeline::train`] runs the one
+//!   replay engine at the resolved thread count, in RAM or — when the
+//!   builder asked for node buckets ([`PipelineBuilder::partitions`]) —
+//!   out of core, and the run is bitwise-identical to the equivalent
+//!   hand-wired [`Trainer`](crate::core::Trainer), at every width and
+//!   partition count (`tests/api_facade.rs`, `tests/ooc_equivalence.rs`).
 //! * **One error.** Every operation returns [`Result`]; the single
 //!   [`enum@Error`] wraps each crate's error with the source chain
 //!   preserved and the originating layer named.

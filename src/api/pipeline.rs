@@ -191,10 +191,10 @@ type Observer<'g> = Box<dyn FnMut(PipelineEvent<'_>) + 'g>;
 /// [`PipelineBuilder::build`] or [`Pipeline::resume`], consumed by
 /// [`Pipeline::train`].
 ///
-/// The engine is selected at construction: sequential vs replay from
-/// [`AdvSgmConfig::effective_threads`], or the replay engine out of core
-/// when the builder asked for node buckets
-/// ([`PipelineBuilder::partitions`]). A `Pipeline` run is
+/// The row store is selected at construction: in RAM at the width
+/// [`AdvSgmConfig::effective_threads`] resolves, or out of core when the
+/// builder asked for node buckets ([`PipelineBuilder::partitions`]); the
+/// replay engine trains either way. A `Pipeline` run is
 /// bitwise-identical to the equivalent hand-wired [`Trainer`] run
 /// (`tests/api_facade.rs`, `tests/ooc_equivalence.rs`).
 ///
@@ -325,7 +325,8 @@ impl<'g> Pipeline<'g> {
         self
     }
 
-    /// The resolved worker-thread count (1 means the sequential engine).
+    /// The resolved worker-thread count (1 runs every step on the calling
+    /// thread).
     pub fn threads(&self) -> usize {
         self.trainer.threads()
     }
@@ -552,15 +553,8 @@ impl Trained {
 
     /// Opens a long-lived serving handle over a copy of the released
     /// store (thread width auto-resolved; see
-    /// [`EmbeddingService::from_store`]). Consuming alternative:
-    /// [`Trained::into_service`].
+    /// [`EmbeddingService::from_store`]).
     pub fn serve(&self) -> EmbeddingService {
         EmbeddingService::from_store(self.store.clone())
-    }
-
-    /// [`Trained::serve`] without copying the store (consumes the
-    /// handle).
-    pub fn into_service(self) -> EmbeddingService {
-        EmbeddingService::from_store(self.store)
     }
 }

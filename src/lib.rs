@@ -47,12 +47,12 @@
 //!   link-prediction splits;
 //! * [`linalg`] — dense matrices, stable sigmoids, the paper's Algorithm-1
 //!   exponential clipping;
-//! * [`privacy`] — Gaussian mechanism, subsampled-RDP accounting
+//! * [`privacy`] — Gaussian RDP curves, subsampled-RDP accounting
 //!   (Theorem 4), RDP↔(ε,δ) conversion (Theorem 3), budget stopping;
 //! * [`core`] — the AdvSGM trainer (Algorithm 3) plus the SGM / DP-SGM /
 //!   DP-ASGM / AdvSGM-NoDP ablations behind one training type,
-//!   [`core::Trainer`], on a sequential, parallel in-RAM, or out-of-core
-//!   engine, all releasing the same bits;
+//!   [`core::Trainer`], on one replay engine in RAM or out of core, at
+//!   any width, all releasing the same bits;
 //! * [`parallel`] — the vendored scoped thread pool + chunked parallel-for
 //!   backing the parallel engine;
 //! * [`baselines`] — DPGGAN, DPGVAE, GAP, DPAR;

@@ -3,8 +3,8 @@
 //! format (`docs/FORMAT.md`), and serve queries from the file.
 //!
 //! ```text
-//! advsgm train --out emb.aemb [--dataset ppi] [--scale 0.1] [--edges FILE]
-//!              [--graph FILE.agph] [--partitions P]
+//! advsgm train --out emb.aemb [--dataset ppi] [--scale 0.1]
+//!              [--edges FILE|FILE.agph] [--partitions P]
 //!              [--variant advsgm] [--epsilon 6] [--delta 1e-5] [--sigma 5]
 //!              [--epochs N] [--dim 128] [--batch-size 128] [--lr 0.1]
 //!              [--threads N] [--seed 0]
@@ -39,9 +39,9 @@
 //!
 //! `convert` writes a graph out as a partitioned `.agph` file
 //! (`docs/FORMAT.md`), the disk-resident input of the out-of-core
-//! training path: `train --graph g.agph --partitions P` runs the
-//! partitioned engine, which keeps at most two embedding partitions in
-//! memory while producing bitwise-identical releases (DESIGN.md §14).
+//! training path: `train --edges g.agph --partitions P` trains out of
+//! core, keeping at most two embedding partitions in memory while
+//! producing bitwise-identical releases (DESIGN.md §14).
 //!
 //! Argument parsing is hand-rolled: a handful of subcommands and a score
 //! of flags do not justify a CLI dependency outside the vendored crate
@@ -69,7 +69,7 @@ use advsgm::store::{IndexParams, IvfIndex};
 
 const USAGE: &str = "usage:
   advsgm train --out PATH [--dataset NAME] [--scale F] [--edges FILE]
-               [--graph FILE] [--partitions P]
+               [--partitions P]
                [--variant sgm|dp-sgm|dp-asgm|advsgm|advsgm-nodp|
                           signed-advsgm|sp-advsgm]
                [--epsilon F] [--delta F] [--sigma F] [--epochs N]
@@ -101,13 +101,14 @@ train flags:
                         N > 0 here overrides the ADVSGM_THREADS environment
                         variable, 0 (the default) defers to ADVSGM_THREADS,
                         and with both unset training runs on 1 thread
-  --graph FILE          load the training graph from FILE: .agph files go
-                        through the verified partitioned codec, anything
-                        else is parsed as a whitespace edge-list
+  --edges FILE          load the graph from FILE instead of synthesizing
+                        --dataset: .agph files go through the verified
+                        partitioned codec, anything else is parsed as a
+                        whitespace edge-list (as for convert and audit)
   --partitions P        train out of core with P node buckets: embeddings
                         live on disk and at most two bucket partitions are
-                        resident at once, bitwise-identical to the in-RAM
-                        engines; 0 (the default) trains in RAM. With
+                        resident at once, bitwise-identical to training
+                        in RAM; 0 (the default) trains in RAM. With
                         --resume this is a residency hint only (any P
                         continues the checkpointed trajectory exactly)
   --checkpoint-every N  write a resumable .actk checkpoint every N epochs
@@ -259,7 +260,6 @@ const TRAIN_FLAGS: &[&[Flag]] = &[
     ENGINE_FLAGS,
     &[
         ("--out", 1),
-        ("--graph", 1),
         ("--partitions", 1),
         ("--checkpoint-every", 1),
         ("--checkpoint", 1),
@@ -484,11 +484,9 @@ struct TrainArgs {
     out: String,
     dataset: String,
     scale: f64,
+    /// `--edges`: a graph file loaded by extension (`.agph` through the
+    /// partitioned codec, anything else as an edge-list).
     edges: Option<String>,
-    /// `--graph`: a graph file loaded by extension (`.agph` through the
-    /// partitioned codec, anything else as an edge-list). Takes
-    /// precedence over `--edges`.
-    graph: Option<String>,
     /// `--partitions`: node buckets for the out-of-core engine; `0`
     /// trains in RAM. Not a model flag — the trajectory is
     /// partition-invariant, so it is legal alongside `--resume`.
@@ -540,7 +538,6 @@ fn parse_train(tokens: &[String]) -> Result<TrainArgs, String> {
         dataset,
         scale,
         edges,
-        graph: flags.value("--graph")?,
         partitions,
         builder,
         epochs_explicit,
@@ -906,11 +903,10 @@ fn build_graph(edges: Option<&str>, dataset: &str, scale: f64, seed: u64) -> Res
 }
 
 fn cmd_train(args: TrainArgs) -> Result<(), String> {
-    let graph_source = args.graph.as_deref().or(args.edges.as_deref());
     match args.resume.clone() {
         None => {
             let graph = build_graph(
-                graph_source,
+                args.edges.as_deref(),
                 &args.dataset,
                 args.scale,
                 args.builder.config().seed,
@@ -940,7 +936,12 @@ fn cmd_train(args: TrainArgs) -> Result<(), String> {
             // The graph must be the checkpoint's graph; for synthetic
             // datasets that means the checkpoint's seed, and resume
             // re-verifies the stored fingerprint either way.
-            let graph = build_graph(graph_source, &args.dataset, args.scale, ckpt.seed())?;
+            let graph = build_graph(
+                args.edges.as_deref(),
+                &args.dataset,
+                args.scale,
+                ckpt.seed(),
+            )?;
             out!(
                 "resumed {resume_path}: {}/{} epochs done, {} discriminator updates",
                 ckpt.epochs_done(),
@@ -1304,7 +1305,7 @@ mod tests {
 
     #[test]
     fn train_rejects_unknown_flag() {
-        for flag in ["--bogus", "--shard-size"] {
+        for flag in ["--bogus", "--shard-size", "--graph"] {
             let err = parse_train(&toks(&format!("--out e.aemb {flag} 3"))).unwrap_err();
             assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
         }
@@ -1359,13 +1360,13 @@ mod tests {
 
     #[test]
     fn train_parses_graph_and_partitions() {
-        let a = parse_train(&toks("--out e.aemb --graph g.agph --partitions 4")).unwrap();
-        assert_eq!(a.graph.as_deref(), Some("g.agph"));
+        let a = parse_train(&toks("--out e.aemb --edges g.agph --partitions 4")).unwrap();
+        assert_eq!(a.edges.as_deref(), Some("g.agph"));
         assert_eq!(a.partitions, 4);
         // Not model flags: the trajectory is partition-invariant, so both
         // stay legal alongside --resume.
         let a = parse_train(&toks(
-            "--out e.aemb --resume c.actk --graph g.agph --partitions 2",
+            "--out e.aemb --resume c.actk --edges g.agph --partitions 2",
         ))
         .unwrap();
         assert_eq!(a.partitions, 2);

@@ -28,7 +28,7 @@ fn test_builder(threads: usize) -> PipelineBuilder {
 
 /// The facade must add nothing to the trajectory: same embeddings, same
 /// losses, same accounting, same released bytes as the hand-wired
-/// engines, at the sequential width and a parallel one.
+/// trainer, at one thread and at four.
 #[test]
 fn pipeline_is_bitwise_identical_to_hand_wired_engines() {
     let g = karate_club();

@@ -174,8 +174,8 @@ fn resume_reproduces_a_budget_stop_exactly() {
 
 #[test]
 fn checkpoints_resume_bitwise_on_every_engine() {
-    // Every engine follows the sequential trajectory and records the one
-    // sequential stream. So a checkpoint captured in RAM at 1 or 4
+    // Every width and store follows the one trajectory and records the
+    // one stream. So a checkpoint captured in RAM at 1 or 4
     // threads, or out of core at P = 2, finishes bitwise-equal to the
     // uninterrupted run when resumed in RAM at width 1 or 4, or out of
     // core at P = 3 — through the `.actk` bytes.

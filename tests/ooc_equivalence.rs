@@ -1,5 +1,5 @@
 //! ISSUE 8 headline contract (DESIGN.md §14): **out-of-core partitioned
-//! training is bitwise-identical to in-RAM sequential training** — the
+//! training is bitwise-identical to one-thread in-RAM training** — the
 //! released `.aemb` bytes, the epoch losses, and the accountant's spend
 //! — for `P ∈ {1, 2, 4}` node buckets at 1, 3 and 4 worker threads, while
 //! resident embedding memory stays bounded by two bucket partitions
@@ -29,8 +29,8 @@ fn test_cfg(threads: usize) -> AdvSgmConfig {
 }
 
 /// The full matrix of the headline contract: every outcome field that
-/// crosses the release boundary is bitwise-identical to the sequential
-/// engine, and the slot pool never held more than two partitions.
+/// crosses the release boundary is bitwise-identical to one-thread
+/// training in RAM, and the slot pool never held more than two partitions.
 #[test]
 fn partitioned_matches_sequential_bitwise_for_every_p_and_thread_count() {
     let g = karate_club();
@@ -162,7 +162,7 @@ impl TrainHooks for InterruptAt {
 /// captured state through the `.actk` wire format; resume on the
 /// partitioned engine under a *different* bucket count. The trajectory
 /// is partition-invariant, so every resumed run must land exactly where
-/// the uninterrupted sequential run does.
+/// the uninterrupted one-thread run in RAM does.
 #[test]
 fn partitioned_checkpoints_resume_bitwise_under_any_partition_count() {
     let g = karate_club();

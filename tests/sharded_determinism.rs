@@ -1,12 +1,12 @@
 //! The training contract across widths (DESIGN.md §7), end to end: every
-//! thread count follows the sequential trajectory, so the released bits,
+//! thread count follows the one-stream trajectory, so the released bits,
 //! the epoch losses, the update count and the spend are a function of the
 //! seed and the configuration alone, however an update's work is sharded
 //! over threads.
 //!
-//! At `threads = 1` `Trainer` runs the sequential engine, and above it the
-//! replay engine in RAM; the golden `.aemb` files in
-//! `tests/signed_variants.rs` pin the bytes both release.
+//! `Trainer` runs the replay engine in RAM at every width; the golden
+//! `.aemb` files in `tests/signed_variants.rs` pin the bytes every width
+//! releases.
 
 use advsgm::core::{AdvSgmConfig, ModelVariant, TrainOutcome, Trainer};
 use advsgm::graph::generators::classic::karate_club;

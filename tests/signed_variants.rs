@@ -9,8 +9,8 @@
 //!    1 and 4 threads (the seam's uniform path changed *nothing*, and no
 //!    thread count moves a bit);
 //! 2. **Engine invariance** — both new variants obey the same contract as
-//!    the paper variants: in RAM at 4 threads and partitioned ==
-//!    sequential bitwise, with the same privacy spend on every engine;
+//!    the paper variants: in RAM at 4 threads and partitioned == one
+//!    thread in RAM bitwise, with the same privacy spend on every store;
 //! 3. **Checkpoint/resume** — interrupt + `.actk` roundtrip + resume is
 //!    bitwise-identical to an uninterrupted run for both new variants;
 //! 4. **Workload signal** — on a planted-polarity graph, `Signed-AdvSGM`
@@ -58,8 +58,8 @@ fn planted_polarity() -> Graph {
 
 /// The five pre-seam variants must produce release bytes identical to the
 /// `.aemb` files committed before the variants seam landed — at one thread
-/// (sequential engine) and at four (the replay engine in RAM), which must
-/// release the one-thread bytes. Uniform weighting and the empty sign
+/// and at four (the replay engine in RAM both times), which must release
+/// the one-thread bytes. Uniform weighting and the empty sign
 /// channel are contractually invisible.
 #[test]
 fn pre_seam_variants_match_golden_releases() {
