@@ -3,8 +3,7 @@
 //! Two roles:
 //!
 //! 1. **Test fixtures** — deterministic small graphs ([`classic`]) and the
-//!    standard random models ([`erdos_renyi`], [`barabasi_albert()`],
-//!    [`watts_strogatz()`]) for unit/property tests;
+//!    Erdős–Rényi random models ([`erdos_renyi`]) for unit/property tests;
 //! 2. **Dataset stand-ins** — the degree-corrected planted-partition model
 //!    ([`sbm`]) used by `advsgm-datasets` to synthesise graphs with the same
 //!    scale, heavy-tailed degrees, and community structure as the paper's
@@ -12,16 +11,12 @@
 //!    and its signed planted-polarity extension ([`signed`]) for the
 //!    signed-graph workload (DESIGN.md §16).
 
-pub mod barabasi_albert;
 pub mod classic;
 pub mod erdos_renyi;
 pub mod sbm;
 pub mod signed;
-pub mod watts_strogatz;
 
-pub use barabasi_albert::barabasi_albert;
 pub use classic::{complete_graph, cycle_graph, karate_club, path_graph, star_graph};
 pub use erdos_renyi::{gnm_random_graph, gnp_random_graph};
 pub use sbm::{degree_corrected_sbm, SbmConfig};
 pub use signed::{signed_sbm, SignedSbmConfig};
-pub use watts_strogatz::watts_strogatz;

@@ -6,7 +6,7 @@
 //! before calling — and `unsafe_op_in_unsafe_fn` is denied, so each
 //! pointer dereference carries its own justification.
 //!
-//! Every kernel (`dot2`, `dot16`, `axpy`, `scale`, `fused_axpy_scale`,
+//! Every kernel (`dot2`, `dot16`, `axpy`, `fused_axpy_scale`,
 //! `dist_sq_2x16`, `box_muller`, `sigmoid_of_sum`) enables **only**
 //! `avx2`: with no FMA in the feature set and no fast-math flags, each
 //! lane performs the exact scalar operation sequence (separate
@@ -208,30 +208,6 @@ unsafe fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
     while i < n {
         y[i] += alpha * x[i];
-        i += 1;
-    }
-}
-
-/// `x *= alpha`, four lanes per step; bitwise-identical to
-/// [`crate::vector::scale`].
-///
-/// # Safety
-/// The caller must ensure AVX2 is available.
-#[target_feature(enable = "avx2")]
-unsafe fn scale(x: &mut [f64], alpha: f64) {
-    let n = x.len();
-    let av = _mm256_set1_pd(alpha);
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n bounds the load and the store.
-        unsafe {
-            let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-            _mm256_storeu_pd(x.as_mut_ptr().add(i), _mm256_mul_pd(xv, av));
-        }
-        i += 4;
-    }
-    while i < n {
-        x[i] *= alpha;
         i += 1;
     }
 }
@@ -582,14 +558,6 @@ pub(super) fn axpy_checked(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     // SAFETY: AVX2 verified and lengths asserted equal just above.
     unsafe { axpy(alpha, x, y) }
-}
-
-/// Safe [`scale`]: checks the feature, then runs the kernel.
-#[inline]
-pub(super) fn scale_checked(x: &mut [f64], alpha: f64) {
-    require_avx2();
-    // SAFETY: AVX2 verified just above; `scale` reads/writes only `x`.
-    unsafe { scale(x, alpha) }
 }
 
 /// Safe [`fused_axpy_scale`]: checks feature and lengths, then runs the

@@ -10,14 +10,14 @@
 //!
 //! # The bitwise contract
 //!
-//! Every kernel — [`dot`], [`dot2`], [`dot16`], [`axpy`], [`scale`],
+//! Every kernel — [`dot`], [`dot2`], [`dot16`], [`axpy`],
 //! [`fused_axpy_scale`], [`dist_sq_2x16`], [`box_muller`],
 //! [`sigmoid_of_sum`] — executes on every backend the *same
 //! floating-point operation sequence* as its scalar reference (in
 //! [`crate::vector`], or in this crate's own `math` module for the two
 //! fake kernels), so results are bitwise-identical across backends:
 //!
-//! * Element-wise kernels (`axpy`, `scale`, `fused_axpy_scale`)
+//! * Element-wise kernels (`axpy`, `fused_axpy_scale`)
 //!   vectorize trivially: SIMD lanes are independent elements and each
 //!   lane performs exactly the scalar op chain (separate multiply and
 //!   add — never FMA, whose single rounding differs from mul-then-add).
@@ -364,25 +364,6 @@ pub fn axpy_with(backend: Backend, alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Dispatched [`vector::scale`]: `x *= alpha`, element-wise
-/// bitwise-identical on every backend.
-#[inline]
-pub fn scale(x: &mut [f64], alpha: f64) {
-    scale_with(active(), x, alpha);
-}
-
-/// [`scale`] on an explicit backend.
-#[inline]
-pub fn scale_with(backend: Backend, x: &mut [f64], alpha: f64) {
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if Backend::Avx2.is_supported() => avx2::scale_checked(x, alpha),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::scale_checked(x, alpha),
-        _ => vector::scale(x, alpha),
-    }
-}
-
 /// Dispatched [`vector::fused_axpy_scale`]:
 /// `y = (y + alpha * x) * beta`, element-wise bitwise-identical on
 /// every backend — the trainer's noisy-apply kernel.
@@ -660,10 +641,6 @@ mod tests {
             axpy_with(backend, 1.7, &x, &mut y1);
             vector::axpy(1.7, &x, &mut y2);
             assert_eq!(bits(&y1), bits(&y2), "{backend} axpy");
-
-            scale_with(backend, &mut y1, 0.3);
-            vector::scale(&mut y2, 0.3);
-            assert_eq!(bits(&y1), bits(&y2), "{backend} scale");
 
             fused_axpy_scale_with(backend, &mut y1, 5.0, &x, 0.2);
             vector::fused_axpy_scale(&mut y2, 5.0, &x, 0.2);

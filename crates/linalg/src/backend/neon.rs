@@ -75,30 +75,6 @@ unsafe fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `x *= alpha`, two lanes per step; bitwise-identical to
-/// [`crate::vector::scale`].
-///
-/// # Safety
-/// No preconditions beyond running on aarch64 (NEON is architectural).
-#[target_feature(enable = "neon")]
-unsafe fn scale(x: &mut [f64], alpha: f64) {
-    let n = x.len();
-    let av = vdupq_n_f64(alpha);
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: i + 2 <= n bounds the load and the store.
-        unsafe {
-            let xv = vld1q_f64(x.as_ptr().add(i));
-            vst1q_f64(x.as_mut_ptr().add(i), vmulq_f64(xv, av));
-        }
-        i += 2;
-    }
-    while i < n {
-        x[i] *= alpha;
-        i += 1;
-    }
-}
-
 /// `y = (y + alpha * x) * beta`, two lanes per step; bitwise-identical
 /// to [`crate::vector::fused_axpy_scale`].
 ///
@@ -149,13 +125,6 @@ pub(super) fn axpy_checked(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     // SAFETY: NEON is architectural on aarch64; lengths asserted equal.
     unsafe { axpy(alpha, x, y) }
-}
-
-/// Safe [`scale`]: runs the kernel (no length precondition).
-#[inline]
-pub(super) fn scale_checked(x: &mut [f64], alpha: f64) {
-    // SAFETY: NEON is architectural on aarch64; `scale` touches only `x`.
-    unsafe { scale(x, alpha) }
 }
 
 /// Safe [`fused_axpy_scale`]: checks lengths, then runs the kernel.

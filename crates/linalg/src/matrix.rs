@@ -116,11 +116,6 @@ impl DenseMatrix {
         self.data.chunks_exact(self.cols)
     }
 
-    /// Fills the matrix with a constant.
-    pub fn fill(&mut self, v: f64) {
-        self.data.iter_mut().for_each(|x| *x = v);
-    }
-
     /// Vector-matrix product `x^T * self` (x has length `rows`); returns a
     /// vector of length `cols`.
     ///

@@ -66,22 +66,6 @@ impl GaussianRdp {
     }
 }
 
-/// Additive RDP composition: point-wise sum of two curves defined on the
-/// same order grid (Theorem 1 carried to RDP).
-///
-/// # Panics
-/// Panics if the grids disagree.
-pub fn compose(a: &[(usize, f64)], b: &[(usize, f64)]) -> Vec<(usize, f64)> {
-    assert_eq!(a.len(), b.len(), "compose: grids differ in length");
-    a.iter()
-        .zip(b)
-        .map(|(&(ord_a, ea), &(ord_b, eb))| {
-            assert_eq!(ord_a, ord_b, "compose: order grids disagree");
-            (ord_a, ea + eb)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,17 +106,6 @@ mod tests {
         assert_eq!(c.len(), grid.len());
         assert_eq!(c[0].0, 2);
         assert_eq!(c.last().unwrap().0, 256);
-    }
-
-    #[test]
-    fn compose_adds_pointwise() {
-        let g = GaussianRdp::new(5.0).unwrap();
-        let c = g.curve(&[2, 3, 4]);
-        let d = compose(&c, &c);
-        for (i, &(a, e)) in d.iter().enumerate() {
-            assert_eq!(a, c[i].0);
-            assert!((e - 2.0 * c[i].1).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The `.agph` bucket-partitioned on-disk graph format (version 1).
 //!
 //! Byte-level specification lives in `docs/FORMAT.md`; this module is the
-//! reference implementation. `.agph` is the disk-resident input of the
+//! reference implementation. `.agph` is the graph input of the
 //! out-of-core training path (DESIGN.md §14): the edge set is stored in
 //! `P` *sections*, one per node bucket of
-//! [`advsgm_graph::buckets::NodeBuckets`], so the partitioned engine can
-//! map one bucket's edges at a time instead of materialising the whole
-//! edge list. Summary (all integers little-endian):
+//! [`advsgm_graph::buckets::NodeBuckets`], and [`load_agph`] verifies the
+//! whole file into one [`Graph`]. Summary (all integers little-endian):
 //!
 //! ```text
 //! offset      size   field
@@ -42,21 +41,18 @@
 //! what pre-sign releases wrote.
 //!
 //! There is no whole-file trailer: the header CRC plus the per-section
-//! CRCs already cover every byte, and per-section checksums are what let
-//! [`AgphReader`] verify a single bucket without reading the rest of the
-//! file. Like `.aemb` and `.actk`, the format is strictly versioned and
-//! evolves append-only (the SIGNED flag occupies the flags seam version 1
-//! reserved for exactly this), and every corruption mode is a typed
-//! [`StoreError`], never a panic.
+//! CRCs already cover every byte. Like `.aemb` and `.actk`, the format is
+//! strictly versioned and evolves append-only (the SIGNED flag occupies
+//! the flags seam version 1 reserved for exactly this), and every
+//! corruption mode is a typed [`StoreError`], never a panic.
 
-use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 use advsgm_graph::buckets::NodeBuckets;
 use advsgm_graph::{Edge, Graph};
 
+use crate::codec::{check_crc, check_len, check_prologue, crc32, truncated, write_sealed, Reader};
 use crate::error::StoreError;
-use crate::format::crc32;
 
 /// The four magic bytes every `.agph` file starts with.
 pub const AGPH_MAGIC: [u8; 4] = *b"AGPH";
@@ -224,7 +220,7 @@ pub fn encode_agph(graph: &Graph, buckets: usize) -> Result<Vec<u8>, StoreError>
         out.extend_from_slice(body);
     }
     // Sign region (SIGNED flag only): per-bucket bitmap + its own CRC, so
-    // a streaming reader can verify one bucket's polarity without the rest.
+    // each bucket's polarity is checked on its own, like its edges.
     for bm in &bitmaps {
         out.extend_from_slice(bm);
         out.extend_from_slice(&crc32(bm).to_le_bytes());
@@ -232,34 +228,18 @@ pub fn encode_agph(graph: &Graph, buckets: usize) -> Result<Vec<u8>, StoreError>
     Ok(out)
 }
 
-/// Writes `graph` to `path` as `.agph` crash-safely (temporary file,
-/// fsync, rename — the same discipline as checkpoint writes).
+/// Writes `graph` to `path` as `.agph` crash-safely (temporary sibling,
+/// fsync, rename, as every artifact is written).
 ///
 /// # Errors
 /// Everything [`encode_agph`] rejects, plus I/O failures as
 /// [`StoreError::Io`].
 pub fn save_agph(path: impl AsRef<Path>, graph: &Graph, buckets: usize) -> Result<(), StoreError> {
-    use std::io::Write;
-
-    let path = path.as_ref();
-    let bytes = encode_agph(graph, buckets)?;
-    let tmp = path.with_extension("agph.tmp");
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(&bytes)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    write_sealed(path.as_ref(), &encode_agph(graph, buckets)?)
 }
 
 /// The fully validated header of an `.agph` file: counts, per-section
 /// layout, and the stored fingerprint.
-#[derive(Debug, Clone)]
 struct AgphHeader {
     num_nodes: usize,
     num_edges: usize,
@@ -274,77 +254,29 @@ struct AgphHeader {
     signed: bool,
 }
 
-impl AgphHeader {
-    /// Byte offset of section `b` within the file.
-    fn section_offset(&self, b: usize) -> u64 {
-        let edges_before: u64 = self.section_counts[..b].iter().map(|&c| c as u64).sum();
-        (table_end(self.buckets.count()) + 4) as u64 + edges_before * EDGE_LEN as u64
-    }
-
-    /// Length in bytes of section `b`'s sign bitmap.
-    fn sign_bitmap_len(&self, b: usize) -> usize {
-        self.section_counts[b].div_ceil(8)
-    }
-
-    /// Byte offset of section `b`'s sign bitmap (SIGNED files only).
-    fn sign_offset(&self, b: usize) -> u64 {
-        debug_assert!(self.signed);
-        let edges_end =
-            (table_end(self.buckets.count()) + 4) as u64 + self.num_edges as u64 * EDGE_LEN as u64;
-        let before: u64 = (0..b).map(|i| self.sign_bitmap_len(i) as u64 + 4).sum();
-        edges_end + before
-    }
-}
-
-/// Validates everything up to and including the header CRC.
-///
-/// `total_len` is the length of the whole file (for in-memory decoding,
-/// `header_bytes.len()`); `header_bytes` must hold at least the fixed
-/// header, the section table, and the header CRC whenever that much of
-/// the file exists.
-fn parse_header(header_bytes: &[u8], total_len: u64) -> Result<AgphHeader, StoreError> {
-    let bytes = header_bytes;
-    // Magic and version first, so "wrong file" and "newer writer" produce
-    // their specific errors even on short inputs.
-    if bytes.len() < 4 || bytes[0..4] != AGPH_MAGIC {
-        let mut found = [0u8; 4];
-        let take = bytes.len().min(4);
-        found[..take].copy_from_slice(&bytes[..take]);
-        return Err(StoreError::BadMagic { found });
-    }
-    let min_len = (table_end(1) + 4) as u64;
-    if bytes.len() < 6 {
-        return Err(StoreError::Truncated {
-            expected: min_len,
-            found: total_len,
-        });
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version == 0 || version > AGPH_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            found: version,
-            supported: AGPH_VERSION,
-        });
-    }
-    if bytes.len() < AGPH_FIXED_HEADER_LEN {
-        return Err(StoreError::Truncated {
-            expected: min_len,
-            found: total_len,
-        });
-    }
-
-    let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
+/// Validates everything up to and including the header CRC, and the
+/// file's length against the one the header implies.
+fn parse_header(bytes: &[u8]) -> Result<AgphHeader, StoreError> {
+    check_prologue(
+        bytes,
+        AGPH_MAGIC,
+        AGPH_VERSION,
+        AGPH_FIXED_HEADER_LEN,
+        table_end(1) + 4,
+    )?;
+    let mut r = Reader::new(bytes, 6, AGPH_FIXED_HEADER_LEN);
+    let flags = r.u16()?;
+    let n = r.u64()?;
+    let m = r.u64()?;
+    let p = r.u32()?;
+    let reserved = r.u32()?;
+    let fingerprint = r.u64()?;
     if flags & !AGPH_KNOWN_FLAGS != 0 {
         return Err(StoreError::Corrupted {
             reason: format!("unknown flag bits {:#06x}", flags & !AGPH_KNOWN_FLAGS),
         });
     }
     let signed = flags & AGPH_FLAG_SIGNED != 0;
-    let n = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let m = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let p = u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes"));
-    let reserved = u32::from_le_bytes(bytes[28..32].try_into().expect("4 bytes"));
-    let fingerprint = u64::from_le_bytes(bytes[32..40].try_into().expect("8 bytes"));
     if p == 0 {
         return Err(StoreError::Corrupted {
             reason: "bucket count is zero".into(),
@@ -363,40 +295,24 @@ fn parse_header(header_bytes: &[u8], total_len: u64) -> Result<AgphHeader, Store
     // so here only a lower bound is enforced (sum of ceil(c_b/8) is at
     // least ceil(m/8), plus one CRC per bucket); the strict equality
     // check runs after the section table is parsed.
-    let base = (table_end(1) - TABLE_ENTRY_LEN) as u128
+    let base = AGPH_FIXED_HEADER_LEN as u128
         + TABLE_ENTRY_LEN as u128 * p as u128
         + 4
         + EDGE_LEN as u128 * m as u128;
-    let lower = base
-        + if signed {
-            m.div_ceil(8) as u128 + 4 * p as u128
-        } else {
-            0
-        };
-    if (total_len as u128) < lower {
-        return Err(StoreError::Truncated {
-            expected: lower.min(u64::MAX as u128) as u64,
-            found: total_len,
-        });
-    }
-    if !signed && (total_len as u128) > base {
-        return Err(StoreError::Corrupted {
-            reason: format!(
-                "{} trailing bytes after the last section",
-                total_len as u128 - base
-            ),
-        });
+    if signed {
+        let lower = base + m.div_ceil(8) as u128 + 4 * p as u128;
+        if (bytes.len() as u128) < lower {
+            return Err(truncated(lower, bytes.len()));
+        }
+    } else {
+        check_len(bytes.len(), base, "the last section")?;
     }
     let p = p as usize;
     let tbl_end = table_end(p);
-    debug_assert!(bytes.len() >= tbl_end + 4, "caller supplies header+table");
 
     // Integrity of every header byte before trusting n or the table.
     let stored = u32::from_le_bytes(bytes[tbl_end..tbl_end + 4].try_into().expect("4 bytes"));
-    let computed = crc32(&bytes[..tbl_end]);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
+    check_crc(&bytes[..tbl_end], stored)?;
 
     if n > u32::MAX as u64 {
         return Err(StoreError::LimitExceeded {
@@ -409,17 +325,15 @@ fn parse_header(header_bytes: &[u8], total_len: u64) -> Result<AgphHeader, Store
         reason: e.to_string(),
     })?;
 
+    let mut table = Reader::new(bytes, AGPH_FIXED_HEADER_LEN, tbl_end);
     let mut section_counts = Vec::with_capacity(p);
     let mut section_crcs = Vec::with_capacity(p);
     let mut sum: u64 = 0;
-    for b in 0..p {
-        let at = AGPH_FIXED_HEADER_LEN + TABLE_ENTRY_LEN * b;
-        let c = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    for _ in 0..p {
+        let c = table.u64()?;
         sum = sum.saturating_add(c);
         section_counts.push(c as usize);
-        section_crcs.push(u32::from_le_bytes(
-            bytes[at + 8..at + 12].try_into().expect("4 bytes"),
-        ));
+        section_crcs.push(table.u32()?);
     }
     if sum != m {
         return Err(StoreError::Corrupted {
@@ -434,21 +348,7 @@ fn parse_header(header_bytes: &[u8], total_len: u64) -> Result<AgphHeader, Store
             .iter()
             .map(|&c| c.div_ceil(8) as u128 + 4)
             .sum();
-        let expected = base + sign_region;
-        if (total_len as u128) < expected {
-            return Err(StoreError::Truncated {
-                expected: expected.min(u64::MAX as u128) as u64,
-                found: total_len,
-            });
-        }
-        if (total_len as u128) > expected {
-            return Err(StoreError::Corrupted {
-                reason: format!(
-                    "{} trailing bytes after the sign region",
-                    total_len as u128 - expected
-                ),
-            });
-        }
+        check_len(bytes.len(), base + sign_region, "the sign region")?;
     }
 
     Ok(AgphHeader {
@@ -464,11 +364,7 @@ fn parse_header(header_bytes: &[u8], total_len: u64) -> Result<AgphHeader, Store
 
 /// Validates one section's raw bytes and parses its edges.
 fn parse_section(header: &AgphHeader, b: usize, body: &[u8]) -> Result<Vec<Edge>, StoreError> {
-    let computed = crc32(body);
-    let stored = header.section_crcs[b];
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
+    check_crc(body, header.section_crcs[b])?;
     let n = header.num_nodes as u32;
     let mut edges = Vec::with_capacity(body.len() / EDGE_LEN);
     for rec in body.chunks_exact(EDGE_LEN) {
@@ -500,21 +396,6 @@ fn parse_section(header: &AgphHeader, b: usize, body: &[u8]) -> Result<Vec<Edge>
     Ok(edges)
 }
 
-/// Validates one section's sign bitmap against its stored CRC and unpacks
-/// the per-edge foe flags.
-fn parse_sign_section(
-    header: &AgphHeader,
-    b: usize,
-    bitmap: &[u8],
-    stored: u32,
-) -> Result<Vec<bool>, StoreError> {
-    let computed = crc32(bitmap);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
-    unpack_signs(bitmap, header.section_counts[b], b)
-}
-
 /// Parses the version-1 `.agph` wire format back into a [`Graph`],
 /// verifying magic, version, structural lengths, the header CRC, every
 /// section CRC, per-edge invariants, and the fingerprint.
@@ -525,15 +406,17 @@ fn parse_sign_section(
 /// # Errors
 /// A typed [`StoreError`] for every corruption mode; never panics.
 pub fn decode_agph(bytes: &[u8]) -> Result<Graph, StoreError> {
-    let header = parse_header(bytes, bytes.len() as u64)?;
+    let header = parse_header(bytes)?;
+    let edges_start = table_end(header.buckets.count()) + 4;
+    let edges_end = edges_start + header.num_edges * EDGE_LEN;
+    let mut sections = Reader::new(bytes, edges_start, edges_end);
+    let mut bitmaps = Reader::new(bytes, edges_end, bytes.len());
     let mut edges = Vec::with_capacity(header.num_edges);
     let mut signs: Vec<bool> = Vec::with_capacity(if header.signed { header.num_edges } else { 0 });
     let mut fp = fnv1a(FNV_OFFSET, &(header.num_nodes as u64).to_le_bytes());
     let mut seen = std::collections::HashSet::with_capacity(header.num_edges);
-    for b in 0..header.buckets.count() {
-        let start = header.section_offset(b) as usize;
-        let len = header.section_counts[b] * EDGE_LEN;
-        let body = &bytes[start..start + len];
+    for (b, &count) in header.section_counts.iter().enumerate() {
+        let body = sections.take(count * EDGE_LEN)?;
         fp = fnv1a(fp, body);
         for e in parse_section(&header, b, body)? {
             if !seen.insert(e) {
@@ -544,13 +427,10 @@ pub fn decode_agph(bytes: &[u8]) -> Result<Graph, StoreError> {
             edges.push(e);
         }
         if header.signed {
-            let soff = header.sign_offset(b) as usize;
-            let blen = header.sign_bitmap_len(b);
-            let bitmap = &bytes[soff..soff + blen];
-            let stored =
-                u32::from_le_bytes(bytes[soff + blen..soff + blen + 4].try_into().expect("4"));
+            let bitmap = bitmaps.take(count.div_ceil(8))?;
+            check_crc(bitmap, bitmaps.u32()?)?;
             fp = fnv1a(fp, bitmap);
-            signs.extend(parse_sign_section(&header, b, bitmap, stored)?);
+            signs.extend(unpack_signs(bitmap, count, b)?);
         }
     }
     if fp != header.fingerprint {
@@ -570,205 +450,14 @@ pub fn decode_agph(bytes: &[u8]) -> Result<Graph, StoreError> {
     ))
 }
 
-/// Reads and fully validates an `.agph` file written by [`save_agph`].
-///
-/// This materialises the whole graph; use [`AgphReader`] to stream one
-/// bucket's edges at a time.
+/// Reads and fully validates an `.agph` file written by [`save_agph`],
+/// materialising the whole graph.
 ///
 /// # Errors
 /// I/O failures plus every decode error of [`decode_agph`].
 pub fn load_agph(path: impl AsRef<Path>) -> Result<Graph, StoreError> {
     let bytes = std::fs::read(path.as_ref())?;
     decode_agph(&bytes)
-}
-
-/// A streaming `.agph` reader that maps one bucket's edge section at a
-/// time — the reader the out-of-core engine and tooling use when the edge
-/// list should not be materialised whole.
-///
-/// [`AgphReader::open`] validates the header, the section table, and the
-/// header CRC; each [`AgphReader::bucket_edges`] call then reads exactly
-/// one section from disk and verifies its CRC and per-edge invariants
-/// before handing the edges out. The whole-file fingerprint is only
-/// checkable by visiting every section ([`AgphReader::verify_fingerprint`]).
-///
-/// # Examples
-/// ```no_run
-/// use advsgm_store::agph::AgphReader;
-///
-/// let mut r = AgphReader::open("graph.agph")?;
-/// for b in 0..r.bucket_count() {
-///     let edges = r.bucket_edges(b)?;
-///     println!("bucket {b}: {} edges", edges.len());
-/// }
-/// # Ok::<(), advsgm_store::StoreError>(())
-/// ```
-#[derive(Debug)]
-pub struct AgphReader {
-    file: std::fs::File,
-    header: AgphHeader,
-}
-
-impl AgphReader {
-    /// Opens `path` and validates everything up to the header CRC.
-    ///
-    /// # Errors
-    /// I/O failures plus every header-level decode error.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let mut file = std::fs::File::open(path.as_ref())?;
-        let total_len = file.metadata()?.len();
-
-        // Enough for magic/version/fixed fields even on tiny files.
-        let mut fixed = vec![0u8; (AGPH_FIXED_HEADER_LEN as u64).min(total_len) as usize];
-        file.read_exact(&mut fixed)?;
-        // Short or foreign files are fully diagnosed by the fixed header.
-        if fixed.len() < AGPH_FIXED_HEADER_LEN {
-            parse_header(&fixed, total_len)?;
-            return Err(StoreError::Truncated {
-                expected: (table_end(1) + 4) as u64,
-                found: total_len,
-            });
-        }
-        let p = u32::from_le_bytes(fixed[24..28].try_into().expect("4 bytes")) as usize;
-        // parse_header's u128 length check bounds the table read by the
-        // real file size; only read the table once that check can pass.
-        let want = (table_end(p.max(1)) + 4) as u64;
-        let mut header_bytes = fixed;
-        if p > 0 && total_len >= want {
-            let extra = want as usize - AGPH_FIXED_HEADER_LEN;
-            let mut table = vec![0u8; extra];
-            file.read_exact(&mut table)?;
-            header_bytes.extend_from_slice(&table);
-        }
-        let header = parse_header(&header_bytes, total_len)?;
-        Ok(Self { file, header })
-    }
-
-    /// Number of nodes stamped in the header.
-    pub fn num_nodes(&self) -> usize {
-        self.header.num_nodes
-    }
-
-    /// Total number of edges stamped in the header.
-    pub fn num_edges(&self) -> usize {
-        self.header.num_edges
-    }
-
-    /// Number of on-disk buckets `P`.
-    pub fn bucket_count(&self) -> usize {
-        self.header.buckets.count()
-    }
-
-    /// The node bucketing the file was written with.
-    pub fn buckets(&self) -> NodeBuckets {
-        self.header.buckets
-    }
-
-    /// Whether the file carries a per-edge sign (polarity) channel.
-    pub fn is_signed(&self) -> bool {
-        self.header.signed
-    }
-
-    /// Number of edges filed under bucket `b`.
-    ///
-    /// # Errors
-    /// [`StoreError::NodeOutOfRange`]-style misuse is a programming error;
-    /// out-of-range `b` returns [`StoreError::Invalid`].
-    pub fn bucket_edge_count(&self, b: usize) -> Result<usize, StoreError> {
-        self.check_bucket(b)?;
-        Ok(self.header.section_counts[b])
-    }
-
-    fn check_bucket(&self, b: usize) -> Result<(), StoreError> {
-        if b >= self.header.buckets.count() {
-            return Err(StoreError::Invalid {
-                reason: format!(
-                    "bucket {b} out of range (file has {} buckets)",
-                    self.header.buckets.count()
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Reads, checksums, and parses section `b`'s edges from disk.
-    ///
-    /// # Errors
-    /// I/O failures, [`StoreError::ChecksumMismatch`] when the section
-    /// bytes were altered, [`StoreError::Corrupted`] for per-edge
-    /// invariant violations.
-    pub fn bucket_edges(&mut self, b: usize) -> Result<Vec<Edge>, StoreError> {
-        self.check_bucket(b)?;
-        let body = self.read_section(b)?;
-        parse_section(&self.header, b, &body)
-    }
-
-    /// Reads, checksums, and unpacks section `b`'s sign bitmap from disk.
-    ///
-    /// `None` when the file carries no sign channel; `Some(flags)` aligned
-    /// with [`AgphReader::bucket_edges`]`(b)` otherwise (`true` = foe).
-    ///
-    /// # Errors
-    /// I/O failures, [`StoreError::ChecksumMismatch`] when the bitmap
-    /// bytes were altered, [`StoreError::Corrupted`] for non-zero padding
-    /// bits.
-    pub fn bucket_signs(&mut self, b: usize) -> Result<Option<Vec<bool>>, StoreError> {
-        self.check_bucket(b)?;
-        if !self.header.signed {
-            return Ok(None);
-        }
-        let (bitmap, stored) = self.read_sign_section(b)?;
-        parse_sign_section(&self.header, b, &bitmap, stored).map(Some)
-    }
-
-    /// Reads every section once and checks the whole-file fingerprint.
-    ///
-    /// # Errors
-    /// Every [`AgphReader::bucket_edges`] error, plus
-    /// [`StoreError::Corrupted`] when the fingerprint does not match.
-    pub fn verify_fingerprint(&mut self) -> Result<(), StoreError> {
-        let mut fp = fnv1a(FNV_OFFSET, &(self.header.num_nodes as u64).to_le_bytes());
-        for b in 0..self.header.buckets.count() {
-            let body = self.read_section(b)?;
-            parse_section(&self.header, b, &body)?;
-            fp = fnv1a(fp, &body);
-            if self.header.signed {
-                let (bitmap, stored) = self.read_sign_section(b)?;
-                parse_sign_section(&self.header, b, &bitmap, stored)?;
-                fp = fnv1a(fp, &bitmap);
-            }
-        }
-        if fp != self.header.fingerprint {
-            return Err(StoreError::Corrupted {
-                reason: format!(
-                    "graph fingerprint mismatch: stored {:#018x}, computed {fp:#018x}",
-                    self.header.fingerprint
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    fn read_section(&mut self, b: usize) -> Result<Vec<u8>, StoreError> {
-        let start = self.header.section_offset(b);
-        let len = self.header.section_counts[b] * EDGE_LEN;
-        self.file.seek(SeekFrom::Start(start))?;
-        let mut body = vec![0u8; len];
-        self.file.read_exact(&mut body)?;
-        Ok(body)
-    }
-
-    /// Reads section `b`'s sign bitmap and its stored CRC from disk.
-    fn read_sign_section(&mut self, b: usize) -> Result<(Vec<u8>, u32), StoreError> {
-        let start = self.header.sign_offset(b);
-        let len = self.header.sign_bitmap_len(b);
-        self.file.seek(SeekFrom::Start(start))?;
-        let mut bitmap = vec![0u8; len];
-        self.file.read_exact(&mut bitmap)?;
-        let mut crc = [0u8; 4];
-        self.file.read_exact(&mut crc)?;
-        Ok((bitmap, u32::from_le_bytes(crc)))
-    }
 }
 
 #[cfg(test)]
@@ -902,36 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reader_serves_bucket_signs() {
-        let g = signed_karate();
-        let dir = std::env::temp_dir().join("advsgm_agph_unit_signed");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("karate_signed.agph");
-        save_agph(&path, &g, 3).unwrap();
-
-        let full = load_agph(&path).unwrap();
-        let mut r = AgphReader::open(&path).unwrap();
-        assert!(r.is_signed());
-        let mut streamed_signs = Vec::new();
-        for b in 0..r.bucket_count() {
-            let signs = r.bucket_signs(b).unwrap().expect("signed file");
-            assert_eq!(signs.len(), r.bucket_edge_count(b).unwrap());
-            streamed_signs.extend(signs);
-        }
-        assert_eq!(Some(streamed_signs.as_slice()), full.signs());
-        r.verify_fingerprint().unwrap();
-
-        // An unsigned file answers None, not an error.
-        let unsigned = karate_club();
-        let upath = dir.join("karate_unsigned.agph");
-        save_agph(&upath, &unsigned, 3).unwrap();
-        let mut ur = AgphReader::open(&upath).unwrap();
-        assert!(!ur.is_signed());
-        assert!(ur.bucket_signs(0).unwrap().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn sign_bitmap_corruption_is_typed() {
         let g = signed_karate();
         let p = 2usize;
@@ -988,47 +647,6 @@ mod tests {
             encode_agph(&g, 0).unwrap_err(),
             StoreError::Invalid { .. }
         ));
-    }
-
-    #[test]
-    fn streaming_reader_agrees_with_full_decode() {
-        let g = karate_club();
-        let dir = std::env::temp_dir().join("advsgm_agph_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("karate.agph");
-        save_agph(&path, &g, 4).unwrap();
-
-        let full = load_agph(&path).unwrap();
-        let mut r = AgphReader::open(&path).unwrap();
-        assert_eq!(r.num_nodes(), g.num_nodes());
-        assert_eq!(r.num_edges(), g.num_edges());
-        assert_eq!(r.bucket_count(), 4);
-        let mut streamed = Vec::new();
-        for b in 0..r.bucket_count() {
-            assert_eq!(
-                r.bucket_edge_count(b).unwrap(),
-                r.bucket_edges(b).unwrap().len()
-            );
-            streamed.extend(r.bucket_edges(b).unwrap());
-        }
-        assert_eq!(streamed, full.edges().to_vec());
-        r.verify_fingerprint().unwrap();
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn reader_rejects_out_of_range_bucket() {
-        let g = karate_club();
-        let dir = std::env::temp_dir().join("advsgm_agph_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("oor.agph");
-        save_agph(&path, &g, 2).unwrap();
-        let mut r = AgphReader::open(&path).unwrap();
-        assert!(matches!(
-            r.bucket_edges(2).unwrap_err(),
-            StoreError::Invalid { .. }
-        ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

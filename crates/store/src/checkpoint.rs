@@ -23,11 +23,10 @@ use std::path::Path;
 use advsgm_core::session::CheckpointState;
 use advsgm_core::{AdvSgmConfig, EngineKind};
 use advsgm_graph::sampling::negative::NegativeDistribution;
-use advsgm_linalg::DenseMatrix;
 use advsgm_privacy::AccountantState;
 
+use crate::codec::{check_prologue, check_seal, seal, write_sealed, Reader};
 use crate::error::StoreError;
-use crate::format::crc32;
 use crate::meta::{variant_code, variant_from_code};
 
 /// The four magic bytes every `.actk` checkpoint starts with.
@@ -209,84 +208,8 @@ pub fn encode_checkpoint(state: &CheckpointState) -> Result<Vec<u8>, StoreError>
     for &p in &state.edge_permutation {
         out.extend_from_slice(&p.to_le_bytes());
     }
-
-    let checksum = crc32(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    seal(&mut out);
     Ok(out)
-}
-
-/// A bounds-checked little-endian reader over the checkpoint body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// End of the body (exclusive) — the CRC trailer starts here.
-    end: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8], StoreError> {
-        if self.pos + len > self.end {
-            return Err(StoreError::Truncated {
-                expected: (self.pos + len + 4) as u64,
-                found: self.bytes.len() as u64,
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, StoreError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    /// Reads a declared element count and sanity-bounds it against the
-    /// bytes actually remaining, so a hostile length cannot trigger a
-    /// huge allocation before the bounds check.
-    fn count(&mut self, elem_size: usize) -> Result<usize, StoreError> {
-        let n = self.u64()?;
-        let remaining = (self.end - self.pos) as u64;
-        if n.saturating_mul(elem_size as u64) > remaining {
-            return Err(StoreError::Truncated {
-                expected: (self.pos as u64)
-                    .saturating_add(n.saturating_mul(elem_size as u64))
-                    .saturating_add(4),
-                found: self.bytes.len() as u64,
-            });
-        }
-        Ok(n as usize)
-    }
-
-    fn f64_vec(&mut self, n: usize) -> Result<Vec<f64>, StoreError> {
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f64()?);
-        }
-        Ok(v)
-    }
-
-    fn matrix(&mut self, rows: usize, cols: usize) -> Result<DenseMatrix, StoreError> {
-        let data = self.f64_vec(rows * cols)?;
-        DenseMatrix::from_vec(rows, cols, data).map_err(|e| StoreError::Corrupted {
-            reason: format!("matrix shape: {e}"),
-        })
-    }
 }
 
 /// Parses the version-1 wire format back into a [`CheckpointState`],
@@ -294,46 +217,20 @@ impl<'a> Cursor<'a> {
 /// Semantic validation against a graph/configuration happens at resume
 /// time in `advsgm-core`.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState, StoreError> {
-    if bytes.len() < 4 || bytes[0..4] != CHECKPOINT_MAGIC {
-        let mut found = [0u8; 4];
-        let take = bytes.len().min(4);
-        found[..take].copy_from_slice(&bytes[..take]);
-        return Err(StoreError::BadMagic { found });
-    }
-    if bytes.len() < 8 {
-        return Err(StoreError::Truncated {
-            expected: (CHECKPOINT_HEADER_LEN + 12) as u64,
-            found: bytes.len() as u64,
-        });
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version == 0 || version > CHECKPOINT_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            found: version,
-            supported: CHECKPOINT_VERSION,
-        });
-    }
-    if bytes.len() < CHECKPOINT_HEADER_LEN + 12 {
-        return Err(StoreError::Truncated {
-            expected: (CHECKPOINT_HEADER_LEN + 12) as u64,
-            found: bytes.len() as u64,
-        });
-    }
+    let min_len = CHECKPOINT_HEADER_LEN + 12;
+    check_prologue(
+        bytes,
+        CHECKPOINT_MAGIC,
+        CHECKPOINT_VERSION,
+        min_len,
+        min_len,
+    )?;
 
     // Integrity first: the header is fixed-length, but the sections are
     // self-describing, so verify every byte before trusting any length.
-    let body = &bytes[..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
+    check_seal(bytes)?;
 
-    let mut c = Cursor {
-        bytes,
-        pos: 6,
-        end: bytes.len() - 4,
-    };
+    let mut c = Reader::new(bytes, 6, bytes.len() - 4);
     let flags = c.u16()?;
     if flags & !KNOWN_FLAGS != 0 {
         return Err(StoreError::Corrupted {
@@ -378,20 +275,14 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState, StoreError> {
     let epochs_done = c.u64()?;
     let disc_updates = c.u64()?;
     let gen_updates = c.u64()?;
-    debug_assert_eq!(c.pos, CHECKPOINT_HEADER_LEN);
+    debug_assert_eq!(c.pos(), CHECKPOINT_HEADER_LEN);
 
     let n_losses = c.count(8)?;
-    let epoch_losses = c.f64_vec(n_losses)?;
+    let epoch_losses = c.f64s(n_losses)?;
 
     let n = graph_nodes as usize;
     // Guard the four-matrix payload size before allocating.
-    let payload = (n as u128) * (dim as u128) * 8 * 4;
-    if (c.pos as u128) + payload > c.end as u128 {
-        return Err(StoreError::Truncated {
-            expected: (c.pos as u128 + payload + 4).min(u64::MAX as u128) as u64,
-            found: bytes.len() as u64,
-        });
-    }
+    c.ensure((n as u128) * (dim as u128) * 8 * 4)?;
     let w_in = c.matrix(n, dim)?;
     let w_out = c.matrix(n, dim)?;
     let gen_for_i = c.matrix(n, dim)?;
@@ -400,11 +291,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState, StoreError> {
     let accountant = if flags & FLAG_ACCOUNTANT != 0 {
         let steps = c.u64()?;
         let grid = c.count(16)?; // each order costs 8 (alpha) + 8 (total)
-        let mut alphas = Vec::with_capacity(grid);
-        for _ in 0..grid {
-            alphas.push(c.u64()? as usize);
-        }
-        let totals = c.f64_vec(grid)?;
+        let alphas = c.u64s(grid)?.into_iter().map(|a| a as usize).collect();
+        let totals = c.f64s(grid)?;
         Some(AccountantState {
             steps,
             alphas,
@@ -415,24 +303,18 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState, StoreError> {
     };
 
     let n_streams = c.count(32)?;
-    let mut rng_streams = Vec::with_capacity(n_streams);
-    for _ in 0..n_streams {
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = c.u64()?;
-        }
-        rng_streams.push(s);
-    }
+    let rng_streams = c
+        .u64s(4 * n_streams)?
+        .chunks_exact(4)
+        .map(|w| [w[0], w[1], w[2], w[3]])
+        .collect();
 
     let n_perm = c.count(4)?;
-    let mut edge_permutation = Vec::with_capacity(n_perm);
-    for _ in 0..n_perm {
-        edge_permutation.push(c.u32()?);
-    }
+    let edge_permutation = c.u32s(n_perm)?;
 
-    if c.pos != c.end {
+    if c.remaining() != 0 {
         return Err(StoreError::Corrupted {
-            reason: format!("{} trailing bytes after the checkpoint body", c.end - c.pos),
+            reason: format!("{} trailing bytes after the checkpoint body", c.remaining()),
         });
     }
 
@@ -477,38 +359,15 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState, StoreError> {
     })
 }
 
-/// Writes a checkpoint to `path` crash-safely: the bytes land in a
-/// sibling temporary file, are **fsynced to stable storage**, and only
-/// then renamed into place (with the containing directory synced after
-/// the rename where the platform allows), so an interrupt or power loss
+/// Writes a checkpoint to `path` crash-safely (temporary sibling, fsync,
+/// rename, as every artifact is written), so an interrupt or power loss
 /// mid-write can never destroy the previous good checkpoint.
 ///
 /// # Errors
 /// I/O failures as [`StoreError::Io`]; [`StoreError::LimitExceeded`] from
 /// [`encode_checkpoint`] before anything is written.
 pub fn save_checkpoint(path: impl AsRef<Path>, state: &CheckpointState) -> Result<(), StoreError> {
-    use std::io::Write;
-
-    let path = path.as_ref();
-    let bytes = encode_checkpoint(state)?;
-    let tmp = path.with_extension("actk.tmp");
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(&bytes)?;
-    // Without this, journaling filesystems may commit the rename before
-    // the data pages, leaving a zero-length file where the previous good
-    // checkpoint used to be.
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    // Persist the rename itself. Directories cannot be fsynced on every
-    // platform (e.g. Windows); failing to sync the directory weakens the
-    // guarantee only to "ordinary rename atomicity", so it is not fatal.
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    write_sealed(path.as_ref(), &encode_checkpoint(state)?)
 }
 
 /// Reads and fully validates a checkpoint file written by
@@ -524,6 +383,7 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<CheckpointState, StoreE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::crc32;
     use advsgm_core::session::{CheckpointState as State, EpochEvent, SessionControl, TrainHooks};
     use advsgm_core::{ModelVariant, Trainer};
     use advsgm_graph::generators::classic::karate_club;

@@ -1,13 +1,12 @@
 //! Error type for embedding persistence and serving.
 //!
-//! Every failure mode of the `.aemb` reader is a distinct variant — a
-//! corrupted or truncated file must surface as a typed, matchable error,
-//! never a panic, because store files cross process and machine boundaries
-//! and the reader cannot trust them.
+//! Every failure mode of the four readers (`.aemb`, `.aidx`, `.actk`,
+//! `.agph`) is a distinct variant — a corrupted or truncated file must
+//! surface as a typed, matchable error, never a panic, because these
+//! files cross process and machine boundaries and the readers cannot
+//! trust them.
 
 use std::fmt;
-
-use advsgm_core::CoreError;
 
 /// Errors produced while building, saving, loading, or querying an
 /// embedding store.
@@ -16,15 +15,17 @@ pub enum StoreError {
     /// An underlying I/O failure (file system, permissions, ...).
     Io(std::io::Error),
     /// The file does not start with the magic of the format being read
-    /// (`AEMB` for embedding stores, `ACKP` for training checkpoints,
-    /// `AGPH` for partitioned graphs) — not one of this crate's files at
-    /// all.
+    /// (`AEMB` for embedding stores, `AIDX` for ANN indexes, `ACKP` for
+    /// training checkpoints, `AGPH` for partitioned graphs) — not a file
+    /// of that format at all.
     BadMagic {
         /// The four bytes actually found.
         found: [u8; 4],
+        /// The magic of the format the reader expected.
+        expected: [u8; 4],
     },
     /// The file's format version is newer than this reader understands
-    /// (both formats are strictly versioned; see `docs/FORMAT.md`).
+    /// (all four formats are strictly versioned; see `docs/FORMAT.md`).
     UnsupportedVersion {
         /// Version stamped in the file.
         found: u16,
@@ -60,14 +61,6 @@ pub enum StoreError {
         /// The unrecognised code byte.
         code: u8,
     },
-    /// The file's embedding dimension differs from the one the caller
-    /// required ([`crate::EmbeddingStore::load_expecting`]).
-    DimMismatch {
-        /// Dimension the caller required.
-        expected: usize,
-        /// Dimension stamped in the file.
-        found: usize,
-    },
     /// A query referenced a node row the store does not hold.
     NodeOutOfRange {
         /// The offending row index.
@@ -96,22 +89,29 @@ pub enum StoreError {
         /// What was wrong.
         reason: String,
     },
-    /// Training failed while exporting ([`crate::ExportEmbeddings`]).
-    Train(CoreError),
+}
+
+/// The file kind a format magic names, for [`StoreError::BadMagic`].
+fn format_name(magic: &[u8; 4]) -> &'static str {
+    match magic {
+        b"AEMB" => "an .aemb embedding store",
+        b"AIDX" => "an .aidx ANN index",
+        b"ACKP" => "an .actk training checkpoint",
+        b"AGPH" => "an .agph partitioned graph",
+        _ => "a file of this crate",
+    }
 }
 
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "i/o error: {e}"),
-            StoreError::BadMagic { found } => {
-                write!(
-                    f,
-                    "unrecognised file magic {found:?} (expected b\"AEMB\" for \
-                     embedding stores, b\"ACKP\" for checkpoints, or b\"AGPH\" \
-                     for partitioned graphs)"
-                )
-            }
+            StoreError::BadMagic { found, expected } => write!(
+                f,
+                "unrecognised file magic {found:?} (expected b\"{}\" for {})",
+                expected.escape_ascii(),
+                format_name(expected)
+            ),
             StoreError::UnsupportedVersion { found, supported } => write!(
                 f,
                 "unsupported format version {found} (this reader supports <= {supported})"
@@ -130,10 +130,6 @@ impl fmt::Display for StoreError {
                 "unknown model-variant code {code} (corrupt file, or written \
                  by a newer release of this format)"
             ),
-            StoreError::DimMismatch { expected, found } => write!(
-                f,
-                "embedding dimension mismatch: expected {expected}, file has {found}"
-            ),
             StoreError::NodeOutOfRange { node, num_nodes } => {
                 write!(
                     f,
@@ -149,7 +145,6 @@ impl fmt::Display for StoreError {
                 write!(f, "index does not match the store: {reason}")
             }
             StoreError::Invalid { reason } => write!(f, "invalid store: {reason}"),
-            StoreError::Train(e) => write!(f, "training failed during export: {e}"),
         }
     }
 }
@@ -158,7 +153,6 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            StoreError::Train(e) => Some(e),
             _ => None,
         }
     }
@@ -170,12 +164,6 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-impl From<CoreError> for StoreError {
-    fn from(e: CoreError) -> Self {
-        StoreError::Train(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,8 +172,11 @@ mod tests {
     fn displays_are_informative() {
         let cases: Vec<(StoreError, &str)> = vec![
             (
-                StoreError::BadMagic { found: *b"PNG\0" },
-                "unrecognised file magic",
+                StoreError::BadMagic {
+                    found: *b"PNG\0",
+                    expected: *b"AIDX",
+                },
+                "expected b\"AIDX\" for an .aidx ANN index",
             ),
             (
                 StoreError::UnsupportedVersion {
@@ -207,13 +198,6 @@ mod tests {
                     computed: 2,
                 },
                 "checksum mismatch",
-            ),
-            (
-                StoreError::DimMismatch {
-                    expected: 128,
-                    found: 64,
-                },
-                "expected 128",
             ),
             (
                 StoreError::NodeOutOfRange {
@@ -247,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn io_and_train_chain_sources() {
+    fn io_chains_its_source() {
         use std::error::Error;
         let io = StoreError::from(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
         assert!(io.source().is_some());

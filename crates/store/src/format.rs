@@ -27,11 +27,14 @@
 //! representable value — the released matrix *is* the privatized artifact
 //! and must not be perturbed by persistence.
 
-use advsgm_linalg::DenseMatrix;
-
+use crate::codec::{check_len, check_prologue, check_seal, seal, Reader};
 use crate::error::StoreError;
 use crate::meta::{variant_code, variant_from_code, PrivacyMeta};
 use crate::store::EmbeddingStore;
+
+/// CRC-32 (IEEE 802.3), the checksum all four formats store; see
+/// `docs/FORMAT.md`, "Checksum trailer".
+pub use crate::codec::crc32;
 
 /// The four magic bytes every `.aemb` file starts with.
 pub const MAGIC: [u8; 4] = *b"AEMB";
@@ -50,71 +53,6 @@ const FLAG_DELTA: u16 = 1 << 1;
 const FLAG_SIGMA: u16 = 1 << 2;
 /// Every flag bit version 1 defines; the rest must read as zero.
 const KNOWN_FLAGS: u16 = FLAG_EPSILON | FLAG_DELTA | FLAG_SIGMA;
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup tables
-/// for slicing-by-8: `CRC32_TABLES[0]` is the bytewise table, and
-/// `CRC32_TABLES[k][i]` is the register after byte `i` followed by `k`
-/// zero bytes, so one step folds eight input bytes through eight lookups.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE 802.3) of `data` — the checksum stored in the `.aemb`
-/// trailer. Eight bytes per step (slicing-by-8), then the tail a byte at
-/// a time; the value is the bytewise algorithm's.
-///
-/// # Examples
-/// ```
-/// // The standard check value for this CRC parameterisation.
-/// assert_eq!(advsgm_store::format::crc32(b"123456789"), 0xCBF4_3926);
-/// ```
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for word in &mut words {
-        let lo = c ^ u32::from_le_bytes(word[..4].try_into().expect("4 bytes"));
-        let hi = u32::from_le_bytes(word[4..].try_into().expect("4 bytes"));
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Serialises a store to the version-1 wire format.
 pub(crate) fn encode(store: &EmbeddingStore) -> Vec<u8> {
@@ -151,77 +89,29 @@ pub(crate) fn encode(store: &EmbeddingStore) -> Vec<u8> {
     for &v in store.matrix().as_slice() {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    let checksum = crc32(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    seal(&mut out);
     out
-}
-
-/// Reads a little-endian `u64` at `offset` (caller guarantees bounds).
-fn read_u64(bytes: &[u8], offset: usize) -> u64 {
-    u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8 bytes"))
-}
-
-/// Reads a little-endian `f64` bit pattern at `offset`.
-fn read_f64(bytes: &[u8], offset: usize) -> f64 {
-    f64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8 bytes"))
 }
 
 /// Parses the version-1 wire format back into a store, verifying magic,
 /// version, structural lengths, and the CRC-32 trailer.
 pub(crate) fn decode(bytes: &[u8]) -> Result<EmbeddingStore, StoreError> {
-    // Magic and version come first so "wrong file" and "newer writer"
-    // produce their specific errors even on short inputs.
-    if bytes.len() < 4 || bytes[0..4] != MAGIC {
-        let mut found = [0u8; 4];
-        let take = bytes.len().min(4);
-        found[..take].copy_from_slice(&bytes[..take]);
-        return Err(StoreError::BadMagic { found });
-    }
-    if bytes.len() < 6 {
-        return Err(StoreError::Truncated {
-            expected: (HEADER_LEN + 4) as u64,
-            found: bytes.len() as u64,
-        });
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version == 0 || version > FORMAT_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    if bytes.len() < HEADER_LEN + 4 {
-        return Err(StoreError::Truncated {
-            expected: (HEADER_LEN + 4) as u64,
-            found: bytes.len() as u64,
-        });
-    }
+    check_prologue(bytes, MAGIC, FORMAT_VERSION, HEADER_LEN + 4, HEADER_LEN + 4)?;
 
     // Structural length checks next, then field validation, then the CRC
     // — the exact order FORMAT.md's "reader obligations" specifies, so an
     // independent reader built from that page produces the same typed
     // error as this one for any given file.
-    let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
-    let dim = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-    let n = read_u64(bytes, 12);
+    let mut r = Reader::new(bytes, 6, HEADER_LEN);
+    let flags = r.u16()?;
+    let dim = r.u32()? as usize;
+    let n = r.u64()?;
+    let code = r.u8()?;
+    let reserved = r.take(3)?;
+    let [epsilon, delta, sigma] = [r.f64()?, r.f64()?, r.f64()?];
 
-    // Total size implied by the header, in u128 so absurd counts cannot
-    // overflow into a bogus "valid" length.
     let expected = HEADER_LEN as u128 + 8 * n as u128 + 8 * n as u128 * dim as u128 + 4;
-    if (bytes.len() as u128) < expected {
-        return Err(StoreError::Truncated {
-            expected: expected.min(u64::MAX as u128) as u64,
-            found: bytes.len() as u64,
-        });
-    }
-    if (bytes.len() as u128) > expected {
-        return Err(StoreError::Corrupted {
-            reason: format!(
-                "{} trailing bytes after the checksum",
-                bytes.len() as u128 - expected
-            ),
-        });
-    }
+    check_len(bytes.len(), expected, "the checksum")?;
     let n = n as usize;
 
     if flags & !KNOWN_FLAGS != 0 {
@@ -245,43 +135,25 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<EmbeddingStore, StoreError> {
             reason: "embedding dimension is zero".into(),
         });
     }
-    if bytes[21] != 0 || bytes[22] != 0 || bytes[23] != 0 {
+    if reserved != [0; 3] {
         return Err(StoreError::Corrupted {
             reason: "reserved header bytes are non-zero".into(),
         });
     }
-    let variant = variant_from_code(bytes[20])?;
+    let variant = variant_from_code(code)?;
 
     // Structure checks out; now verify integrity of every byte.
-    let body = &bytes[..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
+    check_seal(bytes)?;
 
-    let epsilon = (flags & FLAG_EPSILON != 0).then(|| read_f64(bytes, 24));
-    let delta = (flags & FLAG_DELTA != 0).then(|| read_f64(bytes, 32));
-    let sigma = (flags & FLAG_SIGMA != 0).then(|| read_f64(bytes, 40));
     let meta = PrivacyMeta {
         variant,
-        epsilon,
-        delta,
-        sigma,
+        epsilon: (flags & FLAG_EPSILON != 0).then_some(epsilon),
+        delta: (flags & FLAG_DELTA != 0).then_some(delta),
+        sigma: (flags & FLAG_SIGMA != 0).then_some(sigma),
     };
-
-    let ids_start = HEADER_LEN;
-    let node_ids: Vec<u64> = (0..n).map(|i| read_u64(bytes, ids_start + 8 * i)).collect();
-
-    let payload_start = ids_start + 8 * n;
-    let mut data = Vec::with_capacity(n * dim);
-    for i in 0..n * dim {
-        data.push(read_f64(bytes, payload_start + 8 * i));
-    }
-    let vectors = DenseMatrix::from_vec(n, dim, data).map_err(|e| StoreError::Corrupted {
-        reason: format!("payload shape: {e}"),
-    })?;
-
+    let mut r = Reader::new(bytes, HEADER_LEN, bytes.len() - 4);
+    let node_ids = r.u64s(n)?;
+    let vectors = r.matrix(n, dim)?;
     EmbeddingStore::with_node_ids(vectors, node_ids, meta)
 }
 
@@ -289,6 +161,12 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<EmbeddingStore, StoreError> {
 mod tests {
     use super::*;
     use advsgm_core::ModelVariant;
+    use advsgm_linalg::DenseMatrix;
+
+    /// Reads a little-endian `u64` at `offset`.
+    fn read_u64(bytes: &[u8], offset: usize) -> u64 {
+        u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8 bytes"))
+    }
 
     fn sample_store() -> EmbeddingStore {
         let m = DenseMatrix::from_fn(5, 3, |i, j| (i as f64 + 1.0) * 0.5 - j as f64 * 0.25);
@@ -297,46 +175,6 @@ mod tests {
             PrivacyMeta::private(ModelVariant::AdvSgm, 5.5, 1e-5, 5.0),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn crc32_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    /// The bytewise CRC-32 that slicing-by-8 replaced, bit by bit from
-    /// the polynomial, with no table.
-    fn crc32_bytewise(data: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
-        for &b in data {
-            c ^= b as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-        }
-        c ^ 0xFFFF_FFFF
-    }
-
-    #[test]
-    fn crc32_matches_the_bytewise_reference() {
-        let bytes: Vec<u8> = (0..(1usize << 20) + 7)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
-        // Every length through several words and every alignment of the
-        // 8-byte steps against the tail.
-        for start in 0..8 {
-            for len in 0..=64 {
-                let data = &bytes[start..start + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "start={start} len={len}");
-            }
-        }
-        let big = &bytes[3..3 + (1 << 20)];
-        assert_eq!(crc32(big), crc32_bytewise(big));
     }
 
     #[test]

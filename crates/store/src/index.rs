@@ -58,8 +58,8 @@ use advsgm_linalg::topk::{score_rows, top_k_rows, ScoredIndex, TopK};
 use advsgm_linalg::{vector, DenseMatrix};
 use advsgm_parallel::ThreadPool;
 
+use crate::codec::{check_len, check_prologue, check_seal, seal, write_sealed, Reader};
 use crate::error::StoreError;
-use crate::format::crc32;
 use crate::store::{EmbeddingStore, Neighbor};
 
 /// The four magic bytes every `.aidx` file starts with.
@@ -715,14 +715,14 @@ impl IvfIndex {
         decode_index(bytes)
     }
 
-    /// Writes the index to a file (bytes fully serialised, checksum
-    /// included, before the file is created).
+    /// Writes the index to a file crash-safely (temporary sibling, fsync,
+    /// rename, as every artifact is written): a failed save leaves the
+    /// previous file whole.
     ///
     /// # Errors
     /// I/O failures.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        std::fs::write(path, self.to_bytes())?;
-        Ok(())
+        write_sealed(path.as_ref(), &self.to_bytes())
     }
 
     /// Loads an index from an `.aidx` file.
@@ -1207,8 +1207,7 @@ fn encode_index(index: &IvfIndex) -> Vec<u8> {
         out.extend_from_slice(&target.to_le_bytes());
         out.extend_from_slice(&nprobe.to_le_bytes());
     }
-    let checksum = crc32(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    seal(&mut out);
     out
 }
 
@@ -1216,59 +1215,27 @@ fn encode_index(index: &IvfIndex) -> Vec<u8> {
 /// structural lengths, field validity, and the CRC-32 trailer — the same
 /// reader-obligation order as `.aemb` (`docs/FORMAT.md`).
 fn decode_index(bytes: &[u8]) -> Result<IvfIndex, StoreError> {
-    if bytes.len() < 4 || bytes[0..4] != INDEX_MAGIC {
-        let mut found = [0u8; 4];
-        let take = bytes.len().min(4);
-        found[..take].copy_from_slice(&bytes[..take]);
-        return Err(StoreError::BadMagic { found });
-    }
-    if bytes.len() < 6 {
-        return Err(StoreError::Truncated {
-            expected: (INDEX_HEADER_LEN + 4) as u64,
-            found: bytes.len() as u64,
-        });
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version == 0 || version > INDEX_FORMAT_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            found: version,
-            supported: INDEX_FORMAT_VERSION,
-        });
-    }
-    if bytes.len() < INDEX_HEADER_LEN + 4 {
-        return Err(StoreError::Truncated {
-            expected: (INDEX_HEADER_LEN + 4) as u64,
-            found: bytes.len() as u64,
-        });
-    }
-    let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
-    let dim = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-    let nodes = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let nlist = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    let calib_len = u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes"));
-    let store_fingerprint = u64::from_le_bytes(bytes[28..36].try_into().expect("8 bytes"));
+    check_prologue(
+        bytes,
+        INDEX_MAGIC,
+        INDEX_FORMAT_VERSION,
+        INDEX_HEADER_LEN + 4,
+        INDEX_HEADER_LEN + 4,
+    )?;
+    let mut r = Reader::new(bytes, 6, INDEX_HEADER_LEN);
+    let flags = r.u16()?;
+    let dim = r.u32()? as usize;
+    let nodes = r.u64()?;
+    let nlist = r.u32()?;
+    let calib_len = r.u32()?;
+    let store_fingerprint = r.u64()?;
 
-    // Header-implied total in u128 so hostile counts cannot overflow into
-    // a bogus "valid" length.
     let expected = INDEX_HEADER_LEN as u128
         + 8 * nlist as u128 * dim as u128
         + 4 * nodes as u128
         + 12 * calib_len as u128
         + 4;
-    if (bytes.len() as u128) < expected {
-        return Err(StoreError::Truncated {
-            expected: expected.min(u64::MAX as u128) as u64,
-            found: bytes.len() as u64,
-        });
-    }
-    if (bytes.len() as u128) > expected {
-        return Err(StoreError::Corrupted {
-            reason: format!(
-                "{} trailing bytes after the checksum",
-                bytes.len() as u128 - expected
-            ),
-        });
-    }
+    check_len(bytes.len(), expected, "the checksum")?;
     let nodes = nodes as usize;
 
     if flags != 0 {
@@ -1283,43 +1250,24 @@ fn decode_index(bytes: &[u8]) -> Result<IvfIndex, StoreError> {
     }
 
     // Structure checks out; verify integrity before trusting the body.
-    let body = &bytes[..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
+    check_seal(bytes)?;
 
-    let mut pos = INDEX_HEADER_LEN;
-    let mut centroid_data = Vec::with_capacity(nlist as usize * dim);
-    for _ in 0..nlist as usize * dim {
-        centroid_data.push(f64::from_le_bytes(
-            bytes[pos..pos + 8].try_into().expect("8 bytes"),
-        ));
-        pos += 8;
-    }
-    let centroids = DenseMatrix::from_vec(nlist as usize, dim, centroid_data).map_err(|e| {
-        StoreError::Corrupted {
-            reason: format!("centroid shape: {e}"),
-        }
-    })?;
-    let mut assignments = Vec::with_capacity(nodes);
-    for _ in 0..nodes {
-        let a = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        if a != ALWAYS_SCAN && a >= nlist {
-            return Err(StoreError::Corrupted {
-                reason: format!("row assigned to cluster {a} but the index has {nlist}"),
-            });
-        }
-        assignments.push(a);
-        pos += 4;
+    let mut r = Reader::new(bytes, INDEX_HEADER_LEN, bytes.len() - 4);
+    let centroids = r.matrix(nlist as usize, dim)?;
+    let assignments = r.u32s(nodes)?;
+    if let Some(&a) = assignments
+        .iter()
+        .find(|&&a| a != ALWAYS_SCAN && a >= nlist)
+    {
+        return Err(StoreError::Corrupted {
+            reason: format!("row assigned to cluster {a} but the index has {nlist}"),
+        });
     }
     let mut calibration = Vec::with_capacity(calib_len as usize);
     let mut last_target = f64::NEG_INFINITY;
     for _ in 0..calib_len {
-        let target = f64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
-        let nprobe = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().expect("4 bytes"));
-        pos += 12;
+        let target = r.f64()?;
+        let nprobe = r.u32()?;
         if !(0.0..=1.0).contains(&target) || target < last_target {
             return Err(StoreError::Corrupted {
                 reason: format!("calibration targets must ascend within [0, 1], got {target}"),
@@ -1352,6 +1300,7 @@ fn decode_index(bytes: &[u8]) -> Result<IvfIndex, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::crc32;
     use crate::meta::PrivacyMeta;
     use advsgm_core::ModelVariant;
 

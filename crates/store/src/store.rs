@@ -25,6 +25,7 @@ use advsgm_linalg::topk::top_k_rows;
 use advsgm_linalg::{backend, DenseMatrix};
 use advsgm_parallel::{resolve_threads, ThreadPool};
 
+use crate::codec::write_sealed;
 use crate::error::StoreError;
 use crate::format;
 use crate::meta::PrivacyMeta;
@@ -333,15 +334,14 @@ impl EmbeddingStore {
         format::decode(bytes)
     }
 
-    /// Writes the store to a file atomically enough for a single writer:
-    /// the bytes are fully serialised (checksum included) before the file
-    /// is created.
+    /// Writes the store to a file crash-safely: the bytes go to a
+    /// temporary sibling, are fsynced, and are renamed over `path`, so a
+    /// crash or a failed save never destroys the previous release.
     ///
     /// # Errors
     /// I/O failures.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        std::fs::write(path, self.to_bytes())?;
-        Ok(())
+        write_sealed(path.as_ref(), &self.to_bytes())
     }
 
     /// Loads a store from an `.aemb` file.
@@ -350,24 +350,6 @@ impl EmbeddingStore {
     /// I/O failures plus everything [`Self::from_bytes`] reports.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::from_bytes(&std::fs::read(path)?)
-    }
-
-    /// Loads a store and additionally requires its embedding dimension to
-    /// equal `dim` — the guard for consumers compiled against a fixed
-    /// layout.
-    ///
-    /// # Errors
-    /// [`StoreError::DimMismatch`] on top of everything [`Self::load`]
-    /// reports.
-    pub fn load_expecting(path: impl AsRef<Path>, dim: usize) -> Result<Self, StoreError> {
-        let store = Self::load(path)?;
-        if store.dim() != dim {
-            return Err(StoreError::DimMismatch {
-                expected: dim,
-                found: store.dim(),
-            });
-        }
-        Ok(store)
     }
 }
 
@@ -571,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn save_load_file_roundtrip_and_dim_guard() {
+    fn save_load_file_roundtrip() {
         let s = store_of(&[&[1.5, -2.5], &[0.25, 1e-300]]);
         let dir = std::env::temp_dir().join("advsgm_store_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -579,14 +561,6 @@ mod tests {
         s.save(&path).unwrap();
         let back = EmbeddingStore::load(&path).unwrap();
         assert_eq!(back, s);
-        assert!(EmbeddingStore::load_expecting(&path, 2).is_ok());
-        assert!(matches!(
-            EmbeddingStore::load_expecting(&path, 128),
-            Err(StoreError::DimMismatch {
-                expected: 128,
-                found: 2
-            })
-        ));
         std::fs::remove_file(&path).unwrap();
     }
 

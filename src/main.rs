@@ -576,14 +576,13 @@ fn cmd_convert(args: ConvertArgs) -> Result<(), String> {
     let graph = build_graph(args.edges.as_deref(), &args.dataset, args.scale, args.seed)?;
     advsgm::store::save_agph(&args.out, &graph, args.buckets)
         .map_err(|e| format!("{}: {e}", args.out))?;
-    let size = std::fs::metadata(&args.out).map(|m| m.len()).unwrap_or(0);
     out!(
         "wrote {}: {} nodes, {} edges in {} bucket section(s) ({})",
         args.out,
         graph.num_nodes(),
         graph.num_edges(),
         args.buckets,
-        human_bytes(size as usize)
+        saved_size(&args.out)
     );
     Ok(())
 }
@@ -1025,16 +1024,17 @@ fn run_training(args: &TrainArgs, pipeline: Pipeline<'_>) -> Result<(), String> 
         }
     );
 
-    // Serialise once; the same buffer provides the file and the size line.
-    let bytes = trained.store().to_bytes();
-    std::fs::write(&args.out, &bytes).map_err(|e| format!("{}: {e}", args.out))?;
+    let store = trained.store();
+    store
+        .save(&args.out)
+        .map_err(|e| format!("{}: {e}", args.out))?;
     out!(
         "saved {} nodes x {} dims to {} ({}); privacy: {}",
-        trained.store().len(),
-        trained.store().dim(),
+        store.len(),
+        store.dim(),
         args.out,
-        human_bytes(bytes.len()),
-        trained.store().meta()
+        saved_size(&args.out),
+        store.meta()
     );
     Ok(())
 }
@@ -1118,15 +1118,16 @@ fn cmd_index(args: IndexArgs) -> Result<(), String> {
     let index = service
         .build_index(args.params)
         .map_err(|e| e.to_string())?;
-    let bytes = index.to_bytes();
-    std::fs::write(&args.out, &bytes).map_err(|e| format!("{}: {e}", args.out))?;
+    index
+        .save(&args.out)
+        .map_err(|e| format!("{}: {e}", args.out))?;
     out!(
         "built in {:.2?}: {} clusters, {} always-scanned row(s); wrote {} ({})",
         start.elapsed(),
         index.nlist(),
         index.always_scanned(),
         args.out,
-        human_bytes(bytes.len())
+        saved_size(&args.out)
     );
     for &(target, nprobe) in index.calibration() {
         out!(
@@ -1236,6 +1237,11 @@ fn cmd_info(args: InfoArgs) -> Result<(), String> {
     out!("  dim         {}", service.dim());
     out!("  privacy     {}", service.privacy());
     Ok(())
+}
+
+/// The size of the file a command just saved, for its report line.
+fn saved_size(path: &str) -> String {
+    human_bytes(std::fs::metadata(path).map_or(0, |m| m.len() as usize))
 }
 
 fn human_bytes(n: usize) -> String {

@@ -1,7 +1,7 @@
 //! The `.agph` disk-resident graph format (docs/FORMAT.md, DESIGN.md
 //! §14): exact roundtrips for awkward graphs (isolated nodes, maximum-
-//! degree hubs, bucket counts past the node count), streaming reads that
-//! match the one-shot decoder, and the corruption taxonomy — every
+//! degree hubs, bucket counts past the node count), in memory and
+//! through the disk, and the corruption taxonomy — every
 //! single-byte flip detected, truncation at every section boundary (and
 //! every byte) typed, unknown versions and flags rejected — never a
 //! panic.
@@ -12,7 +12,7 @@ use advsgm::graph::{Edge, Graph};
 use advsgm::linalg::rng::seeded;
 use advsgm::store::{
     agph::AGPH_FIXED_HEADER_LEN, decode_agph, encode_agph, format::crc32, load_agph, save_agph,
-    AgphReader, StoreError,
+    StoreError,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -68,35 +68,15 @@ fn awkward_graphs_roundtrip_at_every_bucket_count() {
 }
 
 #[test]
-fn streaming_reader_matches_the_one_shot_decoder() {
+fn a_hub_graph_roundtrips_through_disk() {
     let g = hub_graph(40);
-    let dir = std::env::temp_dir().join("advsgm_agph_format_stream");
+    let dir = std::env::temp_dir().join("advsgm_agph_format_hub");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("hub.agph");
     save_agph(&path, &g, 5).unwrap();
 
     let whole = load_agph(&path).unwrap();
     assert_eq!(edge_set(&whole), edge_set(&g));
-
-    // One bucket's edges at a time, never the whole edge array.
-    let mut reader = AgphReader::open(&path).unwrap();
-    assert_eq!(reader.num_nodes(), g.num_nodes());
-    assert_eq!(reader.num_edges(), g.num_edges());
-    assert_eq!(reader.bucket_count(), 5);
-    let mut streamed = BTreeSet::new();
-    let mut total = 0usize;
-    for b in 0..reader.bucket_count() {
-        let edges = reader.bucket_edges(b).unwrap();
-        assert_eq!(edges.len(), reader.bucket_edge_count(b).unwrap());
-        total += edges.len();
-        for e in edges {
-            let (u, v) = e.endpoints();
-            streamed.insert((u.0, v.0));
-        }
-    }
-    assert_eq!(total, g.num_edges());
-    assert_eq!(streamed, edge_set(&g));
-    reader.verify_fingerprint().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -182,38 +162,18 @@ fn signed_sparse_graph() -> Graph {
 }
 
 #[test]
-fn signed_files_roundtrip_through_disk_and_streaming() {
+fn signed_files_roundtrip_through_disk() {
     let g = signed_sparse_graph();
     let dir = std::env::temp_dir().join("advsgm_agph_format_signed");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("signed.agph");
     save_agph(&path, &g, 4).unwrap();
 
-    // One-shot: the polarity channel survives the disk.
+    // The polarity channel survives the disk.
     let back = load_agph(&path).unwrap();
     assert!(back.is_signed());
     assert_eq!(back.num_foe_edges(), g.num_foe_edges());
     assert_eq!(edge_set(&back), edge_set(&g));
-
-    // Streaming: the reader reports the flag and serves per-bucket signs
-    // whose total foe count matches, without materialising the graph.
-    let mut reader = AgphReader::open(&path).unwrap();
-    assert!(reader.is_signed());
-    let mut foes = 0usize;
-    for b in 0..reader.bucket_count() {
-        let signs = reader.bucket_signs(b).unwrap().expect("signed file");
-        assert_eq!(signs.len(), reader.bucket_edge_count(b).unwrap());
-        foes += signs.iter().filter(|&&s| s).count();
-    }
-    assert_eq!(foes, g.num_foe_edges());
-    reader.verify_fingerprint().unwrap();
-
-    // An unsigned reader contract: unsigned files answer None.
-    let upath = dir.join("unsigned.agph");
-    save_agph(&upath, &sparse_graph(), 4).unwrap();
-    let mut ureader = AgphReader::open(&upath).unwrap();
-    assert!(!ureader.is_signed());
-    assert!(ureader.bucket_signs(0).unwrap().is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -75,11 +75,11 @@ fn snapshots() -> Vec<(Error, &'static str)> {
             "store: truncated store file: header implies 100 bytes, found 60",
         ),
         (
-            Error::from(StoreError::DimMismatch {
-                expected: 128,
-                found: 64,
+            Error::from(StoreError::BadMagic {
+                found: *b"AEMB",
+                expected: *b"AIDX",
             }),
-            "store: embedding dimension mismatch: expected 128, file has 64",
+            "store: unrecognised file magic [65, 69, 77, 66] (expected b\"AIDX\" for an .aidx ANN index)",
         ),
         (
             Error::from(std::io::Error::new(
@@ -150,7 +150,13 @@ fn messages_are_lowercase_with_no_trailing_period() {
         }
         .to_string(),
     );
-    all.push(StoreError::BadMagic { found: *b"PNG\0" }.to_string());
+    all.push(
+        StoreError::BadMagic {
+            found: *b"PNG\0",
+            expected: *b"AEMB",
+        }
+        .to_string(),
+    );
     all.push(
         PrivacyError::BudgetExhausted {
             delta_spent: 2e-5,
@@ -193,17 +199,14 @@ fn messages_are_lowercase_with_no_trailing_period() {
 
 #[test]
 fn source_chain_is_preserved_through_the_facade() {
-    // Two hops: api::Error -> StoreError -> CoreError.
-    let inner = CoreError::Config {
-        field: "dim",
-        reason: "zero".into(),
-    };
-    let err = Error::from(StoreError::Train(inner));
+    // Two hops: api::Error -> StoreError -> io::Error.
+    let inner = std::io::Error::new(std::io::ErrorKind::PermissionDenied, "denied");
+    let err = Error::from(StoreError::Io(inner));
     let store_layer = err.source().expect("store layer present");
-    assert!(store_layer.to_string().contains("training failed"));
-    let core_layer = store_layer.source().expect("core layer present");
-    assert!(core_layer.to_string().contains("invalid configuration dim"));
-    assert!(core_layer.source().is_none());
+    assert!(store_layer.to_string().contains("i/o error: denied"));
+    let io_layer = store_layer.source().expect("io layer present");
+    assert_eq!(io_layer.to_string(), "denied");
+    assert!(io_layer.source().is_none());
 
     // Api-level parameter errors are leaves.
     let leaf = advsgm::api::Epsilon::new(f64::NAN).unwrap_err();

@@ -1,12 +1,21 @@
 //! Integration tests for the embedding persistence + serving subsystem:
-//! exact `.aemb` roundtrips, typed rejection of corrupted files, and the
-//! thread-count invariance of batched serving (DESIGN.md §9).
+//! exact `.aemb` roundtrips, typed rejection of corrupted files, the
+//! thread-count invariance of batched serving (DESIGN.md §9), and saves
+//! that replace their file whole in all four formats.
 
+use std::path::Path;
+
+use advsgm::core::session::{CheckpointState, EpochEvent, SessionControl, TrainHooks};
 use advsgm::core::{AdvSgmConfig, ModelVariant, Trainer};
+use advsgm::graph::generators::classic::karate_club;
 use advsgm::graph::generators::sbm::{degree_corrected_sbm, SbmConfig};
+use advsgm::graph::Graph;
 use advsgm::linalg::rng::seeded;
 use advsgm::linalg::DenseMatrix;
-use advsgm::store::{EmbeddingStore, ExportEmbeddings, PrivacyMeta, StoreError};
+use advsgm::store::{
+    encode_agph, encode_checkpoint, load_agph, load_checkpoint, save_agph, save_checkpoint,
+    EmbeddingStore, IndexParams, IvfIndex, PrivacyMeta, StoreError,
+};
 use proptest::prelude::*;
 
 fn small_graph() -> advsgm::graph::Graph {
@@ -27,11 +36,17 @@ fn bits(m: &DenseMatrix) -> Vec<u64> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
+/// Trains on `g` and releases the outcome as a store.
+fn release(g: &Graph, cfg: AdvSgmConfig) -> EmbeddingStore {
+    let outcome = Trainer::new(g, cfg.clone()).unwrap().train(g).unwrap();
+    EmbeddingStore::from_outcome(&outcome, &cfg).unwrap()
+}
+
 #[test]
 fn trained_store_roundtrips_bitwise_through_disk() {
     let g = small_graph();
     let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
-    let store = Trainer::new(&g, cfg).unwrap().export(&g).unwrap();
+    let store = release(&g, cfg);
     let path = std::env::temp_dir().join("advsgm_it_roundtrip.aemb");
     store.save(&path).unwrap();
     let back = EmbeddingStore::load(&path).unwrap();
@@ -55,7 +70,7 @@ fn exported_store_serves_the_training_graph() {
     cfg.epochs = 10;
     cfg.disc_iters = 20;
     cfg.batch_size = 64;
-    let store = Trainer::new(&g, cfg).unwrap().export(&g).unwrap();
+    let store = release(&g, cfg);
     let served = EmbeddingStore::from_bytes(&store.to_bytes()).unwrap();
     let mut pos = 0.0;
     for e in g.edges() {
@@ -82,7 +97,7 @@ fn exported_store_serves_the_training_graph() {
 fn batch_top_k_is_thread_count_invariant() {
     let g = small_graph();
     let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
-    let store = Trainer::new(&g, cfg).unwrap().export(&g).unwrap();
+    let store = release(&g, cfg);
     let queries: Vec<usize> = (0..store.len()).collect();
     let base = store.batch_top_k(&queries, 7, 1).unwrap();
     for threads in [2usize, 4, 8] {
@@ -105,7 +120,7 @@ fn batch_top_k_is_thread_count_invariant() {
 fn corrupted_and_truncated_files_fail_with_typed_errors() {
     let g = small_graph();
     let cfg = AdvSgmConfig::test_small(ModelVariant::Sgm);
-    let store = Trainer::new(&g, cfg).unwrap().export(&g).unwrap();
+    let store = release(&g, cfg);
     let bytes = store.to_bytes();
 
     // Header corruption: flipped byte inside the fixed header.
@@ -153,23 +168,96 @@ fn corrupted_and_truncated_files_fail_with_typed_errors() {
     ));
 }
 
+/// Keeps the checkpoint a session offers after its first epoch.
+struct FirstCheckpoint(Option<CheckpointState>);
+
+impl TrainHooks for FirstCheckpoint {
+    fn on_epoch(&mut self, _event: &EpochEvent) -> SessionControl {
+        SessionControl::Continue
+    }
+
+    fn wants_checkpoint(&mut self, epochs_done: usize) -> bool {
+        epochs_done == 1
+    }
+
+    fn on_checkpoint(&mut self, state: &CheckpointState) -> SessionControl {
+        self.0 = Some(state.clone());
+        SessionControl::Continue
+    }
+}
+
+/// Saves with `save` over an old file at `path` whose temp sibling
+/// cannot be created, then with the sibling free: the first save must be
+/// an `Io` error that leaves the old bytes, the second must leave no
+/// temp sibling and `reload` to `encoded`.
+fn assert_save_replaces_the_file_whole(
+    path: &Path,
+    encoded: &[u8],
+    save: impl Fn(&Path) -> Result<(), StoreError>,
+    reload: impl Fn(&Path) -> Vec<u8>,
+) {
+    let mut name = path.file_name().unwrap().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let old = b"the previous file";
+    std::fs::write(path, old).unwrap();
+    std::fs::create_dir(&tmp).unwrap();
+    let err = save(path).unwrap_err();
+    assert!(
+        matches!(err, StoreError::Io(_)),
+        "{}: {err}",
+        path.display()
+    );
+    assert_eq!(std::fs::read(path).unwrap(), old, "{}", path.display());
+    std::fs::remove_dir(&tmp).unwrap();
+
+    save(path).unwrap();
+    assert!(!tmp.exists(), "{} left its temp sibling", path.display());
+    assert!(
+        reload(path) == encoded,
+        "{} reloads other bytes",
+        path.display()
+    );
+}
+
 #[test]
-fn load_expecting_guards_dimension() {
-    let g = small_graph();
-    let cfg = AdvSgmConfig::test_small(ModelVariant::Sgm); // dim 16
-    let store = Trainer::new(&g, cfg).unwrap().export(&g).unwrap();
-    let path = std::env::temp_dir().join("advsgm_it_dim.aemb");
-    store.save(&path).unwrap();
-    assert!(EmbeddingStore::load_expecting(&path, 16).is_ok());
-    let err = EmbeddingStore::load_expecting(&path, 128).unwrap_err();
-    std::fs::remove_file(&path).unwrap();
-    assert!(matches!(
-        err,
-        StoreError::DimMismatch {
-            expected: 128,
-            found: 16
-        }
-    ));
+fn every_format_saves_by_replacing_the_whole_file() {
+    let g = karate_club();
+    let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
+    let mut first = FirstCheckpoint(None);
+    let mut trainer = Trainer::new(&g, cfg.clone()).unwrap();
+    trainer.train_with_hooks(&g, &mut first).unwrap();
+    let state = first.0.expect("a checkpoint after the first epoch");
+    let store = EmbeddingStore::from_outcome(&trainer.into_outcome().unwrap(), &cfg).unwrap();
+    let index = IvfIndex::build(&store, IndexParams::default()).unwrap();
+
+    let dir = std::env::temp_dir().join(format!("advsgm_whole_saves_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    assert_save_replaces_the_file_whole(
+        &dir.join("release.aemb"),
+        &store.to_bytes(),
+        |p| store.save(p),
+        |p| EmbeddingStore::load(p).unwrap().to_bytes(),
+    );
+    assert_save_replaces_the_file_whole(
+        &dir.join("release.aidx"),
+        &index.to_bytes(),
+        |p| index.save(p),
+        |p| IvfIndex::load(p).unwrap().to_bytes(),
+    );
+    assert_save_replaces_the_file_whole(
+        &dir.join("session.actk"),
+        &encode_checkpoint(&state).unwrap(),
+        |p| save_checkpoint(p, &state),
+        |p| encode_checkpoint(&load_checkpoint(p).unwrap()).unwrap(),
+    );
+    assert_save_replaces_the_file_whole(
+        &dir.join("graph.agph"),
+        &encode_agph(&g, 3).unwrap(),
+        |p| save_agph(p, &g, 3),
+        |p| encode_agph(&load_agph(p).unwrap(), 3).unwrap(),
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
