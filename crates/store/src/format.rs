@@ -86,9 +86,12 @@ pub(crate) fn encode(store: &EmbeddingStore) -> Vec<u8> {
     for &id in store.node_ids() {
         out.extend_from_slice(&id.to_le_bytes());
     }
-    for &v in store.matrix().as_slice() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    // Node order, whatever order the store holds its rows in.
+    store.for_each_run_in_node_order(|run| {
+        for &v in run {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    });
     seal(&mut out);
     out
 }
@@ -197,13 +200,13 @@ mod tests {
         assert_eq!(back.meta(), store.meta());
         assert_eq!(back.node_ids(), store.node_ids());
         let a: Vec<u64> = store
-            .matrix()
+            .storage()
             .as_slice()
             .iter()
             .map(|x| x.to_bits())
             .collect();
         let b: Vec<u64> = back
-            .matrix()
+            .storage()
             .as_slice()
             .iter()
             .map(|x| x.to_bits())
@@ -222,10 +225,10 @@ mod tests {
         let store = EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap();
         let back = decode(&encode(&store)).unwrap();
         for (a, b) in store
-            .matrix()
+            .storage()
             .as_slice()
             .iter()
-            .zip(back.matrix().as_slice())
+            .zip(back.storage().as_slice())
         {
             assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -42,6 +42,16 @@
 //! search still sees them and exact-mode equality holds for hostile
 //! stores.
 //!
+//! **Lists as runs:** the index keeps every node in one flat member list,
+//! cluster by cluster (ascending node order within each) and the
+//! always-scanned list last. [`IvfIndex::arrange`] moves a store's rows
+//! in place into that order, so search on that store reads each list it
+//! visits as one contiguous run of rows and offers each row under its
+//! node. Any other store, a plain one or one another index arranged,
+//! reaches each member through the store's node → storage map. Answers
+//! are the same bits either way: `TopK` ranks by node, whatever order
+//! rows arrive in.
+//!
 //! The `.aidx` codec follows the same conventions as `.aemb`
 //! (`docs/FORMAT.md`): little-endian, raw IEEE-754 bit patterns, CRC-32
 //! trailer, every corruption mode a typed [`StoreError`], and an
@@ -50,11 +60,12 @@
 //! pairing it with any other store is a typed
 //! [`StoreError::IndexStoreMismatch`].
 
+use std::ops::Range;
 use std::path::Path;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use advsgm_linalg::backend::{self, CentroidPanels};
-use advsgm_linalg::topk::{score_rows, top_k_rows, ScoredIndex, TopK};
+use advsgm_linalg::topk::{score_rows, ScoredIndex, TopK};
 use advsgm_linalg::{vector, DenseMatrix};
 use advsgm_parallel::ThreadPool;
 
@@ -80,12 +91,16 @@ const ALWAYS_SCAN: u32 = u32::MAX;
 const CALIBRATION_TARGETS: [f64; 5] = [0.50, 0.80, 0.90, 0.95, 0.99];
 
 /// Exact mode takes the contiguous full scan when the clusters its bound
-/// still admits hold more than `1 / FULL_SCAN_SHARE` of the store. A row
-/// reached through a cluster list costs about 3× a row of the contiguous
-/// scan (2.6–2.9× measured on a 2-core AVX2 host, 100k × 32 store):
-/// list order jumps around the matrix while the full scan streams it.
-/// Past about a quarter of the rows the pruned visit saves little or
-/// loses. The Lloyd passes' filter ([`Admission`]) takes the full scan
+/// still admits hold more than `1 / FULL_SCAN_SHARE` of the store. In a
+/// store this index did not arrange, a row reached through a cluster
+/// list costs about 3× a row of the contiguous scan (2.6–2.9× measured
+/// on a 2-core AVX2 host, 100k × 32 store): list order jumps around the
+/// matrix while the full scan streams it, and past about a quarter of
+/// the rows the pruned visit saves little or loses. In a store it
+/// arranged ([`IvfIndex::arrange`]) each list is a contiguous run, and a
+/// visit of every cluster cost 0.97–1.05× the full scan on trained
+/// releases, so there the share matters little either way (DESIGN.md
+/// §12). The Lloyd passes' filter ([`Admission`]) takes the full scan
 /// past the same share of the centroids: a distance it scores one at a
 /// time costs about 3–5× one of the 16-centroid kernel's (24–30 against
 /// 5–10 ns per distance on that store, one thread).
@@ -174,10 +189,15 @@ pub struct IvfIndex {
     assignments: Vec<u32>,
     /// `(recall target, nprobe)` pairs, ascending by target.
     calibration: Vec<(f64, u32)>,
-    /// Derived: member rows per cluster (not serialised; rebuilt on load).
-    clusters: Vec<Vec<usize>>,
-    /// Derived: rows scanned on every query (non-finite embeddings).
-    always: Vec<usize>,
+    /// Derived from the assignments (not serialised): every node in list
+    /// order, each cluster's members in ascending node order, cluster by
+    /// cluster, then the always-scanned ones. The storage order
+    /// [`IvfIndex::arrange`] gives a store, shared with the stores it
+    /// arranged.
+    members: Arc<[u32]>,
+    /// Derived: cluster `c` holds `members[offsets[c]..offsets[c + 1]]`,
+    /// and the always-scanned list starts at `offsets[nlist]`.
+    offsets: Vec<usize>,
     /// Derived from the store, never serialised: the per-cluster bounds
     /// exact mode prunes with. Set by the build (from its last assignment
     /// pass) and by [`IvfIndex::validate_for`]; while unset, exact mode is
@@ -245,18 +265,23 @@ impl IvfIndex {
     ) -> Result<(Self, Vec<usize>), StoreError> {
         let n = store.len();
         let dim = store.dim();
-        let matrix = store.matrix();
+        if n as u64 > u32::MAX as u64 {
+            return Err(StoreError::LimitExceeded {
+                what: "index row count",
+                value: n as u64,
+                max: u32::MAX as u64,
+            });
+        }
+        let matrix = store.storage();
 
         // Non-finite rows cannot be clustered; they are always scanned.
-        let mut finite: Vec<usize> = Vec::with_capacity(n);
-        let mut always: Vec<usize> = Vec::new();
-        for row in 0..n {
-            if matrix.row(row).iter().all(|v| v.is_finite()) {
-                finite.push(row);
-            } else {
-                always.push(row);
-            }
-        }
+        // `finite` holds the finite nodes' storage rows in node order, the
+        // order every pass walks them in, so the bytes do not depend on
+        // how the store holds its rows.
+        let finite: Vec<usize> = (0..n)
+            .map(|u| store.storage_row(u))
+            .filter(|&row| matrix.row(row).iter().all(|v| v.is_finite()))
+            .collect();
 
         let nlist = if finite.is_empty() {
             0
@@ -307,42 +332,79 @@ impl IvfIndex {
         let mut assignments = vec![ALWAYS_SCAN; n];
         let mut far = vec![0.0; nlist];
         for ((&row, &c), &d) in finite.iter().zip(&pass.nearest).zip(&pass.dist_sq) {
-            assignments[row] = c as u32;
+            assignments[store.node_at(row)] = c as u32;
             far[c] = farther(far[c], d);
         }
         let geometry = Geometry::new(&centroids, &far);
 
-        let mut index = Self {
-            dim,
-            nodes: n,
-            store_fingerprint: store.fingerprint(),
-            centroids,
-            assignments,
-            calibration: Vec::new(),
-            clusters: Vec::new(),
-            always: Vec::new(),
-            geometry: OnceLock::from(geometry),
-        };
-        index.rebuild_derived();
+        let mut index =
+            Self::assemble(dim, store.fingerprint(), centroids, assignments, Vec::new());
+        index.geometry = OnceLock::from(geometry);
         index.calibration = index.calibrate(store, &finite, params, pool);
         Ok((index, distances))
     }
 
-    /// Recomputes the derived cluster membership lists from the
-    /// serialised assignment table.
-    fn rebuild_derived(&mut self) {
-        let nlist = self.centroids.rows();
-        let mut clusters = vec![Vec::new(); nlist];
-        let mut always = Vec::new();
-        for (row, &a) in self.assignments.iter().enumerate() {
-            if a == ALWAYS_SCAN {
-                always.push(row);
-            } else {
-                clusters[a as usize].push(row);
-            }
+    /// An index from its serialised fields, with the member lists derived
+    /// from the assignments by a counting sort (ascending node order within
+    /// each list) and no geometry yet. The assignments must be below
+    /// `centroids.rows()` or [`ALWAYS_SCAN`], and at most `u32::MAX` long.
+    fn assemble(
+        dim: usize,
+        store_fingerprint: u64,
+        centroids: DenseMatrix,
+        assignments: Vec<u32>,
+        calibration: Vec<(f64, u32)>,
+    ) -> Self {
+        let nlist = centroids.rows();
+        // List `nlist` is the always-scanned one.
+        let list_of = |a: u32| if a == ALWAYS_SCAN { nlist } else { a as usize };
+        let mut offsets = vec![0; nlist + 2];
+        for &a in &assignments {
+            offsets[list_of(a) + 1] += 1;
         }
-        self.clusters = clusters;
-        self.always = always;
+        for c in 0..=nlist {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut next = offsets.clone();
+        let mut members = vec![0u32; assignments.len()];
+        for (u, &a) in assignments.iter().enumerate() {
+            let at = &mut next[list_of(a)];
+            members[*at] = u as u32;
+            *at += 1;
+        }
+        offsets.pop();
+        Self {
+            dim,
+            nodes: assignments.len(),
+            store_fingerprint,
+            centroids,
+            assignments,
+            calibration,
+            members: members.into(),
+            offsets,
+            geometry: OnceLock::new(),
+        }
+    }
+
+    /// Cluster `c`'s positions in the member list.
+    fn list(&self, c: usize) -> Range<usize> {
+        self.offsets[c]..self.offsets[c + 1]
+    }
+
+    /// The always-scanned list's positions in the member list.
+    fn always(&self) -> Range<usize> {
+        self.offsets[self.nlist()]..self.members.len()
+    }
+
+    /// One query's scan of the lists in `store`, excluding node `u`.
+    fn scan<'a>(&'a self, store: &'a EmbeddingStore, u: usize) -> ListScan<'a> {
+        ListScan {
+            members: &self.members,
+            store,
+            arranged: store.is_arranged_as(&self.members),
+            query: store.row(u),
+            skip: u,
+        }
     }
 
     /// Measures, on evenly sampled query rows, how many probes each
@@ -352,7 +414,8 @@ impl IvfIndex {
     /// out-of-sample queries stay at or above the target in practice.
     /// Each query's exact top `k` comes from exact mode, which is the
     /// full scan's answer bit for bit, so the geometry must be set first
-    /// for the visit to prune.
+    /// for the visit to prune. `finite` holds the finite nodes' storage
+    /// rows in node order.
     fn calibrate(
         &self,
         store: &EmbeddingStore,
@@ -367,7 +430,7 @@ impl IvfIndex {
         let samples = params.sample_queries.clamp(1, finite.len());
         let k = params.calibration_k.max(1);
         let queries: Vec<usize> = (0..samples)
-            .map(|s| finite[s * finite.len() / samples])
+            .map(|s| store.node_at(finite[s * finite.len() / samples]))
             .collect();
         // hits_at[p] = exact-top-k rows found with p+1 probes, summed over
         // all sampled queries; always-scanned hits count at every p. Each
@@ -376,14 +439,17 @@ impl IvfIndex {
         let parts = pool.map_chunks(&queries, samples.div_ceil(pool.threads()), |_, _, part| {
             let mut hits_at = vec![0usize; nlist];
             for &u in part {
-                let query = store.matrix().row(u);
                 // rank_of[c] = position of cluster c in this query's
                 // probe order.
                 let mut rank_of = vec![0usize; nlist];
-                for (rank, c) in self.probe_order(query, nlist).into_iter().enumerate() {
+                for (rank, c) in self
+                    .probe_order(store.row(u), nlist)
+                    .into_iter()
+                    .enumerate()
+                {
                     rank_of[c] = rank;
                 }
-                for hit in self.exact(store.matrix(), u, k).0 {
+                for hit in self.exact(store, u, k).0 {
                     let a = self.assignments[hit.index];
                     let first_found = if a == ALWAYS_SCAN {
                         0
@@ -491,7 +557,7 @@ impl IvfIndex {
     /// Rows scanned on every query because their embeddings contain
     /// non-finite values.
     pub fn always_scanned(&self) -> usize {
-        self.always.len()
+        self.always().len()
     }
 
     /// Maps a recall target in `[0, 1]` to a probe count via the
@@ -534,9 +600,44 @@ impl IvfIndex {
                 ),
             });
         }
-        self.geometry
-            .get_or_init(|| Geometry::derive(store.matrix(), &self.centroids, &self.clusters));
+        self.geometry.get_or_init(|| self.derive_geometry(store));
         Ok(())
+    }
+
+    /// Arranges `store`'s rows in place into this index's list order:
+    /// each cluster's members in ascending node order, cluster by
+    /// cluster, then the always-scanned rows. [`IvfIndex::search`] then
+    /// reads every list it visits in that store as one contiguous run of
+    /// rows instead of rows scattered through the matrix. The store's
+    /// answers, fingerprint, bytes and equality do not change, and the
+    /// arrangement travels with clones of the store, as the lists do with
+    /// clones of the index. Rows already in this order do not move, and
+    /// the matrix keeps its allocation. Pair the index with the store
+    /// first ([`IvfIndex::validate_for`]).
+    ///
+    /// # Errors
+    /// [`StoreError::IndexStoreMismatch`] if the store's shape disagrees
+    /// with the index.
+    pub fn arrange(&self, store: &mut EmbeddingStore) -> Result<(), StoreError> {
+        self.check_shape(store)?;
+        store.arrange(&self.members);
+        Ok(())
+    }
+
+    /// Exact mode's per-cluster geometry, measured on `store`: each
+    /// cluster's members against its centroid.
+    fn derive_geometry(&self, store: &EmbeddingStore) -> Geometry {
+        let far: Vec<f64> = (0..self.nlist())
+            .map(|c| {
+                self.members[self.list(c)].iter().fold(0.0, |far, &u| {
+                    farther(
+                        far,
+                        vector::dist_sq(store.row(u as usize), self.centroids.row(c)),
+                    )
+                })
+            })
+            .collect();
+        Geometry::new(&self.centroids, &far)
     }
 
     /// Shape-only compatibility check (no fingerprint pass).
@@ -596,11 +697,8 @@ impl IvfIndex {
                 num_nodes: self.nodes,
             });
         }
-        let matrix = store.matrix();
-        let query = matrix.row(u);
-        let nlist = self.nlist();
-        if nprobe >= nlist {
-            let (scored, rows_scanned) = self.exact(matrix, u, k);
+        if nprobe >= self.nlist() {
+            let (scored, rows_scanned) = self.exact(store, u, k);
             return Ok(SearchResult {
                 neighbors: scored_to_neighbors(store, scored),
                 rows_scanned,
@@ -608,16 +706,13 @@ impl IvfIndex {
         }
         // One list at a time, as exact mode visits them: selection does
         // not depend on the order rows arrive in.
-        let probed = self.probe_order(query, nprobe.max(1));
+        let scan = self.scan(store, u);
+        let probed = self.probe_order(scan.query, nprobe.max(1));
         let mut top = TopK::new(k);
         let mut rows_scanned = 0;
-        for list in probed
-            .iter()
-            .map(|&c| &self.clusters[c])
-            .chain([&self.always])
-        {
-            top.push_rows(matrix, query, list.iter().copied(), Some(u));
+        for list in probed.iter().map(|&c| self.list(c)).chain([self.always()]) {
             rows_scanned += list.len();
+            scan.push(&mut top, list);
         }
         Ok(SearchResult {
             neighbors: scored_to_neighbors(store, top.into_sorted()),
@@ -625,22 +720,19 @@ impl IvfIndex {
         })
     }
 
-    /// Exact mode: the top `k` of row `u` and the rows scored, through
+    /// Exact mode: the top `k` of node `u` and the rows scored, through
     /// the bound-pruned visit where it applies, else the full scan.
-    fn exact(&self, matrix: &DenseMatrix, u: usize, k: usize) -> (Vec<ScoredIndex>, usize) {
+    fn exact(&self, store: &EmbeddingStore, u: usize, k: usize) -> (Vec<ScoredIndex>, usize) {
         let eligible = self.nodes - 1;
         // A `k` the heap can never reach leaves the bound nothing to prune.
         let pruned = match self.geometry.get() {
-            Some(geometry) if k < eligible => self.pruned_top_k(geometry, matrix, u, k),
+            Some(geometry) if k < eligible => self.pruned_top_k(geometry, store, u, k),
             _ => Err(0),
         };
-        pruned.unwrap_or_else(|scored| {
-            let top = top_k_rows(matrix, matrix.row(u), k, Some(u));
-            (top, scored + eligible)
-        })
+        pruned.unwrap_or_else(|scored| (store.scan_top_k(u, k), scored + eligible))
     }
 
-    /// The bound-pruned exact top-k of row `u`: `Ok((top, rows scored))`,
+    /// The bound-pruned exact top-k of node `u`: `Ok((top, rows scored))`,
     /// or `Err(rows scored)` when the full scan must answer instead —
     /// the bound cannot be trusted (a non-finite query row, radius,
     /// bound or margin), or the clusters it admits hold more than
@@ -648,14 +740,15 @@ impl IvfIndex {
     fn pruned_top_k(
         &self,
         geometry: &Geometry,
-        matrix: &DenseMatrix,
+        store: &EmbeddingStore,
         u: usize,
         k: usize,
     ) -> Result<(Vec<ScoredIndex>, usize), usize> {
         if k == 0 {
             return Ok((Vec::new(), 0));
         }
-        let query = matrix.row(u);
+        let scan = self.scan(store, u);
+        let query = scan.query;
         let q_norm = floored_sqrt(vector::norm2_sq(query));
         if !q_norm.is_finite() {
             return Err(0);
@@ -670,8 +763,8 @@ impl IvfIndex {
         order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
 
         let mut top = TopK::new(k);
-        top.push_rows(matrix, query, self.always.iter().copied(), Some(u));
-        let mut scored = self.always.len();
+        scan.push(&mut top, self.always());
+        let mut scored = self.always_scanned();
         let mut share_checked = false;
         for (at, &(bound, c)) in order.iter().enumerate() {
             if let Some(kth) = top.kth() {
@@ -686,15 +779,16 @@ impl IvfIndex {
                     let admitted: usize = order[at..]
                         .iter()
                         .take_while(|(b, _)| b.total_cmp(&kth.score).is_ge())
-                        .map(|&(_, c)| self.clusters[c].len())
+                        .map(|&(_, c)| self.list(c).len())
                         .sum();
                     if admitted * FULL_SCAN_SHARE > self.nodes {
                         return Err(scored);
                     }
                 }
             }
-            top.push_rows(matrix, query, self.clusters[c].iter().copied(), Some(u));
-            scored += self.clusters[c].len();
+            let list = self.list(c);
+            scored += list.len();
+            scan.push(&mut top, list);
         }
         Ok((top.into_sorted(), scored))
     }
@@ -731,6 +825,49 @@ impl IvfIndex {
     /// I/O failures plus everything [`IvfIndex::from_bytes`] reports.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::from_bytes(&std::fs::read(path)?)
+    }
+}
+
+/// One query's scan of an index's lists in one store.
+struct ListScan<'a> {
+    /// The index's member list.
+    members: &'a [u32],
+    store: &'a EmbeddingStore,
+    /// Whether the index arranged `store`, so that list position `i` is
+    /// storage row `i`.
+    arranged: bool,
+    /// The query node's row.
+    query: &'a [f64],
+    /// The query node, which is never offered.
+    skip: usize,
+}
+
+impl ListScan<'_> {
+    /// Scores the query against the members at list positions `span`,
+    /// 16 rows per [`backend::dot16`] call through [`score_rows`], and
+    /// offers each but the query node to `top` under its node. In a store
+    /// the index arranged, the span is that run of storage rows, read in
+    /// place; any other store maps each member to its row. Every score is
+    /// bitwise [`backend::dot`] of the two rows either way.
+    fn push(&self, top: &mut TopK, span: Range<usize>) {
+        let mut offer = |node: usize, score: f64| {
+            if node != self.skip {
+                top.push(node, score);
+            }
+        };
+        let matrix = self.store.storage();
+        if self.arranged {
+            score_rows(matrix, self.query, span, |row, score| {
+                offer(self.members[row] as usize, score)
+            });
+        } else {
+            let rows = self.members[span]
+                .iter()
+                .map(|&u| self.store.storage_row(u as usize));
+            score_rows(matrix, self.query, rows, |row, score| {
+                offer(self.store.node_at(row), score)
+            });
+        }
     }
 }
 
@@ -1101,21 +1238,6 @@ struct Geometry {
 }
 
 impl Geometry {
-    /// From the store: each cluster's members measured again against its
-    /// centroid.
-    fn derive(matrix: &DenseMatrix, centroids: &DenseMatrix, clusters: &[Vec<usize>]) -> Self {
-        let far: Vec<f64> = clusters
-            .iter()
-            .enumerate()
-            .map(|(c, members)| {
-                members.iter().fold(0.0, |far, &row| {
-                    farther(far, vector::dist_sq(matrix.row(row), centroids.row(c)))
-                })
-            })
-            .collect();
-        Self::new(centroids, &far)
-    }
-
     /// From `far[c]`, the largest computed `dist_sq` from a member of
     /// cluster `c` to its centroid (`0` for an empty cluster).
     fn new(centroids: &DenseMatrix, far: &[f64]) -> Self {
@@ -1236,6 +1358,14 @@ fn decode_index(bytes: &[u8]) -> Result<IvfIndex, StoreError> {
         + 12 * calib_len as u128
         + 4;
     check_len(bytes.len(), expected, "the checksum")?;
+    // Member lists hold nodes as u32. Unreachable below a 16 GiB file.
+    if nodes > u32::MAX as u64 {
+        return Err(StoreError::LimitExceeded {
+            what: "index row count",
+            value: nodes,
+            max: u32::MAX as u64,
+        });
+    }
     let nodes = nodes as usize;
 
     if flags != 0 {
@@ -1282,19 +1412,13 @@ fn decode_index(bytes: &[u8]) -> Result<IvfIndex, StoreError> {
         calibration.push((target, nprobe));
     }
 
-    let mut index = IvfIndex {
+    Ok(IvfIndex::assemble(
         dim,
-        nodes,
         store_fingerprint,
         centroids,
         assignments,
         calibration,
-        clusters: Vec::new(),
-        always: Vec::new(),
-        geometry: OnceLock::new(),
-    };
-    index.rebuild_derived();
-    Ok(index)
+    ))
 }
 
 #[cfg(test)]
@@ -1404,7 +1528,7 @@ mod tests {
         // `.aidx` can file a NaN row under a cluster. That cluster's
         // radius must then void the bound, not shrink it: the NaN row
         // tops every full-scan answer.
-        let mut m = clustered_store(240, 6, 12).matrix().clone();
+        let mut m = clustered_store(240, 6, 12).storage().clone();
         m.set(7, 2, f64::NAN);
         let store = EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap();
         let index = IvfIndex::build(&store, small_params()).unwrap();
@@ -1490,20 +1614,10 @@ mod tests {
         .unwrap();
         let mut assignments: Vec<u32> = (0..nlist as u32).collect();
         assignments.extend([0, 20]);
-        let mut index = IvfIndex {
-            dim,
-            nodes: nlist + 2,
-            store_fingerprint: store.fingerprint(),
-            centroids,
-            assignments,
-            calibration: Vec::new(),
-            clusters: Vec::new(),
-            always: Vec::new(),
-            geometry: OnceLock::new(),
-        };
-        index.rebuild_derived();
+        let index =
+            IvfIndex::assemble(dim, store.fingerprint(), centroids, assignments, Vec::new());
         for u in [0, 3, 5, 9, 18, 20, 21, 22] {
-            let query = store.matrix().row(u);
+            let query = store.row(u);
             // Reference: a stable sort by score alone keeps tied clusters
             // in ascending index order.
             let mut full: Vec<usize> = (0..nlist).collect();
@@ -1520,7 +1634,7 @@ mod tests {
                 found.sort_unstable();
                 let mut want: Vec<usize> = probed
                     .iter()
-                    .flat_map(|&c| index.clusters[c].iter().copied())
+                    .flat_map(|&c| index.members[index.list(c)].iter().map(|&m| m as usize))
                     .filter(|&row| row != u)
                     .collect();
                 want.sort_unstable();
@@ -1576,7 +1690,7 @@ mod tests {
                 calibration_k: 3,
             };
             let index = IvfIndex::build(&store, params).unwrap();
-            let matrix = store.matrix();
+            let matrix = store.storage();
             let mut own_row_probed = false;
             for u in 0..n {
                 let query = matrix.row(u);
@@ -1676,6 +1790,95 @@ mod tests {
         }
     }
 
+    #[test]
+    fn arranging_moves_rows_in_place_into_list_runs() {
+        let mut store = clustered_store(500, 8, 12);
+        let plain = store.clone();
+        let index = IvfIndex::build(&store, small_params()).unwrap();
+        let backing = store.storage().as_slice().as_ptr();
+        index.arrange(&mut store).unwrap();
+        // No second matrix: the rows moved within the one allocation.
+        assert_eq!(store.storage().as_slice().as_ptr(), backing);
+        assert!(store.is_arranged_as(&index.members));
+        // Every list is a run of storage rows holding its members.
+        for (row, &u) in index.members.iter().enumerate() {
+            assert_eq!(store.node_at(row), u as usize);
+            assert_eq!(store.storage_row(u as usize), row);
+            assert_eq!(store.storage().row(row), plain.storage().row(u as usize));
+        }
+        assert!(
+            (0..store.len()).any(|row| store.node_at(row) != row),
+            "list order must differ from node order on this store"
+        );
+        // An equal list (a loaded copy of the index) moves nothing and
+        // takes over the arrangement.
+        let loaded = IvfIndex::from_bytes(&index.to_bytes()).unwrap();
+        let before = store.storage().clone();
+        loaded.arrange(&mut store).unwrap();
+        assert_eq!(store.storage(), &before);
+        assert!(store.is_arranged_as(&loaded.members));
+        assert!(!store.is_arranged_as(&index.members));
+        // A store arranged by another index's lists is read through the
+        // map: the same answers as the unarranged store, in both modes.
+        let other = IvfIndex::build(
+            &plain,
+            IndexParams {
+                nlist: 5,
+                ..small_params()
+            },
+        )
+        .unwrap();
+        other.arrange(&mut store).unwrap();
+        assert_eq!(store.storage().as_slice().as_ptr(), backing);
+        for u in [0, 77, 250, 499] {
+            for nprobe in [1, 3, index.nlist()] {
+                let got = index.search(&store, u, 10, nprobe).unwrap();
+                let want = index.search(&plain, u, 10, nprobe).unwrap();
+                assert_eq!(got, want, "u={u} nprobe={nprobe}");
+            }
+        }
+        let err = index.arrange(&mut clustered_store(499, 8, 12)).unwrap_err();
+        assert!(
+            matches!(err, StoreError::IndexStoreMismatch { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_arranged_store_builds_the_pinned_bytes() {
+        // The fixtures of the two pinned-bytes tests above, arranged by
+        // another index before the build reads them.
+        let m = DenseMatrix::from_fn(500, 6, |i, j| {
+            ((i * 7 + j * 13) % 23) as f64 * 0.1 + ((i % 5) * 3) as f64 - 2.0
+        });
+        let store = EmbeddingStore::new(m, PrivacyMeta::non_private(ModelVariant::Sgm)).unwrap();
+        let params = IndexParams {
+            nlist: 12,
+            sample_queries: 16,
+            ..small_params()
+        };
+        let pinned = [
+            (store, params, (0x7f96_95ea, 2676)),
+            (
+                arithmetic_clusters(3_000, 8, 48),
+                IndexParams::default(),
+                (0xf2fd_987e, 15_620),
+            ),
+        ];
+        for (mut store, params, want) in pinned {
+            let coarse = IvfIndex::build(&store, IndexParams { nlist: 7, ..params }).unwrap();
+            coarse.arrange(&mut store).unwrap();
+            assert!((0..store.len()).any(|row| store.node_at(row) != row));
+            for threads in [1, 3] {
+                let index =
+                    IvfIndex::build_in(&store, params, &mut ThreadPool::new(threads)).unwrap();
+                let bytes = index.to_bytes();
+                let body = &bytes[..bytes.len() - 4];
+                assert_eq!((crc32(body), bytes.len()), want, "threads={threads}");
+            }
+        }
+    }
+
     /// Rows spread evenly in 48 dimensions, with no clusters to find.
     fn spread_store() -> EmbeddingStore {
         let m = DenseMatrix::from_fn(1_500, 48, |i, j| {
@@ -1704,7 +1907,7 @@ mod tests {
         // The build folds its radii from the last Lloyd pass's distances:
         // a filtered pass, a full-scan pass, and a filtered pass over a
         // store whose non-finite rows are always scanned.
-        let mut hostile = clustered_store(400, 6, 9).matrix().clone();
+        let mut hostile = clustered_store(400, 6, 9).storage().clone();
         hostile.set(7, 2, f64::NAN);
         hostile.set(100, 0, f64::INFINITY);
         hostile.set(222, 5, f64::NEG_INFINITY);
@@ -2035,7 +2238,7 @@ mod tests {
                         )
                         .expect("finite");
                     for row in 0..2 {
-                        let score = backend::dot(&q, store.matrix().row(row));
+                        let score = backend::dot(&q, store.row(row));
                         assert!(
                             score <= bound,
                             "c_scale={c_scale} scale={scale} tilt={tilt}: {score} > {bound}"

@@ -1,7 +1,7 @@
 //! The in-memory embedding store and its query-serving API.
 //!
 //! An [`EmbeddingStore`] is the released artifact of a training run: the
-//! node-vector matrix `W_in`, a row → external-node-id table, and the
+//! node-vector matrix `W_in`, a node → external-node-id table, and the
 //! privacy metadata the release carries. Every query — pair scores
 //! ([`EmbeddingStore::score`], Eq. 2's inner product), neighbor retrieval
 //! ([`EmbeddingStore::top_k`]), and the parallel
@@ -12,16 +12,18 @@
 //! # Determinism contract
 //!
 //! `top_k` depends only on the store's contents (ties break toward the
-//! lower row index, see [`advsgm_linalg::topk`]). `batch_top_k` computes
+//! lower node index, see [`advsgm_linalg::topk`]), not on the order the
+//! rows are held in. `batch_top_k` computes
 //! each query independently and reassembles results in query order, so its
 //! output is **bitwise-identical at every thread count** — the serving
 //! counterpart of the training engines' determinism contract
 //! (DESIGN.md §7/§9).
 
 use std::path::Path;
+use std::sync::Arc;
 
 use advsgm_core::{AdvSgmConfig, TrainOutcome};
-use advsgm_linalg::topk::top_k_rows;
+use advsgm_linalg::topk::{score_rows, top_k_rows, ScoredIndex, TopK};
 use advsgm_linalg::{backend, DenseMatrix};
 use advsgm_parallel::{resolve_threads, ThreadPool};
 
@@ -33,7 +35,7 @@ use crate::meta::PrivacyMeta;
 /// One neighbor returned by a top-k query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
-    /// Row index in the store.
+    /// The neighbor's node: its row in the released matrix.
     pub node: usize,
     /// External node id from the store's id table.
     pub id: u64,
@@ -42,11 +44,46 @@ pub struct Neighbor {
 }
 
 /// A queryable, persistable embedding matrix with privacy provenance.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every query takes and every answer carries *nodes*: node `u` is row
+/// `u` of the released matrix. The store holds the rows in *storage
+/// order*, which is node order unless an index arranged them into its
+/// list order ([`IvfIndex::arrange`](crate::IvfIndex::arrange)), so that
+/// its search reads each cluster list as one contiguous run. No answer,
+/// fingerprint, encoding or comparison depends on the storage order, and
+/// a clone keeps it.
+#[derive(Debug, Clone)]
 pub struct EmbeddingStore {
+    /// The rows in storage order.
     vectors: DenseMatrix,
+    /// External id per node.
     node_ids: Vec<u64>,
     meta: PrivacyMeta,
+    /// Where each node's row is held; `None` while storage order is node
+    /// order.
+    layout: Option<Layout>,
+}
+
+/// The storage order an index arranged a store into.
+#[derive(Debug, Clone)]
+struct Layout {
+    /// Storage row → node: the arranging index's member list, shared with
+    /// it, so search tells an arranged store by pointer.
+    node_of: Arc<[u32]>,
+    /// Node → storage row.
+    storage_of: Vec<u32>,
+}
+
+/// Equality in node order: the same nodes with the same ids, metadata and
+/// rows (compared as `f64`s, so a NaN row is unequal to itself, as it
+/// always was), however each side holds its rows.
+impl PartialEq for EmbeddingStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim() == other.dim()
+            && self.meta == other.meta
+            && self.node_ids == other.node_ids
+            && (0..self.len()).all(|u| self.row(u) == other.row(u))
+    }
 }
 
 impl EmbeddingStore {
@@ -116,6 +153,7 @@ impl EmbeddingStore {
             vectors,
             node_ids,
             meta,
+            layout: None,
         })
     }
 
@@ -154,14 +192,126 @@ impl EmbeddingStore {
         &self.meta
     }
 
-    /// The row → external-node-id table.
+    /// The node → external-node-id table.
     pub fn node_ids(&self) -> &[u64] {
         &self.node_ids
     }
 
-    /// The underlying embedding matrix.
-    pub fn matrix(&self) -> &DenseMatrix {
+    /// The rows in storage order.
+    pub(crate) fn storage(&self) -> &DenseMatrix {
         &self.vectors
+    }
+
+    /// The storage row holding node `u`'s row.
+    pub(crate) fn storage_row(&self, u: usize) -> usize {
+        self.layout.as_ref().map_or(u, |l| l.storage_of[u] as usize)
+    }
+
+    /// The node whose row storage row `row` holds.
+    pub(crate) fn node_at(&self, row: usize) -> usize {
+        self.layout
+            .as_ref()
+            .map_or(row, |l| l.node_of[row] as usize)
+    }
+
+    /// Node `u`'s row (`u` must be in range).
+    pub(crate) fn row(&self, u: usize) -> &[f64] {
+        self.vectors.row(self.storage_row(u))
+    }
+
+    /// Whether the rows are held in `order`'s storage order, the very
+    /// list (not an equal copy) the store was arranged by.
+    pub(crate) fn is_arranged_as(&self, order: &Arc<[u32]>) -> bool {
+        self.layout
+            .as_ref()
+            .is_some_and(|l| Arc::ptr_eq(&l.node_of, order))
+    }
+
+    /// Moves the rows in place so storage row `s` holds node `order[s]`'s
+    /// row; `order` must be a permutation of the nodes. The rows move
+    /// cycle by cycle through one row of scratch, with a bitset marking
+    /// the rows already placed, so the matrix keeps its allocation. Rows
+    /// already where `order` puts them (a store arranged by an equal list)
+    /// do not move.
+    pub(crate) fn arrange(&mut self, order: &Arc<[u32]>) {
+        if self.is_arranged_as(order) {
+            return;
+        }
+        debug_assert_eq!(order.len(), self.len());
+        let (n, dim) = self.vectors.shape();
+        // Storage row `s` takes the row now held for node `order[s]`.
+        let layout = self.layout.as_ref();
+        let source = |s: usize| {
+            let u = order[s] as usize;
+            layout.map_or(u, |l| l.storage_of[u] as usize)
+        };
+        let data = self.vectors.as_mut_slice();
+        let mut placed = vec![0u64; n.div_ceil(64)];
+        let mut scratch = vec![0.0; dim];
+        for start in 0..n {
+            if (placed[start / 64] >> (start % 64)) & 1 == 1 || source(start) == start {
+                continue;
+            }
+            scratch.copy_from_slice(&data[start * dim..(start + 1) * dim]);
+            let mut at = start;
+            loop {
+                placed[at / 64] |= 1 << (at % 64);
+                let from = source(at);
+                if from == start {
+                    data[at * dim..(at + 1) * dim].copy_from_slice(&scratch);
+                    break;
+                }
+                data.copy_within(from * dim..(from + 1) * dim, at * dim);
+                at = from;
+            }
+        }
+        let mut storage_of = self
+            .layout
+            .take()
+            .map_or_else(|| vec![0; n], |l| l.storage_of);
+        for (s, &u) in order.iter().enumerate() {
+            storage_of[u as usize] = s as u32;
+        }
+        self.layout = Some(Layout {
+            node_of: Arc::clone(order),
+            storage_of,
+        });
+    }
+
+    /// Hands `visit` the payload in node order: the whole matrix at once
+    /// while storage order is node order, else one node's row at a time.
+    pub(crate) fn for_each_run_in_node_order(&self, mut visit: impl FnMut(&[f64])) {
+        match &self.layout {
+            None => visit(self.vectors.as_slice()),
+            Some(l) => {
+                for &s in &l.storage_of {
+                    visit(self.vectors.row(s as usize));
+                }
+            }
+        }
+    }
+
+    /// The top `k` nodes by score against node `u` (itself excluded) over
+    /// the contiguous scan of every stored row, as
+    /// `(node, score)` sorted by `(score desc, node asc)`: the full scan
+    /// behind [`Self::top_k`] and exact search's fallback. Each row's
+    /// score is its own [`backend::dot16`] lane and the selection does not
+    /// depend on the order rows arrive in, so the answer does not depend
+    /// on the storage order.
+    pub(crate) fn scan_top_k(&self, u: usize, k: usize) -> Vec<ScoredIndex> {
+        let query = self.row(u);
+        let Some(layout) = &self.layout else {
+            return top_k_rows(&self.vectors, query, k, Some(u));
+        };
+        let node_of: &[u32] = &layout.node_of;
+        let mut top = TopK::new(k);
+        score_rows(&self.vectors, query, 0..self.len(), |row, score| {
+            let node = node_of[row] as usize;
+            if node != u {
+                top.push(node, score);
+            }
+        });
+        top.into_sorted()
     }
 
     /// A 64-bit FNV-1a fingerprint of the store's contents: the row
@@ -184,16 +334,18 @@ impl EmbeddingStore {
         for &id in &self.node_ids {
             fold(id);
         }
-        for &v in self.vectors.as_slice() {
-            fold(v.to_bits());
-        }
+        self.for_each_run_in_node_order(|run| {
+            for &v in run {
+                fold(v.to_bits());
+            }
+        });
         h
     }
 
-    /// The embedding of row `node`.
+    /// The embedding of node `node`.
     ///
     /// # Errors
-    /// [`StoreError::NodeOutOfRange`] for rows the store does not hold.
+    /// [`StoreError::NodeOutOfRange`] for nodes the store does not hold.
     pub fn vector(&self, node: usize) -> Result<&[f64], StoreError> {
         if node >= self.len() {
             return Err(StoreError::NodeOutOfRange {
@@ -201,7 +353,7 @@ impl EmbeddingStore {
                 num_nodes: self.len(),
             });
         }
-        Ok(self.vectors.row(node))
+        Ok(self.row(node))
     }
 
     /// Eq. 2's link score: the inner product `<v_u, v_v>` (AUC-equivalent
@@ -215,7 +367,7 @@ impl EmbeddingStore {
     }
 
     /// The `k` highest-scoring neighbors of `u` (excluding `u` itself),
-    /// sorted by `(score desc, row asc)`. Fewer than `k` come back when
+    /// sorted by `(score desc, node asc)`. Fewer than `k` come back when
     /// the store holds fewer than `k + 1` nodes.
     ///
     /// # Errors
@@ -229,7 +381,7 @@ impl EmbeddingStore {
     /// be range-checked. Shared by [`Self::top_k`] and the batched paths
     /// so their results can never diverge.
     fn top_k_unchecked(&self, u: usize, k: usize) -> Vec<Neighbor> {
-        top_k_rows(&self.vectors, self.vectors.row(u), k, Some(u))
+        self.scan_top_k(u, k)
             .into_iter()
             .map(|s| Neighbor {
                 node: s.index,

@@ -55,8 +55,8 @@ pub struct EmbeddingService {
     pool: Mutex<Option<ThreadPool>>,
     /// Optional ANN index for sublinear approximate queries and pruned
     /// exact ones at the dial's exact point; validated against the
-    /// store's fingerprint when attached. `top_k` and `batch_top_k`
-    /// never consult it.
+    /// store's fingerprint when attached, and the store's rows arranged
+    /// in its list order. `top_k` and `batch_top_k` never consult it.
     index: Option<IvfIndex>,
 }
 
@@ -115,20 +115,25 @@ impl EmbeddingService {
     /// Attaches a prebuilt ANN index after validating it belongs to the
     /// served store (the `O(n·r)` fingerprint pass, and the derivation of
     /// the geometry exact mode prunes with, run once, here — not per
-    /// query).
+    /// query), then arranges the store's rows in place into the index's
+    /// list order ([`IvfIndex::arrange`]), so searches read each list as
+    /// one contiguous run. No answer changes.
     ///
     /// # Errors
     /// [`StoreError::IndexStoreMismatch`](advsgm_store::StoreError::IndexStoreMismatch)
     /// when shape or fingerprint disagree.
     pub fn attach_index(&mut self, index: IvfIndex) -> Result<()> {
         index.validate_for(&self.store)?;
+        index.arrange(&mut self.store)?;
         self.index = Some(index);
         Ok(())
     }
 
     /// Builds an ANN index from the served store (Theorem-5
-    /// post-processing; no privacy cost) on the service's pool and
-    /// attaches it. The index bytes do not depend on the pool width.
+    /// post-processing; no privacy cost) on the service's pool, arranges
+    /// the store in its list order and attaches it, as
+    /// [`EmbeddingService::attach_index`] does. The index bytes do not
+    /// depend on the pool width or on how the store holds its rows.
     ///
     /// # Errors
     /// See [`IvfIndex::build`].
@@ -139,6 +144,7 @@ impl EmbeddingService {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .get_or_insert_with(|| ThreadPool::new(self.threads));
         let index = IvfIndex::build_in(&self.store, params, pool)?;
+        index.arrange(&mut self.store)?;
         self.index = Some(index);
         Ok(self.index.as_ref().expect("just attached"))
     }
@@ -261,7 +267,9 @@ impl EmbeddingService {
         Ok(self.store.save(path)?)
     }
 
-    /// The wrapped store (internals escape hatch).
+    /// The wrapped store (internals escape hatch), arranged in the
+    /// attached index's list order if there is one; it answers, encodes
+    /// and fingerprints in node order all the same.
     pub fn store(&self) -> &EmbeddingStore {
         &self.store
     }

@@ -64,6 +64,7 @@ use advsgm::api::{
 };
 use advsgm::datasets::{dataset_by_name, synthesize};
 use advsgm::graph::Graph;
+use advsgm::parallel::{resolve_threads, ThreadPool};
 use advsgm::serve::{client::ServeClient, ServeConfig, Server};
 use advsgm::store::{IndexParams, IvfIndex};
 
@@ -1112,12 +1113,11 @@ fn cmd_index(args: IndexArgs) -> Result<(), String> {
         store.dim()
     );
     let start = std::time::Instant::now();
-    // The service's pool has the auto width (ADVSGM_THREADS, else 1),
-    // as for `serve --build-index`; the bytes do not depend on it.
-    let mut service = EmbeddingService::from_store(store);
-    let index = service
-        .build_index(args.params)
-        .map_err(|e| e.to_string())?;
+    // The auto width (ADVSGM_THREADS, else 1), as `serve --build-index`
+    // builds on; the bytes do not depend on it. Nothing queries the
+    // store, so it is not arranged.
+    let mut pool = ThreadPool::new(resolve_threads(0));
+    let index = IvfIndex::build_in(&store, args.params, &mut pool).map_err(|e| e.to_string())?;
     index
         .save(&args.out)
         .map_err(|e| format!("{}: {e}", args.out))?;

@@ -26,14 +26,15 @@
 //! `max_requests`-th request) writes its reply, raises an atomic flag,
 //! and wakes the acceptor with a self-connect. Idle connections poll the
 //! flag on a short read timeout, and a frame deadline and the
-//! [`WRITE_DEADLINE`] bound how long a stalled peer can hold its thread,
-//! so lingering clients cannot hold the process open.
+//! whole-reply [`WRITE_DEADLINE`] bound how long a stalled or trickling
+//! peer can hold its thread, so lingering clients cannot hold the process
+//! open.
 
 pub mod cache;
 pub mod client;
 pub mod protocol;
 
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -44,7 +45,7 @@ use advsgm_store::Neighbor;
 
 use crate::api::{EmbeddingService, Result};
 use cache::SieveCache;
-use protocol::{read_frame, write_frame, Request, Response};
+use protocol::{read_frame, Request, Response};
 
 /// How often an idle connection re-checks the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(250);
@@ -54,8 +55,9 @@ const POLL_INTERVAL: Duration = Duration::from_millis(250);
 /// peer that stalls past it is dropped.
 const FRAME_DEADLINE: Duration = Duration::from_secs(2);
 
-/// How long writing a reply may block on a peer that does not read
-/// (the socket's write timeout). A peer that stalls past it is dropped.
+/// How long writing one reply may take in all. A peer that has not taken
+/// the whole reply by then is dropped, whether it stopped reading or
+/// reads a few bytes at a time.
 pub const WRITE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Tuning knobs for [`Server::bind`]. `Default` is sized for a small
@@ -286,8 +288,9 @@ fn acceptor(listener: TcpListener, shared: Arc<Shared>) -> ServerStats {
 /// error response on the open connection; EOF, an unframeable stream, a
 /// stalled peer or shutdown ends it.
 fn connection(stream: TcpStream, shared: &Shared) {
-    // Idle reads time out so the thread notices shutdown; writes time
-    // out so a peer that stops reading cannot hold the thread forever.
+    // Idle reads time out so the thread notices shutdown; a blocked write
+    // times out at first after the whole reply's deadline (see
+    // `write_reply`).
     let configured = stream
         .set_nodelay(true)
         .and_then(|()| stream.set_read_timeout(Some(POLL_INTERVAL)))
@@ -311,7 +314,10 @@ fn connection(stream: TcpStream, shared: &Shared) {
             ),
             Ok(request) => shared.answer(request),
         };
-        let written = write_frame(&mut &stream, &response.encode());
+        let written = protocol::frame(&response.encode()).and_then(|frame| {
+            let start = Instant::now();
+            write_reply(&mut &stream, &frame, || start.elapsed())
+        });
         if stop {
             shared.stop();
         }
@@ -319,6 +325,62 @@ fn connection(stream: TcpStream, shared: &Shared) {
             return;
         }
     }
+}
+
+/// A connection's write side: a byte sink whose blocked writes time out.
+trait ReplySink: Write {
+    /// Makes each later blocked write give up after `timeout` (nonzero).
+    fn set_timeout(&mut self, timeout: Duration) -> io::Result<()>;
+}
+
+impl ReplySink for &TcpStream {
+    fn set_timeout(&mut self, timeout: Duration) -> io::Result<()> {
+        self.set_write_timeout(Some(timeout))
+    }
+}
+
+/// Writes one reply `frame` within [`WRITE_DEADLINE`] in all, `elapsed`
+/// giving the time since the reply began. The sink's timeout stands at
+/// `WRITE_DEADLINE` between replies, so a frame that leaves in one write
+/// costs that one call. While bytes are left, the timeout is re-armed
+/// with the time left before each further write, and set back once the
+/// reply is out. Without that, each blocked write would get the whole
+/// deadline again, and a peer taking a few bytes at a time could hold
+/// the thread for as long as the reply took to trickle out.
+///
+/// # Errors
+/// [`io::ErrorKind::TimedOut`] once the deadline passes with bytes left
+/// (and the socket's timeout error if a write blocks until then); the
+/// sink's other errors.
+fn write_reply(
+    sink: &mut impl ReplySink,
+    frame: &[u8],
+    elapsed: impl Fn() -> Duration,
+) -> io::Result<()> {
+    let mut rest = frame;
+    let mut rearmed = false;
+    loop {
+        match sink.write(rest) {
+            Ok(n) if n == rest.len() => break,
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e),
+            Err(_) => {}
+        }
+        let left = WRITE_DEADLINE.saturating_sub(elapsed());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "reply not taken within the write deadline",
+            ));
+        }
+        sink.set_timeout(left)?;
+        rearmed = true;
+    }
+    if rearmed {
+        sink.set_timeout(WRITE_DEADLINE)?;
+    }
+    Ok(())
 }
 
 /// A connection's read side, for a socket whose reads time out every
@@ -381,6 +443,8 @@ mod tests {
     use advsgm_linalg::DenseMatrix;
     use advsgm_store::{EmbeddingStore, IndexParams, PrivacyMeta};
     use client::ServeClient;
+    use protocol::write_frame;
+    use std::cell::Cell;
 
     fn test_service(indexed: bool) -> EmbeddingService {
         let m = DenseMatrix::from_fn(80, 6, |i, j| ((i * 7 + j * 3) as f64 * 0.13).sin());
@@ -574,5 +638,80 @@ mod tests {
         let oversized = Some(u32::MAX.to_le_bytes().to_vec());
         assert!(incoming(vec![oversized], &idle).next_frame().is_err());
         assert!(incoming(vec![], &idle).next_frame().is_err());
+    }
+
+    /// A scripted peer on the write side: each write takes at most
+    /// `per_write` bytes and advances `clock` by `step`, and every timeout
+    /// the writer sets is recorded.
+    struct Trickle<'a> {
+        taken: Vec<u8>,
+        per_write: usize,
+        clock: &'a Cell<Duration>,
+        step: Duration,
+        timeouts: Vec<Duration>,
+    }
+
+    impl Write for Trickle<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.clock.set(self.clock.get() + self.step);
+            let n = buf.len().min(self.per_write);
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl ReplySink for Trickle<'_> {
+        fn set_timeout(&mut self, timeout: Duration) -> io::Result<()> {
+            self.timeouts.push(timeout);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_gets_one_write_deadline_in_all() {
+        let frame: Vec<u8> = (0..64).collect();
+        let ms = Duration::from_millis;
+        let send = |per_write, step| {
+            let clock = Cell::new(Duration::ZERO);
+            let mut peer = Trickle {
+                taken: Vec::new(),
+                per_write,
+                clock: &clock,
+                step,
+                timeouts: Vec::new(),
+            };
+            let result = write_reply(&mut peer, &frame, || clock.get());
+            (result, peer.taken, peer.timeouts)
+        };
+        // A frame that leaves in one write sets no timeout.
+        let (result, taken, timeouts) = send(64, ms(1));
+        assert!(result.is_ok());
+        assert_eq!(taken, frame);
+        assert!(timeouts.is_empty(), "{timeouts:?}");
+        // Trickled out within the deadline: each further write gets the
+        // time left, and the timeout goes back up once the reply is out.
+        let (result, taken, timeouts) = send(16, ms(100));
+        assert!(result.is_ok());
+        assert_eq!(taken, frame);
+        assert_eq!(
+            timeouts,
+            [ms(1_900), ms(1_800), ms(1_700), WRITE_DEADLINE],
+            "{timeouts:?}"
+        );
+        // A peer taking three bytes every 300 ms is dropped at the
+        // deadline, after seven writes, with the reply unfinished, where
+        // a timeout per write would have let all 22 through.
+        let (result, taken, timeouts) = send(3, ms(300));
+        assert_eq!(result.unwrap_err().kind(), io::ErrorKind::TimedOut);
+        assert_eq!(taken, frame[..21]);
+        assert_eq!(timeouts.len(), 6, "{timeouts:?}");
+        assert_eq!(timeouts.last(), Some(&ms(200)));
+        // A peer that takes nothing is an error, not a spin.
+        let (result, _, _) = send(0, ms(1));
+        assert_eq!(result.unwrap_err().kind(), io::ErrorKind::WriteZero);
     }
 }

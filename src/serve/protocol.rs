@@ -265,6 +265,16 @@ impl Response {
 /// I/O failures; payloads over [`MAX_FRAME`] are an
 /// [`std::io::ErrorKind::InvalidInput`] error before anything is written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    w.write_all(&frame(payload)?)?;
+    w.flush()
+}
+
+/// One frame, header and payload, in one buffer.
+///
+/// # Errors
+/// Payloads over [`MAX_FRAME`] are an
+/// [`std::io::ErrorKind::InvalidInput`] error.
+pub(crate) fn frame(payload: &[u8]) -> std::io::Result<Vec<u8>> {
     if payload.len() > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
@@ -274,8 +284,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let mut frame = Vec::with_capacity(4 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
-    w.flush()
+    Ok(frame)
 }
 
 /// Reads one frame's payload from `r`, enforcing [`MAX_FRAME`].

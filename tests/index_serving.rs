@@ -210,7 +210,8 @@ fn exact_mode_edge_cases_match_the_full_scan() {
     // Coordinates so small that their squares underflow, so a computed
     // norm falls short of the true one by far more than any relative
     // margin. First a query row scaled by 1e-163 in a clustered store.
-    let mut m = clustered_store(800, 8, 16, 29).matrix().clone();
+    let clustered = clustered_store(800, 8, 16, 29);
+    let mut m = DenseMatrix::from_fn(800, 8, |i, j| clustered.vector(i).unwrap()[j]);
     for j in 0..8 {
         m.set(0, j, m.get(0, j) * 1e-163);
     }
