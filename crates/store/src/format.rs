@@ -87,11 +87,11 @@ pub(crate) fn encode(store: &EmbeddingStore) -> Vec<u8> {
         out.extend_from_slice(&id.to_le_bytes());
     }
     // Node order, whatever order the store holds its rows in.
-    store.for_each_run_in_node_order(|run| {
-        for &v in run {
+    for u in 0..n {
+        for &v in store.row(u) {
             out.extend_from_slice(&v.to_le_bytes());
         }
-    });
+    }
     seal(&mut out);
     out
 }

@@ -16,8 +16,8 @@
 //!
 //! **Exactness-vs-recall toggle:** `nprobe` ranges from 1 (fastest,
 //! lowest recall) to `nlist` (every cluster probed). At `nprobe >=
-//! nlist` the search is *exact* and **bitwise-identical** to
-//! [`advsgm_linalg::topk::top_k_rows`]. Exact mode visits clusters in
+//! nlist` the search is *exact* and **bitwise-identical** to the full
+//! scan of [`EmbeddingStore::top_k`]. Exact mode visits clusters in
 //! descending order of an upper bound on any member's score,
 //! `q·c + ‖q‖·R_c` plus a proven rounding margin (`R_c` is the
 //! cluster's radius), and stops once no unvisited cluster can reach the

@@ -23,7 +23,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use advsgm_core::{AdvSgmConfig, TrainOutcome};
-use advsgm_linalg::topk::{score_rows, top_k_rows, ScoredIndex, TopK};
+use advsgm_linalg::topk::{score_rows, ScoredIndex, TopK};
 use advsgm_linalg::{backend, DenseMatrix};
 use advsgm_parallel::{resolve_threads, ThreadPool};
 
@@ -278,19 +278,6 @@ impl EmbeddingStore {
         });
     }
 
-    /// Hands `visit` the payload in node order: the whole matrix at once
-    /// while storage order is node order, else one node's row at a time.
-    pub(crate) fn for_each_run_in_node_order(&self, mut visit: impl FnMut(&[f64])) {
-        match &self.layout {
-            None => visit(self.vectors.as_slice()),
-            Some(l) => {
-                for &s in &l.storage_of {
-                    visit(self.vectors.row(s as usize));
-                }
-            }
-        }
-    }
-
     /// The top `k` nodes by score against node `u` (itself excluded) over
     /// the contiguous scan of every stored row, as
     /// `(node, score)` sorted by `(score desc, node asc)`: the full scan
@@ -300,13 +287,9 @@ impl EmbeddingStore {
     /// on the storage order.
     pub(crate) fn scan_top_k(&self, u: usize, k: usize) -> Vec<ScoredIndex> {
         let query = self.row(u);
-        let Some(layout) = &self.layout else {
-            return top_k_rows(&self.vectors, query, k, Some(u));
-        };
-        let node_of: &[u32] = &layout.node_of;
         let mut top = TopK::new(k);
         score_rows(&self.vectors, query, 0..self.len(), |row, score| {
-            let node = node_of[row] as usize;
+            let node = self.node_at(row);
             if node != u {
                 top.push(node, score);
             }
@@ -334,11 +317,11 @@ impl EmbeddingStore {
         for &id in &self.node_ids {
             fold(id);
         }
-        self.for_each_run_in_node_order(|run| {
-            for &v in run {
+        for u in 0..self.len() {
+            for &v in self.row(u) {
                 fold(v.to_bits());
             }
-        });
+        }
         h
     }
 
